@@ -17,9 +17,7 @@
 //!
 //! The pinned scenario *menu* (which campaigns and microbenches run)
 //! lives in `hetcore::bench` — this crate stays simulator-agnostic so
-//! `hetcore` can depend on it without a crate cycle. The criterion
-//! figure benches under `benches/` are unchanged seed functionality
-//! and use the simulator crates as dev-dependencies.
+//! `hetcore` can depend on it without a crate cycle.
 
 #![warn(missing_docs)]
 
@@ -30,12 +28,3 @@ mod measure;
 pub use compare::{compare, ComparePolicy, CompareReport, ScenarioDiff, Verdict};
 pub use dump::{BenchDump, HostInfo, ScenarioResult, BENCH_SCHEMA};
 pub use measure::{measure, Measurement, RepeatSummary, NOISY_REL_SPREAD};
-
-/// The reduced per-application instruction budget used by the criterion
-/// benches so a full `cargo bench` stays in minutes. The shapes at this
-/// budget match the full runs; EXPERIMENTS.md records full-budget
-/// numbers.
-pub const BENCH_INSTS: u64 = 40_000;
-
-/// Benchmark seed (fixed: benches must be deterministic).
-pub const BENCH_SEED: u64 = 42;

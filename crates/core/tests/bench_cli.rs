@@ -247,3 +247,48 @@ fn bench_rejects_bad_arguments_up_front() {
         assert!(stderr.contains("usage: repro"), "usage follows the error");
     }
 }
+
+#[test]
+fn read_only_modes_reject_every_measuring_flag() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &[
+                "bench",
+                "--compare",
+                "a.json",
+                "b.json",
+                "--repeats",
+                "7",
+                "--seed",
+                "3",
+                "--jobs",
+                "9",
+            ],
+            "comparing two existing dumps runs nothing; it cannot be combined with \
+             --seed, --repeats or --jobs",
+        ),
+        (
+            &["bench", "--trend", "--warmup", "2", "--ratchet"],
+            "--trend reads the existing BENCH_*.json dumps and runs nothing; it cannot be \
+             combined with --warmup or --ratchet",
+        ),
+    ];
+    for (args, expected) in cases {
+        let stderr = String::from_utf8_lossy(&repro(args).stderr).into_owned();
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn file_compare_accepts_tolerance_and_format_flags() {
+    let dump = fresh_dump().to_str().expect("utf8");
+    for extra in [
+        &["--rel-tol", "0.5"][..],
+        &["--ratchet"],
+        &["--format", "json"],
+    ] {
+        let args = [&["bench", "--compare", dump, dump][..], extra].concat();
+        let out = repro(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+}

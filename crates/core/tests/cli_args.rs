@@ -231,3 +231,62 @@ fn diff_fails_cleanly_on_missing_files() {
         "names the unreadable file: {stderr}"
     );
 }
+
+#[test]
+fn run_rejects_undeclared_flags_as_flags_not_experiments() {
+    assert_rejected(&["--bogus"], "unknown flag '--bogus'");
+    assert_rejected(&["--help"], "unknown flag '--help'");
+    assert_rejected(&["fig7", "--bogus=3"], "unknown flag '--bogus'");
+    // Words that are not flags are still experiment names.
+    assert_rejected(&["fig99"], "unknown experiment 'fig99'");
+    // Switches take no inline value.
+    assert_rejected(&["--quick=yes"], "--quick takes no value, got 'yes'");
+}
+
+#[test]
+fn usage_lists_every_subcommand_but_the_worker() {
+    let stderr = String::from_utf8_lossy(&repro(&["--bogus"]).stderr).into_owned();
+    for expected in [
+        "repro baseline",
+        "repro diff",
+        "repro ci-gate --baseline DIR",
+        "repro check",
+        "repro bench",
+        "repro profile",
+        "repro explore",
+        "repro trace-export IN.jsonl [IN2.jsonl]... OUT.json",
+    ] {
+        assert!(stderr.contains(expected), "missing '{expected}': {stderr}");
+    }
+    assert!(!stderr.contains("shard-worker"), "{stderr}");
+}
+
+#[test]
+fn check_rejects_trace_in_combined_with_any_measuring_flag() {
+    assert_rejected(
+        &[
+            "check",
+            "--trace-in",
+            "t.jsonl",
+            "--jobs",
+            "3",
+            "--cache-dir",
+            "X",
+            "--progress",
+        ],
+        "--trace-in validates an existing trace; it cannot be combined with \
+         --jobs, --cache-dir or --progress",
+    );
+}
+
+#[test]
+fn deeply_nested_json_is_an_error_not_an_abort() {
+    let deep = std::env::temp_dir().join(format!("hetsim-cli-deep-{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(100_000)).expect("write deep file");
+    let path = deep.to_str().expect("utf8 path");
+    let out = repro(&["diff", path, path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "not an abort: {stderr}");
+    assert!(stderr.starts_with(&format!("error: {path}: ")), "{stderr}");
+    std::fs::remove_file(&deep).expect("cleanup");
+}

@@ -464,6 +464,32 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_cache_entry_is_a_corrupt_miss_not_an_abort() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "hetsim-runner-deep-entry-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = Runner::serial().with_cache_dir(&dir).expect("cache dir");
+        let fresh = cold.run(batch(&RUNS, 1));
+        // Far past the parser's nesting limit: parsing it recursively
+        // would overflow the stack.
+        let entry = dir.join(format!(
+            "{}.json",
+            crate::JobKey::of(&("test-v1", 0u64)).hex()
+        ));
+        std::fs::write(&entry, "[".repeat(100_000)).expect("overwrite entry");
+
+        let again = Runner::serial().with_cache_dir(&dir).expect("cache dir");
+        assert_eq!(again.run(batch(&RUNS, 1)), fresh);
+        let stats = again.last_stats();
+        assert_eq!(stats.executed, 1, "the deep entry must re-simulate");
+        assert_eq!(stats.cache.corrupt_files, 1, "and count as corrupt");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
     fn progress_events_cover_every_job() {
         struct Counting(AtomicU64, AtomicU64);
         impl ProgressSink for Counting {
