@@ -109,6 +109,9 @@ impl GpuConfig {
         if self.rf_cache.is_some() && self.rf_partition.is_some() {
             return Err("rf_cache and rf_partition are mutually exclusive".into());
         }
+        if self.rf_cache.is_some_and(|c| c.entries == 0) {
+            return Err("the RF cache needs at least one entry".into());
+        }
         Ok(())
     }
 }
@@ -146,5 +149,16 @@ mod tests {
         let mut c = GpuConfig::default();
         c.lanes_per_cu = 24;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_rf_cache() {
+        let mut c = GpuConfig::default();
+        c.rf_cache = Some(RfCacheConfig {
+            entries: 0,
+            latency: 1,
+        });
+        let err = c.validate().expect_err("zero RF-cache entries");
+        assert!(err.contains("at least one entry"), "{err}");
     }
 }

@@ -1,4 +1,5 @@
-//! One compute unit: wavefront pool, scoreboard, round-robin issue.
+//! One compute unit: the launch's kernel, decoded once, and a
+//! round-robin issue step over per-wavefront ready times.
 //!
 //! The CU hosts up to `waves_per_cu` resident wavefronts and issues one
 //! wavefront instruction per cycle (Southern Islands: four SIMDs, each
@@ -8,6 +9,14 @@
 //! Latency hiding across wavefronts — the essence of GPU throughput — then
 //! emerges: while one wavefront waits on memory or a deep TFET FMA
 //! pipeline, others issue.
+//!
+//! Every wavefront of a launch runs the same instruction stream from pc 0
+//! with its own fresh RF cache, so all an instruction costs except its
+//! memory outcome is a function of its pc alone: the register-read
+//! latency (RF-cache hit or miss, fast or slow partition), the
+//! functional-unit latency, and the RF and op counters.
+//! [`DecodedKernel`] works those out once per launch for every CU; the
+//! issue step in [`run_cu`] then only times the wavefronts.
 
 use hetsim_stats::attribution;
 
@@ -33,206 +42,186 @@ fn hashed_bool(key: u64, p: f64) -> bool {
     (hash64(key) as f64 / u64::MAX as f64) < p
 }
 
-/// Per-wavefront execution state, struct-of-arrays: the issue scan is a
-/// dense walk over small parallel vectors (`pc`, `next_issue`,
-/// `prev_done`) instead of hopping across per-wave structs, and the
-/// rarely-touched fields (`id`, RF caches) stay out of the scanned
-/// lines.
-struct WavePool {
-    /// Global wavefront ids (stable across configurations).
-    id: Vec<u64>,
-    pc: Vec<u32>,
-    /// Completion time of each wavefront's previous instruction
-    /// (scoreboard).
-    prev_done: Vec<u64>,
-    /// Earliest cycle each wavefront may issue again (SIMD occupancy).
-    next_issue: Vec<u64>,
-    /// Per-wave RF caches; empty when the config has none.
-    rfc: Vec<RfCache>,
+/// What the issue step needs to know about the instruction at one pc.
+#[derive(Debug, Clone, Copy)]
+struct DecodedInst {
+    /// Issue-to-completion cycles: the slowest source read plus the FMA,
+    /// LDS or on-chip memory-hit latency.
+    latency: u64,
+    /// Issue-to-completion cycles of a memory instruction that misses to
+    /// DRAM.
+    miss_latency: u64,
+    /// Waits for the previous instruction's completion (scoreboard).
+    dep_on_prev: bool,
+    /// A global-memory instruction: whether it misses is drawn per
+    /// wavefront at issue.
+    mem: bool,
 }
 
-/// Runs `wave_count` wavefronts of `kernel` on one compute unit.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_cu(
-    cfg: &GpuConfig,
-    kernel: &[GpuInst],
-    profile: &KernelProfile,
-    wave_count: u32,
-    seed: u64,
-) -> GpuStats {
-    run_cu_profiled(cfg, kernel, profile, wave_count, seed).0
+/// A kernel decoded for one configuration, once per launch, and shared
+/// by every CU of that launch.
+#[derive(Debug)]
+pub struct DecodedKernel {
+    insts: Vec<DecodedInst>,
+    /// The counters one wavefront's full pass adds; `cycles` and
+    /// `dram_accesses` stay zero (they come from the issue step).
+    per_wave: GpuStats,
+    waves_per_cu: u32,
+    issue_cycles: u64,
+    mem_miss_rate: f64,
 }
 
-/// Like [`run_cu`], but also returns the top-down cycle attribution:
-/// every cycle charged to exactly one class (summing to
-/// `GpuStats::cycles`), plus the wave-residency histogram when
-/// process-wide profiling is enabled.
+impl DecodedKernel {
+    /// Decodes `kernel` (generated from `profile`) for `cfg`: replays one
+    /// wavefront's pass through a fresh RF cache or the kernel's static
+    /// fast-register allocation, recording each pc's latency and flags
+    /// and the pass's counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid.
+    pub fn new(cfg: &GpuConfig, profile: &KernelProfile, kernel: &[GpuInst]) -> Self {
+        cfg.validate().expect("valid GPU config");
+        let threads = u64::from(WAVEFRONT_THREADS);
+        // Static fast-register allocation for a partitioned RF (per kernel,
+        // shared by every wavefront — it is a compiler decision).
+        let fast_regs = cfg.rf_partition.map(|p| FastRegSet::allocate(kernel, p));
+        let mut rfc = cfg.rf_cache.map(|c| RfCache::new(c.entries as usize));
+        let mut s = GpuStats::default();
+        let insts = kernel
+            .iter()
+            .map(|inst| {
+                let read_latency =
+                    read_sources(cfg, rfc.as_mut(), inst, &mut s, fast_regs.as_ref());
+                if let (Some(dst), Some(rfc)) = (inst.dst, rfc.as_mut()) {
+                    let evict_before = rfc.evictions();
+                    rfc.write(dst);
+                    s.rf_cache_accesses += threads;
+                    s.vector_rf_accesses += (rfc.evictions() - evict_before) * threads;
+                } else if let (Some(dst), Some(fast)) = (inst.dst, fast_regs.as_ref()) {
+                    if fast.is_fast(dst) {
+                        s.rf_fast_accesses += threads;
+                    } else {
+                        s.vector_rf_accesses += threads;
+                    }
+                } else if inst.dst.is_some() {
+                    s.vector_rf_accesses += threads;
+                }
+                let fu_latency = match inst.op {
+                    GpuOp::Valu => {
+                        s.valu_insts += 1;
+                        s.thread_fma_ops += threads;
+                        cfg.fma_latency
+                    }
+                    GpuOp::Mem => {
+                        s.mem_insts += 1;
+                        cfg.mem_hit_latency
+                    }
+                    GpuOp::Lds => {
+                        s.lds_insts += 1;
+                        s.lds_accesses += threads;
+                        cfg.lds_latency
+                    }
+                };
+                s.wavefront_insts += 1;
+                DecodedInst {
+                    latency: read_latency + u64::from(fu_latency),
+                    miss_latency: read_latency + u64::from(cfg.mem_miss_latency),
+                    dep_on_prev: inst.dep_on_prev,
+                    mem: inst.op == GpuOp::Mem,
+                }
+            })
+            .collect();
+        DecodedKernel {
+            insts,
+            per_wave: s,
+            waves_per_cu: cfg.waves_per_cu,
+            issue_cycles: u64::from(cfg.issue_cycles_per_wavefront()),
+            mem_miss_rate: profile.mem_miss_rate,
+        }
+    }
+}
+
+/// Runs `wave_count` wavefronts of a decoded kernel on one compute unit.
+/// Returns the CU's counters and its top-down cycle attribution: every
+/// cycle charged to exactly one class (summing to `GpuStats::cycles`),
+/// plus the wave-residency histogram when process-wide profiling is
+/// enabled.
 ///
-/// # Panics
-///
-/// As for [`run_cu`].
-pub fn run_cu_profiled(
-    cfg: &GpuConfig,
-    kernel: &[GpuInst],
-    profile: &KernelProfile,
-    wave_count: u32,
-    seed: u64,
-) -> (GpuStats, CuProfile) {
-    cfg.validate().expect("valid GPU config");
-    let mut stats = GpuStats::default();
+/// The work counters are `wave_count` times the decoded per-wave pass;
+/// only `cycles` and `dram_accesses` come from the issue step. The step
+/// keeps one ready cycle and one blocked-on-memory bit per resident
+/// wavefront, recomputed only when that wavefront issues.
+pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, CuProfile) {
     let mut attrib = CuProfile::default();
-    if wave_count == 0 || kernel.is_empty() {
-        return (stats, attrib);
+    if wave_count == 0 || kernel.insts.is_empty() {
+        return (GpuStats::default(), attrib);
     }
     let profiling = attribution::enabled();
-    let threads = u64::from(WAVEFRONT_THREADS);
-    let issue_occupancy = u64::from(cfg.issue_cycles_per_wavefront());
-    // Static fast-register allocation for a partitioned RF (per kernel,
-    // shared by every wavefront — it is a compiler decision).
-    let fast_regs = cfg.rf_partition.map(|p| FastRegSet::allocate(kernel, p));
+    let insts = &kernel.insts;
+    let last_pc = insts.len() - 1;
 
     // Waves beyond the resident limit start as soon as a slot frees; model
     // by batching (each batch fully resident, conservative on tail
     // effects, which are small for the launch sizes used).
-    let resident = cfg.waves_per_cu.min(wave_count);
+    let resident = kernel.waves_per_cu.min(wave_count);
     let batches = wave_count.div_ceil(resident);
-    let kernel_len = u32::try_from(kernel.len()).expect("kernel fits in u32 pcs");
+    // Per resident wavefront: its global id (stable across
+    // configurations), pc, the cycle it may issue next (u64::MAX once
+    // finished), and whether that wait is a dependence on a memory
+    // instruction.
+    let mut id = Vec::with_capacity(resident as usize);
+    let mut pc = Vec::with_capacity(resident as usize);
+    let mut ready = Vec::with_capacity(resident as usize);
+    let mut mem_blocked = Vec::with_capacity(resident as usize);
     let mut cycle: u64 = 0;
+    let mut dram_accesses: u64 = 0;
     let mut skipped_cycles: u64 = 0;
     let mut wakeup_jumps: u64 = 0;
 
     for batch in 0..batches {
         let n = resident.min(wave_count - batch * resident) as usize;
-        let mut pool = WavePool {
-            id: (0..n as u32)
-                .map(|w| seed ^ hash64(u64::from(batch * resident + w)))
-                .collect(),
-            pc: vec![0; n],
-            prev_done: vec![0; n],
-            next_issue: vec![cycle; n],
-            rfc: match cfg.rf_cache {
-                Some(c) => (0..n).map(|_| RfCache::new(c.entries as usize)).collect(),
-                None => Vec::new(),
-            },
-        };
+        id.clear();
+        id.extend((0..n as u32).map(|w| seed ^ hash64(u64::from(batch * resident + w))));
+        pc.clear();
+        pc.resize(n, 0);
+        ready.clear();
+        ready.resize(n, cycle);
+        mem_blocked.clear();
+        mem_blocked.resize(n, false);
         let mut rr = 0usize;
         let mut remaining = n;
+        // Completion of the batch's slowest final instruction.
+        let mut drain = cycle;
         while remaining > 0 {
-            // Round-robin scan for the first issuable wavefront. The
-            // next-event search is folded into the scan: if every
-            // wavefront refuses, `next_ready` already holds the
-            // earliest cycle one could issue, so the idle jump below
-            // needs no second pass over the pool.
-            let mut issued = false;
-            let mut next_ready = u64::MAX;
-            let mut next_blocked_on_mem = false;
+            // The first wavefront in round-robin order that is ready now,
+            // or else the earliest-ready one (first among ties): a rescan
+            // at its ready cycle would pick exactly that wavefront.
+            let mut w = rr;
+            let mut wake = u64::MAX;
             for k in 0..n {
-                let mut i = rr + k;
-                if i >= n {
-                    i -= n;
-                }
-                let pc = pool.pc[i];
-                if pc >= kernel_len {
-                    continue;
-                }
-                let inst = kernel[pc as usize];
-                let dep = if inst.dep_on_prev {
-                    pool.prev_done[i]
-                } else {
-                    0
-                };
-                let ready = pool.next_issue[i].max(dep);
-                if ready > cycle {
-                    if ready < next_ready {
-                        next_ready = ready;
-                        // Attribution for the idle gap below: the binding
-                        // constraint of the wave that wakes *first*. A
-                        // scoreboard dependence on a memory instruction
-                        // means the whole CU is waiting on memory;
-                        // anything else is issue bandwidth or an ALU
-                        // dependence chain. `dep > next_issue` implies
-                        // the wave issued before, so `pc - 1` is valid.
-                        next_blocked_on_mem =
-                            dep > pool.next_issue[i] && kernel[(pc - 1) as usize].op == GpuOp::Mem;
+                let i = if rr + k < n { rr + k } else { rr + k - n };
+                let when = ready[i].max(cycle);
+                if when < wake {
+                    wake = when;
+                    w = i;
+                    if when == cycle {
+                        break;
                     }
-                    continue;
                 }
-                // ---- Issue this wavefront instruction ----
-                let read_latency = read_sources(
-                    cfg,
-                    pool.rfc.get_mut(i),
-                    &inst,
-                    &mut stats,
-                    threads,
-                    fast_regs.as_ref(),
-                );
-                if let (Some(dst), Some(rfc)) = (inst.dst, pool.rfc.get_mut(i)) {
-                    let evict_before = rfc.evictions();
-                    rfc.write(dst);
-                    stats.rf_cache_accesses += threads;
-                    stats.vector_rf_accesses += (rfc.evictions() - evict_before) * threads;
-                } else if let (Some(dst), Some(fast)) = (inst.dst, fast_regs.as_ref()) {
-                    if fast.is_fast(dst) {
-                        stats.rf_fast_accesses += threads;
-                    } else {
-                        stats.vector_rf_accesses += threads;
-                    }
-                } else if inst.dst.is_some() {
-                    stats.vector_rf_accesses += threads;
-                }
-                let fu_latency = match inst.op {
-                    GpuOp::Valu => {
-                        stats.valu_insts += 1;
-                        stats.thread_fma_ops += threads;
-                        u64::from(cfg.fma_latency)
-                    }
-                    GpuOp::Mem => {
-                        stats.mem_insts += 1;
-                        let key = pool.id[i]
-                            .wrapping_mul(0x1000_0001)
-                            .wrapping_add(u64::from(pc));
-                        if hashed_bool(key, profile.mem_miss_rate) {
-                            stats.dram_accesses += 1;
-                            u64::from(cfg.mem_miss_latency)
-                        } else {
-                            u64::from(cfg.mem_hit_latency)
-                        }
-                    }
-                    GpuOp::Lds => {
-                        stats.lds_insts += 1;
-                        stats.lds_accesses += threads;
-                        u64::from(cfg.lds_latency)
-                    }
-                };
-                pool.prev_done[i] = cycle + read_latency + fu_latency;
-                pool.next_issue[i] = cycle + issue_occupancy;
-                pool.pc[i] = pc + 1;
-                stats.wavefront_insts += 1;
-                if pc + 1 >= kernel_len {
-                    remaining -= 1;
-                }
-                rr = i + 1;
-                if rr == n {
-                    rr = 0;
-                }
-                issued = true;
-                break;
             }
-            if !issued {
-                // Skip ahead to the next event rather than ticking idle
-                // cycles one by one.
-                assert!(
-                    next_ready != u64::MAX,
-                    "remaining > 0 implies an unfinished wave"
-                );
-                let next = next_ready.max(cycle + 1);
-                skipped_cycles += next - (cycle + 1);
+            if wake > cycle {
+                // Nobody can issue: jump to the wake-up instead of
+                // ticking idle cycles one by one, charging the gap to
+                // the waking wavefront's binding constraint. A
+                // dependence on a memory instruction means the whole CU
+                // is waiting on memory; anything else is issue
+                // bandwidth or an ALU dependence chain.
+                assert!(wake != u64::MAX, "remaining > 0 implies an unfinished wave");
+                let gap = wake - cycle;
+                skipped_cycles += gap - 1;
                 wakeup_jumps += 1;
-                let gap = next - cycle;
-                let class = if next_blocked_on_mem {
+                let class = if mem_blocked[w] {
                     CycleClass::MemLatency
                 } else {
                     CycleClass::IssueBound
@@ -241,10 +230,34 @@ pub fn run_cu_profiled(
                 if profiling {
                     attrib.residency.record_n(remaining as u64, gap);
                 }
-                cycle = next;
-                continue;
+                cycle = wake;
             }
-            attrib.classes.charge(CycleClass::Retire, 1);
+            // ---- Issue wavefront `w`'s instruction ----
+            let cur = pc[w];
+            let inst = insts[cur];
+            let latency = if inst.mem
+                && hashed_bool(
+                    id[w].wrapping_mul(0x1000_0001).wrapping_add(cur as u64),
+                    kernel.mem_miss_rate,
+                ) {
+                dram_accesses += 1;
+                inst.miss_latency
+            } else {
+                inst.latency
+            };
+            let done = cycle + latency;
+            let next_issue = cycle + kernel.issue_cycles;
+            if cur == last_pc {
+                ready[w] = u64::MAX;
+                remaining -= 1;
+                drain = drain.max(done);
+            } else {
+                pc[w] = cur + 1;
+                let blocked = insts[cur + 1].dep_on_prev && done > next_issue;
+                ready[w] = if blocked { done } else { next_issue };
+                mem_blocked[w] = blocked && inst.mem;
+            }
+            rr = if w + 1 == n { 0 } else { w + 1 };
             if profiling {
                 attrib.residency.record_n(remaining as u64, 1);
             }
@@ -252,7 +265,6 @@ pub fn run_cu_profiled(
         }
         // Drain the batch: the batch ends when its slowest wavefront's
         // last instruction completes.
-        let drain = pool.prev_done.iter().copied().max().unwrap_or(cycle);
         if drain > cycle {
             attrib
                 .classes
@@ -264,13 +276,33 @@ pub fn run_cu_profiled(
         }
     }
     crate::telemetry::record(skipped_cycles, wakeup_jumps);
-    stats.cycles = cycle;
+    // Every issue cycle retires one wavefront instruction.
+    let waves = u64::from(wave_count);
+    let p = &kernel.per_wave;
+    attrib
+        .classes
+        .charge(CycleClass::Retire, waves * p.wavefront_insts);
     attrib.cycles = cycle;
     debug_assert_eq!(
         attrib.classes.total(),
         attrib.cycles,
         "every CU cycle is charged to exactly one class"
     );
+    let stats = GpuStats {
+        cycles: cycle,
+        wavefront_insts: waves * p.wavefront_insts,
+        valu_insts: waves * p.valu_insts,
+        mem_insts: waves * p.mem_insts,
+        lds_insts: waves * p.lds_insts,
+        thread_fma_ops: waves * p.thread_fma_ops,
+        vector_rf_accesses: waves * p.vector_rf_accesses,
+        rf_cache_accesses: waves * p.rf_cache_accesses,
+        rf_fast_accesses: waves * p.rf_fast_accesses,
+        rf_cache_hits: waves * p.rf_cache_hits,
+        rf_cache_misses: waves * p.rf_cache_misses,
+        lds_accesses: waves * p.lds_accesses,
+        dram_accesses,
+    };
     (stats, attrib)
 }
 
@@ -281,9 +313,9 @@ fn read_sources(
     mut rfc: Option<&mut RfCache>,
     inst: &GpuInst,
     stats: &mut GpuStats,
-    threads: u64,
     fast_regs: Option<&FastRegSet>,
 ) -> u64 {
+    let threads = u64::from(WAVEFRONT_THREADS);
     let mut latency = 0u64;
     for src in inst.srcs.into_iter().flatten() {
         let lat = match (rfc.as_deref_mut(), cfg.rf_cache) {
@@ -328,10 +360,15 @@ mod tests {
         (p, insts)
     }
 
+    /// Decodes `insts` for `cfg` and runs `waves` wavefronts on one CU.
+    fn run(cfg: &GpuConfig, insts: &[GpuInst], p: &KernelProfile, waves: u32) -> GpuStats {
+        run_cu(&DecodedKernel::new(cfg, p, insts), waves, 1).0
+    }
+
     #[test]
     fn all_wavefronts_complete() {
         let (p, insts) = small_kernel();
-        let stats = run_cu(&GpuConfig::default(), &insts, &p, 8, 1);
+        let stats = run(&GpuConfig::default(), &insts, &p, 8);
         assert_eq!(stats.wavefront_insts, 8 * 500);
         assert!(stats.cycles >= 8 * 500, "1 issue/cycle bound");
     }
@@ -339,8 +376,8 @@ mod tests {
     #[test]
     fn more_wavefronts_hide_latency() {
         let (p, insts) = small_kernel();
-        let one = run_cu(&GpuConfig::default(), &insts, &p, 1, 1);
-        let eight = run_cu(&GpuConfig::default(), &insts, &p, 8, 1);
+        let one = run(&GpuConfig::default(), &insts, &p, 1);
+        let eight = run(&GpuConfig::default(), &insts, &p, 8);
         // 8 waves do 8x the work in far less than 8x the time.
         let scaling = eight.cycles as f64 / one.cycles as f64;
         assert!(
@@ -359,10 +396,10 @@ mod tests {
         let mut cmos = GpuConfig::default();
         cmos.rf_cache = None;
 
-        let slow_1 = run_cu(&tfet, &insts, &p, 1, 1).cycles as f64
-            / run_cu(&cmos, &insts, &p, 1, 1).cycles as f64;
-        let slow_8 = run_cu(&tfet, &insts, &p, 8, 1).cycles as f64
-            / run_cu(&cmos, &insts, &p, 8, 1).cycles as f64;
+        let slow_1 =
+            run(&tfet, &insts, &p, 1).cycles as f64 / run(&cmos, &insts, &p, 1).cycles as f64;
+        let slow_8 =
+            run(&tfet, &insts, &p, 8).cycles as f64 / run(&cmos, &insts, &p, 8).cycles as f64;
         assert!(
             slow_8 < slow_1,
             "occupancy should hide TFET latency: 1-wave slowdown {slow_1:.2}, 8-wave {slow_8:.2}"
@@ -377,8 +414,8 @@ mod tests {
         base.rf_cache = None;
         let mut cached = base.clone();
         cached.rf_cache = Some(crate::config::RfCacheConfig::default());
-        let without = run_cu(&base, &insts, &p, 8, 1).cycles;
-        let with = run_cu(&cached, &insts, &p, 8, 1).cycles;
+        let without = run(&base, &insts, &p, 8).cycles;
+        let with = run(&cached, &insts, &p, 8).cycles;
         assert!(
             with <= without,
             "RF cache must not slow things down: {with} vs {without}"
@@ -388,7 +425,7 @@ mod tests {
     #[test]
     fn rf_cache_hit_rate_is_meaningful() {
         let (p, insts) = small_kernel();
-        let stats = run_cu(&GpuConfig::default(), &insts, &p, 8, 1);
+        let stats = run(&GpuConfig::default(), &insts, &p, 8);
         let hr = stats.rf_cache_hit_rate();
         assert!(hr > 0.2, "written-value reuse should hit: {hr}");
         assert!(hr < 0.9, "long-lived values should miss: {hr}");
@@ -397,7 +434,7 @@ mod tests {
     #[test]
     fn zero_waves_is_empty_run() {
         let (p, insts) = small_kernel();
-        let stats = run_cu(&GpuConfig::default(), &insts, &p, 0, 1);
+        let stats = run(&GpuConfig::default(), &insts, &p, 0);
         assert_eq!(stats.wavefront_insts, 0);
         assert_eq!(stats.cycles, 0);
     }

@@ -9,7 +9,7 @@
 use hetsim_check::{CheckConfig, Checker, Violation};
 
 use crate::config::GpuConfig;
-use crate::cu::run_cu_profiled;
+use crate::cu::{run_cu, DecodedKernel};
 use crate::kernel::KernelProfile;
 use crate::profile::CuProfile;
 use crate::stats::{validate_gpu_stats, GpuStats};
@@ -167,6 +167,8 @@ impl Gpu {
         insts: &[crate::kernel::GpuInst],
         seed: u64,
     ) -> GpuRunResult {
+        // Decoded once: every CU runs the same stream.
+        let decoded = DecodedKernel::new(&self.cfg, kernel, insts);
         let cus = self.cfg.compute_units;
         // Round-robin wavefront distribution.
         let base = kernel.wavefronts / cus;
@@ -175,10 +177,8 @@ impl Gpu {
         let mut profiles = Vec::with_capacity(cus as usize);
         for cu in 0..cus {
             let waves = base + u32::from(cu < extra);
-            let (cu_stats, cu_profile) = run_cu_profiled(
-                &self.cfg,
-                insts,
-                kernel,
+            let (cu_stats, cu_profile) = run_cu(
+                &decoded,
                 waves,
                 seed.wrapping_add(0x9E37 * u64::from(cu) + 1),
             );

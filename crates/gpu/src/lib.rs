@@ -21,7 +21,8 @@
 //! * [`partitioned`] — the partitioned-RF alternative from related work
 //!   (fast CMOS partition + slow TFET partition, Section VIII).
 //! * [`schedule`] — the future-work compiler latency-hiding pass.
-//! * [`cu`] — one compute unit: wavefront pool, scoreboard, issue.
+//! * [`cu`] — one compute unit: the per-launch kernel decode, scoreboard,
+//!   round-robin issue.
 //! * [`gpu`] — the whole GPU: wavefront distribution over CUs.
 //! * [`stats`] — event counters for the GPUWattch-like energy model.
 //! * [`telemetry`] — process-global idle-skip counters for the

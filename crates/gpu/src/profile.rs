@@ -1,7 +1,7 @@
 //! Per-compute-unit cycle-attribution profile.
 //!
 //! [`CuProfile`] is the GPU half of the top-down profiler: every cycle
-//! of [`crate::cu::run_cu_profiled`] is charged to exactly one
+//! of [`crate::cu::run_cu`] is charged to exactly one
 //! [`CycleClass`], so the class counts sum to `GpuStats::cycles` for
 //! that CU — an identity `hetsim-check` enforces
 //! (`gpu.profile_class_conservation`). A SIMT unit has no front end to

@@ -97,7 +97,7 @@ pub fn schedule_kernel(kernel: &[GpuInst], window: usize) -> Scheduled {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
-    use crate::cu::run_cu;
+    use crate::cu::{run_cu, DecodedKernel};
     use crate::kernels;
 
     fn kernel() -> (crate::kernel::KernelProfile, Vec<GpuInst>) {
@@ -144,9 +144,9 @@ mod tests {
         tfet.fma_latency = 6;
         tfet.rf_latency = 2;
         tfet.rf_cache = None;
-        let raw = run_cu(&tfet, &insts, &profile, 3, 1);
+        let raw = run_cu(&DecodedKernel::new(&tfet, &profile, &insts), 3, 1).0;
         let scheduled = schedule_kernel(&insts, 6);
-        let tuned = run_cu(&tfet, &scheduled.insts, &profile, 3, 1);
+        let tuned = run_cu(&DecodedKernel::new(&tfet, &profile, &scheduled.insts), 3, 1).0;
         assert!(
             tuned.cycles < raw.cycles,
             "scheduled kernel should run faster: {} vs {}",

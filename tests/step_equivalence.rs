@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use hetcore_repro::hetcore::config::{CpuDesign, GpuDesign};
 use hetcore_repro::hetsim_cpu::multicore::run_multicore;
 use hetcore_repro::hetsim_gpu::kernel::KernelProfile;
-use hetcore_repro::hetsim_gpu::Gpu;
+use hetcore_repro::hetsim_gpu::{Gpu, GpuRunResult};
 use hetcore_repro::hetsim_trace::fuzz;
 
 /// Fuzz seeds pinned into the golden. Each seed runs on a different
@@ -70,7 +70,10 @@ fn dump_cpu_phase(
 }
 
 /// The full golden text: CPU multicore runs (serial + parallel phases)
-/// and GPU launches over the fuzzed workloads.
+/// and GPU launches over the fuzzed workloads. Each GPU seed then adds
+/// three launches with per-CU cycle classes: the design's plain launch,
+/// a partitioned-RF launch, and a launch scheduled with a 4-instruction
+/// lookahead window.
 fn render_current() -> String {
     let mut out = String::new();
     for (i, &seed) in SEEDS.iter().enumerate() {
@@ -84,6 +87,7 @@ fn render_current() -> String {
             dump_cpu_phase(&mut out, seed, design, &format!("parallel{t}"), r);
         }
     }
+    let mut launches = Vec::new();
     for (i, &seed) in SEEDS.iter().enumerate() {
         let design = GpuDesign::ALL[i % GpuDesign::ALL.len()];
         let mix = fuzz::kernel_mix(seed);
@@ -107,8 +111,36 @@ fn render_current() -> String {
             )
             .expect("write to string");
         }
+        launches.push((seed, design, "run", result));
+        let partitioned = GpuDesign::AdvHetPartitionedRf;
+        let result = Gpu::new(partitioned.gpu_config()).run(&kernel, seed);
+        launches.push((seed, partitioned, "run", result));
+        let result = Gpu::new(design.gpu_config()).run_scheduled(&kernel, seed, 4);
+        launches.push((seed, design, "scheduled4", result));
+    }
+    for (seed, design, launch, result) in &launches {
+        dump_gpu_launch(&mut out, *seed, *design, launch, result);
     }
     out
+}
+
+/// Renders one GPU launch's counters and every CU's top-down cycle
+/// classes as stable text lines.
+fn dump_gpu_launch(out: &mut String, seed: u64, design: GpuDesign, launch: &str, r: &GpuRunResult) {
+    let prefix = format!(
+        "gpu-launch seed={seed} design={} launch={launch}",
+        design.name()
+    );
+    for (name, value) in r.stats.iter() {
+        writeln!(out, "{prefix} {name}={value}").expect("write to string");
+    }
+    for (cu, p) in r.profiles.iter().enumerate() {
+        writeln!(out, "{prefix} cu={cu} cycles={}", p.cycles).expect("write to string");
+        for (class, cycles) in p.classes.iter() {
+            writeln!(out, "{prefix} cu={cu} class.{}={cycles}", class.name())
+                .expect("write to string");
+        }
+    }
 }
 
 #[test]
@@ -146,8 +178,10 @@ fn fuzzed_workload_counters_match_pre_rewrite_goldens() {
     );
 }
 
-/// The golden must cover both phases of the Amdahl model and both
-/// simulators — guards against a generator change silently emptying it.
+/// The golden must cover both phases of the Amdahl model, both
+/// simulators, and the per-CU GPU launch section (partitioned-RF and
+/// scheduled launches included) — guards against a generator change
+/// silently emptying it.
 #[test]
 fn golden_spans_every_section() {
     let golden = std::fs::read_to_string(GOLDEN).expect("golden present");
@@ -156,6 +190,9 @@ fn golden_spans_every_section() {
         "phase=parallel0",
         "phase=parallel1",
         "gpu seed=",
+        "gpu-launch seed=",
+        "design=AdvHet-PartRF launch=run cu=0 class.retire=",
+        "launch=scheduled4 cu=0 cycles=",
     ] {
         assert!(
             golden.contains(needle),
