@@ -25,7 +25,8 @@
 //! * `micro-gpu-step` — one GPU kernel simulation;
 //! * `micro-mem-hierarchy` — raw cache-hierarchy accesses, no core;
 //! * `micro-power-dvfs` — energy-model + DVFS operating-point
-//!   evaluations, no simulation;
+//!   evaluations over one sample run's counters (the sample is
+//!   simulated in set-up, outside the timed region);
 //! * `micro-event-queue` — a memory-bound run on the slowest core,
 //!   stressing the timing wheel and the dead-cycle skip machinery.
 //!
@@ -42,7 +43,7 @@ use hetsim_runner::Runner;
 use hetsim_trace::apps;
 
 use crate::config::{CpuDesign, GpuDesign};
-use crate::experiment::{run_cpu, run_gpu};
+use crate::experiment::{run_cpu, run_gpu, CpuOutcome};
 use crate::suite::Suite;
 
 /// Default per-scenario instruction budget of a full `repro bench`.
@@ -268,12 +269,17 @@ fn run_micro_mem(cfg: &BenchConfig) -> u64 {
     cfg.insts
 }
 
-/// Pure accounting throughput: energy-model evaluations over a real
-/// run's counters at alternating DVFS operating points. Returns the
-/// evaluation count.
-fn run_micro_power(cfg: &BenchConfig) -> u64 {
+/// The real run whose counters `micro-power-dvfs` evaluates: set-up,
+/// simulated once before timing starts.
+fn power_sample(cfg: &BenchConfig) -> CpuOutcome {
     let app = apps::profile("lu").expect("pinned app exists");
-    let sample = run_cpu(CpuDesign::AdvHet, &app, cfg.seed, cfg.insts.min(20_000));
+    run_cpu(CpuDesign::AdvHet, &app, cfg.seed, cfg.insts.min(20_000))
+}
+
+/// Pure accounting throughput: energy-model evaluations over `sample`'s
+/// counters at alternating DVFS operating points. Returns the
+/// evaluation count.
+fn run_micro_power(cfg: &BenchConfig, sample: &CpuOutcome) -> u64 {
     let dvfs = DvfsController::new();
     let nominal = dvfs.nominal();
     let points = [1.5e9, 2.0e9, 2.5e9];
@@ -307,20 +313,25 @@ fn run_micro_event_queue(cfg: &BenchConfig) -> u64 {
     run_cpu(CpuDesign::BaseTfet, &app, cfg.seed, cfg.insts).committed
 }
 
-/// Runs one scenario's body once; returns the instructions it
-/// simulated. Panics on an unknown name (the menu is [`SCENARIOS`]).
-fn run_scenario(name: &str, cfg: &BenchConfig) -> u64 {
+/// Sets up one scenario and returns its body, which does the timed work
+/// once and returns the instructions it simulated. Set-up runs here,
+/// before timing starts. Panics on an unknown name (the menu is
+/// [`SCENARIOS`]).
+fn scenario<'a>(name: &str, cfg: &'a BenchConfig) -> Box<dyn FnMut() -> u64 + 'a> {
     match name {
-        "fig7-cpu-campaign" => run_fig7(cfg),
-        "fig7-sharded" => run_fig7_sharded(cfg),
-        "fig10-gpu-campaign" => run_fig10(cfg),
-        "fig14-dvfs" => run_fig14(cfg),
-        "explore-frontier" => run_explore_frontier(cfg),
-        "micro-cpu-step" => run_micro_cpu(cfg),
-        "micro-gpu-step" => run_micro_gpu(cfg),
-        "micro-mem-hierarchy" => run_micro_mem(cfg),
-        "micro-power-dvfs" => run_micro_power(cfg),
-        "micro-event-queue" => run_micro_event_queue(cfg),
+        "fig7-cpu-campaign" => Box::new(|| run_fig7(cfg)),
+        "fig7-sharded" => Box::new(|| run_fig7_sharded(cfg)),
+        "fig10-gpu-campaign" => Box::new(|| run_fig10(cfg)),
+        "fig14-dvfs" => Box::new(|| run_fig14(cfg)),
+        "explore-frontier" => Box::new(|| run_explore_frontier(cfg)),
+        "micro-cpu-step" => Box::new(|| run_micro_cpu(cfg)),
+        "micro-gpu-step" => Box::new(|| run_micro_gpu(cfg)),
+        "micro-mem-hierarchy" => Box::new(|| run_micro_mem(cfg)),
+        "micro-power-dvfs" => {
+            let sample = power_sample(cfg);
+            Box::new(move || run_micro_power(cfg, &sample))
+        }
+        "micro-event-queue" => Box::new(|| run_micro_event_queue(cfg)),
         other => panic!("unknown bench scenario `{other}`"),
     }
 }
@@ -337,7 +348,7 @@ pub fn run_bench_with_clock(clock: &dyn Clock, cfg: &BenchConfig) -> BenchDump {
             cfg.warmup,
             cfg.repeats.max(1)
         );
-        let m: Measurement = measure(clock, cfg.warmup, cfg.repeats, || run_scenario(name, cfg));
+        let m: Measurement = measure(clock, cfg.warmup, cfg.repeats, scenario(name, cfg));
         let r = ScenarioResult::new(name, &m);
         eprintln!(
             "[bench] {name}: {} insts, median {} us, {:.0} insts/s{}",
@@ -430,8 +441,8 @@ mod tests {
         // comparable.
         let cfg = tiny();
         assert_eq!(
-            run_scenario("fig7-sharded", &cfg),
-            run_scenario("fig7-cpu-campaign", &cfg)
+            scenario("fig7-sharded", &cfg)(),
+            scenario("fig7-cpu-campaign", &cfg)()
         );
     }
 

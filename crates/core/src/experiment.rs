@@ -99,7 +99,7 @@ pub fn run_cpu(design: CpuDesign, app: &WorkloadProfile, seed: u64, insts: u64) 
     core.prewarm(0, app.memory.working_set_bytes);
     let warmup = (insts / 4).min(25_000);
     // Same-stream sweeps (one app across every design) replay the
-    // memoized trace instead of regenerating it per design.
+    // stored trace instead of regenerating it per design.
     let trace = hetsim_trace::cache::replay(app, seed, 0, warmup + insts + window + 1);
     let result = core.run_warmed(trace, warmup, insts);
     if attribution::enabled() {

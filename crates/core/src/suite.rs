@@ -627,9 +627,10 @@ impl Suite {
         // Use a representative subset of apps to bound runtime. The
         // profiles and per-(point, design) energy models are hoisted out
         // of the inner loop, and the instruction streams come from the
-        // trace memo: every sweep point re-runs the same (app, seed)
-        // streams, so generation is paid once, not once per point and
-        // design.
+        // trace store: every sweep point re-runs the same (app, seed)
+        // streams, so generation is paid once per process, not once per
+        // point and design (a campaign that ran first in the process has
+        // already generated each stream's prefix).
         let selected = ["fft", "lu", "radix", "canneal", "blackscholes", "water-nsq"];
         let insts = self.insts_per_app / 4;
         let profiles: Vec<_> = selected

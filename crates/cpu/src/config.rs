@@ -25,7 +25,7 @@ impl SteeringPolicy {
     /// The dispatch lookahead this policy requires, in instructions (0
     /// when no steering). A run of `n` committed instructions pulls at
     /// most `warmup + n + lookahead_window() + 1` from its trace, which
-    /// callers use to bound memoized-trace requests.
+    /// callers use to bound trace-store requests.
     pub fn lookahead_window(self) -> u64 {
         match self {
             SteeringPolicy::None => 0,

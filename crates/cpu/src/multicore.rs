@@ -109,7 +109,7 @@ pub fn run_multicore_checked(
     let mut checker = Checker::new();
     let warmup = |n: u64| (n / 4).min(25_000);
     // Design sweeps rerun the same (profile, seed) streams, so pull them
-    // through the trace memo. A run of `n` committed instructions pulls at
+    // through the trace store. A run of `n` committed instructions pulls at
     // most `warmup + n + steering window + 1` from the stream (the
     // dispatch lookahead holds up to `window + 1` undispatched insts).
     let pull_bound = |n: u64| warmup(n) + n + core_cfg.steering.lookahead_window() + 1;

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use hetsim_stats::counters;
@@ -198,21 +199,30 @@ fn store_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
 ///
 /// This is the write path every cache entry goes through; telemetry
 /// dumps and baseline files reuse it so a crashed or concurrent run
-/// can never leave a half-written JSON document behind.
+/// can never leave a half-written JSON document behind. Every call
+/// writes its own temp file (named by process id and a process-wide
+/// call counter), so concurrent writers of one path, in one process
+/// or several, never share one.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error if the directory cannot be
-/// created or either write step fails.
+/// created or either write step fails; the temp file is removed then.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
+    // The counter only has to be unique, so `Relaxed` suffices.
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{call}", std::process::id()));
+    let written = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 #[cfg(test)]
@@ -325,6 +335,58 @@ mod tests {
             .map(|e| e.expect("entry").file_name())
             .collect();
         assert_eq!(entries, ["not-a-dir"], "no temp files left behind");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn write_atomic_concurrent_writers_in_one_process_never_tear() {
+        // Two writer threads overwrite one path while a reader reads it:
+        // every read must be one writer's whole document, every write
+        // must succeed, and no temp file may survive.
+        let dir = tmp_dir("atomic-concurrent");
+        let path = dir.join("entry.json");
+        let contents = ["a".repeat(4096), "b".repeat(8192)];
+        write_atomic(&path, &contents[0]).expect("initial write");
+        let writers_done = std::sync::atomic::AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(3);
+        let (failed_writes, (reads, torn_reads)) = std::thread::scope(|s| {
+            let writers: Vec<_> = contents
+                .iter()
+                .map(|text| {
+                    let (path, start, writers_done) = (&path, &start, &writers_done);
+                    s.spawn(move || {
+                        start.wait();
+                        let failed = (0..2000)
+                            .filter(|_| write_atomic(path, text).is_err())
+                            .count();
+                        writers_done.fetch_add(1, Ordering::SeqCst);
+                        failed
+                    })
+                })
+                .collect();
+            let reader = s.spawn(|| {
+                start.wait();
+                let (mut reads, mut torn) = (0u64, 0u64);
+                while writers_done.load(Ordering::SeqCst) < contents.len() {
+                    let text = std::fs::read_to_string(&path).unwrap_or_default();
+                    torn += u64::from(!contents.contains(&text));
+                    reads += 1;
+                }
+                (reads, torn)
+            });
+            let failed: usize = writers
+                .into_iter()
+                .map(|w| w.join().expect("writer thread"))
+                .sum();
+            (failed, reader.join().expect("reader thread"))
+        });
+        assert_eq!(failed_writes, 0, "failed writes");
+        assert_eq!(torn_reads, 0, "torn reads out of {reads}");
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(entries, ["entry.json"], "no temp files left behind");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

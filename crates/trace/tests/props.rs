@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use hetsim_trace::profile::{BranchBehavior, InstMix, MemoryBehavior, WorkloadProfile};
 use hetsim_trace::stream::TraceGenerator;
-use hetsim_trace::{apps, OpClass};
+use hetsim_trace::{apps, cache, fuzz, OpClass};
 
 fn arbitrary_profile() -> impl Strategy<Value = WorkloadProfile> {
     (
@@ -101,6 +101,23 @@ proptest! {
                 prop_assert!(depth >= 0, "return without call");
             }
         }
+    }
+
+    /// A stored replay yields exactly the fresh generator's prefix, for
+    /// fuzzed profiles, any seed and threads 0-7: every op class, both
+    /// producer distances, addresses above 2^32 and calls/returns survive
+    /// the packed trace store.
+    #[test]
+    fn stored_replay_equals_the_fresh_stream(
+        profile_seed in any::<u64>(),
+        seed in any::<u64>(),
+        thread in 0u32..8,
+        n in 1usize..12_000,
+    ) {
+        let profile = fuzz::workload(profile_seed);
+        let stored: Vec<_> = cache::replay(&profile, seed, thread, n as u64).take(n).collect();
+        let fresh: Vec<_> = TraceGenerator::for_thread(&profile, seed, thread).take(n).collect();
+        prop_assert_eq!(stored, fresh);
     }
 
     /// The realized instruction mix tracks the profile's weights for every
