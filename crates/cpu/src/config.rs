@@ -172,7 +172,10 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
-    /// Validates structural parameters.
+    /// Validates structural parameters, the functional-unit pool
+    /// ([`FuPoolConfig::validate`]) and the branch predictor
+    /// ([`PredictorConfig::validate`]): a config that passes builds a
+    /// [`crate::core::Core`] without panicking.
     ///
     /// # Errors
     ///
@@ -193,7 +196,8 @@ impl CoreConfig {
         if self.clock_hz <= 0.0 {
             return Err(format!("clock must be positive: {}", self.clock_hz));
         }
-        Ok(())
+        self.fus.validate()?;
+        self.predictor.validate()
     }
 }
 
@@ -244,5 +248,94 @@ mod tests {
         let mut c = CoreConfig::default();
         c.clock_hz = 0.0;
         assert!(c.validate().is_err());
+    }
+
+    /// The error for a config changed by `edit` names `field`.
+    fn rejected(edit: impl FnOnce(&mut CoreConfig), field: &str) {
+        let mut c = CoreConfig::default();
+        edit(&mut c);
+        let err = c.validate().expect_err(field);
+        assert!(err.contains(field), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_a_local_history_wider_than_its_register() {
+        rejected(
+            |c| c.predictor.local_history_bits = 16,
+            "predictor.local_history_bits",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_an_oversized_global_history() {
+        rejected(
+            |c| c.predictor.global_history_bits = 64,
+            "predictor.global_history_bits",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_way_btb() {
+        rejected(|c| c.predictor.btb_ways = 0, "predictor.btb_ways");
+    }
+
+    #[test]
+    fn validation_rejects_a_btb_that_splits_into_uneven_sets() {
+        rejected(|c| c.predictor.btb_ways = 3, "predictor.btb_ways");
+    }
+
+    #[test]
+    fn validation_rejects_a_non_power_of_two_local_table() {
+        rejected(
+            |c| c.predictor.local_entries = 1000,
+            "predictor.local_entries",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_non_power_of_two_btb() {
+        rejected(|c| c.predictor.btb_entries = 2000, "predictor.btb_entries");
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_alu_cluster() {
+        rejected(|c| c.fus.alus.clear(), "fus.alus");
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_muldiv_pool() {
+        rejected(|c| c.fus.int_muldiv_units = 0, "fus.int_muldiv_units");
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_fpu_pool() {
+        rejected(|c| c.fus.fpu_units = 0, "fus.fpu_units");
+    }
+
+    #[test]
+    fn validation_rejects_an_empty_lsu_pool() {
+        rejected(|c| c.fus.lsu_units = 0, "fus.lsu_units");
+    }
+
+    #[test]
+    fn validation_rejects_more_units_than_a_pool_indexes() {
+        rejected(|c| c.fus.lsu_units = 65, "fus.lsu_units");
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_issue_interval() {
+        rejected(
+            |c| c.fus.alus[2].issue_interval = 0,
+            "fus.alus[2].issue_interval",
+        );
+        rejected(
+            |c| c.fus.fp_div.issue_interval = 0,
+            "fus.fp_div.issue_interval",
+        );
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_latency() {
+        rejected(|c| c.fus.int_mul.latency = 0, "fus.int_mul.latency");
     }
 }

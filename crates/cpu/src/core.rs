@@ -46,6 +46,13 @@
 //!   every skipped cycle — so the elided ticks are accounted in bulk and
 //!   all `counters!` stats stay exactly identical (see DESIGN.md for the
 //!   invariant list).
+//! * **Branch-light bookkeeping**: the op classes of a trace arrive in no
+//!   predictable order, so the per-instruction path does not branch on
+//!   them. Occupancy, hazard and RF-write updates read a per-class table
+//!   (`ClassInfo`), issue counters accumulate per class and fold into
+//!   [`CoreStats`] at the warm-up snapshot and at the end of the run, and
+//!   functional-unit arbitration walks a precomputed candidate list
+//!   ([`FuPool`]).
 
 use std::collections::VecDeque;
 
@@ -89,6 +96,9 @@ const WHEEL: usize = 2048;
 const F_ISSUED: u8 = 1 << 0;
 const F_MISPREDICTED: u8 = 1 << 1;
 const F_PREFER_FAST: u8 = 1 << 2;
+/// The flags above this shift hold how many register operands the entry
+/// reads (its producers that were in the trace window, 0..=2).
+const READS_SHIFT: u8 = 3;
 
 /// Front-end redirect state. A mispredicted branch closes dispatch when
 /// it enters the ROB ([`Redirect::Waiting`]); once it issues its
@@ -118,6 +128,49 @@ enum Stall {
     Reg,
 }
 
+/// What one op class does to the step's bookkeeping, built once per core
+/// from the [`OpClass`] predicates and [`FuPool::pool_of`]; the step adds
+/// these counts and tests these bits instead of branching on the class.
+#[derive(Debug, Clone, Copy)]
+struct ClassInfo {
+    /// LSQ entries held from dispatch to commit (1 for loads and stores).
+    lsq: u32,
+    /// Integer rename registers held (1 for integer-result classes).
+    int_reg: u32,
+    /// FP rename registers held (1 for FP-result classes).
+    fp_reg: u32,
+    /// Bit of the class's functional-unit arbitration pool.
+    pool_bit: u32,
+    /// 1 for simple ALU ops, which count by cluster as they issue.
+    alu: u64,
+}
+
+impl ClassInfo {
+    fn table() -> [ClassInfo; OpClass::ALL.len()] {
+        OpClass::ALL.map(|op| {
+            let writes = op.produces_value();
+            ClassInfo {
+                lsq: u32::from(op.is_mem()),
+                int_reg: u32::from(writes && !op.is_fp()),
+                fp_reg: u32::from(writes && op.is_fp()),
+                pool_bit: 1 << FuPool::pool_of(op),
+                alu: u64::from(op == OpClass::IntAlu),
+            }
+        })
+    }
+}
+
+/// Issue-time counters kept per op class during a run and folded into
+/// [`CoreStats`] by [`Core::fold_issues`], so issuing an instruction adds
+/// to two array cells instead of matching on its class.
+#[derive(Debug, Default)]
+struct IssueCounts {
+    /// Instructions issued.
+    ops: [u64; OpClass::ALL.len()],
+    /// Register operands read.
+    rf_reads: [u64; OpClass::ALL.len()],
+}
+
 /// Struct-of-arrays ROB ring with wakeup-driven scheduling. Slot index
 /// is `seq & mask`; the live window is `[head_seq, tail_seq)`.
 ///
@@ -145,9 +198,6 @@ enum Stall {
 struct RobRing {
     mask: u64,
     op: Vec<OpClass>,
-    /// Absolute producer sequence numbers ([`NO_SRC`] = none).
-    src1: Vec<u64>,
-    src2: Vec<u64>,
     /// Byte address for loads/stores (0 otherwise, never read).
     addr: Vec<u64>,
     /// Completion cycle (valid once [`F_ISSUED`] is set).
@@ -190,8 +240,6 @@ impl RobRing {
         RobRing {
             mask: cap as u64 - 1,
             op: vec![OpClass::IntAlu; cap],
-            src1: vec![NO_SRC; cap],
-            src2: vec![NO_SRC; cap],
             addr: vec![0; cap],
             done: vec![0; cap],
             flags: vec![0; cap],
@@ -230,16 +278,15 @@ impl RobRing {
     /// become issue-eligible next cycle (`dispatch_cycle + 1`: the issue
     /// stage runs before dispatch within a cycle, so a just-dispatched
     /// instruction is first visible to it one cycle later — exactly as
-    /// in the cycle-by-cycle loop).
+    /// in the cycle-by-cycle loop). `src1`/`src2` are the producers'
+    /// absolute sequence numbers ([`NO_SRC`] = none).
     #[inline]
     fn push(&mut self, op: OpClass, src1: u64, src2: u64, addr: u64, flags: u8, cycle: u64) {
         let s = self.slot(self.tail_seq);
         self.op[s] = op;
-        self.src1[s] = src1;
-        self.src2[s] = src2;
         self.addr[s] = addr;
-        self.done[s] = 0;
-        self.flags[s] = flags;
+        let reads = u8::from(src1 != NO_SRC) + u8::from(src2 != NO_SRC);
+        self.flags[s] = flags | reads << READS_SHIFT;
         let mut ready_at = cycle + 1;
         let mut unresolved = 0u8;
         for (idx, src) in [src1, src2].into_iter().enumerate() {
@@ -379,6 +426,7 @@ impl RunResult {
 #[derive(Debug)]
 pub struct Core {
     cfg: CoreConfig,
+    classes: [ClassInfo; OpClass::ALL.len()],
     pool: FuPool,
     predictor: TournamentPredictor,
     hierarchy: Hierarchy,
@@ -400,6 +448,7 @@ impl Core {
         cfg.validate().expect("valid core config");
         let hierarchy = Hierarchy::new(cfg.memory.to_hierarchy(cfg.clock_hz));
         Core {
+            classes: ClassInfo::table(),
             pool: FuPool::new(cfg.fus.clone()),
             predictor: TournamentPredictor::new(cfg.predictor),
             hierarchy,
@@ -459,7 +508,7 @@ impl Core {
     /// As for [`Core::run`].
     pub fn run_warmed<T: Iterator<Item = Inst>>(
         &mut self,
-        trace: T,
+        mut trace: T,
         warmup: u64,
         n: u64,
     ) -> RunResult {
@@ -467,8 +516,13 @@ impl Core {
             SteeringPolicy::None => 0,
             SteeringPolicy::DualSpeed { window } => window,
         };
-        let mut trace = trace.fuse();
+        // A hazard-stalled instruction waits here for the next dispatch
+        // attempt. The steering lookahead holds the instructions after
+        // it; unused without a steering window.
+        let mut pushback: Option<Inst> = None;
         let mut lookahead: VecDeque<Inst> = VecDeque::with_capacity(window as usize + 1);
+        let mut trace_ended = false;
+        let mut issue_counts = IssueCounts::default();
 
         let mut rob = RobRing::new(self.cfg.rob_entries);
 
@@ -511,18 +565,12 @@ impl Core {
                 if op == OpClass::Store {
                     let _ = self.hierarchy.store(rob.addr[slot]);
                 }
-                if op.is_mem() {
-                    lsq_occ -= 1;
-                }
-                if op.produces_value() {
-                    if op.is_fp() {
-                        fp_inflight -= 1;
-                        self.stats.fp_rf_writes += 1;
-                    } else {
-                        int_inflight -= 1;
-                        self.stats.int_rf_writes += 1;
-                    }
-                }
+                let class = self.classes[op as usize];
+                lsq_occ -= class.lsq;
+                int_inflight -= class.int_reg;
+                fp_inflight -= class.fp_reg;
+                self.stats.int_rf_writes += u64::from(class.int_reg);
+                self.stats.fp_rf_writes += u64::from(class.fp_reg);
                 rob.head_seq += 1;
                 committed += 1;
                 committed_now += 1;
@@ -530,6 +578,7 @@ impl Core {
             if committed_now > 0 {
                 last_progress_cycle = cycle;
                 if snapshot.is_none() && committed >= warmup {
+                    self.fold_issues(&mut issue_counts);
                     snapshot = Some((cycle, self.stats, self.hierarchy.stats()));
                 }
             }
@@ -566,7 +615,7 @@ impl Core {
                         let slot = (w << 6) | bits.trailing_zeros() as usize;
                         bits &= bits - 1;
                         let op = rob.op[slot];
-                        let pool_bit = 1u32 << FuPool::pool_of(op);
+                        let pool_bit = self.classes[op as usize].pool_bit;
                         if blocked_pools & pool_bit != 0 {
                             continue;
                         }
@@ -579,31 +628,32 @@ impl Core {
                             continue;
                         };
                         // Compute completion time and record energy events.
-                        let done = match op {
-                            OpClass::Load => {
-                                let mem = self.hierarchy.load(rob.addr[slot]);
-                                if profiling && snapshot.is_some() {
-                                    let h = if mem.level.is_dl1_miss() {
-                                        &mut profile.mem_miss_latency
-                                    } else {
-                                        &mut profile.mem_hit_latency
-                                    };
-                                    h.record(u64::from(mem.latency));
-                                }
-                                cycle + u64::from(issued.latency) + u64::from(mem.latency)
+                        let mut done = cycle + u64::from(issued.latency);
+                        if op == OpClass::Load {
+                            let mem = self.hierarchy.load(rob.addr[slot]);
+                            if profiling && snapshot.is_some() {
+                                let h = if mem.level.is_dl1_miss() {
+                                    &mut profile.mem_miss_latency
+                                } else {
+                                    &mut profile.mem_hit_latency
+                                };
+                                h.record(u64::from(mem.latency));
                             }
-                            _ => cycle + u64::from(issued.latency),
-                        };
+                            done += u64::from(mem.latency);
+                        }
                         rob.mark_issued(slot, done);
                         let mispredicted = rob.flags[slot] & F_MISPREDICTED != 0;
-                        self.count_issue(
-                            op,
-                            rob.src1[slot] != NO_SRC,
-                            rob.src2[slot] != NO_SRC,
-                            mispredicted,
-                            issued.on_fast_alu,
-                        );
+                        // Per-class issue counters; only the ALU cluster
+                        // split stays live, for dispatch steering.
+                        let k = op as usize;
+                        issue_counts.ops[k] += 1;
+                        issue_counts.rf_reads[k] += u64::from(rob.flags[slot] >> READS_SHIFT);
+                        let alu = self.classes[k].alu;
+                        let fast = u64::from(issued.on_fast_alu);
+                        self.stats.alu_fast_ops += alu & fast;
+                        self.stats.alu_slow_ops += alu & (fast ^ 1);
                         if mispredicted {
+                            self.stats.mispredicts += u64::from(op == OpClass::Branch);
                             // The branch resolves at `done`; dispatch
                             // resumes after the front-end refill. Until
                             // resolution the front end fetched down the
@@ -654,18 +704,19 @@ impl Core {
                         stall = Stall::Iq;
                         break;
                     }
-                    // Pull the next instruction: with no steering window
-                    // the lookahead buffer only ever holds a
-                    // hazard-stalled pushback, so bypass it and read the
-                    // trace directly; otherwise refill it so steering
-                    // can peek.
-                    let next = if window == 0 {
-                        lookahead.pop_front().or_else(|| trace.next())
+                    // Pull the next instruction: a stalled pushback
+                    // first; then, with no steering window, straight from
+                    // the trace; otherwise through the lookahead, refilled
+                    // so steering can peek `window` instructions past it.
+                    let next = if pushback.is_some() {
+                        pushback.take()
+                    } else if window == 0 {
+                        trace.next()
                     } else {
-                        while lookahead.len() <= window as usize {
+                        while !trace_ended && lookahead.len() <= window as usize {
                             match trace.next() {
                                 Some(i) => lookahead.push_back(i),
-                                None => break,
+                                None => trace_ended = true,
                             }
                         }
                         lookahead.pop_front()
@@ -673,26 +724,23 @@ impl Core {
                     let Some(inst) = next else {
                         panic!("trace ended after {dispatched} of {total} instructions")
                     };
-                    if inst.op.is_mem() && lsq_occ == self.cfg.lsq_entries {
+                    // Occupancies never exceed their capacities, so a
+                    // class that needs one more entry stalls exactly when
+                    // the structure is full.
+                    let class = self.classes[inst.op as usize];
+                    if lsq_occ + class.lsq > self.cfg.lsq_entries {
                         self.stats.lsq_full_stalls += 1;
                         stall = Stall::Lsq;
-                        lookahead.push_front(inst);
+                        pushback = Some(inst);
                         break;
                     }
-                    if inst.op.produces_value() {
-                        if inst.op.is_fp() {
-                            if fp_inflight == self.cfg.fp_regs {
-                                self.stats.reg_full_stalls += 1;
-                                stall = Stall::Reg;
-                                lookahead.push_front(inst);
-                                break;
-                            }
-                        } else if int_inflight == self.cfg.int_regs {
-                            self.stats.reg_full_stalls += 1;
-                            stall = Stall::Reg;
-                            lookahead.push_front(inst);
-                            break;
-                        }
+                    if (int_inflight + class.int_reg > self.cfg.int_regs)
+                        | (fp_inflight + class.fp_reg > self.cfg.fp_regs)
+                    {
+                        self.stats.reg_full_stalls += 1;
+                        stall = Stall::Reg;
+                        pushback = Some(inst);
+                        break;
                     }
 
                     // Steering decision (Section IV-C2): consumer within
@@ -713,16 +761,9 @@ impl Core {
                     }
 
                     let seq = rob.tail_seq;
-                    if inst.op.is_mem() {
-                        lsq_occ += 1;
-                    }
-                    if inst.op.produces_value() {
-                        if inst.op.is_fp() {
-                            fp_inflight += 1;
-                        } else {
-                            int_inflight += 1;
-                        }
-                    }
+                    lsq_occ += class.lsq;
+                    int_inflight += class.int_reg;
+                    fp_inflight += class.fp_reg;
                     let to_src = |d: Option<u32>| {
                         d.and_then(|dist| seq.checked_sub(u64::from(dist)))
                             .unwrap_or(NO_SRC)
@@ -857,6 +898,7 @@ impl Core {
         }
 
         telemetry::record(skipped_cycles, wakeup_jumps);
+        self.fold_issues(&mut issue_counts);
         let (snap_cycle, snap_stats, snap_mem) =
             snapshot.expect("warmup <= total instructions, so the snapshot was taken");
         self.stats.cycles = cycle;
@@ -1038,45 +1080,33 @@ impl Core {
         direction_wrong || target_missing
     }
 
-    /// Per-class counters at issue (each instruction issues exactly once).
-    fn count_issue(
-        &mut self,
-        op: OpClass,
-        has_src1: bool,
-        has_src2: bool,
-        mispredicted: bool,
-        on_fast_alu: bool,
-    ) {
-        self.stats.issues += 1;
-        // Register-file reads.
-        let reads = u64::from(has_src1) + u64::from(has_src2);
-        if op.is_fp() {
-            self.stats.fp_rf_reads += reads;
-        } else {
-            self.stats.int_rf_reads += reads;
-        }
-        match op {
-            OpClass::IntAlu => {
-                if on_fast_alu {
-                    self.stats.alu_fast_ops += 1;
-                } else {
-                    self.stats.alu_slow_ops += 1;
-                }
+    /// Adds the per-class issue counters gathered since the last fold to
+    /// `self.stats` and clears them. Called at the warm-up snapshot and
+    /// at the end of a run, so both see exact counters.
+    fn fold_issues(&mut self, counts: &mut IssueCounts) {
+        let s = &mut self.stats;
+        for op in OpClass::ALL {
+            let (ops, reads) = (counts.ops[op as usize], counts.rf_reads[op as usize]);
+            s.issues += ops;
+            if op.is_fp() {
+                s.fp_rf_reads += reads;
+            } else {
+                s.int_rf_reads += reads;
             }
-            OpClass::IntMul => self.stats.int_mul_ops += 1,
-            OpClass::IntDiv => self.stats.int_div_ops += 1,
-            OpClass::FpAdd => self.stats.fp_add_ops += 1,
-            OpClass::FpMul => self.stats.fp_mul_ops += 1,
-            OpClass::FpDiv => self.stats.fp_div_ops += 1,
-            OpClass::Load => self.stats.loads += 1,
-            OpClass::Store => self.stats.stores += 1,
-            OpClass::Branch => {
-                self.stats.branches += 1;
-                if mispredicted {
-                    self.stats.mispredicts += 1;
-                }
+            match op {
+                // Counted live by cluster, for steering.
+                OpClass::IntAlu => {}
+                OpClass::IntMul => s.int_mul_ops += ops,
+                OpClass::IntDiv => s.int_div_ops += ops,
+                OpClass::FpAdd => s.fp_add_ops += ops,
+                OpClass::FpMul => s.fp_mul_ops += ops,
+                OpClass::FpDiv => s.fp_div_ops += ops,
+                OpClass::Load => s.loads += ops,
+                OpClass::Store => s.stores += ops,
+                OpClass::Branch => s.branches += ops,
             }
         }
+        *counts = IssueCounts::default();
     }
 }
 
@@ -1266,6 +1296,43 @@ mod tests {
             r.stats.alu_fast_ops,
             r.stats.alu_slow_ops
         );
+    }
+
+    /// Runs the first `len` instructions of a radix stream for `N`
+    /// commits on the dual-speed pool, with or without steering.
+    fn run_prefix(len: u64, steering: SteeringPolicy) -> RunResult {
+        let profile = apps::profile("radix").expect("known app");
+        let trace: Vec<Inst> = TraceGenerator::new(&profile, 2)
+            .take(len as usize)
+            .collect();
+        let mut cfg = CoreConfig::default();
+        cfg.fus = FuPoolConfig::dual_speed();
+        cfg.steering = steering;
+        Core::new(cfg, 0).run(trace.into_iter(), N)
+    }
+
+    /// The pull loop needs exactly `n` instructions: with a steering
+    /// window the lookahead runs off the end of the trace and shrinks.
+    #[test]
+    fn a_trace_of_exactly_n_instructions_suffices() {
+        for steering in [
+            SteeringPolicy::None,
+            SteeringPolicy::DualSpeed { window: 4 },
+        ] {
+            assert_eq!(run_prefix(N, steering).stats.committed, N, "{steering:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace ended after 19999 of 20000 instructions")]
+    fn a_short_trace_panics_without_steering() {
+        run_prefix(N - 1, SteeringPolicy::None);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace ended after 19999 of 20000 instructions")]
+    fn a_short_trace_panics_with_steering() {
+        run_prefix(N - 1, SteeringPolicy::DualSpeed { window: 4 });
     }
 
     #[test]

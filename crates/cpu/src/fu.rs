@@ -44,6 +44,10 @@ impl FuTiming {
     }
 }
 
+/// Most units one pool may have: far above any Table IV pool, and a bound
+/// on the arbitration tables and their `u32` unit indices.
+const MAX_UNITS_PER_POOL: usize = 64;
+
 /// Configuration of the whole pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuPoolConfig {
@@ -144,6 +148,56 @@ impl FuPoolConfig {
         }
     }
 
+    /// Checks what [`FuPool::new`] and the core step rely on: every pool
+    /// has between 1 and 64 units, and every timing has a latency and an
+    /// issue interval of at least one cycle. (With a zero latency an op's
+    /// consumers would wake in the cycle it issues, whose wakeups were
+    /// already drained, and wait a full timing-wheel lap; with a zero
+    /// interval one unit would issue any number of ops per cycle.)
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        let pools = [
+            ("fus.alus", self.alus.len()),
+            ("fus.int_muldiv_units", self.int_muldiv_units as usize),
+            ("fus.fpu_units", self.fpu_units as usize),
+            ("fus.lsu_units", self.lsu_units as usize),
+        ];
+        for (field, units) in pools {
+            if !(1..=MAX_UNITS_PER_POOL).contains(&units) {
+                return Err(format!(
+                    "{field} must give 1 to {MAX_UNITS_PER_POOL} units, got {units}"
+                ));
+            }
+        }
+        // The first zero field of a timing, if any.
+        let zero = |t: FuTiming| {
+            (t.latency == 0)
+                .then_some("latency")
+                .or((t.issue_interval == 0).then_some("issue_interval"))
+        };
+        for (i, &t) in self.alus.iter().enumerate() {
+            if let Some(field) = zero(t) {
+                return Err(format!("fus.alus[{i}].{field} must be at least 1 cycle"));
+            }
+        }
+        let shared = [
+            ("fus.int_mul", self.int_mul),
+            ("fus.int_div", self.int_div),
+            ("fus.fp_add", self.fp_add),
+            ("fus.fp_mul", self.fp_mul),
+            ("fus.fp_div", self.fp_div),
+        ];
+        for (unit, t) in shared {
+            if let Some(field) = zero(t) {
+                return Err(format!("{unit}.{field} must be at least 1 cycle"));
+            }
+        }
+        Ok(())
+    }
+
     /// Whether any ALU is strictly faster than another (dual-speed).
     pub fn has_dual_speed_alus(&self) -> bool {
         let min = self.alus.iter().map(|t| t.latency).min();
@@ -171,60 +225,110 @@ pub struct Issued {
     pub on_fast_alu: bool,
 }
 
-/// Runtime state of the pool: per-instance next-free cycles. The ALU
-/// instances are *permuted at construction* so the fast (lowest-latency)
-/// cluster occupies indices `0..n_fast_alus` — both steering orders then
-/// become contiguous scans over `alu_free` with no index indirection.
-/// (Units within a cluster are interchangeable, so the permutation is
-/// invisible in any timing or statistic.)
+/// One unit an op may issue to, with the op's timing on that unit.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Index into `FuPool::free`.
+    unit: u32,
+    latency: u32,
+    issue_interval: u32,
+    on_fast_alu: bool,
+}
+
+/// Runtime state of the pool: one next-free cycle per unit, all pools in
+/// one array (ALUs in configuration order, then the int mul/div, FPU and
+/// LSU units), plus the arbitration tables built once from the
+/// configuration.
+///
+/// Each (op class, steering preference) owns a list of candidate units in
+/// arbitration order, each entry carrying the op's latency, issue
+/// interval and fast-ALU flag on that unit, so [`FuPool::try_issue`] is
+/// one walk over one list whatever the class. For ALU-pool ops the lists
+/// hold the fast (lowest-latency) cluster first when steering prefers it
+/// and last otherwise, each cluster in configuration order; every other
+/// class has the same list for both preferences.
 #[derive(Debug, Clone)]
 pub struct FuPool {
     cfg: FuPoolConfig,
-    alu_free: Vec<u64>,
-    muldiv_free: Vec<u64>,
-    fpu_free: Vec<u64>,
-    lsu_free: Vec<u64>,
-    /// Per-ALU timings in the permuted (fast-cluster-first) order.
-    alu_timing: Vec<FuTiming>,
-    /// Number of fastest-latency ALUs (they sit first in `alu_free`).
-    n_fast_alus: usize,
-    fast_latency: u32,
+    free: Vec<u64>,
+    /// Every candidate list, concatenated.
+    candidates: Vec<Candidate>,
+    /// `[op][prefer_fast]`: the op's candidate list, as a
+    /// `start..end` range into `candidates`.
+    lists: [[(u32, u32); 2]; OpClass::ALL.len()],
+    /// `[op]`: the units of the op's pool, as a range into `free`.
+    pool_units: [(u32, u32); OpClass::ALL.len()],
 }
+
+/// The ALU pool's id in [`FuPool::pool_of`]: the one pool with steering.
+const ALU_POOL: u32 = 0;
 
 impl FuPool {
     /// Creates an idle pool.
     ///
     /// # Panics
     ///
-    /// Panics if any unit count is zero.
+    /// Panics if `cfg` fails [`FuPoolConfig::validate`].
     pub fn new(cfg: FuPoolConfig) -> Self {
-        assert!(!cfg.alus.is_empty(), "need at least one ALU");
-        assert!(cfg.int_muldiv_units > 0 && cfg.fpu_units > 0 && cfg.lsu_units > 0);
+        if let Err(e) = cfg.validate() {
+            panic!("invalid functional-unit pool: {e}");
+        }
         let fast_latency = cfg.fast_alu_latency();
-        // Permute fast cluster first, stable within each cluster (ascending
-        // unit index) — the same candidate order the old per-issue index
-        // vectors produced.
-        let mut alu_timing: Vec<FuTiming> = cfg
-            .alus
-            .iter()
-            .copied()
-            .filter(|t| t.latency == fast_latency)
-            .collect();
-        let n_fast_alus = alu_timing.len();
-        alu_timing.extend(
-            cfg.alus
-                .iter()
-                .copied()
-                .filter(|t| t.latency != fast_latency),
-        );
+        let units = [
+            cfg.alus.len(),
+            cfg.int_muldiv_units as usize,
+            cfg.fpu_units as usize,
+            cfg.lsu_units as usize,
+        ];
+        let mut pool_start = [0usize; 4];
+        for p in 1..units.len() {
+            pool_start[p] = pool_start[p - 1] + units[p - 1];
+        }
+        // The timing of `op` on unit `i` of its pool.
+        let timing = |op: OpClass, i: usize| match op {
+            OpClass::IntAlu | OpClass::Branch => cfg.alus[i],
+            OpClass::IntMul => cfg.int_mul,
+            OpClass::IntDiv => cfg.int_div,
+            OpClass::FpAdd => cfg.fp_add,
+            OpClass::FpMul => cfg.fp_mul,
+            OpClass::FpDiv => cfg.fp_div,
+            OpClass::Load | OpClass::Store => FuTiming::pipelined(1),
+        };
+        let mut candidates = Vec::new();
+        let mut lists = [[(0, 0); 2]; OpClass::ALL.len()];
+        let mut pool_units = [(0, 0); OpClass::ALL.len()];
+        for op in OpClass::ALL {
+            let pool = Self::pool_of(op);
+            let (start, n) = (pool_start[pool as usize], units[pool as usize]);
+            pool_units[op as usize] = (start as u32, (start + n) as u32);
+            let candidate = |i: usize| {
+                let t = timing(op, i);
+                Candidate {
+                    unit: (start + i) as u32,
+                    latency: t.latency,
+                    issue_interval: t.issue_interval,
+                    on_fast_alu: pool == ALU_POOL && t.latency == fast_latency,
+                }
+            };
+            for prefer_fast in [false, true] {
+                // The preferred cluster, then the other, each in
+                // configuration order.
+                let begin = candidates.len() as u32;
+                for preferred in [true, false] {
+                    candidates.extend(
+                        (0..n)
+                            .map(candidate)
+                            .filter(|c| (c.on_fast_alu == prefer_fast) == preferred),
+                    );
+                }
+                lists[op as usize][usize::from(prefer_fast)] = (begin, candidates.len() as u32);
+            }
+        }
         FuPool {
-            alu_free: vec![0; cfg.alus.len()],
-            muldiv_free: vec![0; cfg.int_muldiv_units as usize],
-            fpu_free: vec![0; cfg.fpu_units as usize],
-            lsu_free: vec![0; cfg.lsu_units as usize],
-            alu_timing,
-            n_fast_alus,
-            fast_latency,
+            free: vec![0; units.iter().sum()],
+            candidates,
+            lists,
+            pool_units,
             cfg,
         }
     }
@@ -241,79 +345,18 @@ impl FuPool {
     /// mis-steer penalty is only the latency difference, Section IV-C2).
     #[inline]
     pub fn try_issue(&mut self, op: OpClass, cycle: u64, prefer_fast: bool) -> Option<Issued> {
-        match op {
-            OpClass::IntAlu => self.issue_alu(cycle, prefer_fast),
-            OpClass::IntMul => {
-                Self::issue_on(&mut self.muldiv_free, self.cfg.int_mul, cycle).map(|l| Issued {
-                    latency: l,
-                    on_fast_alu: false,
-                })
-            }
-            OpClass::IntDiv => {
-                Self::issue_on(&mut self.muldiv_free, self.cfg.int_div, cycle).map(|l| Issued {
-                    latency: l,
-                    on_fast_alu: false,
-                })
-            }
-            OpClass::FpAdd => {
-                Self::issue_on(&mut self.fpu_free, self.cfg.fp_add, cycle).map(|l| Issued {
-                    latency: l,
-                    on_fast_alu: false,
-                })
-            }
-            OpClass::FpMul => {
-                Self::issue_on(&mut self.fpu_free, self.cfg.fp_mul, cycle).map(|l| Issued {
-                    latency: l,
-                    on_fast_alu: false,
-                })
-            }
-            OpClass::FpDiv => {
-                Self::issue_on(&mut self.fpu_free, self.cfg.fp_div, cycle).map(|l| Issued {
-                    latency: l,
-                    on_fast_alu: false,
-                })
-            }
-            OpClass::Load | OpClass::Store => {
-                Self::issue_on(&mut self.lsu_free, FuTiming::pipelined(1), cycle).map(|l| Issued {
-                    latency: l,
-                    on_fast_alu: false,
-                })
-            }
-            // Branches resolve on an ALU.
-            OpClass::Branch => self.issue_alu(cycle, prefer_fast),
-        }
-    }
-
-    #[inline]
-    fn issue_alu(&mut self, cycle: u64, prefer_fast: bool) -> Option<Issued> {
-        // The fast cluster is 0..n_fast_alus; scan it first or last
-        // depending on steering. Candidate order within each cluster is
-        // the stable construction order, matching the pre-permutation
-        // implementation unit-for-unit.
-        let n = self.alu_free.len();
-        let (first, second) = if prefer_fast {
-            (0..n, n..n)
-        } else {
-            (self.n_fast_alus..n, 0..self.n_fast_alus)
-        };
-        for i in first.chain(second) {
-            if self.alu_free[i] <= cycle {
-                let timing = self.alu_timing[i];
-                self.alu_free[i] = cycle + u64::from(timing.issue_interval);
+        let (start, end) = self.lists[op as usize][usize::from(prefer_fast)];
+        for c in &self.candidates[start as usize..end as usize] {
+            let free = &mut self.free[c.unit as usize];
+            if *free <= cycle {
+                *free = cycle + u64::from(c.issue_interval);
                 return Some(Issued {
-                    latency: timing.latency,
-                    on_fast_alu: timing.latency == self.fast_latency,
+                    latency: c.latency,
+                    on_fast_alu: c.on_fast_alu,
                 });
             }
         }
         None
-    }
-
-    #[inline]
-    fn issue_on(free: &mut [u64], timing: FuTiming, cycle: u64) -> Option<u32> {
-        let slot = free.iter_mut().find(|f| **f <= cycle)?;
-        *slot = cycle + u64::from(timing.issue_interval);
-        Some(timing.latency)
     }
 
     /// The arbitration pool `op` competes in (0 = ALU, 1 = int mul/div,
@@ -323,7 +366,7 @@ impl FuPool {
     #[inline]
     pub fn pool_of(op: OpClass) -> u32 {
         match op {
-            OpClass::IntAlu | OpClass::Branch => 0,
+            OpClass::IntAlu | OpClass::Branch => ALU_POOL,
             OpClass::IntMul | OpClass::IntDiv => 1,
             OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => 2,
             OpClass::Load | OpClass::Store => 3,
@@ -336,13 +379,12 @@ impl FuPool {
     /// the event-driven core step to compute wakeup times.
     #[inline]
     pub fn next_free(&self, op: OpClass) -> u64 {
-        let free = match op {
-            OpClass::IntAlu | OpClass::Branch => &self.alu_free,
-            OpClass::IntMul | OpClass::IntDiv => &self.muldiv_free,
-            OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv => &self.fpu_free,
-            OpClass::Load | OpClass::Store => &self.lsu_free,
-        };
-        free.iter().copied().min().expect("pools are never empty")
+        let (start, end) = self.pool_units[op as usize];
+        self.free[start as usize..end as usize]
+            .iter()
+            .copied()
+            .min()
+            .expect("pools are never empty")
     }
 }
 

@@ -58,6 +58,61 @@ impl Default for PredictorConfig {
     }
 }
 
+/// Most bits of local history: each history is a `u16`.
+const MAX_LOCAL_HISTORY_BITS: u32 = 15;
+
+/// Most bits of global history: the global and chooser tables hold
+/// `2^bits` counters each.
+const MAX_GLOBAL_HISTORY_BITS: u32 = 24;
+
+/// Most BTB ways: a set's live-entry count is a `u8`.
+const MAX_BTB_WAYS: usize = 128;
+
+impl PredictorConfig {
+    /// Checks that [`TournamentPredictor::new`] can build these tables:
+    /// power-of-two table sizes, histories that fit their registers, and
+    /// a BTB associativity that splits the BTB into a power-of-two
+    /// number of sets.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the first invalid field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.local_entries.is_power_of_two() {
+            return Err(format!(
+                "predictor.local_entries must be a power of two, got {}",
+                self.local_entries
+            ));
+        }
+        if self.local_history_bits > MAX_LOCAL_HISTORY_BITS {
+            return Err(format!(
+                "predictor.local_history_bits must be at most {MAX_LOCAL_HISTORY_BITS}, got {}",
+                self.local_history_bits
+            ));
+        }
+        if self.global_history_bits > MAX_GLOBAL_HISTORY_BITS {
+            return Err(format!(
+                "predictor.global_history_bits must be at most {MAX_GLOBAL_HISTORY_BITS}, got {}",
+                self.global_history_bits
+            ));
+        }
+        if !self.btb_entries.is_power_of_two() {
+            return Err(format!(
+                "predictor.btb_entries must be a power of two, got {}",
+                self.btb_entries
+            ));
+        }
+        let ways = self.btb_ways;
+        if !ways.is_power_of_two() || ways > self.btb_entries.min(MAX_BTB_WAYS) {
+            return Err(format!(
+                "predictor.btb_ways must be a power of two from 1 to {}, got {ways}",
+                self.btb_entries.min(MAX_BTB_WAYS)
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Outcome of a prediction, consumed by the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prediction {
@@ -101,17 +156,14 @@ impl TournamentPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if table sizes are not powers of two.
+    /// Panics if `cfg` fails [`PredictorConfig::validate`].
     pub fn new(cfg: PredictorConfig) -> Self {
-        assert!(
-            cfg.local_entries.is_power_of_two(),
-            "local table must be 2^n"
-        );
-        assert!(cfg.btb_entries.is_power_of_two(), "BTB must be 2^n");
+        if let Err(e) = cfg.validate() {
+            panic!("invalid predictor: {e}");
+        }
         let local_pattern_entries = 1usize << cfg.local_history_bits;
         let global_entries = 1usize << cfg.global_history_bits;
         let btb_sets = cfg.btb_entries / cfg.btb_ways;
-        assert!(btb_sets.is_power_of_two(), "BTB sets must be 2^n");
         TournamentPredictor {
             local_history: vec![0; cfg.local_entries],
             local_pattern: vec![Counter2::WEAKLY_TAKEN; local_pattern_entries],

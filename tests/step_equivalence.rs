@@ -20,7 +20,8 @@
 use std::fmt::Write as _;
 
 use hetcore_repro::hetcore::config::{CpuDesign, GpuDesign};
-use hetcore_repro::hetsim_cpu::multicore::run_multicore;
+use hetcore_repro::hetsim_cpu::core::RunResult;
+use hetcore_repro::hetsim_cpu::multicore::{run_multicore, MulticoreResult};
 use hetcore_repro::hetsim_gpu::kernel::KernelProfile;
 use hetcore_repro::hetsim_gpu::{Gpu, GpuRunResult};
 use hetcore_repro::hetsim_trace::fuzz;
@@ -34,6 +35,10 @@ const SEEDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
 /// trigger every structural stall, and reach DRAM on big working sets.
 const CPU_INSTS: u64 = 24_000;
 
+/// Fuzz seed of the per-design section: one workload run on every CPU
+/// design, so each FU pool and steering policy of Table IV is pinned.
+const DESIGN_SEED: u64 = 55;
+
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/goldens/step_equivalence.txt"
@@ -43,29 +48,21 @@ fn bless_requested() -> bool {
     std::env::var("STEP_EQUIV_BLESS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+/// The phases of a multicore run, named as the golden names them:
+/// `serial` (when the workload has one), then `parallel{t}` per core.
+fn phases(result: &MulticoreResult) -> impl Iterator<Item = (String, &RunResult)> {
+    let serial = result.serial.iter().map(|r| ("serial".to_string(), r));
+    let parallel = result.parallel.iter().enumerate();
+    serial.chain(parallel.map(|(t, r)| (format!("parallel{t}"), r)))
+}
+
 /// Renders every counter of one CPU phase result as stable text lines.
-fn dump_cpu_phase(
-    out: &mut String,
-    seed: u64,
-    design: CpuDesign,
-    phase: &str,
-    r: &hetcore_repro::hetsim_cpu::core::RunResult,
-) {
+fn dump_cpu_phase(out: &mut String, prefix: &str, r: &RunResult) {
     for (name, value) in r.stats.iter() {
-        writeln!(
-            out,
-            "cpu seed={seed} design={} phase={phase} core.{name}={value}",
-            design.name()
-        )
-        .expect("write to string");
+        writeln!(out, "{prefix} core.{name}={value}").expect("write to string");
     }
     for (name, value) in r.mem.iter() {
-        writeln!(
-            out,
-            "cpu seed={seed} design={} phase={phase} mem.{name}={value}",
-            design.name()
-        )
-        .expect("write to string");
+        writeln!(out, "{prefix} mem.{name}={value}").expect("write to string");
     }
 }
 
@@ -73,18 +70,17 @@ fn dump_cpu_phase(
 /// and GPU launches over the fuzzed workloads. Each GPU seed then adds
 /// three launches with per-CU cycle classes: the design's plain launch,
 /// a partitioned-RF launch, and a launch scheduled with a 4-instruction
-/// lookahead window.
+/// lookahead window. The last section runs one workload on every CPU
+/// design (plus AdvHet on 8 cores) with each phase's cycle classes.
 fn render_current() -> String {
     let mut out = String::new();
     for (i, &seed) in SEEDS.iter().enumerate() {
         let design = CpuDesign::ALL[i % CpuDesign::ALL.len()];
         let profile = fuzz::workload(seed);
         let result = run_multicore(&design.core_config(), 2, &profile, seed, CPU_INSTS);
-        if let Some(serial) = &result.serial {
-            dump_cpu_phase(&mut out, seed, design, "serial", serial);
-        }
-        for (t, r) in result.parallel.iter().enumerate() {
-            dump_cpu_phase(&mut out, seed, design, &format!("parallel{t}"), r);
+        for (phase, r) in phases(&result) {
+            let prefix = format!("cpu seed={seed} design={} phase={phase}", design.name());
+            dump_cpu_phase(&mut out, &prefix, r);
         }
     }
     let mut launches = Vec::new();
@@ -120,6 +116,31 @@ fn render_current() -> String {
     }
     for (seed, design, launch, result) in &launches {
         dump_gpu_launch(&mut out, *seed, *design, launch, result);
+    }
+    let profile = fuzz::workload(DESIGN_SEED);
+    let runs = CpuDesign::ALL
+        .iter()
+        .map(|&d| (d, 2))
+        .chain([(CpuDesign::AdvHet, 8)]);
+    for (design, cores) in runs {
+        let result = run_multicore(
+            &design.core_config(),
+            cores,
+            &profile,
+            DESIGN_SEED,
+            CPU_INSTS,
+        );
+        for (phase, r) in phases(&result) {
+            let prefix = format!(
+                "cpu-design seed={DESIGN_SEED} design={} cores={cores} phase={phase}",
+                design.name()
+            );
+            dump_cpu_phase(&mut out, &prefix, r);
+            writeln!(out, "{prefix} profile.cycles={}", r.profile.cycles).expect("write to string");
+            for (class, cycles) in r.profile.classes.iter() {
+                writeln!(out, "{prefix} class.{}={cycles}", class.name()).expect("write to string");
+            }
+        }
     }
     out
 }
@@ -179,9 +200,9 @@ fn fuzzed_workload_counters_match_pre_rewrite_goldens() {
 }
 
 /// The golden must cover both phases of the Amdahl model, both
-/// simulators, and the per-CU GPU launch section (partitioned-RF and
-/// scheduled launches included) — guards against a generator change
-/// silently emptying it.
+/// simulators, the per-CU GPU launch section (partitioned-RF and
+/// scheduled launches included) and the per-design CPU section —
+/// guards against a generator change silently emptying it.
 #[test]
 fn golden_spans_every_section() {
     let golden = std::fs::read_to_string(GOLDEN).expect("golden present");
@@ -193,6 +214,7 @@ fn golden_spans_every_section() {
         "gpu-launch seed=",
         "design=AdvHet-PartRF launch=run cu=0 class.retire=",
         "launch=scheduled4 cu=0 cycles=",
+        "cpu-design seed=55 design=AdvHet cores=8 phase=parallel7 class.issue-bound=",
     ] {
         assert!(
             golden.contains(needle),
