@@ -17,7 +17,8 @@
 //!   pinning the partition-and-merge overhead;
 //! * `fig10-gpu-campaign` — the full GPU design x kernel sweep
 //!   (figures 10/11/12), same runner mode;
-//! * `fig14-dvfs` — the DVFS / process-variation evaluation loop;
+//! * `fig14-dvfs` — the DVFS / process-variation evaluation: its jobs
+//!   on a cache-bypassing runner, then the report that prices them;
 //! * `explore-frontier` — the `repro explore` adaptive search over the
 //!   fig7 design space at the golden's pinned budget, pinning the
 //!   wave-loop + Pareto machinery on top of the multicore simulations;
@@ -42,6 +43,7 @@ use hetsim_power::assignment::VoltageFactors;
 use hetsim_runner::Runner;
 use hetsim_trace::apps;
 
+use crate::campaign::run_sharded;
 use crate::config::{CpuDesign, GpuDesign};
 use crate::experiment::{run_cpu, run_gpu, CpuOutcome};
 use crate::suite::Suite;
@@ -152,42 +154,9 @@ fn run_fig7(cfg: &BenchConfig) -> u64 {
 /// a wall-clock benchmark of subprocesses would smear with exec and
 /// I/O noise). Returns total committed instructions.
 fn run_fig7_sharded(cfg: &BenchConfig) -> u64 {
-    const SHARDS: usize = 2;
-    let jobs = cfg.suite().cpu_campaign_jobs();
-    let total = jobs.len();
-    let mut per_shard: Vec<Vec<(usize, hetsim_runner::Job<crate::experiment::CpuOutcome>)>> =
-        (0..SHARDS).map(|_| Vec::new()).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        per_shard[job.key.shard_of(SHARDS)].push((index, job));
-    }
-    let mut slots: Vec<Option<crate::experiment::CpuOutcome>> = (0..total).map(|_| None).collect();
-    let shard_results: Vec<(Vec<usize>, Vec<crate::experiment::CpuOutcome>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|shard_jobs| {
-                    let jobs_per_worker = cfg.jobs;
-                    scope.spawn(move || {
-                        let (indices, batch): (Vec<usize>, Vec<_>) = shard_jobs.into_iter().unzip();
-                        let outcomes = bench_runner(jobs_per_worker).run(batch);
-                        (indices, outcomes)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard bench thread panicked"))
-                .collect()
-        });
-    for (indices, outcomes) in shard_results {
-        for (index, outcome) in indices.into_iter().zip(outcomes) {
-            slots[index] = Some(outcome);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("partition is an exact cover").committed)
-        .sum()
+    let runners = [bench_runner(cfg.jobs), bench_runner(cfg.jobs)];
+    let outcomes = run_sharded(&runners, cfg.suite().cpu_campaign_jobs());
+    outcomes.iter().map(|o| o.committed).sum()
 }
 
 /// The full GPU campaign; returns total wavefront instructions.
@@ -201,13 +170,15 @@ fn run_fig10(cfg: &BenchConfig) -> u64 {
         .sum()
 }
 
-/// The Figure 14 DVFS / process-variation evaluation; returns its
-/// nominal instruction count (4 operating points x 2 designs x 6 apps
-/// at a quarter of the per-app budget — see `Suite::fig14`).
+/// The Figure 14 DVFS / process-variation evaluation: its 36 cold-core
+/// jobs on a serial cache-bypassing runner (as `Suite::fig14` runs
+/// them), then the report that prices them. Returns the instructions
+/// those jobs commit.
 fn run_fig14(cfg: &BenchConfig) -> u64 {
-    let report = cfg.suite().fig14();
-    let points = report.rows.len() as u64;
-    points * 2 * 6 * (cfg.insts / 4)
+    let suite = cfg.suite();
+    let outcomes = bench_runner(1).run(suite.fig14_jobs());
+    std::hint::black_box(suite.fig14_from(&outcomes));
+    outcomes.iter().map(|o| o.committed).sum()
 }
 
 /// The `repro explore` adaptive search at the golden's pinned budget,

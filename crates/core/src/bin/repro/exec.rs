@@ -16,8 +16,8 @@ use hetcore::telemetry::StatsDump;
 use hetsim_check::Checker;
 use hetsim_obs::{parse_jsonl, MonotonicClock, TraceEvent, TraceRecorder};
 use hetsim_runner::{
-    write_atomic, DashboardSink, MultiSink, NullSink, ProgressSink, Runner, SimMetrics, StderrSink,
-    TraceEventSink,
+    write_atomic, DashboardSink, Job, MultiSink, NullSink, ProgressSink, Runner, SimMetrics,
+    StderrSink, TraceEventSink,
 };
 use serde::Serialize as _;
 
@@ -74,17 +74,6 @@ pub fn experiment(word: &str) -> Result<Experiment, String> {
     Experiment::from_cli_name(word).ok_or_else(|| format!("unknown experiment '{word}'"))
 }
 
-/// Which campaigns (CPU, GPU) `requested` needs. The rest compute
-/// inline and need no runner.
-pub fn campaign_needs(requested: &[Experiment]) -> (bool, bool) {
-    use Experiment::*;
-    let cpu = requested
-        .iter()
-        .any(|e| matches!(e, Fig7 | Fig8 | Fig9 | Fig13));
-    let gpu = requested.iter().any(|e| matches!(e, Fig10 | Fig11 | Fig12));
-    (cpu, gpu)
-}
-
 /// Everything one run produces: the rendered reports plus the complete
 /// telemetry dump (campaign counters, runner stats, reports, run
 /// config), ready to print, persist or diff.
@@ -135,16 +124,17 @@ pub fn execute(
 ) -> Result<Execution, String> {
     let sink = progress_sink(progress, recorder);
 
-    // Share campaigns across the figures that need them. CPU and GPU
-    // campaigns share one cache directory: their key spaces are
-    // separated by schema tags (see `hetcore::campaign`). Runners
-    // outlive their campaigns: their cumulative stats feed the
-    // telemetry dump after the reports are rendered.
-    let (needs_cpu, needs_gpu) = campaign_needs(requested);
-    let cpu_runner = needs_cpu
+    // One CPU and one GPU batch: every simulation the requested targets
+    // declare, deduplicated by key, so shared simulations run once. Both
+    // runners share one cache directory: their key spaces are separated
+    // by schema tags (see `hetcore::campaign`). Runners outlive their
+    // batches: their cumulative stats feed the telemetry dump after the
+    // reports are rendered.
+    let plan = suite.plan(requested, extensions);
+    let cpu_runner = (!plan.cpu.is_empty())
         .then(|| runner(jobs, cache_dir, &sink, recorder))
         .transpose()?;
-    let gpu_runner = needs_gpu
+    let gpu_runner = (!plan.gpu.is_empty())
         .then(|| runner(jobs, cache_dir, &sink, recorder))
         .transpose()?;
     // Zero the event-driven-step telemetry so the skip counters in this
@@ -152,46 +142,13 @@ pub fn execute(
     // and otherwise accumulate across runs in one process).
     hetsim_cpu::telemetry::reset();
     hetsim_gpu::telemetry::reset();
-    let recorder_ref = recorder.map(Arc::as_ref);
-    let cpu = cpu_runner.as_ref().map(|r| {
-        eprintln!("running CPU campaign (11 chips x 14 applications, {jobs} worker(s))...");
-        traced_campaign(recorder_ref, "cpu-campaign", || suite.cpu_campaign_with(r))
-    });
-    let gpu = gpu_runner.as_ref().map(|r| {
-        eprintln!("running GPU campaign (5 designs x 20 kernels, {jobs} worker(s))...");
-        traced_campaign(recorder_ref, "gpu-campaign", || suite.gpu_campaign_with(r))
-    });
-
-    let cpu_ref = || cpu.as_ref().expect("campaign ran");
-    let gpu_ref = || gpu.as_ref().expect("campaign ran");
-    let mut reports = Vec::new();
-    for e in requested {
-        reports.push(match e {
-            Experiment::Table1 => suite.table1(),
-            Experiment::Fig1 => suite.fig1(),
-            Experiment::Fig2 => suite.fig2(),
-            Experiment::Fig3 => suite.fig3(),
-            Experiment::Fig7 => suite.fig7(cpu_ref()),
-            Experiment::Fig8 => suite.fig8(cpu_ref()),
-            Experiment::Fig9 => suite.fig9(cpu_ref()),
-            Experiment::Fig10 => suite.fig10(gpu_ref()),
-            Experiment::Fig11 => suite.fig11(gpu_ref()),
-            Experiment::Fig12 => suite.fig12(gpu_ref()),
-            Experiment::Fig13 => suite.fig13(cpu_ref()),
-            Experiment::Fig14 => suite.fig14(),
-        });
-        if *e == Experiment::Fig8 {
-            // The stacked-bar detail of Figure 8.
-            reports.push(suite.fig8_breakdown(cpu_ref()));
-        }
-    }
-    for e in extensions {
-        reports.push(match e {
-            Extension::Migration => suite.ext_migration(),
-            Extension::PartitionedRf => suite.ext_partitioned_rf(),
-            Extension::Scheduling => suite.ext_scheduling(),
-        });
-    }
+    let recorder = recorder.map(Arc::as_ref);
+    let outcomes = plan.run(
+        |batch| run_batch(cpu_runner.as_ref(), "CPU", batch, recorder),
+        |batch| run_batch(gpu_runner.as_ref(), "GPU", batch, recorder),
+    );
+    let reports = suite.reports(&outcomes);
+    let (cpu, gpu) = (outcomes.cpu_campaign(), outcomes.gpu_campaign());
 
     // The canonical experiment words: what `run.experiments` records
     // and what `ci-gate` replays. Derived the same way on record and
@@ -252,6 +209,29 @@ pub fn execute(
         }
     }
     Ok(execution)
+}
+
+/// Runs one of a plan's batches on its runner (an empty batch has none)
+/// inside a `cpu-campaign`/`gpu-campaign` trace span.
+fn run_batch<T>(
+    runner: Option<&Runner<T>>,
+    kind: &str,
+    batch: Vec<Job<T>>,
+    recorder: Option<&TraceRecorder>,
+) -> Vec<T>
+where
+    T: Clone + Send + serde::Serialize + serde::Deserialize + SimMetrics,
+{
+    let Some(runner) = runner else {
+        return Vec::new();
+    };
+    let workers = runner.workers();
+    eprintln!(
+        "running {} {kind} job(s) on {workers} worker(s)...",
+        batch.len()
+    );
+    let span = format!("{}-campaign", kind.to_lowercase());
+    traced_campaign(recorder, &span, || runner.run(batch))
 }
 
 /// Validates every campaign outcome and the serialized telemetry of one

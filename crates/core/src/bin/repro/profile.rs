@@ -39,6 +39,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             let campaign = ShardedCampaign {
                 suite: &suite,
                 requested: &requested,
+                extensions: &[],
                 jobs,
                 progress: Progress::Quiet,
                 trace: false,

@@ -1,8 +1,8 @@
 //! The default command: run experiments, print reports, optionally
 //! persist telemetry, a trace log and a cycle profile. With
-//! `--shards N` the campaigns first warm a shared cache through N
-//! worker processes (see `shard`), and the report comes from the same
-//! path as a single-process run, answered from that cache.
+//! `--shards N` every job first warms a shared cache through N worker
+//! processes (see `shard`), and the report comes from the same path as
+//! a single-process run, answered from that cache.
 
 use std::process::ExitCode;
 
@@ -45,6 +45,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             let campaign = ShardedCampaign {
                 suite: &suite,
                 requested: &requested,
+                extensions: &extensions,
                 jobs,
                 progress,
                 trace: trace_out.is_some(),
@@ -63,9 +64,8 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     // stays byte-identical. Attribution is the same shape of opt-in:
     // the process-global flag stays off (and the simulators skip all
     // histogram work) unless --profile-out asked for it. On sharded
-    // runs it stays on here too: campaign jobs replay from cache
-    // (publishing nothing), but the inline extension studies simulate
-    // in this process and their rows merge with the worker fragments.
+    // runs the workers simulated every job, so this pass replays from
+    // cache and publishes nothing; the rows come from their fragments.
     if profile_out.is_some() {
         attribution::set_enabled(true);
     }

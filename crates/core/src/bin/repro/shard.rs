@@ -17,9 +17,8 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hetcore::suite::{Experiment, Suite};
+use hetcore::suite::{Experiment, Extension, Suite};
 use hetcore::telemetry::StatsDump;
-use hetcore::{CpuOutcome, GpuOutcome};
 use hetsim_obs::profile::collector;
 use hetsim_obs::{CycleProfile, TraceEvent};
 use hetsim_runner::{
@@ -34,13 +33,14 @@ use serde::Serialize as _;
 use crate::args::{
     Args, Progress, ATTEMPT, CACHE_DIR, INSTS, JOBS, OUT_DIR, PROFILE, SEED, SHARD, SHARDS, TRACE,
 };
-use crate::exec::{self, campaign_needs, experiment};
+use crate::exec::{self, resolve_target};
 use crate::CliError;
 
 /// What a sharded campaign runs — the shape every worker is handed.
 pub struct ShardedCampaign<'a> {
     pub suite: &'a Suite,
     pub requested: &'a [Experiment],
+    pub extensions: &'a [Extension],
     /// The worker-thread budget, split across the worker processes.
     pub jobs: usize,
     pub progress: Progress,
@@ -123,17 +123,22 @@ pub fn supervise_campaign(campaign: &ShardedCampaign, dirs: &ShardDirs) -> Resul
         std::env::current_exe().map_err(|e| format!("cannot locate the repro binary: {e}"))?;
     let shards = dirs.shards;
 
-    // The canonical batch, enumerated exactly as workers enumerate it,
-    // giving the progress fan-in its label→index map and the audit its
-    // expected key cover.
-    let (cpu_jobs, gpu_jobs) = canonical_jobs(campaign.suite, campaign.requested);
-    let cpu = cpu_jobs.iter().map(|j| (&j.label, j.key));
+    // The run's plan, built exactly as workers build it, giving the
+    // progress fan-in its label→index map and the audit its expected
+    // key cover.
+    let plan = campaign.suite.plan(campaign.requested, campaign.extensions);
+    let cpu = plan.cpu.iter().map(|j| (&j.label, j.key));
     let (labels, keys): (Vec<&String>, Vec<_>) = cpu
-        .chain(gpu_jobs.iter().map(|j| (&j.label, j.key)))
+        .chain(plan.gpu.iter().map(|j| (&j.label, j.key)))
         .unzip();
     let expected: BTreeSet<String> = keys.iter().map(|k| k.hex()).collect();
     let total = labels.len();
-    let words: Vec<&str> = campaign.requested.iter().map(|e| e.cli_name()).collect();
+    let words: Vec<&str> = campaign
+        .requested
+        .iter()
+        .map(|e| e.cli_name())
+        .chain(campaign.extensions.iter().map(|x| x.cli_name()))
+        .collect();
     eprintln!("running sharded campaign ({total} job(s) across {shards} worker process(es))...");
 
     // One aggregate batch over all workers: columns in first-submission
@@ -281,26 +286,6 @@ fn shard_fail_requested(shard: usize, attempt: u64) -> bool {
     target.parse::<usize>() == Ok(shard) && (always || attempt == 0)
 }
 
-/// The canonical batch of the campaigns `requested` needs: CPU jobs,
-/// then GPU jobs, each in submission order.
-fn canonical_jobs(
-    suite: &Suite,
-    requested: &[Experiment],
-) -> (Vec<Job<CpuOutcome>>, Vec<Job<GpuOutcome>>) {
-    let (needs_cpu, needs_gpu) = campaign_needs(requested);
-    let cpu = if needs_cpu {
-        suite.cpu_campaign_jobs()
-    } else {
-        Vec::new()
-    };
-    let gpu = if needs_gpu {
-        suite.gpu_campaign_jobs()
-    } else {
-        Vec::new()
-    };
-    (cpu, gpu)
-}
-
 /// Runs one campaign's slice of this shard, cut to what is left of the
 /// fault-injection `budget` (if any).
 fn run_slice<T>(
@@ -326,15 +311,15 @@ where
 /// shard's commit record).
 pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
     let words = std::mem::take(&mut args.positionals);
-    let requested = args.parse_each(&words, experiment);
+    let targets = args.parse_each(&words, resolve_target);
     args.valid()?;
+    let (requested, extensions): (Vec<_>, Vec<_>) = targets.into_iter().unzip();
     let shard = args.num(&SHARD).expect("required");
     let shards = args.num(&SHARDS).expect("required");
     let attempt = args.num(&ATTEMPT).unwrap_or(0);
     let cache_dir = args.path(&CACHE_DIR).expect("required");
     let out_dir = args.path(&OUT_DIR).expect("required");
     let suite = args.suite();
-    let (needs_cpu, needs_gpu) = campaign_needs(&requested);
     let in_shard = |e| format!("shard {shard}: {e}");
 
     let sink: Arc<dyn ProgressSink> = Arc::new(ShardEventSink::stdout());
@@ -344,12 +329,13 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
         attribution::set_enabled(true);
     }
 
-    // This shard's slice of the canonical batch, by key — every worker
+    // This shard's slice of the plan's batches, by key — every worker
     // and the supervisor compute the same partition independently.
-    let (cpu_jobs, gpu_jobs) = canonical_jobs(&suite, &requested);
+    let plan = suite.plan(&requested.concat(), &extensions.concat());
+    let (needs_cpu, needs_gpu) = (!plan.cpu.is_empty(), !plan.gpu.is_empty());
     let mine = |key: JobKey| key.shard_of(shards) == shard;
-    let cpu_mine: Vec<_> = cpu_jobs.into_iter().filter(|j| mine(j.key)).collect();
-    let gpu_mine: Vec<_> = gpu_jobs.into_iter().filter(|j| mine(j.key)).collect();
+    let cpu_mine: Vec<_> = plan.cpu.into_iter().filter(|j| mine(j.key)).collect();
+    let gpu_mine: Vec<_> = plan.gpu.into_iter().filter(|j| mine(j.key)).collect();
     let keys: Vec<String> = cpu_mine
         .iter()
         .map(|j| j.key.hex())

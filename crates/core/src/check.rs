@@ -26,7 +26,6 @@ use hetsim_check::{CheckConfig, Checker};
 use hetsim_cpu::core::{validate_run, RunResult};
 use hetsim_cpu::multicore::{run_multicore, run_multicore_checked, MulticoreResult};
 use hetsim_cpu::stats::CoreStats;
-use hetsim_cpu::CoreConfig;
 use hetsim_gpu::gpu::Gpu;
 use hetsim_gpu::stats::{validate_gpu_stats, GpuStats};
 use hetsim_gpu::KernelProfile;
@@ -36,9 +35,9 @@ use hetsim_runner::Runner;
 use hetsim_trace::fuzz;
 use serde::value::Value;
 
-use crate::campaign::cpu_job;
-use crate::config::{CpuDesign, GpuDesign};
-use crate::experiment::{CpuOutcome, GpuOutcome};
+use crate::campaign::{cpu_job, Fingerprinted};
+use crate::config::{CpuDesign, GpuDesign, OperatingPoint};
+use crate::experiment::{CpuOutcome, CpuRun, GpuOutcome};
 
 /// Environment variable holding a counter-perturbation spec for
 /// [`validate_dump`]: a dotted counter name rooted at `core.`, `mem.` or
@@ -267,14 +266,6 @@ fn chip_cycles(mc: &MulticoreResult) -> u64 {
     serial + parallel
 }
 
-/// A `CoreConfig` at a different clock; memory latencies that are pinned
-/// in seconds (DRAM) re-derive their cycle counts from the new clock.
-fn at_clock(cfg: &CoreConfig, clock_hz: f64) -> CoreConfig {
-    let mut scaled = cfg.clone();
-    scaled.clock_hz = clock_hz;
-    scaled
-}
-
 /// One metamorphic fuzz round: a seeded random CPU workload and GPU
 /// kernel, run through a design rotated by the seed, asserting the
 /// oracle-free relations listed in the module docs. All violations land
@@ -290,16 +281,17 @@ pub fn fuzz_round(seed: u64, insts: u64, checker: &mut Checker) {
 fn fuzz_cpu_round(seed: u64, insts: u64, c: &mut Checker) {
     let design = CpuDesign::ALL[(seed as usize) % CpuDesign::ALL.len()];
     let app = fuzz::workload(seed);
-    let cfg = design.core_config();
+    let point = Fingerprinted::new(design.resolve(OperatingPoint::nominal(), None));
+    let cfg = &point.config;
     c.scoped(format!("cpu/{}", design.name()), |c| {
         // Invariant-checked run: every accounting relation must hold on
         // a workload far outside the calibrated application set.
-        let (base, violations) = run_multicore_checked(&cfg, 2, &app, seed, insts, CheckConfig::ON);
+        let (base, violations) = run_multicore_checked(cfg, 2, &app, seed, insts, CheckConfig::ON);
         c.absorb(violations);
 
         // Work monotonicity: requesting more instructions never commits
         // fewer, and never fabricates more than requested.
-        let doubled = run_multicore(&cfg, 2, &app, seed, insts * 2);
+        let doubled = run_multicore(cfg, 2, &app, seed, insts * 2);
         c.ge_u64(
             "fuzz.insts_monotone",
             ("committed(2N)", doubled.total_committed()),
@@ -315,12 +307,13 @@ fn fuzz_cpu_round(seed: u64, insts: u64, c: &mut Checker) {
         // as one parallel batch or as two serial single-job batches must
         // produce identical outcomes (the runner merges results in
         // submission order, independent of workers or batching).
-        let second = fuzz::workload(seed ^ 0x5EED_CAFE);
+        let run = CpuRun::Chip { cores: 2 };
+        let workloads = [app.clone(), fuzz::workload(seed ^ 0x5EED_CAFE)].map(Fingerprinted::new);
         let jobs = || {
-            vec![
-                cpu_job(design, 2, &app, seed, insts),
-                cpu_job(design, 2, &second, seed, insts),
-            ]
+            workloads
+                .iter()
+                .map(|w| cpu_job(&point, run, w, seed, insts))
+                .collect::<Vec<_>>()
         };
         let batched: Vec<CpuOutcome> = Runner::new(4).run(jobs());
         let split: Vec<CpuOutcome> = jobs()
@@ -341,7 +334,12 @@ fn fuzz_cpu_round(seed: u64, insts: u64, c: &mut Checker) {
         // DVFS relations: at half clock the same trace takes at least as
         // long in seconds (the clock only slows things down) and no more
         // cycles (seconds-pinned DRAM latency costs fewer cycles).
-        let half = run_multicore(&at_clock(&cfg, cfg.clock_hz / 2.0), 2, &app, seed, insts);
+        let half_clock = OperatingPoint {
+            hz: 1.0e9,
+            ..OperatingPoint::nominal()
+        };
+        let half_cfg = design.resolve(half_clock, None).config;
+        let half = run_multicore(&half_cfg, 2, &app, seed, insts);
         c.check(
             "fuzz.dvfs_seconds_monotone",
             "seconds(half clock) >= seconds(base)",

@@ -3,18 +3,89 @@
 //! Each design bundles a timing configuration (for the cycle-level
 //! simulators) with a device assignment (for the energy model). The
 //! mapping follows Table IV row by row; see each variant's documentation.
+//!
+//! A design at an operating point resolves in one place:
+//! [`CpuDesign::resolve`] yields the [`CpuPoint`] (core configuration
+//! plus energy model) that a job simulates and its key hashes, and
+//! [`GpuDesign::resolve`] the [`GpuPoint`].
 
 use hetsim_cpu::config::{CoreConfig, Dl1Config, MemoryConfig, SteeringPolicy};
 use hetsim_cpu::fu::FuPoolConfig;
+use hetsim_device::dvfs::DvfsController;
 use hetsim_gpu::config::{GpuConfig, PartitionedRfConfig, RfCacheConfig};
 use hetsim_power::account::CpuEnergyModel;
-use hetsim_power::assignment::DeviceAssignment;
+use hetsim_power::assignment::{DeviceAssignment, VoltageFactors};
 use serde::{Deserialize, Serialize};
 
 /// The larger ROB of the Enh designs (160 -> 192).
 pub const ENH_ROB: u32 = 192;
 /// The larger FP register file of the Enh designs (80 -> 128).
 pub const ENH_FP_REGS: u32 = 128;
+
+/// A CPU operating point: the clock of the BaseCMOS core (every design
+/// keeps its clock relative to it, so BaseTFET runs at half) and the
+/// rail voltage factors its energy model prices at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OperatingPoint {
+    /// BaseCMOS core clock (Hz).
+    pub hz: f64,
+    /// Rail voltage factors, relative to the nominal rails.
+    pub volts: VoltageFactors,
+}
+
+impl OperatingPoint {
+    /// Table III: 2 GHz at the nominal rails.
+    pub fn nominal() -> Self {
+        OperatingPoint {
+            hz: 2.0e9,
+            volts: VoltageFactors::default(),
+        }
+    }
+
+    /// The DVFS point at `hz`: both rails at the lowest voltages that
+    /// reach it, relative to the nominal rails. `None` when a rail
+    /// cannot reach `hz`.
+    pub fn dvfs(hz: f64) -> Option<Self> {
+        let dvfs = DvfsController::new();
+        let nominal = dvfs.nominal();
+        let p = dvfs.operating_point(hz)?;
+        Some(OperatingPoint {
+            hz,
+            volts: VoltageFactors::from_voltages(
+                p.v_cmos,
+                nominal.v_cmos,
+                p.v_tfet,
+                nominal.v_tfet,
+            ),
+        })
+    }
+}
+
+/// A CPU design resolved at an operating point: the configuration the
+/// core simulator runs and the energy model that prices the run. A CPU
+/// job key hashes all of it.
+#[derive(Debug, Clone)]
+pub struct CpuPoint {
+    /// The Table IV design.
+    pub design: CpuDesign,
+    /// The resolved core configuration.
+    pub config: CoreConfig,
+    /// The resolved energy model.
+    pub model: CpuEnergyModel,
+}
+
+/// A GPU design resolved for simulation: the configuration the GPU
+/// model runs and the device assignment its energy model prices. A GPU
+/// job key hashes all of it.
+#[derive(Debug, Clone)]
+pub struct GpuPoint {
+    /// The design.
+    pub design: GpuDesign,
+    /// The resolved GPU configuration.
+    pub config: GpuConfig,
+    /// The resolved device assignment.
+    pub assignment: DeviceAssignment,
+}
 
 /// CPU design points (Table IV, upper half).
 ///
@@ -86,6 +157,22 @@ impl CpuDesign {
             CpuDesign::BaseHetFastAlu => "BaseHet-FastALU",
             CpuDesign::BaseHetEnh => "BaseHet-Enh",
             CpuDesign::BaseHetSplit => "BaseHet-Split",
+        }
+    }
+
+    /// Resolves the design at `op`: its Table IV configuration at the
+    /// point's clock (relative clocks kept) with `rob` overriding the ROB
+    /// depth, and its energy model at the point's rails.
+    pub fn resolve(self, op: OperatingPoint, rob: Option<u32>) -> CpuPoint {
+        let mut config = self.core_config();
+        config.clock_hz = op.hz * (config.clock_hz / 2.0e9); // keep relative clocks
+        if let Some(rob) = rob {
+            config.rob_entries = rob;
+        }
+        CpuPoint {
+            design: self,
+            config,
+            model: self.energy_model().with_voltages(op.volts),
         }
     }
 
@@ -214,6 +301,16 @@ impl GpuDesign {
             GpuDesign::AdvHet => "AdvHet",
             GpuDesign::AdvHet2x => "AdvHet-2X",
             GpuDesign::AdvHetPartitionedRf => "AdvHet-PartRF",
+        }
+    }
+
+    /// Resolves the design: GPU designs run at one operating point, so
+    /// this is the Table IV configuration and device assignment.
+    pub fn resolve(self) -> GpuPoint {
+        GpuPoint {
+            design: self,
+            config: self.gpu_config(),
+            assignment: self.assignment(),
         }
     }
 

@@ -6,12 +6,17 @@
 //! serial phase, and all cores leak for the full duration of the parallel
 //! phase. GPU experiments launch one synthetic kernel over the configured
 //! compute units.
+//!
+//! Every simulation runs a resolved point ([`CpuPoint`] / [`GpuPoint`])
+//! in one run shape ([`CpuRun`] / [`GpuRun`]); the `run_*` functions
+//! resolve a Table IV design at its nominal point and call those.
 
 use hetsim_cpu::core::Core;
 use hetsim_cpu::multicore::{run_multicore, MulticoreResult};
 use hetsim_cpu::stats::CoreStats;
 use hetsim_gpu::gpu::Gpu;
 use hetsim_gpu::stats::GpuStats;
+use hetsim_gpu::KernelProfile;
 use hetsim_mem::stats::MemStats;
 use hetsim_obs::profile::collector;
 use hetsim_obs::ProfileRow;
@@ -21,7 +26,7 @@ use hetsim_stats::attribution;
 use hetsim_trace::WorkloadProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::config::{CpuDesign, GpuDesign};
+use crate::config::{CpuDesign, CpuPoint, GpuDesign, GpuPoint, OperatingPoint};
 
 /// Outcome of one CPU experiment (single- or multi-core).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,35 +95,72 @@ impl SimMetrics for GpuOutcome {
     }
 }
 
-/// Runs `design` on a single core (used by unit tests and the quickstart;
-/// the paper's figures use [`run_cpu_multicore`] with 4 cores).
+/// How a CPU job runs its resolved point: the run shape its key hashes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CpuRun {
+    /// A warmed `cores`-core chip: the workload split across the cores
+    /// Amdahl-style (the paper's chip-level experiment).
+    Chip {
+        /// Cores on the chip.
+        cores: u32,
+    },
+    /// One warmed core: prewarmed caches and a warm-up window before the
+    /// measured instructions.
+    Core,
+    /// One cold core: no prewarm and no warm-up window (Figure 14).
+    ColdCore,
+}
+
+impl CpuRun {
+    /// Simulates `insts` instructions of `app` on `point` in this shape,
+    /// priced by the point's energy model.
+    pub fn simulate(
+        self,
+        point: &CpuPoint,
+        app: &WorkloadProfile,
+        seed: u64,
+        insts: u64,
+    ) -> CpuOutcome {
+        let warm = match self {
+            CpuRun::Chip { cores } => return simulate_chip(point, cores, app, seed, insts),
+            CpuRun::Core => true,
+            CpuRun::ColdCore => false,
+        };
+        let cfg = &point.config;
+        let mut core = Core::new(cfg.clone(), 0);
+        let mut warmup = 0;
+        if warm {
+            core.prewarm(0, app.memory.working_set_bytes);
+            warmup = (insts / 4).min(25_000);
+        }
+        // Same-stream sweeps (one app across every design) replay the
+        // stored trace instead of regenerating it per design.
+        let pull_bound = warmup + insts + cfg.steering.lookahead_window() + 1;
+        let trace = hetsim_trace::cache::replay(app, seed, 0, pull_bound);
+        let result = core.run_warmed(trace, warmup, insts);
+        if attribution::enabled() {
+            publish_core_profile(point.design, "core0", &result.profile);
+        }
+        let seconds = result.seconds();
+        CpuOutcome {
+            design: point.design,
+            app: app.name.to_string(),
+            seconds,
+            energy: point.model.energy(&result.stats, &result.mem, seconds),
+            cores: 1,
+            committed: result.stats.committed,
+            stats: result.stats,
+            mem: result.mem,
+        }
+    }
+}
+
+/// Runs `design` on a single warmed core (used by unit tests and the
+/// quickstart; the paper's figures use [`run_cpu_multicore`] with 4
+/// cores).
 pub fn run_cpu(design: CpuDesign, app: &WorkloadProfile, seed: u64, insts: u64) -> CpuOutcome {
-    let cfg = design.core_config();
-    let window = cfg.steering.lookahead_window();
-    let mut core = Core::new(cfg, 0);
-    core.prewarm(0, app.memory.working_set_bytes);
-    let warmup = (insts / 4).min(25_000);
-    // Same-stream sweeps (one app across every design) replay the
-    // stored trace instead of regenerating it per design.
-    let trace = hetsim_trace::cache::replay(app, seed, 0, warmup + insts + window + 1);
-    let result = core.run_warmed(trace, warmup, insts);
-    if attribution::enabled() {
-        publish_core_profile(design, "core0", &result.profile);
-    }
-    let seconds = result.seconds();
-    let energy = design
-        .energy_model()
-        .energy(&result.stats, &result.mem, seconds);
-    CpuOutcome {
-        design,
-        app: app.name.to_string(),
-        seconds,
-        energy,
-        cores: 1,
-        committed: result.stats.committed,
-        stats: result.stats,
-        mem: result.mem,
-    }
+    let point = design.resolve(OperatingPoint::nominal(), None);
+    CpuRun::Core.simulate(&point, app, seed, insts)
 }
 
 /// Runs `design` as a `cores`-core chip on `app` (the paper's chip-level
@@ -131,27 +173,20 @@ pub fn run_cpu_multicore(
     seed: u64,
     total_insts: u64,
 ) -> CpuOutcome {
-    let cfg = design.core_config();
-    let model = design.energy_model();
-    run_cpu_multicore_configured(design, &cfg, &model, cores, app, seed, total_insts)
+    let point = design.resolve(OperatingPoint::nominal(), None);
+    CpuRun::Chip { cores }.simulate(&point, app, seed, total_insts)
 }
 
-/// [`run_cpu_multicore`] with the timing configuration and energy model
-/// supplied explicitly instead of derived from the design's Table IV
-/// defaults. The design-space exploration engine uses this to evaluate
-/// off-nominal candidates — a design at a scaled clock and V_dd
-/// operating point — without minting a new [`CpuDesign`] variant per
-/// grid cell; `design` still labels the outcome.
-pub fn run_cpu_multicore_configured(
-    design: CpuDesign,
-    cfg: &hetsim_cpu::config::CoreConfig,
-    model: &hetsim_power::account::CpuEnergyModel,
+/// A warmed `cores`-core chip.
+fn simulate_chip(
+    point: &CpuPoint,
     cores: u32,
     app: &WorkloadProfile,
     seed: u64,
     total_insts: u64,
 ) -> CpuOutcome {
-    let mc: MulticoreResult = run_multicore(cfg, cores, app, seed, total_insts);
+    let (design, model) = (point.design, &point.model);
+    let mc: MulticoreResult = run_multicore(&point.config, cores, app, seed, total_insts);
     if attribution::enabled() {
         // The serial phase runs on core 0, so its attribution folds
         // into the same unit row as core 0's parallel phase.
@@ -239,32 +274,54 @@ impl GpuOutcome {
     }
 }
 
+/// How a GPU job launches its kernel: the run shape its key hashes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GpuRun {
+    /// The kernel as generated.
+    Plain,
+    /// The kernel after the latency-hiding compiler pass (the paper's
+    /// future-work optimization) with a `window`-instruction lookahead.
+    Scheduled {
+        /// Scheduler lookahead (instructions).
+        window: usize,
+    },
+}
+
+impl GpuRun {
+    /// Launches `kernel` on `point` in this shape, priced by the point's
+    /// device assignment.
+    pub fn simulate(self, point: &GpuPoint, kernel: &KernelProfile, seed: u64) -> GpuOutcome {
+        let gpu = Gpu::new(point.config.clone());
+        let result = match self {
+            GpuRun::Plain => gpu.run(kernel, seed),
+            GpuRun::Scheduled { window } => gpu.run_scheduled(kernel, seed, window),
+        };
+        price_gpu_run(point, kernel, result)
+    }
+}
+
 /// Runs a GPU design on one kernel.
-pub fn run_gpu(design: GpuDesign, kernel: &hetsim_gpu::KernelProfile, seed: u64) -> GpuOutcome {
-    let gpu = Gpu::new(design.gpu_config());
-    let result = gpu.run(kernel, seed);
-    price_gpu_run(design, kernel, result)
+pub fn run_gpu(design: GpuDesign, kernel: &KernelProfile, seed: u64) -> GpuOutcome {
+    GpuRun::Plain.simulate(&design.resolve(), kernel, seed)
 }
 
 /// Runs a GPU design on one kernel *after* the latency-hiding compiler
-/// pass (the paper's future-work optimization; `window` is the scheduler
-/// lookahead).
+/// pass (`window` is the scheduler lookahead).
 pub fn run_gpu_scheduled(
     design: GpuDesign,
-    kernel: &hetsim_gpu::KernelProfile,
+    kernel: &KernelProfile,
     seed: u64,
     window: usize,
 ) -> GpuOutcome {
-    let gpu = Gpu::new(design.gpu_config());
-    let result = gpu.run_scheduled(kernel, seed, window);
-    price_gpu_run(design, kernel, result)
+    GpuRun::Scheduled { window }.simulate(&design.resolve(), kernel, seed)
 }
 
 fn price_gpu_run(
-    design: GpuDesign,
-    kernel: &hetsim_gpu::KernelProfile,
+    point: &GpuPoint,
+    kernel: &KernelProfile,
     result: hetsim_gpu::GpuRunResult,
 ) -> GpuOutcome {
+    let design = point.design;
     let seconds = result.seconds();
     let s = &result.stats;
     let activity = GpuActivity {
@@ -279,7 +336,7 @@ fn price_gpu_run(
         compute_units: result.compute_units,
         seconds,
     };
-    let energy = GpuEnergyModel::new(design.assignment()).energy(&activity);
+    let energy = GpuEnergyModel::new(point.assignment.clone()).energy(&activity);
     if attribution::enabled() {
         for (cu, p) in result.profiles.iter().enumerate() {
             let mut row = ProfileRow::new(design.name(), format!("cu{cu}"));

@@ -10,12 +10,14 @@
 //! The engine is built from the pieces earlier PRs proved out, so the
 //! expensive part (simulation) is entirely reused machinery:
 //!
-//! * every candidate evaluation is a batch of content-addressed
-//!   [`Job`]s under its own cache schema ([`EXPLORE_SCHEMA`]), so
-//!   repeated searches — a warm rerun, a widened budget, an overlapping
-//!   sweep — only simulate designs never seen before;
+//! * every candidate evaluation is a batch of content-addressed CPU
+//!   [`Job`]s in the campaign's key space (see [`crate::campaign`]): a
+//!   candidate resolves to a [`CpuPoint`] like
+//!   any design, so repeated searches — a warm rerun, a widened budget,
+//!   an overlapping sweep — only simulate points never seen before, and
+//!   a candidate that is a campaign cell reuses its cache entry;
 //! * `--shards N` splits each batch across N runners by
-//!   [`JobKey::shard_of`], the same coordination-free partitioner the
+//!   [`hetsim_runner::JobKey::shard_of`], the same coordination-free partitioner the
 //!   campaign shard protocol uses; results merge by submission index,
 //!   so the shard count is invisible in the output;
 //! * the search itself is **structural**: wave 0 is a deterministic
@@ -34,21 +36,19 @@ use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use hetsim_device::dvfs::DvfsController;
-use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{config_object, Job, JobKey, Runner};
+use hetsim_runner::{Job, Runner};
 use hetsim_stats::pareto;
-use hetsim_trace::apps;
+use hetsim_trace::{apps, WorkloadProfile};
 use serde::value::Value;
 use serde::Serialize;
 
-use crate::config::CpuDesign;
-use crate::experiment::{run_cpu_multicore_configured, CpuOutcome};
+use crate::campaign::{cpu_job, run_sharded, Fingerprinted};
+use crate::config::{CpuDesign, CpuPoint, OperatingPoint};
+use crate::experiment::{CpuOutcome, CpuRun};
 use crate::report::Report;
 
-/// Cache schema tag for exploration jobs. Candidates sweep axes the
-/// plain campaign keys don't carry (V_dd, ROB depth), so they get their
-/// own namespace; bump it whenever an axis changes meaning, and stale
-/// disk caches retire themselves.
+/// Format tag of the frontier dump (`schema.explore`). It names the
+/// dump's layout; job keys live in the CPU key space.
 pub const EXPLORE_SCHEMA: &str = "explore-cpu-v1";
 
 /// Default evaluation budget (candidates, not jobs).
@@ -75,6 +75,19 @@ pub struct Candidate {
 }
 
 impl Candidate {
+    /// The candidate's design resolved at its DVFS point (clock and
+    /// rails) with its ROB depth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the V_dd point is unreachable ([`DesignSpace::validate`]
+    /// rejects such spaces).
+    pub fn point(&self) -> CpuPoint {
+        let op = OperatingPoint::dvfs(self.vdd_ghz * 1e9)
+            .expect("space validated before jobs are built");
+        self.design.resolve(op, Some(self.rob))
+    }
+
     /// Stable human label, e.g. `AdvHet/8c/2.5GHz/rob192`.
     pub fn label(&self) -> String {
         format!(
@@ -254,9 +267,8 @@ impl DesignSpace {
         }
         for &design in &self.designs {
             for &rob in &self.robs {
-                let mut cfg = design.core_config();
-                cfg.rob_entries = rob;
-                cfg.validate().map_err(|e| {
+                let point = design.resolve(OperatingPoint::nominal(), Some(rob));
+                point.config.validate().map_err(|e| {
                     format!("--sweep rob {rob} is invalid for {}: {e}", design.name())
                 })?;
             }
@@ -397,49 +409,18 @@ pub struct ExploreResult {
     pub runner: ExploreCounters,
 }
 
-/// Job key for one (candidate, app) evaluation. Everything that can
-/// change the outcome feeds the key.
-pub fn explore_job_key(c: &Candidate, app: &str, seed: u64, insts: u64) -> JobKey {
-    JobKey::of(&config_object(vec![
-        ("schema", Value::Str(EXPLORE_SCHEMA.into())),
-        ("design", c.design.to_value()),
-        ("cores", c.cores.to_value()),
-        ("vdd_ghz", c.vdd_ghz.to_value()),
-        ("rob", c.rob.to_value()),
-        ("profile", Value::Str(app.into())),
-        ("seed", seed.to_value()),
-        ("insts", insts.to_value()),
-    ]))
-}
-
-/// Builds the runnable job for one (candidate, app) pair: the design's
-/// Table IV configuration with the candidate's ROB override, the clock
-/// scaled to the operating point (preserving relative clocks, as the
-/// Figure 14 sweep does), and the energy model repriced at the
-/// operating point's rail voltages.
-fn explore_job(c: Candidate, app_name: &str, seed: u64, insts: u64) -> Job<CpuOutcome> {
-    let key = explore_job_key(&c, app_name, seed, insts);
-    let label = format!("explore/{app_name}/{}", c.label());
-    let app = apps::profile(app_name).expect("space validated before jobs are built");
-    Job::new(key, label, move || {
-        let dvfs = DvfsController::new();
-        let nominal = dvfs.nominal();
-        let hz = c.vdd_ghz * 1e9;
-        let point = dvfs
-            .operating_point(hz)
-            .expect("space validated before jobs are built");
-        let volts = VoltageFactors::from_voltages(
-            point.v_cmos,
-            nominal.v_cmos,
-            point.v_tfet,
-            nominal.v_tfet,
-        );
-        let mut cfg = c.design.core_config();
-        cfg.rob_entries = c.rob;
-        cfg.clock_hz = hz * (cfg.clock_hz / 2.0e9); // keep relative clocks
-        let model = c.design.energy_model().with_voltages(volts);
-        run_cpu_multicore_configured(c.design, &cfg, &model, c.cores, &app, seed, insts)
-    })
+/// The jobs evaluating candidate `c`: its resolved point as a warmed
+/// `c.cores`-core chip on each of `apps`, in order.
+fn candidate_jobs(
+    c: &Candidate,
+    apps: &[Fingerprinted<WorkloadProfile>],
+    seed: u64,
+    insts: u64,
+) -> Vec<Job<CpuOutcome>> {
+    let point = Fingerprinted::new(c.point());
+    let run = CpuRun::Chip { cores: c.cores };
+    let job = |app| cpu_job(&point, run, app, seed, insts);
+    apps.iter().map(job).collect()
 }
 
 /// Runs the search. See the module docs for the algorithm; in short:
@@ -457,6 +438,11 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
     assert!(cfg.budget >= 1, "budget must be >= 1");
     assert!(cfg.shards >= 1, "shards must be >= 1");
     space.validate()?;
+    let apps: Vec<_> = space
+        .apps
+        .iter()
+        .map(|a| Fingerprinted::new(apps::profile(a).expect("space validated")))
+        .collect();
 
     // One persistent runner per shard: the key→shard mapping is stable,
     // so each runner's in-memory cache stays valid across waves, and
@@ -493,7 +479,7 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
         if wave.is_empty() {
             break;
         }
-        let outcomes = evaluate_wave(space, cfg, &runners, &wave);
+        let outcomes = evaluate_wave(space, cfg, &apps, &runners, &wave);
         for (coords, point) in wave.iter().zip(outcomes) {
             seen.insert(*coords);
             coords_order.push(*coords);
@@ -575,60 +561,28 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
 }
 
 /// Evaluates one wave of candidates: builds the (candidate × app) job
-/// batch, partitions it across the shard runners by [`JobKey::shard_of`]
-/// (the same coordination-free split the campaign shard protocol uses),
-/// runs the shards on scoped threads, merges outcomes back by
-/// submission index, and folds each candidate's per-app outcomes into
-/// its aggregate objectives.
+/// batch, runs it across the shard runners ([`run_sharded`], the same
+/// coordination-free split the campaign shard protocol uses), and folds
+/// each candidate's per-app outcomes into its aggregate objectives.
 fn evaluate_wave(
     space: &DesignSpace,
     cfg: &ExploreConfig,
+    apps: &[Fingerprinted<WorkloadProfile>],
     runners: &[Runner<CpuOutcome>],
     wave: &[[usize; 4]],
 ) -> Vec<EvaluatedPoint> {
-    let apps_n = space.apps.len();
-    let shards = runners.len();
-    let mut per_shard: Vec<Vec<(usize, Job<CpuOutcome>)>> =
-        (0..shards).map(|_| Vec::new()).collect();
-    for (ci, &coords) in wave.iter().enumerate() {
-        let candidate = space.candidate(coords);
-        for (ai, app) in space.apps.iter().enumerate() {
-            let job = explore_job(candidate, app, cfg.seed, cfg.insts);
-            per_shard[job.key.shard_of(shards)].push((ci * apps_n + ai, job));
-        }
-    }
-
-    let mut slots: Vec<Option<CpuOutcome>> = (0..wave.len() * apps_n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = per_shard
-            .into_iter()
-            .zip(runners)
-            .map(|(shard_jobs, runner)| {
-                s.spawn(move || {
-                    let (indices, batch): (Vec<usize>, Vec<Job<CpuOutcome>>) =
-                        shard_jobs.into_iter().unzip();
-                    indices
-                        .into_iter()
-                        .zip(runner.run(batch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, outcome) in handle.join().expect("shard thread") {
-                slots[index] = Some(outcome);
-            }
-        }
-    });
-
+    let jobs = wave
+        .iter()
+        .flat_map(|&coords| candidate_jobs(&space.candidate(coords), apps, cfg.seed, cfg.insts))
+        .collect();
+    let outcomes = run_sharded(runners, jobs);
     wave.iter()
-        .enumerate()
-        .map(|(ci, &coords)| {
+        .zip(outcomes.chunks(apps.len()))
+        .map(|(&coords, outcomes)| {
             let mut time_s = 0.0;
             let mut energy_j = 0.0;
             let mut committed = 0;
-            for slot in &slots[ci * apps_n..(ci + 1) * apps_n] {
-                let outcome = slot.as_ref().expect("every job merged back");
+            for outcome in outcomes {
                 time_s += outcome.seconds;
                 energy_j += outcome.energy.total_j();
                 committed += outcome.committed;
@@ -910,6 +864,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn explore_keys_follow_profile_content() {
+        let candidate = tiny_space().candidate([0, 0, 0, 0]);
+        let lu = apps::profile("lu").expect("known app");
+        let mut edited = lu.clone();
+        edited.parallel_fraction *= 0.5;
+        let keys = |app: &WorkloadProfile| {
+            let apps = [Fingerprinted::new(app.clone())];
+            candidate_jobs(&candidate, &apps, 7, 2_000)[0].key
+        };
+        assert_ne!(keys(&lu), keys(&edited), "same app name, new content");
+    }
+
+    #[test]
+    fn a_candidate_at_a_campaign_cell_shares_its_key() {
+        // BaseCMOS, 4 cores, 2 GHz at the nominal rails, Table III ROB:
+        // the campaign's BaseCMOS cell, so the search reuses its entry.
+        let candidate = Candidate {
+            design: CpuDesign::BaseCmos,
+            cores: 4,
+            vdd_ghz: 2.0,
+            rob: 160,
+        };
+        let suite = crate::suite::Suite::default();
+        let apps = [Fingerprinted::new(apps::all().remove(0))];
+        let jobs = candidate_jobs(&candidate, &apps, suite.seed, suite.insts_per_app);
+        assert_eq!(jobs[0].key, suite.cpu_campaign_jobs()[0].key);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! like energy model, and regenerates every table and figure of the
 //! paper's evaluation (Tables I-IV, Figures 1-3 and 7-14).
 //!
-//! * [`config`] — named CPU/GPU design points (Table IV).
-//! * [`experiment`] — running a design on a workload; time + energy.
-//! * [`campaign`] — content-addressed jobs for the design × app sweeps.
+//! * [`config`] — named CPU/GPU design points (Table IV), resolved at an
+//!   operating point.
+//! * [`experiment`] — running a resolved point on a workload; time +
+//!   energy.
+//! * [`campaign`] — content-addressed jobs, keyed on what they simulate.
 //! * [`report`] — tables (text/CSV/JSON) in the shape of the paper's figures.
 //! * [`suite`] — one entry point per paper table/figure.
 //! * [`telemetry`] — the machine-readable `--stats-out` counter dump.
@@ -64,11 +66,12 @@ pub mod report;
 pub mod suite;
 pub mod telemetry;
 
-pub use campaign::{cpu_job, cpu_job_key, gpu_job, gpu_job_key, CPU_SCHEMA, GPU_SCHEMA};
-pub use config::{CpuDesign, GpuDesign};
+pub use campaign::{
+    cpu_job, cpu_job_key, gpu_job, gpu_job_key, Fingerprinted, CPU_SCHEMA, GPU_SCHEMA,
+};
+pub use config::{CpuDesign, CpuPoint, GpuDesign, GpuPoint, OperatingPoint};
 pub use experiment::{
-    run_cpu, run_cpu_multicore, run_cpu_multicore_configured, run_gpu, run_gpu_scheduled,
-    CpuOutcome, GpuOutcome,
+    run_cpu, run_cpu_multicore, run_gpu, run_gpu_scheduled, CpuOutcome, CpuRun, GpuOutcome, GpuRun,
 };
 pub use explore::{explore, DesignSpace, ExploreConfig, ExploreResult, EXPLORE_SCHEMA};
 pub use migration::{iso_area_comparison, run_migration_cmp, MigrationConfig};

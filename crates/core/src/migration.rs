@@ -19,21 +19,20 @@
 //! # Model
 //!
 //! Per-core behaviour comes from real simulations: a representative chunk
-//! of the application runs on a BaseCMOS core and on a BaseTFET core,
-//! yielding each core type's rate (instructions/second) and active power.
+//! of the application runs on a warmed BaseCMOS core and on a warmed
+//! BaseTFET core ([`crate::experiment::CpuRun::Core`] jobs), yielding each
+//! core type's rate (instructions/second) and active power.
 //! The barrier-aware rotation is then work-conserving: with `n_f` fast
 //! cores of rate `r_f` and `n_s` slow cores of rate `r_s`, aggregate
 //! throughput is `n_f*r_f + n_s*r_s` and every thread finishes each
 //! interval simultaneously. Each rotation charges a migration penalty
 //! (context transfer + cold-cache refill).
 
-use hetsim_cpu::core::Core;
 use hetsim_power::account::EnergyBreakdown;
-use hetsim_trace::stream::TraceGenerator;
 use hetsim_trace::WorkloadProfile;
 
 use crate::config::CpuDesign;
-use crate::experiment::{run_cpu_multicore, CpuOutcome};
+use crate::experiment::{run_cpu, run_cpu_multicore, CpuOutcome};
 
 /// Configuration of the migration CMP.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +61,14 @@ impl Default for MigrationConfig {
             interval_insts: 20_000,
             migration_penalty_cycles: 3_000,
         }
+    }
+}
+
+impl MigrationConfig {
+    /// Instructions of each characterisation run: one barrier interval,
+    /// and at least 20K.
+    pub fn chunk_insts(&self) -> u64 {
+        self.interval_insts.max(20_000)
     }
 }
 
@@ -95,30 +102,27 @@ struct CoreRate {
     energy_per_s: EnergyBreakdown,
 }
 
-fn characterize(design: CpuDesign, profile: &WorkloadProfile, seed: u64, chunk: u64) -> CoreRate {
-    let mut core = Core::new(design.core_config(), 0);
-    core.prewarm(0, profile.memory.working_set_bytes);
-    let warmup = (chunk / 4).min(25_000);
-    let r = core.run_warmed(TraceGenerator::new(profile, seed), warmup, chunk);
-    let seconds = r.seconds();
-    let model = design.energy_model();
-    let energy = model.energy(&r.stats, &r.mem, seconds);
-    let idle = model.idle_energy(1.0);
-    let mut energy_per_s = energy;
-    let scale = 1.0 / seconds;
-    energy_per_s.core_dynamic_j *= scale;
-    energy_per_s.core_leakage_j *= scale;
-    energy_per_s.l2_dynamic_j *= scale;
-    energy_per_s.l2_leakage_j *= scale;
-    energy_per_s.l3_dynamic_j *= scale;
-    energy_per_s.l3_leakage_j *= scale;
-    energy_per_s.dram_j *= scale;
+/// Characterizes `design` from its `chunk`-instruction run.
+fn characterize(design: CpuDesign, run: &CpuOutcome, chunk: u64) -> CoreRate {
     CoreRate {
-        rate: chunk as f64 / seconds,
-        power_w: energy.total_j() / seconds,
-        idle_w: idle.total_j(),
-        energy_per_s,
+        rate: chunk as f64 / run.seconds,
+        power_w: run.energy.total_j() / run.seconds,
+        idle_w: design.energy_model().idle_energy(1.0).total_j(),
+        energy_per_s: scaled(&run.energy, 1.0 / run.seconds),
     }
+}
+
+/// Every component of `bd` scaled by `s`.
+fn scaled(bd: &EnergyBreakdown, s: f64) -> EnergyBreakdown {
+    let mut e = *bd;
+    e.core_dynamic_j *= s;
+    e.core_leakage_j *= s;
+    e.l2_dynamic_j *= s;
+    e.l2_leakage_j *= s;
+    e.l3_dynamic_j *= s;
+    e.l3_leakage_j *= s;
+    e.dram_j *= s;
+    e
 }
 
 /// Runs `total_insts` of `profile` on the migration CMP.
@@ -144,15 +148,36 @@ pub fn run_migration_cmp(
     seed: u64,
     total_insts: u64,
 ) -> MigrationOutcome {
+    let chunk = cfg.chunk_insts();
+    let fast = run_cpu(CpuDesign::BaseCmos, profile, seed, chunk);
+    let slow = run_cpu(CpuDesign::BaseTfet, profile, seed, chunk);
+    migration_cmp(cfg, profile, total_insts, &fast, &slow)
+}
+
+/// The migration CMP's outcome on `total_insts` of `profile`, from its
+/// two characterisation runs: [`MigrationConfig::chunk_insts`]
+/// instructions on one warmed BaseCMOS core (`fast`) and on one warmed
+/// BaseTFET core (`slow`).
+///
+/// # Panics
+///
+/// Panics if the configuration has no cores or the profile is invalid.
+pub fn migration_cmp(
+    cfg: &MigrationConfig,
+    profile: &WorkloadProfile,
+    total_insts: u64,
+    fast: &CpuOutcome,
+    slow: &CpuOutcome,
+) -> MigrationOutcome {
     assert!(
         cfg.cmos_cores + cfg.tfet_cores > 0,
         "need at least one core"
     );
     profile.validate().expect("valid profile");
 
-    let chunk = cfg.interval_insts.max(20_000);
-    let fast = characterize(CpuDesign::BaseCmos, profile, seed, chunk);
-    let slow = characterize(CpuDesign::BaseTfet, profile, seed, chunk);
+    let chunk = cfg.chunk_insts();
+    let fast = characterize(CpuDesign::BaseCmos, fast, chunk);
+    let slow = characterize(CpuDesign::BaseTfet, slow, chunk);
 
     let n_f = f64::from(cfg.cmos_cores);
     let n_s = f64::from(cfg.tfet_cores);
@@ -179,25 +204,14 @@ pub fn run_migration_cmp(
     // Energy: all cores are busy for the whole parallel phase (that is the
     // point of the rotation); during the serial phase the fast core is
     // active and the rest leak.
-    let scale_bd = |bd: &EnergyBreakdown, s: f64| {
-        let mut e = *bd;
-        e.core_dynamic_j *= s;
-        e.core_leakage_j *= s;
-        e.l2_dynamic_j *= s;
-        e.l2_leakage_j *= s;
-        e.l3_dynamic_j *= s;
-        e.l3_leakage_j *= s;
-        e.dram_j *= s;
-        e
-    };
     let mut energy = EnergyBreakdown::default();
     // Serial: one fast core active; (n_f - 1) fast + n_s slow cores idle.
-    energy.merge(&scale_bd(&fast.energy_per_s, t_serial));
+    energy.merge(&scaled(&fast.energy_per_s, t_serial));
     let idle_w = (n_f - 1.0) * fast.idle_w + n_s * slow.idle_w;
     energy.core_leakage_j += idle_w * t_serial;
     // Parallel: every core active at its characterized power.
-    energy.merge(&scale_bd(&fast.energy_per_s, n_f * t_parallel));
-    energy.merge(&scale_bd(&slow.energy_per_s, n_s * t_parallel));
+    energy.merge(&scaled(&fast.energy_per_s, n_f * t_parallel));
+    energy.merge(&scaled(&slow.energy_per_s, n_s * t_parallel));
     // Migration energy: charge the transferred state as extra L2 traffic —
     // folded, conservatively small, into core dynamic.
     energy.core_dynamic_j += intervals as f64 * threads * 0.5e-9 * fast.power_w;

@@ -5,6 +5,13 @@
 //! artifact as a [`Report`]. CPU figures 7/8/9/13 share one *campaign* (the
 //! full design x application sweep) so the expensive simulations run once;
 //! GPU figures 10/11/12 share another.
+//!
+//! Every simulated artifact declares its jobs (`*_jobs`) and renders from
+//! their outcomes (`fig*`, `*_from`). A [`Plan`] gathers what a run's
+//! targets declare into one CPU and one GPU batch, deduplicated by key,
+//! so a simulation two artifacts share runs once.
+
+use std::collections::HashMap;
 
 use hetsim_device::activity::figure2_series;
 use hetsim_device::dvfs::DvfsController;
@@ -13,12 +20,13 @@ use hetsim_device::tech::Technology;
 use hetsim_device::variation::{CMOS_GUARDBAND_V, TFET_GUARDBAND_V};
 use hetsim_device::vf::VfCurve;
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{Job, Runner};
-use hetsim_trace::apps;
+use hetsim_runner::{Job, JobKey, Runner};
+use hetsim_trace::{apps, WorkloadProfile};
 
-use crate::campaign::{cpu_job, gpu_job};
-use crate::config::{CpuDesign, GpuDesign};
-use crate::experiment::{CpuOutcome, GpuOutcome};
+use crate::campaign::{cpu_job, gpu_job, Fingerprinted};
+use crate::config::{CpuDesign, CpuPoint, GpuDesign, OperatingPoint};
+use crate::experiment::{CpuOutcome, CpuRun, GpuOutcome, GpuRun};
+use crate::migration::{migration_cmp, MigrationConfig};
 use crate::report::{normalize, Report};
 
 /// A labeled metric extractor over a value type.
@@ -163,6 +171,26 @@ pub struct CpuCampaign {
     pub app_names: Vec<&'static str>,
 }
 
+impl CpuCampaign {
+    /// Groups the campaign's outcomes (submission order) by application.
+    fn from_outcomes(outcomes: Vec<CpuOutcome>) -> CpuCampaign {
+        let app_names: Vec<_> = apps::all().iter().map(|a| a.name).collect();
+        let outcomes = rows(outcomes, CpuDesign::ALL.len() + 1, app_names.len());
+        CpuCampaign {
+            outcomes,
+            app_names,
+        }
+    }
+}
+
+/// `n` rows of `width` outcomes each, in submission order.
+fn rows<T>(outcomes: Vec<T>, width: usize, n: usize) -> Vec<Vec<T>> {
+    let mut outcomes = outcomes.into_iter();
+    (0..n)
+        .map(|_| outcomes.by_ref().take(width).collect())
+        .collect()
+}
+
 /// Column labels of the CPU campaign: the ten designs plus AdvHet-2X.
 pub fn cpu_campaign_columns() -> Vec<String> {
     CpuDesign::ALL
@@ -179,6 +207,18 @@ pub struct GpuCampaign {
     pub outcomes: Vec<Vec<GpuOutcome>>,
     /// Kernel names, row order.
     pub kernel_names: Vec<&'static str>,
+}
+
+impl GpuCampaign {
+    /// Groups the campaign's outcomes (submission order) by kernel.
+    fn from_outcomes(outcomes: Vec<GpuOutcome>) -> GpuCampaign {
+        let kernel_names: Vec<_> = hetsim_gpu::kernels::all().iter().map(|k| k.name).collect();
+        let outcomes = rows(outcomes, GpuDesign::ALL.len(), kernel_names.len());
+        GpuCampaign {
+            outcomes,
+            kernel_names,
+        }
+    }
 }
 
 impl Suite {
@@ -280,26 +320,27 @@ impl Suite {
     /// workers can enumerate the identical batch in their own process
     /// and filter it by [`hetsim_runner::JobKey::shard_of`].
     pub fn cpu_campaign_jobs(&self) -> Vec<Job<CpuOutcome>> {
-        let mut jobs: Vec<Job<CpuOutcome>> = Vec::new();
-        for app in &apps::all() {
-            for design in CpuDesign::ALL {
-                jobs.push(cpu_job(
-                    design,
-                    BASELINE_CORES,
-                    app,
-                    self.seed,
-                    self.insts_per_app,
-                ));
+        let points: Vec<_> = CpuDesign::ALL.into_iter().map(nominal).collect();
+        let advhet = &points[design_index(CpuDesign::AdvHet)];
+        let mut jobs = Vec::with_capacity(apps::all().len() * (points.len() + 1));
+        for app in apps::all().into_iter().map(Fingerprinted::new) {
+            for point in &points {
+                jobs.push(self.chip_job(point, BASELINE_CORES, &app));
             }
-            jobs.push(cpu_job(
-                CpuDesign::AdvHet,
-                TWOX_CORES,
-                app,
-                self.seed,
-                self.insts_per_app,
-            ));
+            jobs.push(self.chip_job(advhet, TWOX_CORES, &app));
         }
         jobs
+    }
+
+    /// A warmed `cores`-core chip of `point` on `app`: a campaign cell.
+    fn chip_job(
+        &self,
+        point: &Fingerprinted<CpuPoint>,
+        cores: u32,
+        app: &Fingerprinted<WorkloadProfile>,
+    ) -> Job<CpuOutcome> {
+        let run = CpuRun::Chip { cores };
+        cpu_job(point, run, app, self.seed, self.insts_per_app)
     }
 
     /// Runs the full CPU campaign — every Table IV design on every
@@ -310,17 +351,7 @@ impl Suite {
     /// runner merges results by submission index, so the campaign is
     /// identical for any worker count.
     pub fn cpu_campaign_with(&self, runner: &Runner<CpuOutcome>) -> CpuCampaign {
-        let all_apps = apps::all();
-        let mut results = runner.run(self.cpu_campaign_jobs()).into_iter();
-        let per_app = CpuDesign::ALL.len() + 1;
-        let outcomes = all_apps
-            .iter()
-            .map(|_| results.by_ref().take(per_app).collect())
-            .collect();
-        CpuCampaign {
-            outcomes,
-            app_names: all_apps.iter().map(|a| a.name).collect(),
-        }
+        CpuCampaign::from_outcomes(runner.run(self.cpu_campaign_jobs()))
     }
 
     /// The Figure 7/8/9 design columns (subset of the campaign).
@@ -514,29 +545,31 @@ impl Suite {
     /// (kernel-major) — the shard-worker counterpart of
     /// [`Suite::cpu_campaign_jobs`].
     pub fn gpu_campaign_jobs(&self) -> Vec<Job<GpuOutcome>> {
-        hetsim_gpu::kernels::all()
+        self.gpu_grid(&GpuDesign::ALL.map(|d| (d, GpuRun::Plain)))
+    }
+
+    /// Every kernel launched in each `(design, run)` cell, kernel-major.
+    fn gpu_grid(&self, cells: &[(GpuDesign, GpuRun)]) -> Vec<Job<GpuOutcome>> {
+        let points: Vec<_> = cells
             .iter()
-            .flat_map(|kernel| {
-                GpuDesign::ALL
-                    .iter()
-                    .map(|&d| gpu_job(d, kernel, self.seed))
-            })
-            .collect()
+            .map(|&(d, run)| (Fingerprinted::new(d.resolve()), run))
+            .collect();
+        let mut jobs = Vec::new();
+        for kernel in hetsim_gpu::kernels::all()
+            .into_iter()
+            .map(Fingerprinted::new)
+        {
+            for (point, run) in &points {
+                jobs.push(gpu_job(point, *run, &kernel, self.seed));
+            }
+        }
+        jobs
     }
 
     /// Runs the full GPU campaign — every design on every kernel — as
     /// one job batch on `runner` (submission order: kernel-major).
     pub fn gpu_campaign_with(&self, runner: &Runner<GpuOutcome>) -> GpuCampaign {
-        let kernels = hetsim_gpu::kernels::all();
-        let mut results = runner.run(self.gpu_campaign_jobs()).into_iter();
-        let outcomes = kernels
-            .iter()
-            .map(|_| results.by_ref().take(GpuDesign::ALL.len()).collect())
-            .collect();
-        GpuCampaign {
-            outcomes,
-            kernel_names: kernels.iter().map(|k| k.name).collect(),
-        }
+        GpuCampaign::from_outcomes(runner.run(self.gpu_campaign_jobs()))
     }
 
     fn gpu_metric_report(
@@ -592,110 +625,142 @@ impl Suite {
     // ---------------------------------------------------------------
 
     /// Figure 14: energy of BaseCMOS and AdvHet at 1.5/2/2.5 GHz and under
-    /// process-variation guardbands, normalized to BaseCMOS at 2 GHz.
+    /// process-variation guardbands, normalized to BaseCMOS at 2 GHz
+    /// (jobs run serially).
     pub fn fig14(&self) -> Report {
-        let dvfs = DvfsController::new();
-        let nominal = dvfs.nominal();
-        let points: Vec<(String, f64, VoltageFactors)> = vec![
-            ("BaseFreq-2GHz".into(), 2.0e9, VoltageFactors::default()),
-            (
-                "BoostFreq-2.5GHz".into(),
-                2.5e9,
-                factors_for(&dvfs, 2.5e9, nominal.v_cmos, nominal.v_tfet),
-            ),
-            (
-                "SlowFreq-1.5GHz".into(),
-                1.5e9,
-                factors_for(&dvfs, 1.5e9, nominal.v_cmos, nominal.v_tfet),
-            ),
-            (
-                "ProcessVar-2GHz".into(),
-                2.0e9,
-                VoltageFactors::from_voltages(
-                    nominal.v_cmos + CMOS_GUARDBAND_V,
-                    nominal.v_cmos,
-                    nominal.v_tfet + TFET_GUARDBAND_V,
-                    nominal.v_tfet,
-                ),
-            ),
-        ];
+        self.fig14_from(&Runner::serial().run(self.fig14_jobs()))
+    }
 
+    /// Figure 14's jobs: one cold core per design on a representative
+    /// app subset (to bound runtime) at 2, 2.5 and 1.5 GHz, ordered
+    /// clock, design, app. They run at the nominal rails: the report
+    /// prices each operating point's rails, so the process-variation
+    /// point reuses the 2 GHz runs.
+    pub fn fig14_jobs(&self) -> Vec<Job<CpuOutcome>> {
+        let apps: Vec<_> = FIG14_APPS
+            .iter()
+            .map(|name| Fingerprinted::new(apps::profile(name).expect("known app")))
+            .collect();
+        let (insts, mut jobs) = (self.insts_per_app / 4, Vec::new());
+        for hz in FIG14_CLOCKS {
+            for design in FIG14_DESIGNS {
+                let op = OperatingPoint {
+                    hz,
+                    ..OperatingPoint::nominal()
+                };
+                let point = Fingerprinted::new(design.resolve(op, None));
+                for app in &apps {
+                    jobs.push(cpu_job(&point, CpuRun::ColdCore, app, self.seed, insts));
+                }
+            }
+        }
+        jobs
+    }
+
+    /// Renders Figure 14 from the outcomes of [`Suite::fig14_jobs`]:
+    /// each (operating point, design) cell prices its clock's runs with
+    /// the design's energy model at the point's rails.
+    pub fn fig14_from(&self, outcomes: &[CpuOutcome]) -> Report {
+        let nominal = DvfsController::new().nominal();
+        let dvfs = |hz| {
+            OperatingPoint::dvfs(hz)
+                .expect("reachable DVFS point")
+                .volts
+        };
+        let guardbanded = VoltageFactors::from_voltages(
+            nominal.v_cmos + CMOS_GUARDBAND_V,
+            nominal.v_cmos,
+            nominal.v_tfet + TFET_GUARDBAND_V,
+            nominal.v_tfet,
+        );
+        // (label, index into FIG14_CLOCKS, rails)
+        let points = [
+            ("BaseFreq-2GHz", 0, VoltageFactors::default()),
+            ("BoostFreq-2.5GHz", 1, dvfs(2.5e9)),
+            ("SlowFreq-1.5GHz", 2, dvfs(1.5e9)),
+            ("ProcessVar-2GHz", 0, guardbanded),
+        ];
         let mut r = Report::new(
             "Figure 14: DVFS & process variation — energy normalized to BaseCMOS@2GHz",
             vec!["BaseCMOS".into(), "AdvHet".into()],
         );
-        // Use a representative subset of apps to bound runtime. The
-        // profiles and per-(point, design) energy models are hoisted out
-        // of the inner loop, and the instruction streams come from the
-        // trace store: every sweep point re-runs the same (app, seed)
-        // streams, so generation is paid once per process, not once per
-        // point and design (a campaign that ran first in the process has
-        // already generated each stream's prefix).
-        let selected = ["fft", "lu", "radix", "canneal", "blackscholes", "water-nsq"];
-        let insts = self.insts_per_app / 4;
-        let profiles: Vec<_> = selected
-            .iter()
-            .map(|name| apps::profile(name).expect("known app"))
+        let per_clock: Vec<_> = outcomes
+            .chunks(FIG14_DESIGNS.len() * FIG14_APPS.len())
             .collect();
-        let mut baseline = Vec::new();
-        for (label, hz, volts) in points {
+        let mut baseline = None;
+        for (label, clock, volts) in points {
             let mut totals = [0.0f64; 2];
-            for (d, design) in [CpuDesign::BaseCmos, CpuDesign::AdvHet]
-                .into_iter()
-                .enumerate()
-            {
-                let mut cfg = design.core_config();
-                cfg.clock_hz = hz * (cfg.clock_hz / 2.0e9); // keep relative clocks
-                let pull_bound = insts + cfg.steering.lookahead_window() + 1;
-                let model = design.energy_model().with_voltages(volts);
-                for app in &profiles {
-                    let mut core = hetsim_cpu::core::Core::new(cfg.clone(), 0);
-                    let trace = hetsim_trace::cache::replay(app, self.seed, 0, pull_bound);
-                    let result = core.run(trace, insts);
-                    let e = model.energy(&result.stats, &result.mem, result.seconds());
-                    totals[d] += e.total_j();
+            for (d, runs) in per_clock[clock].chunks(FIG14_APPS.len()).enumerate() {
+                let model = FIG14_DESIGNS[d].energy_model().with_voltages(volts);
+                for o in runs {
+                    totals[d] += model.energy(&o.stats, &o.mem, o.seconds).total_j();
                 }
             }
-            if baseline.is_empty() {
-                baseline = vec![totals[0]];
-            }
-            r.push_row(
-                label,
-                vec![totals[0] / baseline[0], totals[1] / baseline[0]],
-            );
+            let base = *baseline.get_or_insert(totals[0]);
+            r.push_row(label, vec![totals[0] / base, totals[1] / base]);
         }
         r
     }
-}
 
-impl Suite {
+    // ---------------------------------------------------------------
+    // Extensions: each declares its jobs and renders from their
+    // outcomes, in declaration order.
+    // ---------------------------------------------------------------
+
+    /// The migration comparison's jobs, per application: the 4-core
+    /// AdvHet chip (a CPU campaign cell) and the migration model's two
+    /// characterisation runs on one warmed BaseCMOS and one warmed
+    /// BaseTFET core.
+    pub fn ext_migration_jobs(&self) -> Vec<Job<CpuOutcome>> {
+        let advhet = nominal(CpuDesign::AdvHet);
+        let cores = [nominal(CpuDesign::BaseCmos), nominal(CpuDesign::BaseTfet)];
+        let chunk = MigrationConfig::default().chunk_insts();
+        let mut jobs = Vec::new();
+        for app in apps::all().into_iter().map(Fingerprinted::new) {
+            jobs.push(self.chip_job(&advhet, BASELINE_CORES, &app));
+            for point in &cores {
+                jobs.push(cpu_job(point, CpuRun::Core, &app, self.seed, chunk));
+            }
+        }
+        jobs
+    }
+
     /// Extension: the Section VIII iso-area comparison against the
     /// thread-migration CMP, per application.
-    pub fn ext_migration(&self) -> Report {
+    pub fn ext_migration_from(&self, outcomes: &[CpuOutcome]) -> Report {
         let mut r = Report::new(
             "Extension (Section VIII): 4-core AdvHet vs 2 CMOS + 2 TFET migration CMP (normalized to AdvHet)",
             vec!["AdvHet time".into(), "migration time".into(), "AdvHet E".into(), "migration E".into()],
         );
-        for app in apps::all() {
-            let (adv, mig) =
-                crate::migration::iso_area_comparison(&app, self.seed, self.insts_per_app);
-            r.push_row(
-                app.name,
-                vec![
-                    1.0,
-                    mig.seconds / adv.seconds,
-                    1.0,
-                    mig.energy.total_j() / adv.energy.total_j(),
-                ],
+        for (app, runs) in apps::all().iter().zip(outcomes.chunks(3)) {
+            let (adv, fast, slow) = (&runs[0], &runs[1], &runs[2]);
+            let mig = migration_cmp(
+                &MigrationConfig::default(),
+                app,
+                self.insts_per_app,
+                fast,
+                slow,
             );
+            let (time, energy) = (
+                mig.seconds / adv.seconds,
+                mig.energy.total_j() / adv.energy.total_j(),
+            );
+            r.push_row(app.name, vec![1.0, time, 1.0, energy]);
         }
         r.push_mean();
         r
     }
 
+    /// The RF-organization comparison's jobs: BaseCMOS, BaseHet, AdvHet
+    /// and AdvHet-PartRF on every kernel.
+    pub fn ext_partitioned_rf_jobs(&self) -> Vec<Job<GpuOutcome>> {
+        use GpuDesign::*;
+        self.gpu_grid(&[BaseCmos, BaseHet, AdvHet, AdvHetPartitionedRf].map(|d| (d, GpuRun::Plain)))
+    }
+
     /// Extension: partitioned RF vs. RF cache on the GPU, per kernel,
     /// normalized to BaseCMOS.
-    pub fn ext_partitioned_rf(&self) -> Report {
+    pub fn ext_partitioned_rf_from(&self, outcomes: &[GpuOutcome]) -> Report {
         let mut r = Report::new(
             "Extension (Section VIII): GPU RF organizations (time, normalized to BaseCMOS)",
             vec![
@@ -704,54 +769,246 @@ impl Suite {
                 "AdvHet (part. RF)".into(),
             ],
         );
-        for kernel in hetsim_gpu::kernels::all() {
-            let base = crate::experiment::run_gpu(GpuDesign::BaseCmos, &kernel, self.seed);
-            let values = [
-                crate::experiment::run_gpu(GpuDesign::BaseHet, &kernel, self.seed),
-                crate::experiment::run_gpu(GpuDesign::AdvHet, &kernel, self.seed),
-                crate::experiment::run_gpu(GpuDesign::AdvHetPartitionedRf, &kernel, self.seed),
-            ]
-            .iter()
-            .map(|o| o.seconds / base.seconds)
-            .collect();
+        for (kernel, runs) in hetsim_gpu::kernels::all().iter().zip(outcomes.chunks(4)) {
+            let base = runs[0].seconds;
+            r.push_row(
+                kernel.name,
+                runs[1..].iter().map(|o| o.seconds / base).collect(),
+            );
+        }
+        r.push_mean();
+        r
+    }
+
+    /// The scheduling study's jobs: BaseCMOS and BaseHet on every kernel,
+    /// raw and then scheduled with a 6-instruction window.
+    pub fn ext_scheduling_jobs(&self) -> Vec<Job<GpuOutcome>> {
+        let (raw, scheduled) = (GpuRun::Plain, GpuRun::Scheduled { window: 6 });
+        self.gpu_grid(&[
+            (GpuDesign::BaseCmos, raw),
+            (GpuDesign::BaseHet, raw),
+            (GpuDesign::BaseCmos, scheduled),
+            (GpuDesign::BaseHet, scheduled),
+        ])
+    }
+
+    /// Extension: the future-work compiler scheduling pass — BaseHet's
+    /// slowdown vs. BaseCMOS with and without scheduling applied to both.
+    pub fn ext_scheduling_from(&self, outcomes: &[GpuOutcome]) -> Report {
+        let mut r = Report::new(
+            "Extension (future work, IV-C4): BaseHet slowdown with compiler scheduling",
+            vec!["raw slowdown".into(), "scheduled slowdown".into()],
+        );
+        for (kernel, runs) in hetsim_gpu::kernels::all().iter().zip(outcomes.chunks(4)) {
+            let slowdown = |base: &GpuOutcome, het: &GpuOutcome| het.seconds / base.seconds;
+            let values = vec![slowdown(&runs[0], &runs[1]), slowdown(&runs[2], &runs[3])];
             r.push_row(kernel.name, values);
         }
         r.push_mean();
         r
     }
 
-    /// Extension: the future-work compiler scheduling pass — BaseHet's
-    /// slowdown vs. BaseCMOS with and without scheduling applied to both.
-    pub fn ext_scheduling(&self) -> Report {
-        let mut r = Report::new(
-            "Extension (future work, IV-C4): BaseHet slowdown with compiler scheduling",
-            vec!["raw slowdown".into(), "scheduled slowdown".into()],
-        );
-        for kernel in hetsim_gpu::kernels::all() {
-            let base_raw = crate::experiment::run_gpu(GpuDesign::BaseCmos, &kernel, self.seed);
-            let het_raw = crate::experiment::run_gpu(GpuDesign::BaseHet, &kernel, self.seed);
-            let base_s =
-                crate::experiment::run_gpu_scheduled(GpuDesign::BaseCmos, &kernel, self.seed, 6);
-            let het_s =
-                crate::experiment::run_gpu_scheduled(GpuDesign::BaseHet, &kernel, self.seed, 6);
-            r.push_row(
-                kernel.name,
-                vec![
-                    het_raw.seconds / base_raw.seconds,
-                    het_s.seconds / base_s.seconds,
-                ],
-            );
+    // ---------------------------------------------------------------
+    // Runs: what a set of targets simulates, and what it renders.
+    // ---------------------------------------------------------------
+
+    /// The plan of a run of `requested` and `extensions`: every job they
+    /// declare, in one CPU and one GPU batch.
+    pub fn plan(&self, requested: &[Experiment], extensions: &[Extension]) -> Plan {
+        use Experiment::*;
+        let studies = requested.iter().filter_map(|e| match e {
+            Table1 | Fig1 | Fig2 | Fig3 => None,
+            Fig7 | Fig8 | Fig9 | Fig13 => Some(Study::CpuCampaign),
+            Fig10 | Fig11 | Fig12 => Some(Study::GpuCampaign),
+            Fig14 => Some(Study::Fig14),
+        });
+        let studies = studies.chain(extensions.iter().map(|&x| Study::Extension(x)));
+        let mut plan = Plan {
+            cpu: Vec::new(),
+            gpu: Vec::new(),
+            slots: Vec::new(),
+            targets: (requested.to_vec(), extensions.to_vec()),
+        };
+        let (mut cpu_keys, mut gpu_keys) = (HashMap::new(), HashMap::new());
+        for study in studies {
+            if plan.slots.iter().any(|(s, _)| *s == study) {
+                continue;
+            }
+            let (cpu, gpu) = (&mut plan.cpu, &mut plan.gpu);
+            let slots = match study {
+                Study::CpuCampaign => add_unique(cpu, &mut cpu_keys, self.cpu_campaign_jobs()),
+                Study::GpuCampaign => add_unique(gpu, &mut gpu_keys, self.gpu_campaign_jobs()),
+                Study::Fig14 => add_unique(cpu, &mut cpu_keys, self.fig14_jobs()),
+                Study::Extension(x) => match x {
+                    Extension::Migration => {
+                        add_unique(cpu, &mut cpu_keys, self.ext_migration_jobs())
+                    }
+                    Extension::PartitionedRf => {
+                        add_unique(gpu, &mut gpu_keys, self.ext_partitioned_rf_jobs())
+                    }
+                    Extension::Scheduling => {
+                        add_unique(gpu, &mut gpu_keys, self.ext_scheduling_jobs())
+                    }
+                },
+            };
+            plan.slots.push((study, slots));
         }
-        r.push_mean();
-        r
+        plan
+    }
+
+    /// Renders the planned targets from `outcomes`, in request order
+    /// (Figure 8 is followed by its breakdown).
+    pub fn reports(&self, outcomes: &Outcomes) -> Vec<Report> {
+        let (requested, extensions) = &outcomes.targets;
+        let (cpu, gpu) = (outcomes.cpu_campaign(), outcomes.gpu_campaign());
+        let cpu = || cpu.as_ref().expect("the plan ran the CPU campaign");
+        let gpu = || gpu.as_ref().expect("the plan ran the GPU campaign");
+        let mut reports = Vec::new();
+        for e in requested {
+            reports.push(match e {
+                Experiment::Table1 => self.table1(),
+                Experiment::Fig1 => self.fig1(),
+                Experiment::Fig2 => self.fig2(),
+                Experiment::Fig3 => self.fig3(),
+                Experiment::Fig7 => self.fig7(cpu()),
+                Experiment::Fig8 => self.fig8(cpu()),
+                Experiment::Fig9 => self.fig9(cpu()),
+                Experiment::Fig10 => self.fig10(gpu()),
+                Experiment::Fig11 => self.fig11(gpu()),
+                Experiment::Fig12 => self.fig12(gpu()),
+                Experiment::Fig13 => self.fig13(cpu()),
+                Experiment::Fig14 => self.fig14_from(&outcomes.cpu(Study::Fig14)),
+            });
+            if *e == Experiment::Fig8 {
+                // The stacked-bar detail of Figure 8.
+                reports.push(self.fig8_breakdown(cpu()));
+            }
+        }
+        for &x in extensions {
+            let study = Study::Extension(x);
+            reports.push(match x {
+                Extension::Migration => self.ext_migration_from(&outcomes.cpu(study)),
+                Extension::PartitionedRf => self.ext_partitioned_rf_from(&outcomes.gpu(study)),
+                Extension::Scheduling => self.ext_scheduling_from(&outcomes.gpu(study)),
+            });
+        }
+        reports
     }
 }
 
-/// Voltage factors for a DVFS target frequency, relative to the nominal
-/// rails.
-fn factors_for(dvfs: &DvfsController, hz: f64, v_cmos0: f64, v_tfet0: f64) -> VoltageFactors {
-    let p = dvfs.operating_point(hz).expect("reachable DVFS point");
-    VoltageFactors::from_voltages(p.v_cmos, v_cmos0, p.v_tfet, v_tfet0)
+/// The clocks Figure 14 simulates (BaseCMOS clock; AdvHet keeps its
+/// relative clock). Its four operating points price these runs.
+const FIG14_CLOCKS: [f64; 3] = [2.0e9, 2.5e9, 1.5e9];
+const FIG14_DESIGNS: [CpuDesign; 2] = [CpuDesign::BaseCmos, CpuDesign::AdvHet];
+const FIG14_APPS: [&str; 6] = ["fft", "lu", "radix", "canneal", "blackscholes", "water-nsq"];
+
+/// A Table IV design at its nominal point, fingerprinted.
+fn nominal(design: CpuDesign) -> Fingerprinted<CpuPoint> {
+    Fingerprinted::new(design.resolve(OperatingPoint::nominal(), None))
+}
+
+fn design_index(design: CpuDesign) -> usize {
+    CpuDesign::ALL
+        .iter()
+        .position(|d| *d == design)
+        .expect("in ALL")
+}
+
+/// A set of simulations reports render from: a campaign shared by
+/// several figures, Figure 14, or one extension.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Study {
+    CpuCampaign,
+    GpuCampaign,
+    Fig14,
+    Extension(Extension),
+}
+
+/// Appends the jobs whose keys `batch` lacks (the first declaration of a
+/// key wins) and returns every job's slot in `batch`.
+fn add_unique<T>(
+    batch: &mut Vec<Job<T>>,
+    slots: &mut HashMap<JobKey, usize>,
+    jobs: Vec<Job<T>>,
+) -> Vec<usize> {
+    let mut add = |job: Job<T>| {
+        *slots.entry(job.key).or_insert_with(|| {
+            batch.push(job);
+            batch.len() - 1
+        })
+    };
+    jobs.into_iter().map(&mut add).collect()
+}
+
+/// The simulations a run needs: one CPU and one GPU batch, each the
+/// key-deduplicated union of the jobs the run's targets declare, in
+/// first-declaration order. Shard workers run a slice of each batch;
+/// [`Plan::run`] runs them whole.
+pub struct Plan {
+    /// The CPU batch.
+    pub cpu: Vec<Job<CpuOutcome>>,
+    /// The GPU batch.
+    pub gpu: Vec<Job<GpuOutcome>>,
+    /// Each study's jobs, as slots in its simulator's batch.
+    slots: Vec<(Study, Vec<usize>)>,
+    /// The experiments and extensions the plan renders.
+    targets: (Vec<Experiment>, Vec<Extension>),
+}
+
+impl Plan {
+    /// Runs the CPU batch with `cpu` and the GPU batch with `gpu`; each
+    /// returns outcomes in submission order.
+    pub fn run(
+        self,
+        cpu: impl FnOnce(Vec<Job<CpuOutcome>>) -> Vec<CpuOutcome>,
+        gpu: impl FnOnce(Vec<Job<GpuOutcome>>) -> Vec<GpuOutcome>,
+    ) -> Outcomes {
+        let (cpu, gpu) = (cpu(self.cpu), gpu(self.gpu));
+        Outcomes {
+            cpu,
+            gpu,
+            slots: self.slots,
+            targets: self.targets,
+        }
+    }
+}
+
+/// A plan's outcomes, which [`Suite::reports`] renders from.
+pub struct Outcomes {
+    cpu: Vec<CpuOutcome>,
+    gpu: Vec<GpuOutcome>,
+    slots: Vec<(Study, Vec<usize>)>,
+    targets: (Vec<Experiment>, Vec<Extension>),
+}
+
+impl Outcomes {
+    /// `study`'s outcomes in `batch`, in the order it declared its jobs.
+    fn of<T: Clone>(&self, study: Study, batch: &[T]) -> Vec<T> {
+        let slots = self.slots.iter().find(|(s, _)| *s == study);
+        slots.map_or(Vec::new(), |(_, slots)| {
+            slots.iter().map(|&i| batch[i].clone()).collect()
+        })
+    }
+
+    fn cpu(&self, study: Study) -> Vec<CpuOutcome> {
+        self.of(study, &self.cpu)
+    }
+
+    fn gpu(&self, study: Study) -> Vec<GpuOutcome> {
+        self.of(study, &self.gpu)
+    }
+
+    /// The CPU campaign, when the plan ran it.
+    pub fn cpu_campaign(&self) -> Option<CpuCampaign> {
+        let outcomes = self.cpu(Study::CpuCampaign);
+        (!outcomes.is_empty()).then(|| CpuCampaign::from_outcomes(outcomes))
+    }
+
+    /// The GPU campaign, when the plan ran it.
+    pub fn gpu_campaign(&self) -> Option<GpuCampaign> {
+        let outcomes = self.gpu(Study::GpuCampaign);
+        (!outcomes.is_empty()).then(|| GpuCampaign::from_outcomes(outcomes))
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,15 @@
 //! schema tags. Changing the layout without bumping the tag trips the
 //! fingerprint assertion; bumping the tag without cause trips the tag
 //! assertion. Either way the failure message says what to do.
+//!
+//! The tags guard behaviour too: a cached outcome is only valid while
+//! the simulators still produce it. So the test also pins a fingerprint
+//! of the files that record the simulators' output — the
+//! `step_equivalence` golden and the `baselines/` dumps. Re-blessing any
+//! of them changes that fingerprint, and the test fails until both tags
+//! are bumped and the fingerprint re-pinned. That is conservative (an
+//! appended golden section also forces a bump), and the cost of a
+//! needless bump is one cold cache.
 
 use hetcore::{run_cpu_multicore, run_gpu, CpuDesign, GpuDesign, CPU_SCHEMA, GPU_SCHEMA};
 use hetsim_runner::JobKey;
@@ -20,6 +29,20 @@ use serde::Serialize;
 /// The schema tags these fingerprints were pinned under.
 const PINNED_CPU_SCHEMA: &str = "cpu-v2";
 const PINNED_GPU_SCHEMA: &str = "gpu-v2";
+
+/// Fingerprint of [`BEHAVIOUR_FILES`] under the pinned tags.
+const PINNED_BEHAVIOUR: &str = "8962506decdc73905dd8dc07958a4f4b";
+
+/// The files that pin what the simulators produce, relative to the
+/// workspace root.
+const BEHAVIOUR_FILES: [&str; 6] = [
+    "tests/goldens/step_equivalence.txt",
+    "baselines/fig7.json",
+    "baselines/fig8.json",
+    "baselines/fig14.json",
+    "baselines/ext.json",
+    "baselines/frontier-fig7.json",
+];
 
 /// Fingerprints of the serialized outcome shapes under the pinned
 /// tags. Regenerate by running this test and copying the values from
@@ -102,6 +125,42 @@ fn gpu_outcome_layout_matches_the_pinned_schema_tag() {
         "GpuOutcome shape fingerprint drifted (new fingerprint: {actual}, \
          shape: {}).{BUMP_HELP}",
         shape(&outcome.to_value())
+    );
+}
+
+#[test]
+fn reblessed_goldens_bump_both_schema_tags() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut bytes = Vec::new();
+    for file in BEHAVIOUR_FILES {
+        let text = std::fs::read(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        bytes.extend_from_slice(file.as_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&text);
+        bytes.push(0);
+    }
+    let actual = JobKey::from_bytes(&bytes).hex();
+    if actual == PINNED_BEHAVIOUR {
+        return;
+    }
+    let both_bumped = CPU_SCHEMA != PINNED_CPU_SCHEMA && GPU_SCHEMA != PINNED_GPU_SCHEMA;
+    assert!(
+        both_bumped,
+        "the step_equivalence golden or a baselines/ dump was re-blessed \
+         (new fingerprint: {actual}), so cached outcomes of the old \
+         simulators are stale. You MUST:\n\
+         1. bump BOTH schema tags in crates/core/src/campaign.rs\n\
+            (CPU_SCHEMA and GPU_SCHEMA, e.g. cpu-v2 -> cpu-v3 and\n\
+            gpu-v2 -> gpu-v3) so stale on-disk caches retire themselves,\n\
+         2. re-bless the baselines, whose schema section records the tags\n\
+            (cargo run --bin repro -- baseline baselines),\n\
+         3. rerun this test and re-pin PINNED_*_SCHEMA and\n\
+            PINNED_BEHAVIOUR to the values it prints."
+    );
+    panic!(
+        "both schema tags were bumped ({CPU_SCHEMA}, {GPU_SCHEMA}): re-pin \
+         PINNED_CPU_SCHEMA, PINNED_GPU_SCHEMA and PINNED_BEHAVIOUR \
+         (new fingerprint: {actual}) here"
     );
 }
 

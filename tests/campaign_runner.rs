@@ -4,8 +4,9 @@
 
 use std::path::PathBuf;
 
-use hetcore_repro::hetcore::campaign::{cpu_job, cpu_job_key};
-use hetcore_repro::hetcore::config::CpuDesign;
+use hetcore_repro::hetcore::campaign::{cpu_job, Fingerprinted};
+use hetcore_repro::hetcore::config::{CpuDesign, OperatingPoint};
+use hetcore_repro::hetcore::experiment::CpuRun;
 use hetcore_repro::hetcore::suite::Suite;
 use hetcore_repro::hetsim_runner::Runner;
 use hetcore_repro::hetsim_trace::apps;
@@ -84,9 +85,11 @@ fn warm_disk_cache_executes_zero_simulations() {
 fn corrupted_cache_file_is_resimulated() {
     let s = quick();
     let dir = tmp_dir("corrupt");
-    let app = apps::profile("lu").expect("known");
-    let job = || cpu_job(CpuDesign::AdvHet, 4, &app, s.seed, s.insts_per_app);
-    let key = cpu_job_key(CpuDesign::AdvHet, 4, &app, s.seed, s.insts_per_app);
+    let app = Fingerprinted::new(apps::profile("lu").expect("known"));
+    let point = Fingerprinted::new(CpuDesign::AdvHet.resolve(OperatingPoint::nominal(), None));
+    let run = CpuRun::Chip { cores: 4 };
+    let job = || cpu_job(&point, run, &app, s.seed, s.insts_per_app);
+    let key = job().key;
 
     let runner = Runner::serial().with_cache_dir(&dir).expect("cache dir");
     let fresh = runner.run(vec![job()]).pop().expect("one outcome");
@@ -121,7 +124,13 @@ fn outcome_serialization_round_trips_exactly() {
     // JSON layer: a cached outcome must be bit-equal to the fresh one.
     let s = quick();
     let app = apps::profile("fft").expect("known");
-    let outcome = (cpu_job(CpuDesign::BaseHet, 4, &app, s.seed, s.insts_per_app).run)();
+    let outcome = hetcore_repro::hetcore::run_cpu_multicore(
+        CpuDesign::BaseHet,
+        4,
+        &app,
+        s.seed,
+        s.insts_per_app,
+    );
     let json = serde_json::to_string(&outcome).expect("serialize");
     let back: hetcore_repro::hetcore::CpuOutcome =
         serde_json::from_str(&json).expect("deserialize");

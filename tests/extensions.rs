@@ -7,6 +7,7 @@ use hetcore_repro::hetcore::migration::{run_migration_cmp, MigrationConfig};
 use hetcore_repro::hetcore::suite::{Extension, Suite};
 use hetcore_repro::hetsim_device::area;
 use hetcore_repro::hetsim_gpu::kernels;
+use hetcore_repro::hetsim_runner::Runner;
 use hetcore_repro::hetsim_trace::apps;
 
 /// The migration CMP uses (at most) the silicon of the AdvHet chip it is
@@ -96,7 +97,7 @@ fn extension_registry_is_well_formed() {
         insts_per_app: 30_000,
         seed: 3,
     };
-    let m = s.ext_migration();
+    let m = s.ext_migration_from(&Runner::serial().run(s.ext_migration_jobs()));
     assert_eq!(m.rows.len(), 15, "14 apps + mean");
     assert!(m.mean_of("migration time").expect("column exists") > 1.0);
 }
