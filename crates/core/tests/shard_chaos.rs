@@ -11,10 +11,11 @@
 //! `<shard>:always` crashes every attempt).
 //!
 //! The last test attacks the other shared resource: two full-campaign
-//! workers race on one `--cache-dir`. Because every cache write goes
-//! through `write_atomic` and both workers compute identical values
-//! for identical keys, the race must leave no corrupt entries and a
-//! warm read of the shared cache must answer every job from disk.
+//! workers race on one `--cache-dir`. Because each cache handle appends
+//! whole records to a segment of its own and both workers compute
+//! identical values for identical keys, the race must leave no corrupt
+//! records and a warm read of the shared cache must answer every job
+//! from disk.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -133,8 +134,9 @@ fn concurrent_workers_share_a_cache_without_corruption() {
     let reference = reference_stdout();
 
     // Two full-coverage workers (--shard 0 --shards 1) race every
-    // cache entry on the same directory. Both must succeed: cache
-    // writes are atomic and last-writer-wins on identical bytes.
+    // cache entry on the same directory. Both must succeed: each
+    // appends to its own segments, and duplicate records of one key
+    // hold identical bytes.
     let mut workers = Vec::new();
     for worker in 0..2 {
         let out_dir = fresh_dir(&format!("contend-out-{worker}"));

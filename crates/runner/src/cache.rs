@@ -5,14 +5,58 @@
 //! * an **in-process store** (`HashMap` behind a mutex) that memoizes
 //!   every outcome produced or loaded during this process — repeated
 //!   figures within one `repro` invocation never re-simulate;
-//! * an optional **on-disk layer** (`--cache-dir`): one JSON file per
-//!   key, `<hex-key>.json`, written atomically (temp file + rename) so
-//!   concurrent campaigns sharing a directory never observe torn
-//!   writes. Corrupted, truncated or type-incompatible files are
-//!   treated as misses and re-simulated — a cache can never make a
-//!   campaign wrong, only slow.
+//! * an optional **on-disk layer** (`--cache-dir`) of append-only
+//!   *segments*. Each cache handle appends its outcomes to one segment
+//!   of its own and reads every handle's records through an in-memory
+//!   index of the directory. Torn, damaged or unparseable records are
+//!   counted and treated as misses — a cache can never make a campaign
+//!   wrong, only slow.
+//!
+//! # Segment layout
+//!
+//! A segment is named `<pid>-<n>.seg` (`n` from a process-wide counter,
+//! retried while the name is taken) and starts with the line
+//! [`SEGMENT_HEADER`], which carries the format's schema tag. Each
+//! [`ResultCache::put`] then appends one record in a single `write`:
+//!
+//! ```text
+//! <key: 32 hex digits> <payload length: 8 hex> <checksum: 16 hex>\n<payload>\n
+//! ```
+//!
+//! The payload is the outcome's compact JSON; the checksum is 64-bit
+//! FNV-1a over the key digits followed by the payload. Nothing is
+//! buffered in user space, so a record is readable by any handle once
+//! `put` returns. A failed append retires the segment and the next
+//! `put` opens a new one, so no record ever follows a partial one.
+//!
+//! # Reading
+//!
+//! The first disk lookup scans every segment in the directory into an
+//! index from key to record location; [`ResultCache::refresh`] (called
+//! by the runner at the start of each batch) makes the next lookup
+//! read only what was appended since. A lookup re-reads its record and
+//! checks key and checksum again before parsing the payload. The rules:
+//!
+//! * a record cut short (a torn tail, or an append still in flight)
+//!   ends the scan of its segment until the next refresh;
+//! * a record whose fields or checksum do not hold ends the scan of
+//!   its segment for good, as does a header that is not
+//!   [`SEGMENT_HEADER`];
+//! * a torn or bad record whose key digits are readable marks that key
+//!   damaged, and a payload that fails to parse does the same: looking
+//!   the key up is a counted corrupt miss. An intact record of the key
+//!   (the re-simulation's) supersedes the mark;
+//! * of several intact records of one key, the last scanned answers —
+//!   segments in name order, records in file order. They hold equal
+//!   values, since a key fixes its outcome.
+//!
+//! Files without the `.seg` extension — subdirectories, shard
+//! manifests, legacy per-key `<hex>.json` entries — are never read.
 
 use std::collections::HashMap;
+use std::ffi::OsStr;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -34,7 +78,8 @@ counters! {
         pub disk_hits: u64,
         /// Lookups that found nothing (the job must run).
         pub misses: u64,
-        /// Disk files that existed but failed to parse (counted as misses).
+        /// Disk records that existed but were torn, damaged or failed
+        /// to parse (counted as misses).
         pub corrupt_files: u64,
     }
 }
@@ -65,14 +110,14 @@ impl CacheStats {
 pub enum CacheLayer {
     /// The in-process store.
     Memory,
-    /// The on-disk JSON layer.
+    /// The on-disk segment layer.
     Disk,
 }
 
 /// A two-layer (memory + optional disk) result cache.
 pub struct ResultCache<T> {
     memory: Mutex<HashMap<JobKey, T>>,
-    dir: Option<PathBuf>,
+    disk: Option<Disk>,
     stats: Mutex<CacheStats>,
 }
 
@@ -81,12 +126,14 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
     pub fn in_memory() -> Self {
         ResultCache {
             memory: Mutex::new(HashMap::new()),
-            dir: None,
+            disk: None,
             stats: Mutex::default(),
         }
     }
 
-    /// A cache backed by `dir` (created if missing).
+    /// A cache backed by `dir` (created if missing). Nothing is read
+    /// until the first disk lookup, and no segment is created until
+    /// the first `put`.
     ///
     /// # Errors
     ///
@@ -97,16 +144,35 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
         std::fs::create_dir_all(&dir)?;
         Ok(ResultCache {
             memory: Mutex::new(HashMap::new()),
-            dir: Some(dir),
+            disk: Some(Disk {
+                dir,
+                index: Mutex::new(Index::default()),
+                writer: Mutex::new(None),
+            }),
             stats: Mutex::default(),
         })
     }
 
-    /// The disk path for `key`, if this cache has a disk layer.
+    /// The segment holding `key`'s record, if this cache has a disk
+    /// layer and has indexed or written such a record.
     pub fn path_of(&self, key: JobKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", key.hex())))
+        let disk = self.disk.as_ref()?;
+        let mut index = disk.index();
+        index.scan_if_stale(&disk.dir);
+        match index.records.get(&key)? {
+            Record::At { segment, .. } => Some(index.segments[*segment].path.clone()),
+            Record::Damaged => None,
+        }
+    }
+
+    /// Makes the next disk lookup first read what every handle
+    /// appended to the directory since this handle last scanned it,
+    /// new segments included. [`crate::Runner::run`] calls this at the
+    /// start of each batch.
+    pub(crate) fn refresh(&self) {
+        if let Some(disk) = &self.disk {
+            disk.index().fresh = false;
+        }
     }
 
     /// Looks up `key`, trying memory then disk.
@@ -120,8 +186,8 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
             self.stats.lock().expect("stats lock").memory_hits += 1;
             return Some((hit, CacheLayer::Memory));
         }
-        if let Some(path) = self.path_of(key) {
-            match load_json::<T>(&path) {
+        if let Some(disk) = &self.disk {
+            match disk.load(key, |text| serde_json::from_str::<T>(text).ok()) {
                 LoadResult::Loaded(value) => {
                     self.stats.lock().expect("stats lock").disk_hits += 1;
                     self.memory
@@ -131,10 +197,10 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
                     return Some((value, CacheLayer::Disk));
                 }
                 LoadResult::Corrupt => {
-                    // A torn or stale file: count it, then fall through
-                    // to a miss so the job re-simulates and overwrites.
-                    let mut stats = self.stats.lock().expect("stats lock");
-                    stats.corrupt_files += 1;
+                    // A torn or damaged record: count it, then fall
+                    // through to a miss so the job re-simulates and
+                    // appends a fresh record.
+                    self.stats.lock().expect("stats lock").corrupt_files += 1;
                 }
                 LoadResult::Absent => {}
             }
@@ -153,8 +219,10 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
             .lock()
             .expect("cache lock")
             .insert(key, value.clone());
-        if let Some(path) = self.path_of(key) {
-            let _ = store_json(&path, value);
+        if let Some(disk) = &self.disk {
+            if let Ok(text) = serde_json::to_string(value) {
+                let _ = disk.append(key, &text);
+            }
         }
     }
 
@@ -169,40 +237,368 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
     }
 }
 
+/// The first line of every segment: the format's schema tag.
+pub(crate) const SEGMENT_HEADER: &[u8] = b"hetsim-cache-segment-v1\n";
+
+/// The extension that marks a file in the cache directory as a segment.
+const SEGMENT_EXT: &str = "seg";
+
+/// Bytes in a record's head line: key, length and checksum fields,
+/// two separating spaces and the newline.
+const HEAD: usize = 32 + 1 + 8 + 1 + 16 + 1;
+
+/// The on-disk layer: the directory, this handle's index of it, and
+/// the segment this handle appends to (opened by the first `put`).
+///
+/// Lock order: `writer`, then `index`.
+struct Disk {
+    dir: PathBuf,
+    index: Mutex<Index>,
+    writer: Mutex<Option<Writer>>,
+}
+
+/// This handle's open segment.
+struct Writer {
+    file: File,
+    /// The segment's position in [`Index::segments`].
+    segment: usize,
+    /// Bytes written so far: where the next record starts.
+    len: u64,
+}
+
+/// What this handle knows of the directory's segments.
+#[derive(Default)]
+struct Index {
+    /// False until the first scan and after each refresh: the next
+    /// lookup scans first.
+    fresh: bool,
+    segments: Vec<Segment>,
+    records: HashMap<JobKey, Record>,
+}
+
+/// One segment file and how far it has been read.
+struct Segment {
+    path: PathBuf,
+    /// Bytes consumed: the header and every whole record before the
+    /// first one that is not intact. The next scan resumes here.
+    scanned: u64,
+    /// Set by an unknown header or a bad record: never read again.
+    closed: bool,
+}
+
+/// Where a key's record is, or that the key's last record is damaged.
+#[derive(Clone, Copy)]
+enum Record {
+    At {
+        segment: usize,
+        offset: u64,
+        len: usize,
+    },
+    Damaged,
+}
+
 enum LoadResult<T> {
     Loaded(T),
     Corrupt,
     Absent,
 }
 
-fn load_json<T: Deserialize>(path: &Path) -> LoadResult<T> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadResult::Absent,
-        Err(_) => return LoadResult::Corrupt,
-    };
-    match serde_json::from_str::<T>(&text) {
-        Ok(value) => LoadResult::Loaded(value),
-        Err(_) => LoadResult::Corrupt,
+impl Disk {
+    fn index(&self) -> std::sync::MutexGuard<'_, Index> {
+        self.index.lock().expect("index lock")
+    }
+
+    /// Reads `key`'s record and parses its payload with `parse`.
+    fn load<R>(&self, key: JobKey, parse: impl FnOnce(&str) -> Option<R>) -> LoadResult<R> {
+        let mut index = self.index();
+        index.scan_if_stale(&self.dir);
+        let Some(&record) = index.records.get(&key) else {
+            return LoadResult::Absent;
+        };
+        let loaded = match record {
+            Record::Damaged => None,
+            Record::At {
+                segment,
+                offset,
+                len,
+            } => read_at(&index.segments[segment].path, offset, len)
+                .ok()
+                .and_then(|bytes| match decode(&bytes) {
+                    Frame::Intact {
+                        key: found,
+                        payload,
+                        len: whole,
+                    } if found == key && whole == bytes.len() => {
+                        std::str::from_utf8(payload).ok().and_then(parse)
+                    }
+                    _ => None,
+                }),
+        };
+        match loaded {
+            Some(value) => LoadResult::Loaded(value),
+            None => {
+                index.records.insert(key, Record::Damaged);
+                LoadResult::Corrupt
+            }
+        }
+    }
+
+    /// Appends one record to this handle's segment, opening one first
+    /// if needed. A failed or short write retires the segment.
+    fn append(&self, key: JobKey, payload: &str) -> io::Result<()> {
+        let record = encode(key, payload)?;
+        let mut writer = self.writer.lock().expect("writer lock");
+        if writer.is_none() {
+            *writer = Some(self.create_segment()?);
+        }
+        let open = writer.as_mut().expect("opened above");
+        let offset = open.len;
+        match open.file.write(&record) {
+            Ok(n) if n == record.len() => open.len += n as u64,
+            failed => {
+                *writer = None;
+                return Err(failed.err().unwrap_or(io::ErrorKind::WriteZero.into()));
+            }
+        }
+        let at = Record::At {
+            segment: open.segment,
+            offset,
+            len: record.len(),
+        };
+        self.index().records.insert(key, at);
+        Ok(())
+    }
+
+    /// Creates a fresh segment named by pid and a process-wide counter,
+    /// writes its header and registers it in the index.
+    fn create_segment(&self) -> io::Result<Writer> {
+        static SEGMENTS: AtomicU64 = AtomicU64::new(0);
+        loop {
+            // The counter only has to be unique, so `Relaxed` suffices.
+            let n = SEGMENTS.fetch_add(1, Ordering::Relaxed);
+            let path = self
+                .dir
+                .join(format!("{}-{n}.{SEGMENT_EXT}", std::process::id()));
+            let mut file = match OpenOptions::new().append(true).create_new(true).open(&path) {
+                Ok(file) => file,
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            };
+            if let Err(e) = file.write_all(SEGMENT_HEADER) {
+                let _ = std::fs::remove_file(&path);
+                return Err(e);
+            }
+            let mut index = self.index();
+            let segment = index.segments.len();
+            index.segments.push(Segment::new(path));
+            return Ok(Writer {
+                file,
+                segment,
+                len: SEGMENT_HEADER.len() as u64,
+            });
+        }
     }
 }
 
-fn store_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
-    let text = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    write_atomic(path, &text)
+impl Segment {
+    fn new(path: PathBuf) -> Self {
+        Segment {
+            path,
+            scanned: 0,
+            closed: false,
+        }
+    }
+}
+
+impl Index {
+    fn scan_if_stale(&mut self, dir: &Path) {
+        if !self.fresh {
+            self.scan(dir);
+            self.fresh = true;
+        }
+    }
+
+    /// Adds the directory's new segments (in name order), then reads
+    /// every open segment from where its last scan stopped.
+    fn scan(&mut self, dir: &Path) {
+        let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|path| path.extension() == Some(OsStr::new(SEGMENT_EXT)))
+            .filter(|path| !self.segments.iter().any(|s| &s.path == path))
+            .collect();
+        found.sort();
+        self.segments.extend(found.into_iter().map(Segment::new));
+        for segment in 0..self.segments.len() {
+            self.scan_segment(segment);
+        }
+    }
+
+    fn scan_segment(&mut self, segment: usize) {
+        let Segment {
+            ref path,
+            scanned: base,
+            closed,
+        } = self.segments[segment];
+        if closed {
+            return;
+        }
+        let Ok(bytes) = read_from(path, base) else {
+            return;
+        };
+        let mut at = 0;
+        if base == 0 {
+            if !bytes.starts_with(SEGMENT_HEADER) {
+                // A header still being written is a prefix of ours;
+                // anything else is a format this build does not read.
+                self.segments[segment].closed = !SEGMENT_HEADER.starts_with(&bytes);
+                return;
+            }
+            at = SEGMENT_HEADER.len();
+        }
+        let closed = loop {
+            match decode(&bytes[at..]) {
+                Frame::Intact { key, len, .. } => {
+                    let offset = base + at as u64;
+                    let record = Record::At {
+                        segment,
+                        offset,
+                        len,
+                    };
+                    self.records.insert(key, record);
+                    at += len;
+                }
+                Frame::Torn(key) => {
+                    self.mark_damaged(key);
+                    break false;
+                }
+                Frame::Bad(key) => {
+                    self.mark_damaged(key);
+                    break true;
+                }
+            }
+        };
+        let read = &mut self.segments[segment];
+        read.scanned = base + at as u64;
+        read.closed = closed;
+    }
+
+    /// Marks `key` damaged unless an intact record of it is indexed.
+    fn mark_damaged(&mut self, key: Option<JobKey>) {
+        if let Some(key) = key {
+            self.records.entry(key).or_insert(Record::Damaged);
+        }
+    }
+}
+
+/// One record decoded from the front of a byte slice.
+enum Frame<'a> {
+    /// A whole record whose fields and checksum hold; `len` counts the
+    /// head line, the payload and the closing newline.
+    Intact {
+        key: JobKey,
+        payload: &'a [u8],
+        len: usize,
+    },
+    /// Fewer bytes than the head declares: a torn tail or an append in
+    /// flight. Carries the key when its digits are readable.
+    Torn(Option<JobKey>),
+    /// A whole record whose fields, framing or checksum do not hold.
+    Bad(Option<JobKey>),
+}
+
+/// The record frame of `key` carrying `payload`.
+pub(crate) fn encode(key: JobKey, payload: &str) -> io::Result<Vec<u8>> {
+    let len = u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record too large"))?;
+    let digits = key.hex();
+    let sum = checksum(digits.as_bytes(), payload.as_bytes());
+    Ok(format!("{digits} {len:08x} {sum:016x}\n{payload}\n").into_bytes())
+}
+
+fn decode(bytes: &[u8]) -> Frame<'_> {
+    let key = bytes
+        .get(..32)
+        .and_then(hex_digits)
+        .and_then(JobKey::from_hex);
+    let Some(head) = bytes.get(..HEAD) else {
+        return Frame::Torn(key);
+    };
+    let len = hex_digits(&head[33..41]).and_then(|d| u32::from_str_radix(d, 16).ok());
+    let sum = hex_digits(&head[42..58]).and_then(|d| u64::from_str_radix(d, 16).ok());
+    let framed = head[32] == b' ' && head[41] == b' ' && head[58] == b'\n';
+    let (Some(len), Some(sum), true) = (len, sum, framed) else {
+        return Frame::Bad(key);
+    };
+    let Some(end) = (len as usize).checked_add(HEAD + 1) else {
+        return Frame::Bad(key);
+    };
+    let Some(record) = bytes.get(..end) else {
+        return Frame::Torn(key);
+    };
+    let payload = &record[HEAD..end - 1];
+    match key {
+        Some(key) if record[end - 1] == b'\n' && checksum(&head[..32], payload) == sum => {
+            Frame::Intact {
+                key,
+                payload,
+                len: end,
+            }
+        }
+        _ => Frame::Bad(key),
+    }
+}
+
+/// `field` as a string if it is all lowercase hex digits — the only
+/// spelling the writer produces.
+fn hex_digits(field: &[u8]) -> Option<&str> {
+    let hex = field.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if hex {
+        std::str::from_utf8(field).ok()
+    } else {
+        None
+    }
+}
+
+/// 64-bit FNV-1a over `key_digits` followed by `payload`.
+fn checksum(key_digits: &[u8], payload: &[u8]) -> u64 {
+    key_digits
+        .iter()
+        .chain(payload)
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Everything in `path` from byte `offset` on.
+fn read_from(path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Exactly `len` bytes of `path` from byte `offset`.
+fn read_at(path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let mut bytes = vec![0; len];
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Writes `contents` to `path` atomically: temp file in the same
 /// directory, then rename, so concurrent readers never observe a torn
 /// file. Missing parent directories are created first.
 ///
-/// This is the write path every cache entry goes through; telemetry
-/// dumps and baseline files reuse it so a crashed or concurrent run
-/// can never leave a half-written JSON document behind. Every call
-/// writes its own temp file (named by process id and a process-wide
-/// call counter), so concurrent writers of one path, in one process
-/// or several, never share one.
+/// Telemetry dumps, shard manifests and baseline files go through it,
+/// so a crashed or concurrent run can never leave a half-written JSON
+/// document behind. Every call writes its own temp file (named by
+/// process id and a process-wide call counter), so concurrent writers
+/// of one path, in one process or several, never share one.
 ///
 /// # Errors
 ///
@@ -264,18 +660,222 @@ mod tests {
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    /// The one segment file in `dir`.
+    fn only_segment(dir: &Path) -> PathBuf {
+        let segments = segments_in(dir);
+        assert_eq!(segments.len(), 1, "one segment in {}", dir.display());
+        segments.into_iter().next().expect("one segment")
+    }
+
+    fn segments_in(dir: &Path) -> Vec<PathBuf> {
+        let mut segments: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("dir")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension() == Some(OsStr::new(SEGMENT_EXT)))
+            .collect();
+        segments.sort();
+        segments
+    }
+
     #[test]
     fn corrupted_file_is_a_counted_miss() {
         let dir = tmp_dir("corrupt");
-        let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
         let key = JobKey::from_bytes(b"torn");
-        std::fs::write(cache.path_of(key).expect("disk layer"), "[1.5, 2.").expect("write");
+        {
+            let writer: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
+            writer.put(key, &vec![1.5, 2.5]);
+        }
+        // Cut the record mid-payload, as a crashed writer would.
+        let segment = only_segment(&dir);
+        let bytes = std::fs::read(&segment).expect("segment");
+        std::fs::write(&segment, &bytes[..bytes.len() - 4]).expect("truncate");
+        let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
         assert_eq!(cache.get(key), None);
         let stats = cache.stats();
         assert_eq!((stats.corrupt_files, stats.misses), (1, 1));
-        // Re-simulation overwrites the torn file and the cache heals.
+        // Re-simulation appends a fresh record and the cache heals.
         cache.put(key, &vec![3.0]);
         assert_eq!(cache.get(key), Some(vec![3.0]));
+        let healed: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(healed.get(key), Some(vec![3.0]));
+        assert_eq!(
+            (healed.stats().disk_hits, healed.stats().corrupt_files),
+            (1, 0)
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_second_handle_reads_a_record_as_soon_as_put_returns() {
+        // The shard protocol writes a worker's manifest after its last
+        // `put`: by then every record must be readable by another
+        // handle, with the writer still open and nothing flushed.
+        let dir = tmp_dir("visible");
+        let (first, second) = (JobKey::from_bytes(b"first"), JobKey::from_bytes(b"second"));
+        let writer: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        let reader: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        writer.put(first, &1);
+        assert_eq!(reader.get(first), Some(1));
+        // A handle that has scanned sees later puts after a refresh.
+        writer.put(second, &2);
+        reader.refresh();
+        assert_eq!(reader.get(second), Some(2));
+        assert_eq!(reader.stats().disk_hits, 2);
+        assert_eq!(reader.path_of(second), writer.path_of(second));
+        drop(writer);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_handle_appends_every_put_to_one_segment() {
+        let dir = tmp_dir("one-segment");
+        let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert!(segments_in(&dir).is_empty(), "no segment before a put");
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let cache = &cache;
+                s.spawn(move || {
+                    for i in 0..25 {
+                        cache.put(JobKey::of(&(t, i)), &(t * 100 + i));
+                    }
+                });
+            }
+        });
+        let entries = std::fs::read_dir(&dir).expect("dir").count();
+        assert_eq!(entries, 1, "one file for 100 entries");
+        let fresh: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        for t in 0..4u64 {
+            for i in 0..25 {
+                assert_eq!(fresh.get(JobKey::of(&(t, i))), Some(t * 100 + i));
+            }
+        }
+        assert_eq!(fresh.stats().disk_hits, 100);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn failed_append_retires_the_segment() {
+        let dir = tmp_dir("failed-append");
+        let keys: Vec<JobKey> = (0..3u64).map(|i| JobKey::of(&i)).collect();
+        let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        cache.put(keys[0], &0);
+        let first = only_segment(&dir);
+        // The disk fails mid-append: the record's head line reaches the
+        // segment, its payload does not, and the handle can no longer
+        // write to it.
+        let torn = encode(keys[1], "1").expect("frame");
+        OpenOptions::new()
+            .append(true)
+            .open(&first)
+            .and_then(|mut f| f.write_all(&torn[..HEAD]))
+            .expect("tear");
+        let len_after_tear = std::fs::metadata(&first).expect("segment").len();
+        cache
+            .disk
+            .as_ref()
+            .expect("disk layer")
+            .writer
+            .lock()
+            .expect("writer lock")
+            .as_mut()
+            .expect("open segment")
+            .file = File::open(&first).expect("read-only handle");
+        cache.put(keys[1], &1);
+        cache.put(keys[2], &2);
+        let segments = segments_in(&dir);
+        assert_eq!(segments.len(), 2, "the next put opened a new segment");
+        assert_eq!(
+            std::fs::metadata(&first).expect("segment").len(),
+            len_after_tear,
+            "nothing landed after the partial record"
+        );
+        let fresh: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(fresh.get(keys[0]), Some(0));
+        assert_eq!(fresh.get(keys[1]), None, "the torn record is a miss");
+        assert_eq!(fresh.get(keys[2]), Some(2));
+        let stats = fresh.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.misses, stats.corrupt_files),
+            (2, 1, 1)
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn damage_after_the_scan_is_caught_at_lookup() {
+        let dir = tmp_dir("late-damage");
+        let (key, other) = (JobKey::from_bytes(b"late"), JobKey::from_bytes(b"other"));
+        ResultCache::on_disk(&dir)
+            .expect("mkdir")
+            .put(key, &vec![1.25]);
+        let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(
+            cache.get(other),
+            None,
+            "the first lookup indexes the segment"
+        );
+        // 1.25 -> 1.35: still valid JSON, but not the stored value.
+        let segment = only_segment(&dir);
+        let mut bytes = std::fs::read(&segment).expect("segment");
+        let digit = bytes.len() - 4;
+        assert_eq!(bytes[digit], b'2');
+        bytes[digit] = b'3';
+        std::fs::write(&segment, bytes).expect("damage");
+        assert_eq!(cache.get(key), None);
+        assert_eq!(cache.stats().corrupt_files, 1);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_torn_duplicate_does_not_hide_an_intact_record() {
+        // One writer stored the key; another died mid-append of the
+        // same key in a segment that sorts after the first.
+        let dir = tmp_dir("torn-duplicate");
+        let key = JobKey::from_bytes(b"duplicate");
+        ResultCache::on_disk(&dir).expect("mkdir").put(key, &7u64);
+        let torn = encode(key, "7").expect("frame");
+        let dead = dir.join(format!("~dead.{SEGMENT_EXT}"));
+        std::fs::write(&dead, [SEGMENT_HEADER, &torn[..HEAD]].concat()).expect("torn segment");
+        let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(cache.get(key), Some(7));
+        assert_eq!(cache.stats().corrupt_files, 0);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn legacy_per_key_files_are_not_read() {
+        let dir = tmp_dir("legacy");
+        let key = JobKey::from_bytes(b"legacy");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(dir.join(format!("{}.json", key.hex())), "7").expect("legacy entry");
+        let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(cache.get(key), None);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.corrupt_files), (1, 0));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_torn_tail_is_read_again_once_complete() {
+        // A reader that scans while an append is in flight sees a torn
+        // tail; once the write completes, its next refresh finds the
+        // record.
+        let dir = tmp_dir("in-flight");
+        let key = JobKey::from_bytes(b"in-flight");
+        let record = encode(key, "[1.5]").expect("frame");
+        let segment = dir.join(format!("0-0.{SEGMENT_EXT}"));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::write(&segment, [SEGMENT_HEADER, &record[..HEAD + 2]].concat()).expect("head");
+        let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(cache.get(key), None);
+        assert_eq!(cache.stats().corrupt_files, 1);
+        OpenOptions::new()
+            .append(true)
+            .open(&segment)
+            .and_then(|mut f| f.write_all(&record[HEAD + 2..]))
+            .expect("rest of the record");
+        cache.refresh();
+        assert_eq!(cache.get(key), Some(vec![1.5]));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -40,8 +40,8 @@ impl JobKey {
         JobKey(hash)
     }
 
-    /// The key as a fixed-width lowercase hex string (32 chars) — used
-    /// as the on-disk cache file stem.
+    /// The key as a fixed-width lowercase hex string (32 chars) — how
+    /// cache segment records and shard manifests spell it.
     pub fn hex(&self) -> String {
         format!("{:032x}", self.0)
     }

@@ -8,7 +8,8 @@
 //!
 //! * sweeps use every core (`--jobs` / `available_parallelism`),
 //! * re-running a figure is near-free (in-process memo store, plus an
-//!   optional on-disk JSON cache shared across processes), and
+//!   optional on-disk cache of append-only segments shared across
+//!   processes), and
 //! * callers observe structured progress ([`ProgressSink`]) and
 //!   throughput/cache metrics ([`RunnerStats`]).
 //!

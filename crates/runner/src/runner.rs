@@ -145,6 +145,7 @@ where
         let started_us = self.clock.now_us();
         let n = jobs.len();
         self.cache.reset_stats();
+        self.cache.refresh();
         // Per-design job counts, first-submission order, so sinks know
         // each campaign column's size up front.
         let mut columns: Vec<(String, usize)> = Vec::new();
@@ -474,18 +475,46 @@ mod tests {
         let cold = Runner::serial().with_cache_dir(&dir).expect("cache dir");
         let fresh = cold.run(batch(&RUNS, 1));
         // Far past the parser's nesting limit: parsing it recursively
-        // would overflow the stack.
-        let entry = dir.join(format!(
-            "{}.json",
-            crate::JobKey::of(&("test-v1", 0u64)).hex()
-        ));
-        std::fs::write(&entry, "[".repeat(100_000)).expect("overwrite entry");
+        // would overflow the stack. The record's checksum holds, so
+        // only the payload parser stands in the way.
+        let key = crate::JobKey::of(&("test-v1", 0u64));
+        let segment = cold.cache.path_of(key).expect("the cold run's segment");
+        let record = crate::cache::encode(key, &"[".repeat(100_000)).expect("frame");
+        std::fs::write(&segment, [crate::cache::SEGMENT_HEADER, &record].concat())
+            .expect("overwrite segment");
 
         let again = Runner::serial().with_cache_dir(&dir).expect("cache dir");
         assert_eq!(again.run(batch(&RUNS, 1)), fresh);
         let stats = again.last_stats();
         assert_eq!(stats.executed, 1, "the deep entry must re-simulate");
         assert_eq!(stats.cache.corrupt_files, 1, "and count as corrupt");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_batch_answers_another_handles_puts_from_disk() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir =
+            std::env::temp_dir().join(format!("hetsim-runner-refresh-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let runner = Runner::new(2).with_cache_dir(&dir).expect("cache dir");
+        // The first batch scans the empty directory and runs 3 jobs.
+        runner.run(batch(&RUNS, 3));
+        // Another handle on the directory (a shard worker, say) stores
+        // jobs 3..6 after this runner's index was built.
+        let other: ResultCache<Out> = ResultCache::on_disk(&dir).expect("cache dir");
+        for i in 3..6u64 {
+            other.put(crate::JobKey::of(&("test-v1", i)), &Out(i as f64));
+        }
+        let outcomes = runner.run(batch(&RUNS, 6));
+        assert_eq!(
+            RUNS.load(Ordering::SeqCst),
+            3,
+            "the second batch runs nothing"
+        );
+        assert_eq!(outcomes, (0..6).map(|i| Out(i as f64)).collect::<Vec<_>>());
+        let last = runner.last_stats();
+        assert_eq!((last.cache.memory_hits, last.cache.disk_hits), (3, 3));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

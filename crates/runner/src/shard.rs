@@ -13,9 +13,10 @@
 //!   full index cover);
 //! * **manifest** — a worker commits its shard by writing a
 //!   [`ShardManifest`] through [`write_atomic`] *after* all of its
-//!   results are durably in the shared result cache; a missing or
-//!   mismatched manifest means the shard did not complete, no matter
-//!   how the process exited;
+//!   results are in the shared result cache (a record is readable by
+//!   every handle once its `put` returns); a missing or mismatched
+//!   manifest means the shard did not complete, no matter how the
+//!   process exited;
 //! * **wire events** — workers narrate per-job completion as JSONL
 //!   [`WorkerEvent`] lines on stdout ([`ShardEventSink`]); the
 //!   supervisor parses them ([`WorkerEvent::from_line`]) and fans them

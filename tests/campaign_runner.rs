@@ -1,6 +1,6 @@
 //! Integration tests for the campaign-execution engine: parallel runs
 //! are bit-identical to serial ones, a warm cache eliminates every
-//! simulation, and a corrupted cache file heals by re-simulation.
+//! simulation, and a torn cache record heals by re-simulation.
 
 use std::path::PathBuf;
 
@@ -8,7 +8,8 @@ use hetcore_repro::hetcore::campaign::{cpu_job, Fingerprinted};
 use hetcore_repro::hetcore::config::{CpuDesign, OperatingPoint};
 use hetcore_repro::hetcore::experiment::CpuRun;
 use hetcore_repro::hetcore::suite::Suite;
-use hetcore_repro::hetsim_runner::Runner;
+use hetcore_repro::hetcore::CpuOutcome;
+use hetcore_repro::hetsim_runner::{ResultCache, Runner};
 use hetcore_repro::hetsim_trace::apps;
 
 fn quick() -> Suite {
@@ -94,10 +95,13 @@ fn corrupted_cache_file_is_resimulated() {
     let runner = Runner::serial().with_cache_dir(&dir).expect("cache dir");
     let fresh = runner.run(vec![job()]).pop().expect("one outcome");
 
-    // Truncate the cached file mid-token, as a crashed writer would.
-    let path = dir.join(format!("{}.json", key.hex()));
-    let text = std::fs::read_to_string(&path).expect("cache file exists");
-    std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
+    // Tear the cached record mid-payload, as a crashed writer would.
+    let segment = ResultCache::<CpuOutcome>::on_disk(&dir)
+        .expect("cache dir")
+        .path_of(key)
+        .expect("the record's segment");
+    let bytes = std::fs::read(&segment).expect("segment exists");
+    std::fs::write(&segment, &bytes[..bytes.len() / 2]).expect("truncate");
 
     let recover = Runner::serial().with_cache_dir(&dir).expect("cache dir");
     let again = recover.run(vec![job()]).pop().expect("one outcome");
@@ -106,7 +110,7 @@ fn corrupted_cache_file_is_resimulated() {
     assert_eq!(stats.cache.corrupt_files, 1, "and be counted as corrupt");
     assert_eq!(again, fresh, "re-simulation must reproduce the outcome");
 
-    // The re-simulation overwrote the torn file: a third run is a hit.
+    // The re-simulation appended a fresh record: a third run is a hit.
     let healed = Runner::serial().with_cache_dir(&dir).expect("cache dir");
     healed.run(vec![job()]);
     assert_eq!(
