@@ -117,7 +117,6 @@ pub static SHARD: Flag = Flag::int("--shard", "I", 0, USIZE);
 pub static ATTEMPT: Flag = Flag::int("--attempt", "K", 0, u64::MAX);
 pub static OUT_DIR: Flag = Flag::text("--out-dir", "DIR");
 pub static TRACE: Flag = Flag::switch("--trace");
-pub static PROFILE: Flag = Flag::switch("--profile");
 
 /// The formats most commands render reports in.
 const REPORT_FORMATS: &[&str] = &["table", "json", "csv"];
@@ -259,7 +258,7 @@ pub static COMMANDS: &[Command] = &[
     Command {
         name: "shard-worker",
         flags: &[
-            &SHARD, &SHARDS, &ATTEMPT, &CACHE_DIR, &OUT_DIR, &INSTS, &SEED, &JOBS, &TRACE, &PROFILE,
+            &SHARD, &SHARDS, &ATTEMPT, &CACHE_DIR, &OUT_DIR, &INSTS, &SEED, &JOBS, &TRACE,
         ],
         required: &[&SHARD, &SHARDS, &CACHE_DIR, &OUT_DIR],
         positionals: "[EXPERIMENT]...",

@@ -14,7 +14,7 @@ use hetcore::report::Report;
 use hetcore::suite::{CpuCampaign, Experiment, Extension, GpuCampaign, Suite};
 use hetcore::telemetry::StatsDump;
 use hetsim_check::Checker;
-use hetsim_obs::{parse_jsonl, MonotonicClock, TraceEvent, TraceRecorder};
+use hetsim_obs::{parse_jsonl, CycleProfile, MonotonicClock, TraceEvent, TraceRecorder};
 use hetsim_runner::{
     write_atomic, DashboardSink, Job, MultiSink, NullSink, ProgressSink, Runner, SimMetrics,
     StderrSink, TraceEventSink,
@@ -74,12 +74,14 @@ pub fn experiment(word: &str) -> Result<Experiment, String> {
     Experiment::from_cli_name(word).ok_or_else(|| format!("unknown experiment '{word}'"))
 }
 
-/// Everything one run produces: the rendered reports plus the complete
+/// Everything one run produces: the rendered reports, the complete
 /// telemetry dump (campaign counters, runner stats, reports, run
-/// config), ready to print, persist or diff.
+/// config), ready to print, persist or diff, and the cycle profile both
+/// runners folded from their jobs' observations, cold or warm.
 pub struct Execution {
     pub reports: Vec<Report>,
     pub dump: StatsDump,
+    pub profile: CycleProfile,
     /// The raw campaigns behind the reports, kept so `repro check` can
     /// validate every individual outcome (unused by the other commands).
     pub cpu: Option<CpuCampaign>,
@@ -137,11 +139,6 @@ pub fn execute(
     let gpu_runner = (!plan.gpu.is_empty())
         .then(|| runner(jobs, cache_dir, &sink, recorder))
         .transpose()?;
-    // Zero the event-driven-step telemetry so the skip counters in this
-    // dump cover exactly this execution (the atomics are process-global
-    // and otherwise accumulate across runs in one process).
-    hetsim_cpu::telemetry::reset();
-    hetsim_gpu::telemetry::reset();
     let recorder = recorder.map(Arc::as_ref);
     let outcomes = plan.run(
         |batch| run_batch(cpu_runner.as_ref(), "CPU", batch, recorder),
@@ -165,28 +162,24 @@ pub fn execute(
     if let Some(c) = &gpu {
         dump = dump.with_gpu_campaign(c);
     }
+    let mut profile = CycleProfile::new();
     if let Some(r) = &cpu_runner {
-        // Fold the event-driven core's skip totals into the (already
-        // regression-exempt) timing section.
-        let mut timing = r.total_timing();
-        timing.skipped_cycles = hetsim_cpu::telemetry::skipped_cycles();
-        timing.wakeup_jumps = hetsim_cpu::telemetry::wakeup_jumps();
         dump = dump
             .with_runner("cpu", r.total_stats())
-            .with_runner_timing("cpu", timing);
+            .with_runner_timing("cpu", r.total_timing());
+        profile.merge(&r.total_observations().profile);
     }
     if let Some(r) = &gpu_runner {
-        let mut timing = r.total_timing();
-        timing.skipped_cycles = hetsim_gpu::telemetry::skipped_cycles();
-        timing.wakeup_jumps = hetsim_gpu::telemetry::wakeup_jumps();
         dump = dump
             .with_runner("gpu", r.total_stats())
-            .with_runner_timing("gpu", timing);
+            .with_runner_timing("gpu", r.total_timing());
+        profile.merge(&r.total_observations().profile);
     }
     dump = dump.with_reports(&reports);
     let execution = Execution {
         reports,
         dump,
+        profile,
         cpu,
         gpu,
     };

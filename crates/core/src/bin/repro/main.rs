@@ -28,8 +28,8 @@
 //!   `hetcore::check`);
 //! * `explore` searches the fig7 design space for its Pareto frontier
 //!   (see `hetcore::explore`);
-//! * `profile` runs campaigns with top-down cycle attribution (see
-//!   `hetsim_obs::profile`);
+//! * `profile` reports the campaigns' top-down cycle attribution (see
+//!   `hetsim_obs::profile`), cold, warm or sharded alike;
 //! * `trace-export` converts `--trace-out` logs for Perfetto;
 //! * the hidden `shard-worker` is the worker half of `--shards N`.
 //!

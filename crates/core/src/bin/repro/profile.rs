@@ -1,17 +1,15 @@
 //! `repro profile` — run campaign experiments (default: fig7 + fig10,
-//! the CPU and GPU campaigns) with top-down cycle attribution enabled
-//! and render the per-design roll-up, the raw `hetsim-profile-v1`
-//! document, or folded stacks (see `hetsim_obs::profile`). The cache is
-//! never consulted, so every job simulates and the document covers the
-//! whole campaign; with `--shards N` the workers simulate and their
-//! fragments merge, exactly like sharded trace logs stitch.
+//! the CPU and GPU campaigns) and render where their simulated cycles
+//! went: the per-design roll-up, the raw `hetsim-profile-v1` document,
+//! or folded stacks (see `hetsim_obs::profile`). The document is the
+//! runners' fold of every job's observations, so with `--shards N` the
+//! workers simulate and the warm replay below folds the same document.
 
 use std::process::ExitCode;
 
 use hetcore::suite::{Experiment, Suite};
-use hetsim_obs::profile::collector;
 use hetsim_obs::CycleProfile;
-use hetsim_stats::attribution::{self, ClassCounts, CycleClass};
+use hetsim_stats::attribution::{ClassCounts, CycleClass};
 use serde::Serialize as _;
 
 use crate::args::{Args, Progress, COUNTERS_OUT, OUT, SHARDS};
@@ -29,12 +27,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let suite = args.suite();
     let jobs = args.jobs();
 
-    attribution::set_enabled(true);
-    let profile = match args.num(&SHARDS) {
+    // Sharded: the workers warm an ephemeral cache, and the pass below
+    // replays it.
+    let dirs = match args.num(&SHARDS) {
         Some(shards) => {
-            // The sharded path: workers simulate the cold shared cache
-            // and write per-shard fragments; no merge pass is needed —
-            // the fragments *are* the result.
             let dirs = ShardDirs::new(None, "profile", shards)?;
             let campaign = ShardedCampaign {
                 suite: &suite,
@@ -43,19 +39,23 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
                 jobs,
                 progress: Progress::Quiet,
                 trace: false,
-                profile: true,
             };
             supervise_campaign(&campaign, &dirs)?;
-            dirs.merged_profile()?
+            Some(dirs)
         }
-        None => {
-            // No cache directory: every job simulates, so the document
-            // covers the whole campaign (a warm cache would replay
-            // jobs without attributing anything).
-            execute(&suite, &requested, &[], jobs, None, Progress::Quiet, None)?;
-            collector::take()
-        }
+        None => None,
     };
+    let cache_dir = dirs.as_ref().map(|d| d.cache.as_path());
+    let execution = execute(
+        &suite,
+        &requested,
+        &[],
+        jobs,
+        cache_dir,
+        Progress::Quiet,
+        None,
+    )?;
+    let profile = execution.profile;
 
     if let Some(path) = args.path(&COUNTERS_OUT) {
         exec::write(&path, &pretty(&profile.counter_track_doc()))?;

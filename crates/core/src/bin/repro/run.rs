@@ -1,15 +1,13 @@
 //! The default command: run experiments, print reports, optionally
 //! persist telemetry, a trace log and a cycle profile. With
 //! `--shards N` every job first warms a shared cache through N worker
-//! processes (see `shard`), and the report comes from the same path as
-//! a single-process run, answered from that cache.
+//! processes (see `shard`), and the report and profile come from the
+//! same path as a single-process run, answered from that cache.
 
 use std::process::ExitCode;
 
 use hetcore::suite::Experiment;
-use hetsim_obs::profile::collector;
-use hetsim_obs::{stitch_traces, CycleProfile};
-use hetsim_stats::attribution;
+use hetsim_obs::stitch_traces;
 use serde::Serialize as _;
 
 use crate::args::{Args, Progress, CACHE_DIR, PROFILE_OUT, SHARDS, STATS_OUT, TRACE_OUT};
@@ -49,7 +47,6 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
                 jobs,
                 progress,
                 trace: trace_out.is_some(),
-                profile: profile_out.is_some(),
             };
             supervise_campaign(&campaign, &dirs)?;
             cache_dir = Some(dirs.cache.clone());
@@ -61,14 +58,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
 
     // The recorder exists only when a trace was requested; without it
     // the run takes exactly the untraced code path, so headline output
-    // stays byte-identical. Attribution is the same shape of opt-in:
-    // the process-global flag stays off (and the simulators skip all
-    // histogram work) unless --profile-out asked for it. On sharded
-    // runs the workers simulated every job, so this pass replays from
-    // cache and publishes nothing; the rows come from their fragments.
-    if profile_out.is_some() {
-        attribution::set_enabled(true);
-    }
+    // stays byte-identical.
     let recorder = trace_out.is_some().then(exec::recorder);
     let execution = execute(
         &suite,
@@ -79,17 +69,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         progress,
         recorder.as_ref(),
     )?;
-    let mut profile = match (&profile_out, &dirs) {
-        (None, _) => None,
-        (Some(_), Some(dirs)) => Some(dirs.merged_profile()?),
-        (Some(_), None) => Some(CycleProfile::new()),
-    };
+    let profile = &execution.profile;
     let mut dump = execution.dump;
-    if let Some(p) = &mut profile {
-        // Drained exactly once per run; with profiling off the collector
-        // was never touched and stays empty.
-        p.merge(&collector::take());
-        dump = dump.with_profile(p.to_value());
+    if profile_out.is_some() {
+        dump = dump.with_profile(profile.to_value());
     }
     let reports = &execution.reports;
     match args.format() {
@@ -121,17 +104,14 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             ))
         );
     }
-    if let (Some(path), Some(profile)) = (&profile_out, &profile) {
-        // A warm-cache run legitimately yields an empty document (cache
-        // replay skips simulation), so emptiness is reported, not failed.
-        exec::write(path, &pretty(&profile.to_value()))?;
-        let empty = match profile.is_empty() {
-            true => " (empty: all jobs replayed from cache)",
-            false => "",
-        };
+    if let Some(path) = &profile_out {
+        // Cold, warm or sharded: the runners folded every job's cached
+        // observations, so the document is the same, and it is what
+        // `repro profile --format json` prints.
+        exec::write(path, &(pretty(&profile.to_value()) + "\n"))?;
         let units = profile.rows().len();
         eprintln!(
-            "wrote cycle profile ({units} unit(s)) to {}{empty}",
+            "wrote cycle profile ({units} unit(s)) to {}",
             path.display()
         );
     }

@@ -9,29 +9,27 @@
 //! path, where every job is answered from the warm cache. Because a
 //! cache hit is bit-identical to a fresh simulation and results merge by
 //! submission index, the headline stdout and stats dump are the ones a
-//! single-process run produces.
+//! single-process run produces. So is the cycle profile: each cache
+//! record carries its job's observations, and the replay folds them.
 
 use std::collections::{BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hetcore::suite::{Experiment, Extension, Suite};
 use hetcore::telemetry::StatsDump;
-use hetsim_obs::profile::collector;
-use hetsim_obs::{CycleProfile, TraceEvent};
+use hetsim_obs::TraceEvent;
 use hetsim_runner::{
     design_of, fragment_path, manifest_path, supervise, trace_path, Job, JobKey, ProgressEvent,
     ProgressSink, Runner, RunnerStats, RunnerTiming, ShardEventSink, ShardManifest, ShardPolicy,
     SimMetrics, WorkerEvent, SHARD_SCHEMA,
 };
-use hetsim_stats::attribution;
 use serde::value::Value;
-use serde::Serialize as _;
 
 use crate::args::{
-    Args, Progress, ATTEMPT, CACHE_DIR, INSTS, JOBS, OUT_DIR, PROFILE, SEED, SHARD, SHARDS, TRACE,
+    Args, Progress, ATTEMPT, CACHE_DIR, INSTS, JOBS, OUT_DIR, SEED, SHARD, SHARDS, TRACE,
 };
 use crate::exec::{self, resolve_target};
 use crate::CliError;
@@ -46,13 +44,11 @@ pub struct ShardedCampaign<'a> {
     pub progress: Progress,
     /// Workers record trace logs beside their manifests.
     pub trace: bool,
-    /// Workers write cycle-profile fragments beside their manifests.
-    pub profile: bool,
 }
 
 /// Where `shards` workers and their supervisor meet: the shared cache
-/// directory and the `shards/` directory of manifests, fragments and
-/// worker traces in it. A cache directory the user did not name is
+/// directory and the `shards/` directory of manifests, stats fragments
+/// and worker traces in it. A cache directory the user did not name is
 /// ephemeral: it is removed when this value drops.
 pub struct ShardDirs {
     pub cache: PathBuf,
@@ -85,19 +81,6 @@ impl ShardDirs {
         let traces = (0..self.shards).map(|shard| trace_path(&self.out, shard));
         traces.map(|path| exec::read_trace(&path)).collect()
     }
-
-    /// Every worker's profile fragment, merged — the profile analogue
-    /// of stitching the per-worker trace logs.
-    pub fn merged_profile(&self) -> Result<CycleProfile, String> {
-        let mut merged = CycleProfile::new();
-        for shard in 0..self.shards {
-            let path = profile_fragment_path(&self.out, shard);
-            let fragment: CycleProfile = serde_json::from_str(&exec::read(&path)?)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            merged.merge(&fragment);
-        }
-        Ok(merged)
-    }
 }
 
 impl Drop for ShardDirs {
@@ -106,12 +89,6 @@ impl Drop for ShardDirs {
             let _ = std::fs::remove_dir_all(&self.cache);
         }
     }
-}
-
-/// The per-shard cycle-profile fragment, next to the shard's manifest
-/// and trace log.
-fn profile_fragment_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("profile-{shard}.json"))
 }
 
 /// The supervisor phase: spawn `dirs.shards` workers over the shared
@@ -188,9 +165,6 @@ pub fn supervise_campaign(campaign: &ShardedCampaign, dirs: &ShardDirs) -> Resul
             cmd.arg(OUT_DIR.name).arg(&dirs.out);
             if campaign.trace {
                 cmd.arg(TRACE.name);
-            }
-            if campaign.profile {
-                cmd.arg(PROFILE.name);
             }
             cmd.args(&words);
             cmd
@@ -324,10 +298,6 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
 
     let sink: Arc<dyn ProgressSink> = Arc::new(ShardEventSink::stdout());
     let recorder = args.has(&TRACE).then(exec::recorder);
-    let profile = args.has(&PROFILE);
-    if profile {
-        attribution::set_enabled(true);
-    }
 
     // This shard's slice of the plan's batches, by key — every worker
     // and the supervisor compute the same partition independently.
@@ -380,15 +350,6 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
 
     if let Some(rec) = &recorder {
         exec::write(&trace_path(&out_dir, shard), &rec.to_jsonl()).map_err(in_shard)?;
-    }
-    if profile {
-        // Only the simulated slice publishes rows; cache replays (a
-        // healed retry re-covering a crashed attempt's work) publish
-        // nothing, so the merged document undercounts exactly what was
-        // never re-simulated. Best-effort by design — the supervisor's
-        // diff policy exempts profile.* for the same reason.
-        let doc = exec::pretty(&collector::take().to_value());
-        exec::write(&profile_fragment_path(&out_dir, shard), &doc).map_err(in_shard)?;
     }
     exec::write(&fragment_path(&out_dir, shard), &dump.to_json()).map_err(in_shard)?;
     let manifest = ShardManifest {

@@ -428,7 +428,7 @@ mod tests {
         let run = CpuRun::Chip { cores: 1 };
         let job = cpu_job(&point, run, &Fingerprinted::new(app.clone()), 3, 5_000);
         let direct = run_cpu_multicore(CpuDesign::BaseCmos, 1, &app, 3, 5_000);
-        assert_eq!((job.run)(), direct);
+        assert_eq!((job.run)().0, direct);
     }
 
     #[test]

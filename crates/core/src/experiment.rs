@@ -8,21 +8,23 @@
 //! compute units.
 //!
 //! Every simulation runs a resolved point ([`CpuPoint`] / [`GpuPoint`])
-//! in one run shape ([`CpuRun`] / [`GpuRun`]); the `run_*` functions
-//! resolve a Table IV design at its nominal point and call those.
+//! in one run shape ([`CpuRun`] / [`GpuRun`]) and returns its outcome
+//! with its [`Observations`]: one attribution row per core or CU, and
+//! the event-driven step's skip counts. The `run_*` functions resolve a
+//! Table IV design at its nominal point, call those, and keep the
+//! outcome.
 
 use hetsim_cpu::core::Core;
 use hetsim_cpu::multicore::{run_multicore, MulticoreResult};
 use hetsim_cpu::stats::CoreStats;
+use hetsim_cpu::CoreProfile;
 use hetsim_gpu::gpu::Gpu;
 use hetsim_gpu::stats::GpuStats;
 use hetsim_gpu::KernelProfile;
 use hetsim_mem::stats::MemStats;
-use hetsim_obs::profile::collector;
-use hetsim_obs::ProfileRow;
+use hetsim_obs::{Observations, ProfileRow};
 use hetsim_power::account::{EnergyBreakdown, GpuActivity, GpuEnergy, GpuEnergyModel};
 use hetsim_runner::SimMetrics;
-use hetsim_stats::attribution;
 use hetsim_trace::WorkloadProfile;
 use serde::{Deserialize, Serialize};
 
@@ -120,7 +122,7 @@ impl CpuRun {
         app: &WorkloadProfile,
         seed: u64,
         insts: u64,
-    ) -> CpuOutcome {
+    ) -> (CpuOutcome, Observations) {
         let warm = match self {
             CpuRun::Chip { cores } => return simulate_chip(point, cores, app, seed, insts),
             CpuRun::Core => true,
@@ -138,11 +140,10 @@ impl CpuRun {
         let pull_bound = warmup + insts + cfg.steering.lookahead_window() + 1;
         let trace = hetsim_trace::cache::replay(app, seed, 0, pull_bound);
         let result = core.run_warmed(trace, warmup, insts);
-        if attribution::enabled() {
-            publish_core_profile(point.design, "core0", &result.profile);
-        }
+        let mut observations = Observations::default();
+        observe_core(&mut observations, point.design, 0, &result.profile);
         let seconds = result.seconds();
-        CpuOutcome {
+        let outcome = CpuOutcome {
             design: point.design,
             app: app.name.to_string(),
             seconds,
@@ -151,7 +152,8 @@ impl CpuRun {
             committed: result.stats.committed,
             stats: result.stats,
             mem: result.mem,
-        }
+        };
+        (outcome, observations)
     }
 }
 
@@ -160,7 +162,7 @@ impl CpuRun {
 /// cores).
 pub fn run_cpu(design: CpuDesign, app: &WorkloadProfile, seed: u64, insts: u64) -> CpuOutcome {
     let point = design.resolve(OperatingPoint::nominal(), None);
-    CpuRun::Core.simulate(&point, app, seed, insts)
+    CpuRun::Core.simulate(&point, app, seed, insts).0
 }
 
 /// Runs `design` as a `cores`-core chip on `app` (the paper's chip-level
@@ -174,7 +176,9 @@ pub fn run_cpu_multicore(
     total_insts: u64,
 ) -> CpuOutcome {
     let point = design.resolve(OperatingPoint::nominal(), None);
-    CpuRun::Chip { cores }.simulate(&point, app, seed, total_insts)
+    CpuRun::Chip { cores }
+        .simulate(&point, app, seed, total_insts)
+        .0
 }
 
 /// A warmed `cores`-core chip.
@@ -184,18 +188,17 @@ fn simulate_chip(
     app: &WorkloadProfile,
     seed: u64,
     total_insts: u64,
-) -> CpuOutcome {
+) -> (CpuOutcome, Observations) {
     let (design, model) = (point.design, &point.model);
     let mc: MulticoreResult = run_multicore(&point.config, cores, app, seed, total_insts);
-    if attribution::enabled() {
-        // The serial phase runs on core 0, so its attribution folds
-        // into the same unit row as core 0's parallel phase.
-        if let Some(serial) = &mc.serial {
-            publish_core_profile(design, "core0", &serial.profile);
-        }
-        for (t, r) in mc.parallel.iter().enumerate() {
-            publish_core_profile(design, &format!("core{t}"), &r.profile);
-        }
+    // The serial phase runs on core 0, so its attribution folds into
+    // the same unit row as core 0's parallel phase.
+    let mut observations = Observations::default();
+    if let Some(serial) = &mc.serial {
+        observe_core(&mut observations, design, 0, &serial.profile);
+    }
+    for (t, r) in mc.parallel.iter().enumerate() {
+        observe_core(&mut observations, design, t, &r.profile);
     }
 
     let mut energy = EnergyBreakdown::default();
@@ -233,7 +236,7 @@ fn simulate_chip(
     }
     stats.cycles = serial_cycles + parallel_cycles;
 
-    CpuOutcome {
+    let outcome = CpuOutcome {
         design,
         app: app.name.to_string(),
         seconds: mc.total_seconds(),
@@ -242,7 +245,8 @@ fn simulate_chip(
         committed: mc.total_committed(),
         stats,
         mem,
-    }
+    };
+    (outcome, observations)
 }
 
 /// Outcome of one GPU experiment.
@@ -290,19 +294,34 @@ pub enum GpuRun {
 impl GpuRun {
     /// Launches `kernel` on `point` in this shape, priced by the point's
     /// device assignment.
-    pub fn simulate(self, point: &GpuPoint, kernel: &KernelProfile, seed: u64) -> GpuOutcome {
+    pub fn simulate(
+        self,
+        point: &GpuPoint,
+        kernel: &KernelProfile,
+        seed: u64,
+    ) -> (GpuOutcome, Observations) {
         let gpu = Gpu::new(point.config.clone());
         let result = match self {
             GpuRun::Plain => gpu.run(kernel, seed),
             GpuRun::Scheduled { window } => gpu.run_scheduled(kernel, seed, window),
         };
-        price_gpu_run(point, kernel, result)
+        let mut observations = Observations::default();
+        for (cu, p) in result.profiles.iter().enumerate() {
+            let mut row = ProfileRow::new(point.design.name(), format!("cu{cu}"));
+            row.classes = p.classes;
+            row.cycles = p.cycles;
+            row.add_histogram("residency", &p.residency);
+            observations.profile.merge_row(row);
+            observations.skipped_cycles += p.skipped_cycles;
+            observations.wakeup_jumps += p.wakeup_jumps;
+        }
+        (price_gpu_run(point, kernel, result), observations)
     }
 }
 
 /// Runs a GPU design on one kernel.
 pub fn run_gpu(design: GpuDesign, kernel: &KernelProfile, seed: u64) -> GpuOutcome {
-    GpuRun::Plain.simulate(&design.resolve(), kernel, seed)
+    GpuRun::Plain.simulate(&design.resolve(), kernel, seed).0
 }
 
 /// Runs a GPU design on one kernel *after* the latency-hiding compiler
@@ -313,7 +332,9 @@ pub fn run_gpu_scheduled(
     seed: u64,
     window: usize,
 ) -> GpuOutcome {
-    GpuRun::Scheduled { window }.simulate(&design.resolve(), kernel, seed)
+    GpuRun::Scheduled { window }
+        .simulate(&design.resolve(), kernel, seed)
+        .0
 }
 
 fn price_gpu_run(
@@ -337,15 +358,6 @@ fn price_gpu_run(
         seconds,
     };
     let energy = GpuEnergyModel::new(point.assignment.clone()).energy(&activity);
-    if attribution::enabled() {
-        for (cu, p) in result.profiles.iter().enumerate() {
-            let mut row = ProfileRow::new(design.name(), format!("cu{cu}"));
-            row.classes = p.classes;
-            row.cycles = p.cycles;
-            row.add_histogram("residency", &p.residency);
-            collector::record(row);
-        }
-    }
     GpuOutcome {
         design,
         kernel: kernel.name.to_string(),
@@ -356,19 +368,20 @@ fn price_gpu_run(
     }
 }
 
-/// Publishes one core run's attribution into the process-wide profile
-/// collector. Only called while profiling is enabled, so plain runs
-/// never touch the collector lock.
-fn publish_core_profile(design: CpuDesign, unit: &str, p: &hetsim_cpu::CoreProfile) {
-    let mut row = ProfileRow::new(design.name(), unit);
+/// Folds one core run's attribution into `observations` as unit
+/// `core{core}` of `design`, with its skip counts.
+fn observe_core(observations: &mut Observations, design: CpuDesign, core: usize, p: &CoreProfile) {
+    let mut row = ProfileRow::new(design.name(), format!("core{core}"));
     row.classes = p.classes;
     row.cycles = p.cycles;
-    row.add_histogram("rob", &p.occupancy.rob);
-    row.add_histogram("iq", &p.occupancy.iq);
-    row.add_histogram("lsq", &p.occupancy.lsq);
+    row.add_histogram("rob", &p.rob);
+    row.add_histogram("iq", &p.iq);
+    row.add_histogram("lsq", &p.lsq);
     row.add_histogram("mem_hit_latency", &p.mem_hit_latency);
     row.add_histogram("mem_miss_latency", &p.mem_miss_latency);
-    collector::record(row);
+    observations.profile.merge_row(row);
+    observations.skipped_cycles += p.skipped_cycles;
+    observations.wakeup_jumps += p.wakeup_jumps;
 }
 
 #[cfg(test)]

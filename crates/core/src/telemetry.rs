@@ -178,9 +178,8 @@ impl StatsDump {
     /// Adds the cycle-attribution profile document (the
     /// `hetsim-profile-v1` value from `hetsim_obs::profile`). Like the
     /// `runner` section, `profile.*` counters are exempt from the
-    /// regression diff: which runs simulate fresh (vs. replay from the
-    /// job cache) varies run to run, so attribution totals are not
-    /// byte-stable even though each individual simulation is.
+    /// regression diff: they are observations recorded at simulation
+    /// time, not outcomes the baselines pin.
     pub fn with_profile(mut self, profile: Value) -> Self {
         self.profile = Some(profile);
         self

@@ -3,10 +3,10 @@
 //! Runs the real `repro` binary and checks the whole chain: `repro
 //! profile` emits a `hetsim-profile-v1` document whose classes sum to
 //! the attributed cycles for every unit, the folded-stack and Perfetto
-//! counter-track exports are well-formed, a sharded profile merges to
-//! the same document a single process produces, and — the headline
-//! guarantee — stdout stays byte-identical whether or not profiling
-//! is on.
+//! counter-track exports are well-formed, sharded, healed and
+//! warm-cache runs report the same document a cold single process
+//! does, and — the headline guarantee — stdout stays byte-identical
+//! whether or not a profile is written.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -46,7 +46,9 @@ fn load_profile(path: &PathBuf) -> CycleProfile {
 
 /// Every row's classes must sum to its attributed cycles — the same
 /// conservation invariant `hetsim-check` enforces inside the
-/// simulators, replayed here on the serialized artifact.
+/// simulators, replayed here on the serialized artifact — and every
+/// per-cycle occupancy histogram (recorded in bulk, per level) must
+/// hold exactly one sample per attributed cycle.
 fn assert_conservation(profile: &CycleProfile) {
     assert!(!profile.is_empty(), "profile has rows");
     for row in profile.rows() {
@@ -57,6 +59,17 @@ fn assert_conservation(profile: &CycleProfile) {
             row.design,
             row.unit
         );
+        for (name, h) in &row.histograms {
+            if ["rob", "iq", "lsq", "residency"].contains(&name.as_str()) {
+                assert_eq!(
+                    h.count(),
+                    row.cycles,
+                    "`{name}` samples every cycle of {}/{}",
+                    row.design,
+                    row.unit
+                );
+            }
+        }
     }
 }
 
@@ -182,9 +195,81 @@ fn sharded_profile_merges_to_the_single_process_document() {
     assert_conservation(&sharded);
     assert_eq!(
         single, sharded,
-        "worker fragments must merge to exactly the single-process document"
+        "the sharded run's warm replay must fold exactly the single-process document"
     );
     for path in [&single_path, &sharded_path] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Runs `repro` with `args` (and `env`), asserting success; returns
+/// stdout.
+fn stdout_of(args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "repro {args:?} fails: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn warm_and_healed_runs_report_the_cold_document() {
+    let cache = tmp("warm-cache");
+    let _ = std::fs::remove_dir_all(&cache);
+    let (cold, warm) = (tmp("cold.json"), tmp("warm.json"));
+    let cache_arg = cache.to_string_lossy().into_owned();
+    for path in [&cold, &warm] {
+        let path_arg = path.to_string_lossy().into_owned();
+        stdout_of(
+            &[
+                "--insts",
+                INSTS,
+                "--cache-dir",
+                &cache_arg,
+                "--profile-out",
+                &path_arg,
+                "fig7",
+                "fig10",
+            ],
+            &[],
+        );
+    }
+    let read = |p: &PathBuf| std::fs::read_to_string(p).expect("profile written");
+    assert_eq!(
+        read(&cold),
+        read(&warm),
+        "a warm replay folds the cached rows"
+    );
+    let plain = stdout_of(
+        &[
+            "profile", "--insts", INSTS, "--format", "json", "fig7", "fig10",
+        ],
+        &[],
+    );
+    assert_eq!(plain, read(&cold), "--profile-out writes the same document");
+
+    // A worker that crashes once and is retried: the replay still folds
+    // every job's observations from the cache.
+    let healed = stdout_of(
+        &[
+            "profile", "--insts", INSTS, "--format", "json", "--shards", "2", "fig7",
+        ],
+        &[("HETSIM_SHARD_FAIL", "0")],
+    );
+    let fig7 = stdout_of(
+        &["profile", "--insts", INSTS, "--format", "json", "fig7"],
+        &[],
+    );
+    assert_eq!(healed, fig7, "a healed sharded run reports every cycle");
+
+    let _ = std::fs::remove_dir_all(&cache);
+    for path in [&cold, &warm] {
         let _ = std::fs::remove_file(path);
     }
 }

@@ -61,14 +61,13 @@ use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_mem::stats::MemStats;
 use hetsim_trace::isa::{BranchInfo, Inst, OpClass};
 
-use hetsim_stats::attribution;
+use hetsim_stats::Histogram;
 
 use crate::config::{CoreConfig, SteeringPolicy};
 use crate::fu::FuPool;
 use crate::predictor::TournamentPredictor;
 use crate::profile::{CoreProfile, CycleClass};
 use crate::stats::CoreStats;
-use crate::telemetry;
 
 /// Synthetic code region for instruction-fetch energy accounting.
 const CODE_BASE: u64 = 0x4000_0000;
@@ -544,11 +543,12 @@ impl Core {
         } else {
             None
         };
-        // Top-down attribution: class counts are always maintained (they
-        // must sum to the measured cycles), the histograms only under
-        // the process-wide profiling switch, read once per run.
-        let profiling = attribution::enabled();
+        // Top-down attribution. Occupancy is counted per level (cycles
+        // spent at each fill) and folded into histograms once, at the end.
         let mut profile = CoreProfile::default();
+        let mut rob_levels = vec![0u64; self.cfg.rob_entries as usize + 1];
+        let mut iq_levels = vec![0u64; self.cfg.iq_entries as usize + 1];
+        let mut lsq_levels = vec![0u64; self.cfg.lsq_entries as usize + 1];
 
         while committed < total || !rob.is_empty() {
             // ---- Commit (in order, up to issue_width) ----
@@ -631,7 +631,7 @@ impl Core {
                         let mut done = cycle + u64::from(issued.latency);
                         if op == OpClass::Load {
                             let mem = self.hierarchy.load(rob.addr[slot]);
-                            if profiling && snapshot.is_some() {
+                            if snapshot.is_some() {
                                 let h = if mem.level.is_dl1_miss() {
                                     &mut profile.mem_miss_latency
                                 } else {
@@ -883,21 +883,17 @@ impl Core {
                     CycleClass::IdleSkipped
                 };
                 profile.classes.charge(class, iter_cycles);
-                if profiling {
-                    profile.occupancy.rob.record_n(rob.len(), iter_cycles);
-                    profile
-                        .occupancy
-                        .iq
-                        .record_n(u64::from(rob.pending_count), iter_cycles);
-                    profile
-                        .occupancy
-                        .lsq
-                        .record_n(u64::from(lsq_occ), iter_cycles);
-                }
+                rob_levels[rob.len() as usize] += iter_cycles;
+                iq_levels[rob.pending_count as usize] += iter_cycles;
+                lsq_levels[lsq_occ as usize] += iter_cycles;
             }
         }
 
-        telemetry::record(skipped_cycles, wakeup_jumps);
+        profile.rob = Histogram::from_levels(&rob_levels);
+        profile.iq = Histogram::from_levels(&iq_levels);
+        profile.lsq = Histogram::from_levels(&lsq_levels);
+        profile.skipped_cycles = skipped_cycles;
+        profile.wakeup_jumps = wakeup_jumps;
         self.fold_issues(&mut issue_counts);
         let (snap_cycle, snap_stats, snap_mem) =
             snapshot.expect("warmup <= total instructions, so the snapshot was taken");
@@ -1494,5 +1490,40 @@ mod tests {
         // so the overall ratio lands between 1.3x and 2x.
         let ratio = tfet.seconds() / base.seconds();
         assert!((1.3..2.2).contains(&ratio), "seconds ratio {ratio}");
+    }
+
+    #[test]
+    fn occupancy_histograms_hold_one_sample_per_measured_cycle() {
+        let cfg = CoreConfig::default();
+        let profile = apps::profile("canneal").expect("known app");
+        let mut core = Core::new(cfg.clone(), 0);
+        let trace = TraceGenerator::new(&profile, 4);
+        let r = core.run_warmed(trace, 2_000, 6_000);
+        let p = &r.profile;
+        assert_eq!(p.cycles, r.stats.cycles);
+        for (name, h, capacity) in [
+            ("rob", &p.rob, cfg.rob_entries),
+            ("iq", &p.iq, cfg.iq_entries),
+            ("lsq", &p.lsq, cfg.lsq_entries),
+        ] {
+            assert_eq!(h.count(), p.cycles, "{name} samples every cycle");
+            assert!(h.max() <= u64::from(capacity), "{name} within capacity");
+        }
+        let loads = p.mem_hit_latency.count() + p.mem_miss_latency.count();
+        assert!(
+            loads > 0 && p.mem_miss_latency.count() > 0,
+            "canneal misses"
+        );
+    }
+
+    #[test]
+    fn a_run_returns_the_same_skip_counts_every_time() {
+        let skips = || {
+            let p = run_app("canneal", CoreConfig::default(), 6).profile;
+            (p.skipped_cycles, p.wakeup_jumps)
+        };
+        let first = skips();
+        assert!(first.0 > 0 && first.1 > 0, "a memory-bound run skips");
+        assert_eq!(skips(), first);
     }
 }

@@ -39,7 +39,6 @@ pub mod multicore;
 pub mod predictor;
 pub mod profile;
 pub mod stats;
-pub mod telemetry;
 
 pub use config::CoreConfig;
 pub use core::{Core, RunResult};

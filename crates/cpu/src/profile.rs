@@ -4,37 +4,40 @@
 //! simulated cycle of [`crate::core::Core::run_warmed`]'s measured
 //! window is charged to exactly one [`CycleClass`], so the class
 //! counts sum to `CoreStats::cycles` — an identity `hetsim-check`
-//! enforces (`cpu.profile_class_conservation`). Class counting is
-//! always on; the occupancy and latency histograms are recorded only
-//! while [`hetsim_stats::attribution::enabled`] profiling is active,
-//! keeping plain runs free of the extra stores.
+//! enforces (`cpu.profile_class_conservation`). Everything here is
+//! always recorded: the occupancy histograms are counted per level
+//! during the run and folded into histograms once at its end.
 
-use hetsim_stats::attribution::{ClassCounts, OccupancyHistograms};
-use hetsim_stats::serde::value::Value;
-use hetsim_stats::serde::{Deserialize, Error, Serialize};
+use hetsim_stats::attribution::ClassCounts;
 use hetsim_stats::Histogram;
 
 pub use hetsim_stats::attribution::CycleClass;
 
 /// Top-down attribution for one core run: where every measured cycle
-/// went, plus (when profiling is enabled) window-occupancy and
-/// demand-load latency distributions.
+/// went, window-occupancy and demand-load latency distributions, and
+/// how far the event-driven step jumped.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreProfile {
     /// Cycles charged per top-down class; sums to [`CoreProfile::cycles`].
     pub classes: ClassCounts,
     /// Total measured cycles (equals `CoreStats::cycles` for the same run).
     pub cycles: u64,
-    /// ROB/IQ/LSQ fill levels, sampled every measured cycle
-    /// (bulk-sampled across dead-cycle skips). Empty when profiling is
-    /// off.
-    pub occupancy: OccupancyHistograms,
-    /// Demand-load round-trip latencies that hit in the DL1 (either
-    /// partition). Empty when profiling is off.
+    /// ROB fill, one sample per measured cycle.
+    pub rob: Histogram,
+    /// Issue-queue fill, one sample per measured cycle.
+    pub iq: Histogram,
+    /// Load-store-queue fill, one sample per measured cycle.
+    pub lsq: Histogram,
+    /// Measured demand-load round-trip latencies that hit in the DL1
+    /// (either partition).
     pub mem_hit_latency: Histogram,
-    /// Demand-load round-trip latencies that missed the DL1. Empty when
-    /// profiling is off.
+    /// Measured demand-load round-trip latencies that missed the DL1.
     pub mem_miss_latency: Histogram,
+    /// Dead cycles the event-driven step jumped over (whole run,
+    /// warm-up included).
+    pub skipped_cycles: u64,
+    /// Wakeup jumps taken to skip them.
+    pub wakeup_jumps: u64,
 }
 
 impl CoreProfile {
@@ -43,82 +46,5 @@ impl CoreProfile {
     /// skipped for empty profiles.
     pub fn is_empty(&self) -> bool {
         self.cycles == 0 && self.classes.is_empty()
-    }
-
-    /// Folds another run's attribution in (multicore phases, campaign
-    /// roll-ups): class counts and cycles add, histograms merge.
-    pub fn merge(&mut self, other: &CoreProfile) {
-        self.classes.merge(&other.classes);
-        self.cycles = self.cycles.saturating_add(other.cycles);
-        self.occupancy.merge(&other.occupancy);
-        self.mem_hit_latency.merge(&other.mem_hit_latency);
-        self.mem_miss_latency.merge(&other.mem_miss_latency);
-    }
-}
-
-impl Serialize for CoreProfile {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("cycles".into(), Value::UInt(self.cycles)),
-            ("classes".into(), self.classes.to_value()),
-            ("occupancy".into(), self.occupancy.to_value()),
-            ("mem_hit_latency".into(), self.mem_hit_latency.to_value()),
-            ("mem_miss_latency".into(), self.mem_miss_latency.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CoreProfile {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::custom(format!("CoreProfile has no `{name}`")))
-        };
-        Ok(CoreProfile {
-            cycles: field("cycles")?
-                .as_u64()
-                .ok_or_else(|| Error::custom("CoreProfile.cycles is not unsigned"))?,
-            classes: ClassCounts::from_value(field("classes")?)?,
-            occupancy: OccupancyHistograms::from_value(field("occupancy")?)?,
-            mem_hit_latency: Histogram::from_value(field("mem_hit_latency")?)?,
-            mem_miss_latency: Histogram::from_value(field("mem_miss_latency")?)?,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hetsim_stats::attribution::CycleClass;
-
-    #[test]
-    fn merge_adds_classes_and_cycles() {
-        let mut a = CoreProfile::default();
-        a.classes.charge(CycleClass::Retire, 10);
-        a.cycles = 10;
-        a.mem_hit_latency.record(1);
-        let mut b = CoreProfile::default();
-        b.classes.charge(CycleClass::MemLatency, 4);
-        b.cycles = 4;
-        b.mem_miss_latency.record(40);
-        a.merge(&b);
-        assert_eq!(a.cycles, 14);
-        assert_eq!(a.classes.total(), 14);
-        assert_eq!(a.mem_hit_latency.count(), 1);
-        assert_eq!(a.mem_miss_latency.count(), 1);
-        assert!(!a.is_empty());
-        assert!(CoreProfile::default().is_empty());
-    }
-
-    #[test]
-    fn serde_round_trips() {
-        let mut p = CoreProfile::default();
-        p.classes.charge(CycleClass::Frontend, 3);
-        p.classes.charge(CycleClass::IdleSkipped, 2);
-        p.cycles = 5;
-        p.occupancy.rob.record_n(17, 5);
-        p.mem_miss_latency.record(200);
-        let back = CoreProfile::from_value(&p.to_value()).expect("round trip");
-        assert_eq!(back, p);
     }
 }

@@ -18,8 +18,6 @@
 //! [`DecodedKernel`] works those out once per launch for every CU; the
 //! issue step in [`run_cu`] then only times the wavefronts.
 
-use hetsim_stats::attribution;
-
 use crate::config::{GpuConfig, WAVEFRONT_THREADS};
 use crate::kernel::{GpuInst, GpuOp, KernelProfile};
 use crate::partitioned::FastRegSet;
@@ -145,8 +143,7 @@ impl DecodedKernel {
 /// Runs `wave_count` wavefronts of a decoded kernel on one compute unit.
 /// Returns the CU's counters and its top-down cycle attribution: every
 /// cycle charged to exactly one class (summing to `GpuStats::cycles`),
-/// plus the wave-residency histogram when process-wide profiling is
-/// enabled.
+/// the wave-residency histogram and the skip counts.
 ///
 /// The work counters are `wave_count` times the decoded per-wave pass;
 /// only `cycles` and `dram_accesses` come from the issue step. The step
@@ -157,7 +154,6 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
     if wave_count == 0 || kernel.insts.is_empty() {
         return (GpuStats::default(), attrib);
     }
-    let profiling = attribution::enabled();
     let insts = &kernel.insts;
     let last_pc = insts.len() - 1;
 
@@ -191,6 +187,9 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
         mem_blocked.resize(n, false);
         let mut rr = 0usize;
         let mut remaining = n;
+        // The cycle `remaining` took its current value. Residency is
+        // recorded once per change of the count, not once per cycle.
+        let mut level_since = cycle;
         // Completion of the batch's slowest final instruction.
         let mut drain = cycle;
         while remaining > 0 {
@@ -227,9 +226,6 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
                     CycleClass::IssueBound
                 };
                 attrib.classes.charge(class, gap);
-                if profiling {
-                    attrib.residency.record_n(remaining as u64, gap);
-                }
                 cycle = wake;
             }
             // ---- Issue wavefront `w`'s instruction ----
@@ -248,6 +244,10 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
             let done = cycle + latency;
             let next_issue = cycle + kernel.issue_cycles;
             if cur == last_pc {
+                // A wave's final issue cycle counts at the lower level.
+                let cycles = cycle - level_since;
+                attrib.residency.record_n(remaining as u64, cycles);
+                level_since = cycle;
                 ready[w] = u64::MAX;
                 remaining -= 1;
                 drain = drain.max(done);
@@ -258,9 +258,6 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
                 mem_blocked[w] = blocked && inst.mem;
             }
             rr = if w + 1 == n { 0 } else { w + 1 };
-            if profiling {
-                attrib.residency.record_n(remaining as u64, 1);
-            }
             cycle += 1;
         }
         // Drain the batch: the batch ends when its slowest wavefront's
@@ -269,13 +266,12 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
             attrib
                 .classes
                 .charge(CycleClass::IdleSkipped, drain - cycle);
-            if profiling {
-                attrib.residency.record_n(0, drain - cycle);
-            }
             cycle = drain;
         }
+        attrib.residency.record_n(0, cycle - level_since);
     }
-    crate::telemetry::record(skipped_cycles, wakeup_jumps);
+    attrib.skipped_cycles = skipped_cycles;
+    attrib.wakeup_jumps = wakeup_jumps;
     // Every issue cycle retires one wavefront instruction.
     let waves = u64::from(wave_count);
     let p = &kernel.per_wave;
@@ -437,5 +433,47 @@ mod tests {
         let stats = run(&GpuConfig::default(), &insts, &p, 0);
         assert_eq!(stats.wavefront_insts, 0);
         assert_eq!(stats.cycles, 0);
+    }
+
+    #[test]
+    fn residency_holds_one_sample_per_cycle() {
+        let (p, insts) = small_kernel();
+        let cfg = GpuConfig::default();
+        let kernel = DecodedKernel::new(&cfg, &p, &insts);
+        // More waves than fit, so batches drain: every level is seen.
+        let (stats, attrib) = run_cu(&kernel, 3 * kernel.waves_per_cu + 1, 5);
+        assert_eq!(attrib.cycles, stats.cycles);
+        assert_eq!(attrib.residency.count(), stats.cycles);
+        assert!(attrib.residency.max() <= u64::from(kernel.waves_per_cu));
+        assert!(attrib.residency.bucket_counts()[0] > 0, "drain tails");
+    }
+
+    #[test]
+    fn a_cu_run_returns_the_same_skip_counts_every_time() {
+        let (p, insts) = small_kernel();
+        let kernel = DecodedKernel::new(&GpuConfig::default(), &p, &insts);
+        let skips = || {
+            let (_, attrib) = run_cu(&kernel, 8, 2);
+            (attrib.skipped_cycles, attrib.wakeup_jumps)
+        };
+        let first = skips();
+        assert!(first.0 > 0 && first.1 > 0, "matmul waits on memory");
+        assert_eq!(skips(), first);
+    }
+
+    #[test]
+    fn a_wave_counts_as_resident_until_its_final_issue_cycle() {
+        // One instruction per wave: wave w issues, and finishes, at
+        // cycle w, so the resident count steps n-1, n-2, ..., 0.
+        let mut p = kernels::profile("matmul").expect("known kernel");
+        p.insts_per_wavefront = 1;
+        let insts = p.generate(3);
+        let kernel = DecodedKernel::new(&GpuConfig::default(), &p, &insts);
+        let n = u64::from(kernel.waves_per_cu);
+        let (stats, attrib) = run_cu(&kernel, kernel.waves_per_cu, 1);
+        let residency = attrib.residency;
+        assert_eq!(residency.count(), stats.cycles);
+        assert_eq!(residency.max(), n - 1);
+        assert_eq!(residency.sum(), n * (n - 1) / 2);
     }
 }

@@ -25,8 +25,7 @@
 //!   round-robin issue.
 //! * [`gpu`] — the whole GPU: wavefront distribution over CUs.
 //! * [`stats`] — event counters for the GPUWattch-like energy model.
-//! * [`telemetry`] — process-global idle-skip counters for the
-//!   event-driven CU step (surfaced under `runner.timing.*`).
+//! * [`profile`] — per-CU cycle attribution, residency and skip counts.
 //!
 //! # Example
 //!
@@ -51,7 +50,6 @@ pub mod profile;
 pub mod rfcache;
 pub mod schedule;
 pub mod stats;
-pub mod telemetry;
 
 pub use config::GpuConfig;
 pub use gpu::{Gpu, GpuRunResult};

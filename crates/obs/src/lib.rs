@@ -34,7 +34,7 @@ mod validate;
 
 pub use chrome::chrome_trace;
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use profile::{CycleProfile, ProfileRow, PROFILE_SCHEMA};
+pub use profile::{CycleProfile, Observations, ProfileRow, PROFILE_SCHEMA};
 pub use recorder::{ArgValue, EventKind, SpanGuard, TraceEvent, TraceRecorder};
 pub use stitch::stitch_traces;
 pub use validate::{parse_jsonl, validate_events};

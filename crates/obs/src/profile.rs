@@ -5,19 +5,20 @@
 //! exportable artifact:
 //!
 //! * [`CycleProfile`] — the document itself: rows keyed by
-//!   `(design, unit)`, merged deterministically so per-shard fragments
-//!   combine like [`crate::stitch_traces`] combines trace logs;
+//!   `(design, unit)`, merged deterministically whatever the order;
+//! * [`Observations`] — what one simulation returns beside its outcome
+//!   (its units' rows and its event-driven skip counts), which the
+//!   runner caches with the outcome and folds per campaign;
 //! * [`CycleProfile::folded`] — folded-stack text
 //!   (`design;unit;class count`), directly consumable by standard
 //!   flamegraph tooling (`flamegraph.pl`, inferno, speedscope);
 //! * [`CycleProfile::counter_track_doc`] — Perfetto counter tracks
 //!   (`"ph": "C"`) in the same Chrome trace-event document shape as
 //!   [`crate::chrome_trace`], one track per design with one counter
-//!   series per class;
-//! * [`collector`] — a process-wide accumulation point the experiment
-//!   layer publishes rows into while profiling is enabled.
-
-use std::sync::Mutex;
+//!   series per class.
+//!
+//! The readers are strict: a document they accept serializes back to
+//! exactly the value tree they read.
 
 use hetsim_stats::attribution::ClassCounts;
 use hetsim_stats::Histogram;
@@ -61,7 +62,7 @@ impl ProfileRow {
     }
 
     /// Adds a named histogram (merging if the name already exists),
-    /// skipping empty histograms so profiling-off runs stay lean.
+    /// skipping empty histograms (no sample of that kind).
     pub fn add_histogram(&mut self, name: &str, h: &Histogram) {
         if h.count() == 0 {
             return;
@@ -106,39 +107,54 @@ impl Serialize for ProfileRow {
 }
 
 impl Deserialize for ProfileRow {
+    /// Strict: `cycles` must equal the class total, and `histograms`
+    /// must be an object whose names are sorted and distinct.
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let str_field = |name: &str| {
+        let field = |name: &str| {
             v.get(name)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| Error::custom(format!("ProfileRow has no string `{name}`")))
+                .ok_or_else(|| Error::custom(format!("ProfileRow has no `{name}`")))
         };
-        let mut histograms = Vec::new();
-        if let Some(hs) = v.get("histograms").and_then(Value::as_object) {
-            for (name, hv) in hs {
-                histograms.push((name.clone(), Histogram::from_value(hv)?));
-            }
+        let str_field = |name: &str| {
+            field(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| Error::custom(format!("ProfileRow `{name}` is not a string")))
+        };
+        let cycles = field("cycles")?
+            .as_u64()
+            .ok_or_else(|| Error::custom("ProfileRow `cycles` is not unsigned"))?;
+        let classes = ClassCounts::from_value(field("classes")?)?;
+        if classes.total() != cycles {
+            return Err(Error::custom(format!(
+                "ProfileRow `cycles` {cycles} differs from its class total {}",
+                classes.total()
+            )));
         }
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        let entries = field("histograms")?
+            .as_object()
+            .ok_or_else(|| Error::custom("ProfileRow `histograms` is not an object"))?;
+        let mut histograms: Vec<(String, Histogram)> = Vec::with_capacity(entries.len());
+        for (name, hv) in entries {
+            if histograms.last().is_some_and(|(last, _)| last >= name) {
+                return Err(Error::custom(format!(
+                    "ProfileRow `histograms` entry `{name}` is out of order or repeated"
+                )));
+            }
+            histograms.push((name.clone(), Histogram::from_value(hv)?));
+        }
         Ok(ProfileRow {
             design: str_field("design")?,
             unit: str_field("unit")?,
-            cycles: v
-                .get("cycles")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| Error::custom("ProfileRow has no `cycles`"))?,
-            classes: ClassCounts::from_value(
-                v.get("classes")
-                    .ok_or_else(|| Error::custom("ProfileRow has no `classes`"))?,
-            )?,
+            classes,
+            cycles,
             histograms,
         })
     }
 }
 
 /// The cycle-attribution document: per-`(design, unit)` rows, kept
-/// sorted by key so serialization and shard merges are deterministic
-/// regardless of completion order.
+/// sorted by key so serialization and merges are deterministic
+/// regardless of fold order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CycleProfile {
     rows: Vec<ProfileRow>,
@@ -163,18 +179,17 @@ impl CycleProfile {
     /// Folds `row` in: merged into the existing `(design, unit)` row if
     /// one exists, inserted in sorted position otherwise.
     pub fn merge_row(&mut self, row: ProfileRow) {
-        let key = (row.design.clone(), row.unit.clone());
+        let key = (row.design.as_str(), row.unit.as_str());
         match self
             .rows
-            .binary_search_by(|r| (r.design.as_str(), r.unit.as_str()).cmp(&(&key.0, &key.1)))
+            .binary_search_by(|r| (r.design.as_str(), r.unit.as_str()).cmp(&key))
         {
             Ok(i) => self.rows[i].merge(&row),
             Err(i) => self.rows.insert(i, row),
         }
     }
 
-    /// Folds a whole fragment in — the profile analogue of
-    /// [`crate::stitch_traces`] for per-shard outputs.
+    /// Folds another profile in, row by row.
     pub fn merge(&mut self, other: &CycleProfile) {
         for row in &other.rows {
             self.merge_row(row.clone());
@@ -272,36 +287,46 @@ impl Deserialize for CycleProfile {
             .ok_or_else(|| Error::custom("CycleProfile has no `rows`"))?;
         let mut profile = CycleProfile::new();
         for row in rows {
-            profile.merge_row(ProfileRow::from_value(row)?);
+            let row = ProfileRow::from_value(row)?;
+            let key = |r: &ProfileRow| (r.design.clone(), r.unit.clone());
+            if profile
+                .rows
+                .last()
+                .is_some_and(|last| key(last) >= key(&row))
+            {
+                return Err(Error::custom(format!(
+                    "CycleProfile `rows`: ({}, {}) is out of order or repeated",
+                    row.design, row.unit
+                )));
+            }
+            profile.rows.push(row);
         }
         Ok(profile)
     }
 }
 
-/// Process-wide accumulation point for attribution rows.
-///
-/// The experiment layer publishes one [`ProfileRow`] per simulated unit
-/// while profiling is enabled; the CLI drains the accumulated document
-/// once at the end of the run. Recording is strictly observational —
-/// nothing here feeds back into simulation or headline output.
-pub mod collector {
-    use super::{CycleProfile, Mutex, ProfileRow};
+/// What one simulation observed beside its outcome: its units' cycle
+/// attribution and how far its event-driven step jumped. A job returns
+/// this with its outcome; the runner caches the two as one record and
+/// folds every answered job's observations per campaign, so a warm or
+/// sharded run reports what a cold one does. Never part of a job key
+/// or of the regression-checked dump sections.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Observations {
+    /// One row per simulated unit (`core{t}` / `cu{i}`).
+    pub profile: CycleProfile,
+    /// Dead cycles the event-driven step jumped over.
+    pub skipped_cycles: u64,
+    /// Jumps it took to skip them.
+    pub wakeup_jumps: u64,
+}
 
-    static COLLECTOR: Mutex<Option<CycleProfile>> = Mutex::new(None);
-
-    /// Publishes one unit's attribution row.
-    pub fn record(row: ProfileRow) {
-        let mut guard = COLLECTOR.lock().expect("profile collector poisoned");
-        guard.get_or_insert_with(CycleProfile::new).merge_row(row);
-    }
-
-    /// Drains the accumulated profile, leaving the collector empty.
-    pub fn take() -> CycleProfile {
-        COLLECTOR
-            .lock()
-            .expect("profile collector poisoned")
-            .take()
-            .unwrap_or_default()
+impl Observations {
+    /// Folds another simulation's observations in.
+    pub fn merge(&mut self, other: &Observations) {
+        self.profile.merge(&other.profile);
+        self.skipped_cycles = self.skipped_cycles.saturating_add(other.skipped_cycles);
+        self.wakeup_jumps = self.wakeup_jumps.saturating_add(other.wakeup_jumps);
     }
 }
 
@@ -427,13 +452,54 @@ mod tests {
         .is_err());
     }
 
+    /// `row`'s serialized form with `name` set to `value`.
+    fn row_with(row: &ProfileRow, name: &str, value: Value) -> Value {
+        let Value::Object(mut fields) = row.to_value() else {
+            panic!("ProfileRow serializes to an object");
+        };
+        for (k, v) in &mut fields {
+            if k == name {
+                *v = value.clone();
+            }
+        }
+        Value::Object(fields)
+    }
+
     #[test]
-    fn collector_drains_to_empty() {
-        collector::record(row("Conv", "coreX", 1, 0));
-        collector::record(row("Conv", "coreX", 2, 0));
-        let p = collector::take();
-        assert_eq!(p.rows().len(), 1);
-        assert_eq!(p.rows()[0].cycles, 3);
-        assert!(collector::take().is_empty(), "take drains");
+    fn a_row_whose_histograms_are_not_an_object_is_an_error() {
+        let bad = row_with(&row("Conv", "core0", 1, 0), "histograms", Value::UInt(7));
+        let err = ProfileRow::from_value(&bad).expect_err("histograms must be an object");
+        assert!(err.to_string().contains("`histograms`"), "{err}");
+    }
+
+    #[test]
+    fn a_row_whose_cycles_differ_from_its_classes_is_an_error() {
+        let bad = row_with(&row("Conv", "core0", 1, 0), "cycles", Value::UInt(99));
+        let err = ProfileRow::from_value(&bad).expect_err("cycles 99 vs class total 1");
+        assert!(err.to_string().contains("`cycles` 99"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_rows_are_an_error_not_a_merge() {
+        let one = row("Conv", "core0", 1, 0).to_value();
+        let doc = Value::Object(vec![
+            ("schema".into(), Value::Str(PROFILE_SCHEMA.into())),
+            ("rows".into(), Value::Array(vec![one.clone(), one])),
+        ]);
+        let err = CycleProfile::from_value(&doc).expect_err("duplicate (design, unit)");
+        assert!(err.to_string().contains("`rows`: (Conv, core0)"), "{err}");
+    }
+
+    #[test]
+    fn observations_merge_and_round_trip() {
+        let mut a = Observations::default();
+        a.profile.merge_row(row("Conv", "core0", 3, 1));
+        a.skipped_cycles = 10;
+        a.wakeup_jumps = 2;
+        let mut b = a.clone();
+        b.merge(&a);
+        assert_eq!(b.profile.rows()[0].cycles, 8);
+        assert_eq!((b.skipped_cycles, b.wakeup_jumps), (20, 4));
+        assert_eq!(Observations::from_value(&b.to_value()), Ok(b));
     }
 }

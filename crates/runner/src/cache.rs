@@ -23,7 +23,9 @@
 //! <key: 32 hex digits> <payload length: 8 hex> <checksum: 16 hex>\n<payload>\n
 //! ```
 //!
-//! The payload is the outcome's compact JSON; the checksum is 64-bit
+//! The payload is the stored value's compact JSON (for a
+//! [`crate::Runner`], the outcome and its observations as one
+//! two-element array); the checksum is 64-bit
 //! FNV-1a over the key digits followed by the payload. Nothing is
 //! buffered in user space, so a record is readable by any handle once
 //! `put` returns. A failed append retires the segment and the next
@@ -237,8 +239,10 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
     }
 }
 
-/// The first line of every segment: the format's schema tag.
-pub(crate) const SEGMENT_HEADER: &[u8] = b"hetsim-cache-segment-v1\n";
+/// The first line of every segment: the format's schema tag. (`v2`: a
+/// runner's record holds the outcome plus its observations, so a `v1`
+/// directory reads as plain misses.)
+pub(crate) const SEGMENT_HEADER: &[u8] = b"hetsim-cache-segment-v2\n";
 
 /// The extension that marks a file in the cache directory as a segment.
 const SEGMENT_EXT: &str = "seg";
@@ -849,6 +853,23 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(dir.join(format!("{}.json", key.hex())), "7").expect("legacy entry");
         let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(cache.get(key), None);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.corrupt_files), (1, 0));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_v1_segment_reads_as_plain_misses() {
+        // A cache directory written before records carried observations:
+        // an intact record under the old header is not read at all.
+        let dir = tmp_dir("v1");
+        let key = JobKey::from_bytes(b"v1");
+        let record = encode(key, "[1.5]").expect("frame");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let old = [b"hetsim-cache-segment-v1\n".as_slice(), &record].concat();
+        std::fs::write(dir.join(format!("0-0.{SEGMENT_EXT}")), old).expect("v1 segment");
+        let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
         assert_eq!(cache.get(key), None);
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.corrupt_files), (1, 0));

@@ -1,5 +1,6 @@
 //! Jobs and their content-addressed keys.
 
+use hetsim_obs::Observations;
 use serde::value::Value;
 use serde::Serialize;
 
@@ -75,7 +76,8 @@ impl std::fmt::Display for JobKey {
 }
 
 /// One schedulable simulation: a content-addressed key, a human label
-/// for progress output, and the closure that produces the outcome.
+/// for progress output, and the closure that produces the outcome and
+/// what the simulation observed about itself.
 pub struct Job<T> {
     /// Content hash of the job's full configuration.
     pub key: JobKey,
@@ -83,7 +85,7 @@ pub struct Job<T> {
     pub label: String,
     /// The simulation itself. Must be pure: a function of the config
     /// captured at construction, with no shared mutable state.
-    pub run: Box<dyn FnOnce() -> T + Send>,
+    pub run: Box<dyn FnOnce() -> (T, Observations) + Send>,
 }
 
 impl<T> Job<T> {
@@ -91,7 +93,7 @@ impl<T> Job<T> {
     pub fn new(
         key: JobKey,
         label: impl Into<String>,
-        run: impl FnOnce() -> T + Send + 'static,
+        run: impl FnOnce() -> (T, Observations) + Send + 'static,
     ) -> Self {
         Job {
             key,
@@ -104,7 +106,7 @@ impl<T> Job<T> {
     pub fn keyed<C: Serialize + ?Sized>(
         config: &C,
         label: impl Into<String>,
-        run: impl FnOnce() -> T + Send + 'static,
+        run: impl FnOnce() -> (T, Observations) + Send + 'static,
     ) -> Self {
         Job::new(JobKey::of(config), label, run)
     }
@@ -185,7 +187,7 @@ mod tests {
 
     #[test]
     fn jobs_run_their_closure() {
-        let job = Job::keyed(&("t", 1u32), "label", || 7u32);
-        assert_eq!((job.run)(), 7);
+        let job = Job::keyed(&("t", 1u32), "label", || (7u32, Observations::default()));
+        assert_eq!((job.run)().0, 7);
     }
 }

@@ -32,7 +32,10 @@
 //! The crate is deliberately independent of the simulators: jobs carry
 //! closures, outcomes are any `Serialize + Deserialize + Clone + Send`
 //! type, and the sim-seconds metric comes from the [`SimMetrics`] trait
-//! the outcome types implement. This is the layer future scaling work
+//! the outcome types implement. Each job also returns its
+//! [`hetsim_obs::Observations`]; the cache stores them in the outcome's
+//! record and the runner folds them, so a warm or sharded campaign
+//! reports the same observations as a cold one. This is the layer future scaling work
 //! (sharding, serving, larger sweeps) plugs into.
 
 #![warn(missing_docs)]

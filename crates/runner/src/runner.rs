@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hetsim_obs::{Clock, MonotonicClock, TraceRecorder};
+use hetsim_obs::{Clock, MonotonicClock, Observations, TraceRecorder};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheLayer, ResultCache};
@@ -24,13 +24,18 @@ use crate::SimMetrics;
 ///    disk); hits fill their result slot immediately and emit a
 ///    `JobFinished` event with cache provenance;
 /// 2. **execute** — the remaining misses run on the work-stealing pool
-///    ([`run_batch`]), each storing its outcome back into the cache;
+///    ([`run_batch`]), each storing its outcome and [`Observations`]
+///    back into the cache as one record;
 /// 3. **merge** — results are returned in submission order, so the
-///    output is independent of worker count and scheduling.
+///    output is independent of worker count and scheduling, and every
+///    answered job's observations fold into the runner's total in the
+///    same order, hit or executed.
 ///
 /// The runner keeps cumulative [`RunnerStats`] across batches (a
 /// campaign is usually several figures' worth of batches on one
-/// runner), plus per-phase wall-time histograms ([`RunnerTiming`]).
+/// runner), per-phase wall-time histograms ([`RunnerTiming`], which
+/// also sum the skip counts of the jobs it executed) and the folded
+/// observations ([`Runner::total_observations`]).
 ///
 /// All timestamps come from an injected [`Clock`] — a
 /// [`hetsim_obs::ManualClock`] under test makes timing and tracing
@@ -40,7 +45,7 @@ use crate::SimMetrics;
 /// recorded as spans on the thread that ran them.
 pub struct Runner<T> {
     workers: usize,
-    cache: ResultCache<T>,
+    cache: ResultCache<(T, Observations)>,
     bypass_cache: bool,
     sink: Arc<dyn ProgressSink>,
     clock: Arc<dyn Clock>,
@@ -48,6 +53,7 @@ pub struct Runner<T> {
     total: Mutex<RunnerStats>,
     last: Mutex<RunnerStats>,
     timing: Mutex<RunnerTiming>,
+    observations: Mutex<Observations>,
 }
 
 impl<T> Runner<T>
@@ -67,6 +73,7 @@ where
             total: Mutex::default(),
             last: Mutex::default(),
             timing: Mutex::default(),
+            observations: Mutex::default(),
         }
     }
 
@@ -165,7 +172,7 @@ where
 
         // Step 1: probe the cache for every job, in submission order.
         let done = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
+        let mut slots: Vec<Option<(T, Observations)>> = Vec::with_capacity(n);
         let mut misses: Vec<(usize, Job<T>)> = Vec::new();
         for (index, job) in jobs.into_iter().enumerate() {
             if self.bypass_cache {
@@ -208,17 +215,17 @@ where
                 );
             }
             match hit {
-                Some((value, _)) => {
+                Some((record, _)) => {
                     self.sink.event(&ProgressEvent::JobFinished {
                         index,
                         label: job.label,
                         provenance,
                         done: done.fetch_add(1, Ordering::SeqCst) + 1,
                         total: n,
-                        counters: value.counters(),
-                        sim_seconds: value.sim_seconds(),
+                        counters: record.0.counters(),
+                        sim_seconds: record.0.sim_seconds(),
                     });
-                    slots.push(Some(value));
+                    slots.push(Some(record));
                 }
                 None => {
                     slots.push(None);
@@ -228,9 +235,10 @@ where
         }
 
         // Step 2: execute the misses on the pool. Each task announces
-        // itself, simulates, stores the outcome, and reports. Phase
-        // times land in `timing` (shared, per-sample lock) and — when
-        // tracing — as spans on the worker's own track.
+        // itself, simulates, stores outcome and observations, and
+        // reports. Phase times and skip counts land in `timing`
+        // (shared, per-sample lock) and — when tracing — as spans on
+        // the worker's own track.
         let executed = misses.len() as u64;
         let bypass_cache = self.bypass_cache;
         let cache = &self.cache;
@@ -239,7 +247,7 @@ where
         let recorder = self.recorder.as_deref();
         let timing = &self.timing;
         let done = &done;
-        let tasks: Vec<Task<'_, (usize, T)>> = misses
+        let tasks: Vec<Task<'_, (usize, (T, Observations))>> = misses
             .into_iter()
             .map(|(index, job)| {
                 let Job { key, label, run } = job;
@@ -255,16 +263,18 @@ where
                     // annotation instead.
                     let sim_start_us = clock.now_us();
                     let queue_us = sim_start_us.saturating_sub(started_us);
-                    let value = run();
+                    let record = run();
                     let sim_end_us = clock.now_us();
                     let write_end_us = if bypass_cache {
                         sim_end_us // nothing stored, no write phase
                     } else {
-                        cache.put(key, &value);
+                        cache.put(key, &record);
                         clock.now_us()
                     };
                     {
                         let mut timing = timing.lock().expect("timing lock");
+                        timing.skipped_cycles += record.1.skipped_cycles;
+                        timing.wakeup_jumps += record.1.wakeup_jumps;
                         timing.queue_wait_us.record(queue_us);
                         timing
                             .simulate_us
@@ -303,23 +313,31 @@ where
                         provenance: Provenance::Executed,
                         done: done.fetch_add(1, Ordering::SeqCst) + 1,
                         total: n,
-                        counters: value.counters(),
-                        sim_seconds: value.sim_seconds(),
+                        counters: record.0.counters(),
+                        sim_seconds: record.0.sim_seconds(),
                     });
-                    (index, value)
-                }) as Task<'_, (usize, T)>
+                    (index, record)
+                }) as Task<'_, (usize, (T, Observations))>
             })
             .collect();
-        for (index, value) in run_batch(self.workers, tasks) {
-            slots[index] = Some(value);
+        for (index, record) in run_batch(self.workers, tasks) {
+            slots[index] = Some(record);
         }
 
-        // Step 3: merge by submission index.
+        // Step 3: merge by submission index, folding observations in
+        // the same order.
+        let mut observations = self.observations.lock().expect("observations lock");
         let results: Vec<T> = slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("job {i} produced no outcome")))
+            .map(|(i, slot)| {
+                let (value, observed) =
+                    slot.unwrap_or_else(|| panic!("job {i} produced no outcome"));
+                observations.merge(&observed);
+                value
+            })
             .collect();
+        drop(observations);
 
         let end_us = self.clock.now_us();
         // Step-1 lookup times merge here rather than sampling the
@@ -368,9 +386,16 @@ where
     }
 
     /// Cumulative per-phase wall-time histograms across every batch
-    /// (always collected, with or without a recorder attached).
+    /// (always collected, with or without a recorder attached), with
+    /// the skip counts of every job this runner executed.
     pub fn total_timing(&self) -> RunnerTiming {
         *self.timing.lock().expect("timing lock")
+    }
+
+    /// The observations of every job every batch answered, executed or
+    /// hit, folded in submission order.
+    pub fn total_observations(&self) -> Observations {
+        self.observations.lock().expect("observations lock").clone()
     }
 }
 
@@ -404,15 +429,35 @@ mod tests {
         }
     }
 
+    /// Job `i`'s observations: one row and `i` skipped cycles.
+    fn observed(i: u64) -> Observations {
+        let mut row = hetsim_obs::ProfileRow::new("T", format!("core{}", i % 3));
+        row.classes
+            .charge(hetsim_obs::profile::CycleClass::Retire, i + 1);
+        row.cycles = i + 1;
+        let mut observations = Observations::default();
+        observations.profile.merge_row(row);
+        observations.skipped_cycles = i;
+        observations.wakeup_jumps = 1;
+        observations
+    }
+
     fn batch(counter: &'static AtomicU64, n: u64) -> Vec<Job<Out>> {
         (0..n)
             .map(|i| {
                 Job::keyed(&("test-v1", i), format!("job{i}"), move || {
                     counter.fetch_add(1, Ordering::SeqCst);
-                    Out(i as f64)
+                    (Out(i as f64), observed(i))
                 })
             })
             .collect()
+    }
+
+    /// The fold of jobs `0..n`'s observations.
+    fn folded(n: u64) -> Observations {
+        let mut total = Observations::default();
+        (0..n).for_each(|i| total.merge(&observed(i)));
+        total
     }
 
     #[test]
@@ -502,9 +547,11 @@ mod tests {
         runner.run(batch(&RUNS, 3));
         // Another handle on the directory (a shard worker, say) stores
         // jobs 3..6 after this runner's index was built.
-        let other: ResultCache<Out> = ResultCache::on_disk(&dir).expect("cache dir");
+        let other: ResultCache<(Out, Observations)> =
+            ResultCache::on_disk(&dir).expect("cache dir");
         for i in 3..6u64 {
-            other.put(crate::JobKey::of(&("test-v1", i)), &Out(i as f64));
+            let record = (Out(i as f64), observed(i));
+            other.put(crate::JobKey::of(&("test-v1", i)), &record);
         }
         let outcomes = runner.run(batch(&RUNS, 6));
         assert_eq!(
@@ -515,6 +562,42 @@ mod tests {
         assert_eq!(outcomes, (0..6).map(|i| Out(i as f64)).collect::<Vec<_>>());
         let last = runner.last_stats();
         assert_eq!((last.cache.memory_hits, last.cache.disk_hits), (3, 3));
+        let mut expected = folded(3);
+        expected.merge(&folded(6));
+        assert_eq!(runner.total_observations(), expected);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn skip_totals_sum_the_executed_jobs_and_a_warm_batch_adds_none() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let runner = Runner::new(3);
+        runner.run(batch(&RUNS, 10));
+        let cold = runner.total_timing();
+        assert_eq!((cold.skipped_cycles, cold.wakeup_jumps), (45, 10));
+        runner.run(batch(&RUNS, 10)); // all memory hits
+        let warm = runner.total_timing();
+        assert_eq!((warm.skipped_cycles, warm.wakeup_jumps), (45, 10));
+        // The fold covers every answered job, hit or executed.
+        let mut twice = folded(10);
+        twice.merge(&folded(10));
+        assert_eq!(runner.total_observations(), twice);
+    }
+
+    #[test]
+    fn a_disk_warm_runner_folds_the_observations_a_cold_one_did() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir =
+            std::env::temp_dir().join(format!("hetsim-runner-observe-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = Runner::new(2).with_cache_dir(&dir).expect("cache dir");
+        cold.run(batch(&RUNS, 7));
+        let warm = Runner::new(2).with_cache_dir(&dir).expect("cache dir");
+        warm.run(batch(&RUNS, 7));
+        assert_eq!(RUNS.load(Ordering::SeqCst), 7, "the warm batch ran nothing");
+        assert_eq!(cold.total_observations(), folded(7));
+        assert_eq!(warm.total_observations(), folded(7));
+        assert_eq!(warm.total_timing().skipped_cycles, 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -28,12 +28,12 @@ pub struct RunnerTiming {
     pub simulate_us: Histogram,
     /// Time spent writing the outcome back to the cache (misses only).
     pub cache_write_us: Histogram,
-    /// Dead cycles elided by the event-driven simulator step (folded in
-    /// from the simulator's process-global telemetry by the CLI; zero
-    /// unless the caller attaches it).
+    /// Dead cycles elided by the event-driven simulator step, summed
+    /// over the jobs this runner executed (from their observations;
+    /// cache hits add nothing).
     pub skipped_cycles: u64,
-    /// Next-event jumps taken by the event-driven simulator step (same
-    /// provenance as `skipped_cycles`).
+    /// Next-event jumps taken by the event-driven simulator step, over
+    /// the same jobs.
     pub wakeup_jumps: u64,
 }
 

@@ -1,6 +1,8 @@
 //! Property tests of the result cache's segment reader.
 //!
-//! Entries go in through the public API; then the segments on disk are
+//! Entries are runner records — an outcome plus the observations its
+//! simulation returned — and go in through the public API; then the
+//! segments on disk are
 //! damaged: truncated at every byte offset, bit-flipped (key digits,
 //! length and checksum fields included), given another header, padded
 //! with garbage, or spliced together with a second writer's segment.
@@ -10,11 +12,35 @@
 
 use std::path::{Path, PathBuf};
 
+use hetsim_obs::profile::CycleClass;
+use hetsim_obs::{Observations, ProfileRow};
 use hetsim_runner::{CacheStats, JobKey, ResultCache};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-type Value = (u64, String);
+/// A runner's record: the outcome and its observations.
+type Value = ((u64, String), Observations);
+
+/// Observations derived from `text`: a row for its first byte (if
+/// any), with cycles and skip counts from the bytes.
+fn observed(i: u64, text: &[u8]) -> Observations {
+    let mut observations = Observations {
+        skipped_cycles: i * 1_000,
+        wakeup_jumps: text.len() as u64,
+        ..Observations::default()
+    };
+    for (unit, &byte) in text.iter().enumerate().take(1) {
+        let mut row = ProfileRow::new(format!("D{i}"), format!("core{unit}"));
+        row.classes.charge(CycleClass::Retire, u64::from(byte));
+        row.classes.charge(CycleClass::MemLatency, i);
+        row.cycles = row.classes.total();
+        let mut rob = hetsim_stats::Histogram::new();
+        rob.record_n(u64::from(byte % 7), row.cycles);
+        row.add_histogram("rob", &rob);
+        observations.profile.merge_row(row);
+    }
+    observations
+}
 
 /// One entry per text, each value distinct (it carries its index), so
 /// an answer with another key's value cannot pass for the right one.
@@ -23,7 +49,8 @@ fn entries(texts: &[Vec<u8>]) -> Vec<(JobKey, Value)> {
         .iter()
         .enumerate()
         .map(|(i, text)| {
-            let value = (i as u64, String::from_utf8_lossy(text).into_owned());
+            let outcome = (i as u64, String::from_utf8_lossy(text).into_owned());
+            let value = (outcome, observed(i as u64, text));
             (JobKey::of(&("cache-props", i as u64)), value)
         })
         .collect()
@@ -160,7 +187,7 @@ proptest! {
     #[test]
     fn an_unknown_header_hides_the_segment(
         texts in vec(vec(any::<u8>(), 0..24), 1..5),
-        version in 2u64..100,
+        version in 1u64..100,
         garbage in vec(any::<u8>(), 0..40),
         use_garbage in any::<bool>(),
     ) {
@@ -173,7 +200,7 @@ proptest! {
             garbage
         } else {
             String::from_utf8_lossy(header)
-                .replace("-v1\n", &format!("-v{version}\n"))
+                .replace("-v2\n", &format!("-v{version}\n"))
                 .into_bytes()
         };
         if tag == header {

@@ -8,15 +8,9 @@
 //! core and a SIMT compute unit, so cross-device comparisons (where do
 //! TFET latencies actually go?) need no name translation.
 //!
-//! Class *counting* is always on — it is a handful of branches per
-//! simulated event-step and must never change simulation results — but
-//! the heavier per-cycle artifacts (occupancy histograms, latency
-//! distributions) are gated behind the process-wide [`enabled`] flag so
-//! plain runs pay nothing for them.
+//! Class counting is always on: it is a handful of branches per
+//! simulated event-step and never changes simulation results.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use crate::histogram::Histogram;
 use crate::serde::value::Value;
 use crate::serde::{Deserialize, Error, Serialize};
 
@@ -137,86 +131,32 @@ impl Serialize for ClassCounts {
 }
 
 impl Deserialize for ClassCounts {
+    /// Strict: exactly the seven class names, each once, each unsigned.
     fn from_value(v: &Value) -> Result<Self, Error> {
         let entries = v
             .as_object()
             .ok_or_else(|| Error::custom("ClassCounts is not an object"))?;
         let mut counts = ClassCounts::new();
+        let mut seen = [false; CycleClass::ALL.len()];
         for (name, value) in entries {
             let class = CycleClass::from_name(name)
                 .ok_or_else(|| Error::custom(format!("unknown cycle class `{name}`")))?;
+            if std::mem::replace(&mut seen[class as usize], true) {
+                return Err(Error::custom(format!("cycle class `{name}` appears twice")));
+            }
             let cycles = value
                 .as_u64()
                 .ok_or_else(|| Error::custom(format!("cycle class `{name}` is not unsigned")))?;
             counts.charge(class, cycles);
         }
-        Ok(counts)
+        match CycleClass::ALL.into_iter().find(|&c| !seen[c as usize]) {
+            Some(missing) => Err(Error::custom(format!(
+                "cycle class `{}` is missing",
+                missing.name()
+            ))),
+            None => Ok(counts),
+        }
     }
-}
-
-/// A per-unit occupancy histogram bundle: how full the core's windows
-/// (or the CU's wavefront pool) were, cycle by cycle. Recorded only
-/// while [`enabled`] profiling is on — bulk-sampled via
-/// [`Histogram::record_n`] so dead-cycle skips stay O(1).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OccupancyHistograms {
-    /// ROB fill (CPU) / resident unfinished wavefronts (GPU).
-    pub rob: Histogram,
-    /// Issue-queue fill (CPU only; empty for CUs).
-    pub iq: Histogram,
-    /// Load-store-queue fill (CPU only; empty for CUs).
-    pub lsq: Histogram,
-}
-
-impl OccupancyHistograms {
-    /// Folds another unit's occupancy samples in.
-    pub fn merge(&mut self, other: &OccupancyHistograms) {
-        self.rob.merge(&other.rob);
-        self.iq.merge(&other.iq);
-        self.lsq.merge(&other.lsq);
-    }
-}
-
-impl Serialize for OccupancyHistograms {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("rob".into(), self.rob.to_value()),
-            ("iq".into(), self.iq.to_value()),
-            ("lsq".into(), self.lsq.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for OccupancyHistograms {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| Error::custom(format!("OccupancyHistograms has no `{name}`")))
-                .and_then(Histogram::from_value)
-        };
-        Ok(OccupancyHistograms {
-            rob: field("rob")?,
-            iq: field("iq")?,
-            lsq: field("lsq")?,
-        })
-    }
-}
-
-/// Process-wide switch for the *optional* profiling artifacts
-/// (occupancy and latency histograms). Class counting ignores this —
-/// it is always on and always cheap.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Turns detailed profiling on or off for the whole process. The CLI
-/// flips this once before a run; the simulators read it at run start,
-/// so mid-run flips only affect runs that start afterwards.
-pub fn set_enabled(on: bool) {
-    PROFILING.store(on, Ordering::Relaxed);
-}
-
-/// `true` when detailed profiling artifacts should be recorded.
-pub fn enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -272,25 +212,22 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_bundle_merges_and_round_trips() {
-        let mut a = OccupancyHistograms::default();
-        a.rob.record_n(40, 100);
-        a.iq.record(3);
-        let mut b = OccupancyHistograms::default();
-        b.rob.record(1);
-        b.lsq.record_n(9, 2);
-        a.merge(&b);
-        assert_eq!(a.rob.count(), 101);
-        assert_eq!(a.lsq.count(), 2);
-        let back = OccupancyHistograms::from_value(&a.to_value()).expect("round trip");
-        assert_eq!(back, a);
-    }
-
-    #[test]
-    fn profiling_flag_flips() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
+    fn a_class_named_twice_or_missing_is_an_error() {
+        // `{"retire": 1, "retire": 2}` once read as 3 retire cycles.
+        let twice = Value::Object(vec![
+            ("retire".into(), Value::UInt(1)),
+            ("retire".into(), Value::UInt(2)),
+        ]);
+        let err = ClassCounts::from_value(&twice).expect_err("duplicate class");
+        assert!(err.to_string().contains("`retire` appears twice"), "{err}");
+        let Value::Object(mut fields) = ClassCounts::new().to_value() else {
+            panic!("ClassCounts serializes to an object");
+        };
+        fields.pop();
+        let err = ClassCounts::from_value(&Value::Object(fields)).expect_err("missing class");
+        assert!(
+            err.to_string().contains("`idle-skipped` is missing"),
+            "{err}"
+        );
     }
 }

@@ -87,6 +87,18 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
+    /// The histogram of samples counted per level: `levels[v]` samples
+    /// of value `v`. The same as recording every sample one at a time,
+    /// since `record_n(v, a)` then `record_n(v, b)` is
+    /// `record_n(v, a + b)` and samples of different values commute.
+    pub fn from_levels(levels: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for (value, &n) in levels.iter().enumerate() {
+            h.record_n(value as u64, n);
+        }
+        h
+    }
+
     /// Folds another histogram in (element-wise saturating addition;
     /// associative and commutative).
     pub fn merge(&mut self, other: &Histogram) {
@@ -190,8 +202,7 @@ impl Histogram {
 impl Serialize for Histogram {
     fn to_value(&self) -> Value {
         // p50/p95/p99 are derived fields for dump consumers; the
-        // deserializer ignores them (they reconstruct from `buckets`),
-        // so round-trip equality is preserved.
+        // deserializer checks them against `buckets`.
         Value::Object(vec![
             ("count".into(), Value::UInt(self.count)),
             ("sum".into(), Value::UInt(self.sum)),
@@ -230,12 +241,35 @@ impl Deserialize for Histogram {
                 .as_u64()
                 .ok_or_else(|| Error::custom("Histogram bucket is not an unsigned integer"))?;
         }
-        Ok(Histogram {
+        let h = Histogram {
             counts,
             count: u64_field("count")?,
             sum: u64_field("sum")?,
             max: u64_field("max")?,
-        })
+        };
+        // Strict: every summary field must agree with the buckets.
+        let in_buckets = counts.iter().fold(0u64, |a, &c| a.saturating_add(c));
+        if h.count != in_buckets {
+            return Err(Error::custom(format!(
+                "Histogram `count` {} differs from its bucket total {in_buckets}",
+                h.count
+            )));
+        }
+        let top = counts.iter().rposition(|&c| c > 0);
+        if top.map_or(h.max != 0 || h.sum != 0, |i| bucket_of(h.max) != i) {
+            return Err(Error::custom(format!(
+                "Histogram `max` {} is not in its top occupied bucket",
+                h.max
+            )));
+        }
+        for (name, derived) in [("p50", h.p50()), ("p95", h.p95()), ("p99", h.p99())] {
+            if u64_field(name)? != derived {
+                return Err(Error::custom(format!(
+                    "Histogram `{name}` disagrees with its buckets"
+                )));
+            }
+        }
+        Ok(h)
     }
 }
 
@@ -376,5 +410,49 @@ mod tests {
             }
         }
         assert!(Histogram::from_value(&v).is_err());
+    }
+
+    #[test]
+    fn from_levels_equals_recording_each_sample() {
+        let levels = [3, 0, 2, 0, 0, 7];
+        let mut one_by_one = Histogram::new();
+        for (value, &n) in levels.iter().enumerate() {
+            for _ in 0..n {
+                one_by_one.record(value as u64);
+            }
+        }
+        assert_eq!(Histogram::from_levels(&levels), one_by_one);
+        assert!(Histogram::from_levels(&[0, 0]).is_empty());
+    }
+
+    /// Sets one field of a serialized histogram.
+    fn with_field(h: &Histogram, name: &str, value: Value) -> Value {
+        let Value::Object(mut fields) = h.to_value() else {
+            panic!("Histogram serializes to an object");
+        };
+        for (k, v) in &mut fields {
+            if k == name {
+                *v = value.clone();
+            }
+        }
+        Value::Object(fields)
+    }
+
+    #[test]
+    fn summary_fields_must_agree_with_the_buckets() {
+        let mut h = Histogram::new();
+        h.record(3);
+        // A count of 5 over one bucketed sample once read back as is.
+        let err = Histogram::from_value(&with_field(&h, "count", Value::UInt(5)))
+            .expect_err("count differs from the buckets");
+        assert!(err.to_string().contains("`count` 5"), "{err}");
+        let err = Histogram::from_value(&with_field(&h, "max", Value::UInt(900)))
+            .expect_err("max outside the top bucket");
+        assert!(err.to_string().contains("`max`"), "{err}");
+        let err = Histogram::from_value(&with_field(&h, "p95", Value::UInt(1)))
+            .expect_err("quantile disagrees");
+        assert!(err.to_string().contains("`p95`"), "{err}");
+        let empty = Histogram::new();
+        assert!(Histogram::from_value(&with_field(&empty, "sum", Value::UInt(1))).is_err());
     }
 }

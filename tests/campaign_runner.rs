@@ -1,6 +1,7 @@
 //! Integration tests for the campaign-execution engine: parallel runs
 //! are bit-identical to serial ones, a warm cache eliminates every
-//! simulation, and a torn cache record heals by re-simulation.
+//! simulation, a torn cache record heals by re-simulation, and
+//! campaigns sharing a process observe only their own jobs.
 
 use std::path::PathBuf;
 
@@ -139,4 +140,45 @@ fn outcome_serialization_round_trips_exactly() {
     let back: hetcore_repro::hetcore::CpuOutcome =
         serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back, outcome);
+}
+
+/// Runs seed `seed`'s CPU and GPU campaigns on two fresh runners and
+/// returns what each observed: its folded observations (in `Debug`
+/// form) and the skip totals of the jobs it executed.
+fn campaign_observations(seed: u64) -> [(String, u64, u64); 2] {
+    let s = Suite {
+        insts_per_app: 4_000,
+        seed,
+    };
+    let (cpu, gpu) = (Runner::new(2), Runner::new(2));
+    s.cpu_campaign_with(&cpu);
+    s.gpu_campaign_with(&gpu);
+    let (c, g) = (cpu.total_timing(), gpu.total_timing());
+    [
+        (
+            format!("{:?}", cpu.total_observations()),
+            c.skipped_cycles,
+            c.wakeup_jumps,
+        ),
+        (
+            format!("{:?}", gpu.total_observations()),
+            g.skipped_cycles,
+            g.wakeup_jumps,
+        ),
+    ]
+}
+
+#[test]
+fn concurrent_campaigns_observe_exactly_their_own_jobs() {
+    let alone = [5, 6].map(campaign_observations);
+    let together = std::thread::scope(|scope| {
+        [5, 6]
+            .map(|seed| scope.spawn(move || campaign_observations(seed)))
+            .map(|handle| handle.join().expect("campaign thread"))
+    });
+    assert_eq!(together, alone, "a concurrent campaign leaked into another");
+    assert_ne!(alone[0], alone[1], "the seeds observe different runs");
+    for [cpu, gpu] in &alone {
+        assert!(cpu.1 > 0 && gpu.1 > 0, "both simulators skip cycles");
+    }
 }
