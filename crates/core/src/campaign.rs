@@ -39,12 +39,16 @@ use crate::experiment::{CpuOutcome, CpuRun, GpuOutcome, GpuRun};
 
 /// Cache-key schema tag for CPU jobs. Bump on incompatible changes to
 /// the CPU simulator, energy model or [`CpuOutcome`] layout.
-/// (`v2`: outcomes gained chip-level `stats`/`mem` counter sets.)
-pub const CPU_SCHEMA: &str = "cpu-v2";
+/// (`v2`: outcomes gained chip-level `stats`/`mem` counter sets;
+/// `v3`: no layout change, the `step_equivalence` golden gained its
+/// per-CU issue-step section.)
+pub const CPU_SCHEMA: &str = "cpu-v3";
 /// Cache-key schema tag for GPU jobs. Bump on incompatible changes to
 /// the GPU simulator, energy model or [`GpuOutcome`] layout.
-/// (`v2`: outcomes gained the run's `stats` counter set.)
-pub const GPU_SCHEMA: &str = "gpu-v2";
+/// (`v2`: outcomes gained the run's `stats` counter set; `v3`: no
+/// layout change, the `step_equivalence` golden gained its per-CU
+/// issue-step section.)
+pub const GPU_SCHEMA: &str = "gpu-v3";
 
 /// A job input together with its fingerprint: the hash of its `Debug`
 /// rendering (every field, floats in round-trip form). Jobs share the

@@ -1,5 +1,5 @@
 //! Guards the cache-schema contract: the on-disk result cache keys
-//! every outcome under a schema tag (`cpu-v2` / `gpu-v2`), and the
+//! every outcome under a schema tag (`cpu-v3` / `gpu-v3`), and the
 //! contract (see `hetcore::campaign`) is that the tag is bumped
 //! whenever the serialized outcome *layout* changes — otherwise stale
 //! caches deserialize into garbage, or fail to deserialize at all,
@@ -27,11 +27,11 @@ use serde::value::Value;
 use serde::Serialize;
 
 /// The schema tags these fingerprints were pinned under.
-const PINNED_CPU_SCHEMA: &str = "cpu-v2";
-const PINNED_GPU_SCHEMA: &str = "gpu-v2";
+const PINNED_CPU_SCHEMA: &str = "cpu-v3";
+const PINNED_GPU_SCHEMA: &str = "gpu-v3";
 
 /// Fingerprint of [`BEHAVIOUR_FILES`] under the pinned tags.
-const PINNED_BEHAVIOUR: &str = "8962506decdc73905dd8dc07958a4f4b";
+const PINNED_BEHAVIOUR: &str = "2ba639861579f97d3a238f12a246ce1b";
 
 /// The files that pin what the simulators produce, relative to the
 /// workspace root.

@@ -103,16 +103,21 @@ impl Serialize for ArgValue {
 }
 
 impl Deserialize for ArgValue {
+    /// Strict: an unsigned integer, a finite float or a string — the
+    /// three values an arg serializes as. A signed integer (`-3`, or
+    /// `-0`) is an error, not a float: it would serialize back as
+    /// something the text does not say.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         match v {
             Value::UInt(n) => Ok(ArgValue::U64(*n)),
-            Value::Int(n) if *n >= 0 => Ok(ArgValue::U64(*n as u64)),
-            Value::Int(n) => Ok(ArgValue::F64(*n as f64)),
-            Value::Float(f) => Ok(ArgValue::F64(*f)),
+            Value::Float(f) if f.is_finite() => Ok(ArgValue::F64(*f)),
             Value::Str(s) => Ok(ArgValue::Str(s.clone())),
-            other => Err(serde::Error::custom(format!(
-                "trace event arg is not a number or string: {other:?}"
+            Value::Int(n) => Err(serde::Error::custom(format!(
+                "is a signed integer ({n}), not an unsigned one"
             ))),
+            _ => Err(serde::Error::custom(
+                "is not an unsigned integer, a finite float or a string",
+            )),
         }
     }
 }
@@ -190,7 +195,21 @@ impl Serialize for TraceEvent {
 }
 
 impl Deserialize for TraceEvent {
+    /// Strict: an object holding each field its kind writes exactly once
+    /// and no other (`args` may be absent, and reads as empty), with an
+    /// unsigned-integer track and timestamps, and an `args` object of
+    /// distinct keys. Anything else — a repeated field, an unknown one,
+    /// an `end_us` on an instant — is an error naming the field, so an
+    /// accepted event serializes back to exactly what the text holds.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let fields = v
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("trace event is not an object"))?;
+        if let Some(key) = first_repeated(fields) {
+            return Err(serde::Error::custom(format!(
+                "trace event field `{key}` appears twice"
+            )));
+        }
         let field = |name: &str| {
             v.get(name)
                 .ok_or_else(|| serde::Error::custom(format!("trace event has no `{name}` field")))
@@ -200,41 +219,61 @@ impl Deserialize for TraceEvent {
                 serde::Error::custom(format!("trace event `{name}` is not a string"))
             })
         };
-        let u64_field = |name: &str| {
-            field(name)?.as_u64().ok_or_else(|| {
-                serde::Error::custom(format!("trace event `{name}` is not an unsigned integer"))
-            })
+        let u64_field = |name: &str| match field(name)? {
+            Value::UInt(n) => Ok(*n),
+            _ => Err(serde::Error::custom(format!(
+                "trace event `{name}` is not an unsigned integer"
+            ))),
         };
-        let kind = match str_field("kind")?.as_str() {
-            "span" => EventKind::Span {
-                start_us: u64_field("start_us")?,
-                end_us: u64_field("end_us")?,
-            },
-            "instant" => EventKind::Instant {
-                at_us: u64_field("at_us")?,
-            },
+        let kind_name = str_field("kind")?;
+        let (kind, timestamps) = match kind_name.as_str() {
+            "span" => (
+                EventKind::Span {
+                    start_us: u64_field("start_us")?,
+                    end_us: u64_field("end_us")?,
+                },
+                &["start_us", "end_us"][..],
+            ),
+            "instant" => (
+                EventKind::Instant {
+                    at_us: u64_field("at_us")?,
+                },
+                &["at_us"][..],
+            ),
             other => {
                 return Err(serde::Error::custom(format!(
                     "unknown trace event kind '{other}'"
                 )))
             }
         };
+        let known = ["kind", "name", "cat", "track", "args"];
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(k, _)| !known.contains(&k.as_str()) && !timestamps.contains(&k.as_str()))
+        {
+            return Err(serde::Error::custom(format!(
+                "trace event field `{key}` is unknown to a {kind_name} event"
+            )));
+        }
         let args = match v.get("args") {
-            None | Some(Value::Null) => Vec::new(),
-            Some(args) => args
-                .as_object()
-                .ok_or_else(|| serde::Error::custom("trace event `args` is not an object"))?
-                .iter()
-                .map(|(k, val)| {
-                    ArgValue::from_value(val)
-                        .map(|a| (k.clone(), a))
-                        .map_err(|_| {
-                            serde::Error::custom(format!(
-                                "trace event arg `{k}` is not a number or string"
-                            ))
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
+            None => Vec::new(),
+            Some(args) => {
+                let args = args
+                    .as_object()
+                    .ok_or_else(|| serde::Error::custom("trace event `args` is not an object"))?;
+                if let Some(key) = first_repeated(args) {
+                    return Err(serde::Error::custom(format!(
+                        "trace event arg `{key}` appears twice"
+                    )));
+                }
+                args.iter()
+                    .map(|(k, val)| {
+                        ArgValue::from_value(val)
+                            .map(|a| (k.clone(), a))
+                            .map_err(|e| serde::Error::custom(format!("trace event arg `{k}` {e}")))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?
+            }
         };
         Ok(TraceEvent {
             name: str_field("name")?,
@@ -244,6 +283,15 @@ impl Deserialize for TraceEvent {
             args,
         })
     }
+}
+
+/// The first key of an object that an earlier entry already holds.
+fn first_repeated(entries: &[(String, Value)]) -> Option<&str> {
+    entries
+        .iter()
+        .enumerate()
+        .find(|(i, (key, _))| entries[..*i].iter().any(|(k, _)| k == key))
+        .map(|(_, (key, _))| key.as_str())
 }
 
 /// Collects [`TraceEvent`]s from any thread against one injected

@@ -20,12 +20,14 @@ use serde::Deserialize;
 use crate::recorder::{EventKind, TraceEvent};
 
 /// Parses a JSONL trace file (one event object per line, as written by
-/// `repro --trace-out`). Blank lines are ignored.
+/// `repro --trace-out`). Blank lines are ignored. The reader is strict
+/// (see [`TraceEvent`]'s `Deserialize`): every event it returns
+/// serializes back to exactly what its line holds.
 ///
 /// # Errors
 ///
 /// Returns a message naming the 1-based line of the first malformed
-/// entry.
+/// entry and, where one is at fault, its field.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -277,5 +279,54 @@ mod tests {
         let err = parse_jsonl("{\"kind\": \"wat\", \"name\": \"x\", \"cat\": \"c\", \"track\": 0}")
             .expect_err("unknown kind");
         assert!(err.contains("unknown trace event kind"), "{err}");
+    }
+
+    /// A well-formed first line, so each case below fails on line 2.
+    const GOOD: &str =
+        r#"{"kind":"instant","name":"job-finished","cat":"job","track":0,"at_us":2,"args":{}}"#;
+
+    /// Parses `GOOD` then `line`, returning the error, which must name
+    /// line 2 and `field`.
+    fn second_line_error(line: &str, field: &str) -> String {
+        let err = parse_jsonl(&format!("{GOOD}\n{line}\n")).expect_err(line);
+        assert!(err.starts_with("line 2:"), "{err}");
+        assert!(err.contains(&format!("`{field}`")), "{err}");
+        err
+    }
+
+    #[test]
+    fn a_repeated_field_is_an_error_not_first_wins() {
+        let line = r#"{"kind":"instant","name":"a","name":"b","cat":"job","track":0,"at_us":1}"#;
+        let err = second_line_error(line, "name");
+        assert!(err.contains("appears twice"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_field_is_an_error_not_dropped() {
+        let extra =
+            r#"{"kind":"span","name":"s","cat":"job","track":0,"start_us":1,"end_us":2,"zzz":[1]}"#;
+        second_line_error(extra, "zzz");
+        let misplaced =
+            r#"{"kind":"instant","name":"i","cat":"job","track":0,"at_us":1,"end_us":2}"#;
+        let err = second_line_error(misplaced, "end_us");
+        assert!(err.contains("instant"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_arg_is_an_error_not_two_args() {
+        let line = r#"{"kind":"instant","name":"i","cat":"job","track":0,"at_us":1,"args":{"index":1,"index":2}}"#;
+        let err = second_line_error(line, "index");
+        assert!(err.contains("appears twice"), "{err}");
+    }
+
+    #[test]
+    fn a_negative_integer_arg_is_an_error_not_a_float() {
+        let line =
+            r#"{"kind":"instant","name":"i","cat":"job","track":0,"at_us":1,"args":{"delta":-3}}"#;
+        let err = second_line_error(line, "delta");
+        assert!(err.contains("signed integer"), "{err}");
+        let zero =
+            r#"{"kind":"instant","name":"i","cat":"job","track":0,"at_us":1,"args":{"delta":-0}}"#;
+        second_line_error(zero, "delta");
     }
 }

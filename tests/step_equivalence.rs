@@ -11,7 +11,8 @@
 //! pre-rewrite implementation.
 //!
 //! Regenerate (only when intentionally changing simulator *semantics*,
-//! never for a pure-performance refactor) with:
+//! or to add a section on the build before a refactor — never to absorb
+//! a pure-performance refactor) with:
 //!
 //! ```sh
 //! STEP_EQUIV_BLESS=1 cargo test --release --offline step_equivalence
@@ -70,8 +71,10 @@ fn dump_cpu_phase(out: &mut String, prefix: &str, r: &RunResult) {
 /// and GPU launches over the fuzzed workloads. Each GPU seed then adds
 /// three launches with per-CU cycle classes: the design's plain launch,
 /// a partitioned-RF launch, and a launch scheduled with a 4-instruction
-/// lookahead window. The last section runs one workload on every CPU
-/// design (plus AdvHet on 8 cores) with each phase's cycle classes.
+/// lookahead window. The next section runs one workload on every CPU
+/// design (plus AdvHet on 8 cores) with each phase's cycle classes. The
+/// last repeats every GPU launch with each CU's skip counts and
+/// residency histogram.
 fn render_current() -> String {
     let mut out = String::new();
     for (i, &seed) in SEEDS.iter().enumerate() {
@@ -142,6 +145,9 @@ fn render_current() -> String {
             }
         }
     }
+    for (seed, design, launch, result) in &launches {
+        dump_cu_step(&mut out, *seed, *design, launch, result);
+    }
     out
 }
 
@@ -160,6 +166,30 @@ fn dump_gpu_launch(out: &mut String, seed: u64, design: GpuDesign, launch: &str,
         for (class, cycles) in p.classes.iter() {
             writeln!(out, "{prefix} cu={cu} class.{}={cycles}", class.name())
                 .expect("write to string");
+        }
+    }
+}
+
+/// Renders what one GPU launch's issue step saw on every CU beyond its
+/// cycle classes: the next-event skip counts and the wave-residency
+/// histogram (count, sum, max and every bucket).
+fn dump_cu_step(out: &mut String, seed: u64, design: GpuDesign, launch: &str, r: &GpuRunResult) {
+    let prefix = format!(
+        "gpu-cu-step seed={seed} design={} launch={launch}",
+        design.name()
+    );
+    for (cu, p) in r.profiles.iter().enumerate() {
+        let h = &p.residency;
+        let buckets: Vec<String> = h.bucket_counts().iter().map(u64::to_string).collect();
+        for (name, value) in [
+            ("skipped_cycles", p.skipped_cycles.to_string()),
+            ("wakeup_jumps", p.wakeup_jumps.to_string()),
+            ("residency.count", h.count().to_string()),
+            ("residency.sum", h.sum().to_string()),
+            ("residency.max", h.max().to_string()),
+            ("residency.buckets", buckets.join(",")),
+        ] {
+            writeln!(out, "{prefix} cu={cu} {name}={value}").expect("write to string");
         }
     }
 }
@@ -201,11 +231,18 @@ fn fuzzed_workload_counters_match_pre_rewrite_goldens() {
 
 /// The golden must cover both phases of the Amdahl model, both
 /// simulators, the per-CU GPU launch section (partitioned-RF and
-/// scheduled launches included) and the per-design CPU section —
-/// guards against a generator change silently emptying it.
+/// scheduled launches included), the per-design CPU section and the
+/// per-CU issue-step section — guards against a generator change
+/// silently emptying it.
 #[test]
 fn golden_spans_every_section() {
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden present");
+    // While blessing, check what is being written: the file on disk may
+    // still be the previous golden, which lacks a newly added section.
+    let golden = if bless_requested() {
+        render_current()
+    } else {
+        std::fs::read_to_string(GOLDEN).expect("golden present")
+    };
     for needle in [
         "phase=serial",
         "phase=parallel0",
@@ -215,6 +252,8 @@ fn golden_spans_every_section() {
         "design=AdvHet-PartRF launch=run cu=0 class.retire=",
         "launch=scheduled4 cu=0 cycles=",
         "cpu-design seed=55 design=AdvHet cores=8 phase=parallel7 class.issue-bound=",
+        "gpu-cu-step seed=13 design=AdvHet-PartRF launch=run cu=0 residency.buckets=",
+        "launch=scheduled4 cu=0 skipped_cycles=",
     ] {
         assert!(
             golden.contains(needle),
