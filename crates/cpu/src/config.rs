@@ -22,10 +22,11 @@ pub enum SteeringPolicy {
 }
 
 impl SteeringPolicy {
-    /// The dispatch lookahead this policy requires, in instructions (0
-    /// when no steering). A run of `n` committed instructions pulls at
-    /// most `warmup + n + lookahead_window() + 1` from its trace, which
-    /// callers use to bound trace-store requests.
+    /// How far past the dispatched record steering peeks, in
+    /// instructions (0 when no steering). A run of `n` committed
+    /// instructions reads fewer than `warmup + n + lookahead_window() + 1`
+    /// records of its trace, which callers use to bound trace-store
+    /// requests.
     pub fn lookahead_window(self) -> u64 {
         match self {
             SteeringPolicy::None => 0,

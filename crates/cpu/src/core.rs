@@ -54,18 +54,16 @@
 //!   functional-unit arbitration walks a precomputed candidate list
 //!   ([`FuPool`]).
 
-use std::collections::VecDeque;
-
 use hetsim_check::{CheckConfig, Checker, Violation};
 use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_mem::stats::MemStats;
-use hetsim_trace::isa::{BranchInfo, Inst, OpClass};
+use hetsim_trace::cache::CachedTrace;
+use hetsim_trace::isa::OpClass;
 
 use hetsim_stats::Histogram;
 
 use crate::config::{CoreConfig, SteeringPolicy};
 use crate::fu::FuPool;
-use crate::predictor::TournamentPredictor;
 use crate::profile::{CoreProfile, CycleClass};
 use crate::stats::CoreStats;
 
@@ -427,7 +425,6 @@ pub struct Core {
     cfg: CoreConfig,
     classes: [ClassInfo; OpClass::ALL.len()],
     pool: FuPool,
-    predictor: TournamentPredictor,
     hierarchy: Hierarchy,
     stats: CoreStats,
     fetch_pc: u64,
@@ -449,7 +446,6 @@ impl Core {
         Core {
             classes: ClassInfo::table(),
             pool: FuPool::new(cfg.fus.clone()),
-            predictor: TournamentPredictor::new(cfg.predictor),
             hierarchy,
             stats: CoreStats::default(),
             fetch_pc: CODE_BASE + u64::from(core_id) * CODE_FOOTPRINT,
@@ -486,15 +482,18 @@ impl Core {
     }
 
     /// Runs `n` instructions from `trace` to completion (dispatch `n`, then
-    /// drain), returning the collected statistics.
+    /// drain), returning the collected statistics. A [`CachedTrace`]
+    /// replays the trace store; a `TraceGenerator` or a `Vec<Inst>` is a
+    /// stream that is not stored. The branch predictor starts cold at the
+    /// stream's first record.
     ///
     /// # Panics
     ///
-    /// Panics if the trace ends before `n` instructions (plus steering
-    /// lookahead) are available, or if the pipeline fails to make forward
-    /// progress (an internal invariant violation).
-    pub fn run<T: Iterator<Item = Inst>>(&mut self, trace: T, n: u64) -> RunResult {
-        self.run_warmed(trace, 0, n)
+    /// Panics if the trace ends before `n` instructions are available, or
+    /// if the pipeline fails to make forward progress (an internal
+    /// invariant violation).
+    pub fn run(&mut self, trace: impl Into<CachedTrace>, n: u64) -> RunResult {
+        self.step(trace.into(), 0, n)
     }
 
     /// Like [`Core::run`], but first executes `warmup` instructions to warm
@@ -505,22 +504,19 @@ impl Core {
     /// # Panics
     ///
     /// As for [`Core::run`].
-    pub fn run_warmed<T: Iterator<Item = Inst>>(
-        &mut self,
-        mut trace: T,
-        warmup: u64,
-        n: u64,
-    ) -> RunResult {
+    pub fn run_warmed(&mut self, trace: impl Into<CachedTrace>, warmup: u64, n: u64) -> RunResult {
+        self.step(trace.into(), warmup, n)
+    }
+
+    /// The cycle loop behind [`Core::run_warmed`]. Dispatch reads the
+    /// record at position `dispatched` in place, with its mispredict bit
+    /// from the stream's predictor walk; a hazard-stalled record is read
+    /// again on the next attempt.
+    fn step(&mut self, mut trace: CachedTrace, warmup: u64, n: u64) -> RunResult {
         let window = match self.cfg.steering {
             SteeringPolicy::None => 0,
             SteeringPolicy::DualSpeed { window } => window,
         };
-        // A hazard-stalled instruction waits here for the next dispatch
-        // attempt. The steering lookahead holds the instructions after
-        // it; unused without a steering window.
-        let mut pushback: Option<Inst> = None;
-        let mut lookahead: VecDeque<Inst> = VecDeque::with_capacity(window as usize + 1);
-        let mut trace_ended = false;
         let mut issue_counts = IssueCounts::default();
 
         let mut rob = RobRing::new(self.cfg.rob_entries);
@@ -704,34 +700,23 @@ impl Core {
                         stall = Stall::Iq;
                         break;
                     }
-                    // Pull the next instruction: a stalled pushback
-                    // first; then, with no steering window, straight from
-                    // the trace; otherwise through the lookahead, refilled
-                    // so steering can peek `window` instructions past it.
-                    let next = if pushback.is_some() {
-                        pushback.take()
-                    } else if window == 0 {
-                        trace.next()
-                    } else {
-                        while !trace_ended && lookahead.len() <= window as usize {
-                            match trace.next() {
-                                Some(i) => lookahead.push_back(i),
-                                None => trace_ended = true,
-                            }
-                        }
-                        lookahead.pop_front()
-                    };
-                    let Some(inst) = next else {
+                    // The next record in place, and whether it is a
+                    // branch the predictor mispredicts (trained at
+                    // dispatch in program order, so walked once per
+                    // stream and predictor config).
+                    let Some((record, mispredicted)) =
+                        trace.dispatch(dispatched, &self.cfg.predictor)
+                    else {
                         panic!("trace ended after {dispatched} of {total} instructions")
                     };
+                    let op = record.op();
                     // Occupancies never exceed their capacities, so a
                     // class that needs one more entry stalls exactly when
                     // the structure is full.
-                    let class = self.classes[inst.op as usize];
+                    let class = self.classes[op as usize];
                     if lsq_occ + class.lsq > self.cfg.lsq_entries {
                         self.stats.lsq_full_stalls += 1;
                         stall = Stall::Lsq;
-                        pushback = Some(inst);
                         break;
                     }
                     if (int_inflight + class.int_reg > self.cfg.int_regs)
@@ -739,7 +724,6 @@ impl Core {
                     {
                         self.stats.reg_full_stalls += 1;
                         stall = Stall::Reg;
-                        pushback = Some(inst);
                         break;
                     }
 
@@ -750,15 +734,9 @@ impl Core {
                     // flowing to the TFET ALUs).
                     let balance_ok = self.stats.alu_fast_ops * 9 <= (self.stats.alu_ops() + 16) * 4;
                     let prefer_fast = window > 0
-                        && inst.op == OpClass::IntAlu
+                        && op == OpClass::IntAlu
                         && balance_ok
-                        && Self::consumer_in_window(&lookahead, window);
-
-                    // Branch prediction at dispatch.
-                    let mut mispredicted = false;
-                    if let Some(b) = inst.branch {
-                        mispredicted = self.predict_branch(&b);
-                    }
+                        && trace.consumer_within(dispatched, window);
 
                     let seq = rob.tail_seq;
                     lsq_occ += class.lsq;
@@ -769,10 +747,10 @@ impl Core {
                             .unwrap_or(NO_SRC)
                     };
                     rob.push(
-                        inst.op,
-                        to_src(inst.src1_dist),
-                        to_src(inst.src2_dist),
-                        inst.addr.unwrap_or(0),
+                        op,
+                        to_src(record.src1()),
+                        to_src(record.src2()),
+                        record.addr(),
                         (u8::from(mispredicted) * F_MISPREDICTED)
                             | (u8::from(prefer_fast) * F_PREFER_FAST),
                         cycle,
@@ -1042,40 +1020,6 @@ impl Core {
         });
     }
 
-    /// Steering lookahead: does any of the next `window` instructions
-    /// consume the value produced by the instruction just popped?
-    fn consumer_in_window(lookahead: &VecDeque<Inst>, window: u32) -> bool {
-        for k in 1..=window {
-            let Some(next) = lookahead.get((k - 1) as usize) else {
-                break;
-            };
-            if next.src1_dist == Some(k) || next.src2_dist == Some(k) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Predicts a branch at dispatch and trains the predictor; returns
-    /// whether the prediction was wrong (direction, BTB target, or RAS).
-    fn predict_branch(&mut self, b: &BranchInfo) -> bool {
-        if b.is_call {
-            self.predictor.push_call();
-            // Calls are unconditional with known targets.
-            self.predictor.update(b.pc, true);
-            return false;
-        }
-        if b.is_return {
-            let ras_ok = self.predictor.pop_return();
-            return !ras_ok;
-        }
-        let pred = self.predictor.predict(b.pc);
-        self.predictor.update(b.pc, b.taken);
-        let direction_wrong = pred.taken != b.taken;
-        let target_missing = b.taken && pred.taken && !pred.target_known;
-        direction_wrong || target_missing
-    }
-
     /// Adds the per-class issue counters gathered since the last fold to
     /// `self.stats` and clears them. Called at the warm-up snapshot and
     /// at the end of a run, so both see exact counters.
@@ -1220,6 +1164,7 @@ mod tests {
     use crate::config::{Dl1Config, MemoryConfig};
     use crate::fu::FuPoolConfig;
     use hetsim_trace::apps;
+    use hetsim_trace::isa::{BranchInfo, Inst};
     use hetsim_trace::stream::TraceGenerator;
 
     const N: u64 = 20_000;
@@ -1304,11 +1249,11 @@ mod tests {
         let mut cfg = CoreConfig::default();
         cfg.fus = FuPoolConfig::dual_speed();
         cfg.steering = steering;
-        Core::new(cfg, 0).run(trace.into_iter(), N)
+        Core::new(cfg, 0).run(trace, N)
     }
 
-    /// The pull loop needs exactly `n` instructions: with a steering
-    /// window the lookahead runs off the end of the trace and shrinks.
+    /// Dispatch needs exactly `n` instructions: with a steering window
+    /// the peek stops at the end of the trace.
     #[test]
     fn a_trace_of_exactly_n_instructions_suffices() {
         for steering in [
@@ -1456,9 +1401,10 @@ mod tests {
         let run = |depth: u32| {
             let mut cfg = CoreConfig::default();
             cfg.frontend_delay = depth;
-            let trace = std::iter::repeat_n(alu, 40)
+            let trace: Vec<Inst> = std::iter::repeat_n(alu, 40)
                 .chain(std::iter::once(ret))
-                .chain(std::iter::repeat_n(alu, 40));
+                .chain(std::iter::repeat_n(alu, 40))
+                .collect();
             let mut core = Core::new(cfg, 0);
             core.run(trace, 81)
         };

@@ -108,10 +108,10 @@ pub fn run_multicore_checked(
 
     let mut checker = Checker::new();
     let warmup = |n: u64| (n / 4).min(25_000);
-    // Design sweeps rerun the same (profile, seed) streams, so pull them
-    // through the trace store. A run of `n` committed instructions pulls at
-    // most `warmup + n + steering window + 1` from the stream (the
-    // dispatch lookahead holds up to `window + 1` undispatched insts).
+    // Design sweeps rerun the same (profile, seed) streams, so read them
+    // from the trace store. A run of `n` committed instructions reads
+    // fewer than `warmup + n + steering window + 1` records of the stream
+    // (the steering peek reads `window` records past the last dispatch).
     let pull_bound = |n: u64| warmup(n) + n + core_cfg.steering.lookahead_window() + 1;
     let ws = profile.memory.working_set_bytes;
     let serial = if serial_insts > 0 {

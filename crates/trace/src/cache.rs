@@ -7,18 +7,31 @@
 //! per design, and generation is a large fraction of simulator wall time
 //! (the stream's RNG-driven control flow defeats the host branch
 //! predictor). [`replay`] generates each stream once per process, keeps
-//! it packed at 16 bytes an instruction, and hands out cheap replay
-//! iterators over it, so a sweep pays for generation once.
+//! it packed at 16 bytes an instruction, and hands out [`CachedTrace`]s
+//! that read the packed records in place, so a sweep pays for generation
+//! once.
 //!
 //! # Equivalence
 //!
-//! A replay yields exactly a prefix of the generator's stream. Callers
-//! state an upper bound on how many instructions the run can pull
-//! (committed instructions plus any lookahead the dispatch stage keeps);
-//! the store materializes at least that many, so the simulated core
-//! observes the same instruction at every pull as it would from a fresh
-//! generator. Requests beyond `MAX_CACHED_INSTS` (8M) fall back to
-//! streaming generation rather than holding giant traces resident.
+//! A replay holds exactly a prefix of the generator's stream. Callers
+//! state an upper bound on how many records the run can read (committed
+//! instructions plus the steering peek past the last of them); the store
+//! materializes at least that many, so the simulated core observes the
+//! same instruction at every position as it would from a fresh generator.
+//! Requests beyond `MAX_CACHED_INSTS` (8M) fall back to streaming
+//! generation rather than holding giant traces resident.
+//!
+//! # Branch outcomes
+//!
+//! The core trains its branch predictor at dispatch, in program order, on
+//! every branch it dispatches. Whether a branch mispredicts is therefore a
+//! pure function of the stream prefix up to it and the
+//! [`PredictorConfig`], the same for every design that shares the config.
+//! A stream keeps one predictor walk per config that dispatched from it:
+//! the first dispatch to reach a chunk walks the predictor over it and
+//! records one mispredict bit per record, and every later replay reads the
+//! bits. All the designs of a campaign row share one walk, and the bits
+//! are evicted with their stream.
 //!
 //! # One store per process
 //!
@@ -41,6 +54,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::isa::{BranchInfo, Inst, OpClass};
+use crate::predictor::{PredictorConfig, TournamentPredictor};
 use crate::profile::WorkloadProfile;
 use crate::stream::TraceGenerator;
 
@@ -57,23 +71,24 @@ const MAX_CACHED_INSTS: u64 = 8_000_000;
 
 /// Records per chunk, the unit a stream grows by: small enough that
 /// rounding each stream up to whole chunks generates little extra, large
-/// enough that a replay rarely crosses into the next chunk.
+/// enough that dispatch rarely crosses into the next chunk.
 const CHUNK: usize = 4096;
 
 /// The store every thread of the process shares.
 static STORE: Store = Store::new(MAX_TOTAL_INSTS);
 
-/// One [`Inst`] in 16 bytes. `target` holds the load/store address or
-/// the branch pc. `meta` holds both producer distances (bits 0–15 and
-/// 16–31), the op class (bits 32–35) and the presence and branch flags
-/// (bits 36–42).
-#[derive(Debug, Clone, Copy)]
-struct Packed {
+/// One [`Inst`] in 16 bytes, as the store keeps it and dispatch reads it.
+/// `target` holds the load/store address or the branch pc. `meta` holds
+/// both producer distances (bits 0–15 and 16–31), the op class (bits
+/// 32–35) and the presence and branch flags (bits 36–42); an absent
+/// distance reads 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Record {
     target: u64,
     meta: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<Packed>() == 16);
+const _: () = assert!(std::mem::size_of::<Record>() == 16);
 
 const OP_SHIFT: u32 = 32;
 const HAS_SRC1: u64 = 1 << 36;
@@ -84,7 +99,7 @@ const TAKEN: u64 = 1 << 40;
 const IS_CALL: u64 = 1 << 41;
 const IS_RETURN: u64 = 1 << 42;
 
-impl Packed {
+impl Record {
     /// Packs `inst`.
     ///
     /// # Panics
@@ -92,7 +107,7 @@ impl Packed {
     /// Panics if a producer distance exceeds `u16::MAX` (the generator
     /// clamps them to 4095) or if `inst` carries both an address and a
     /// branch (the generator never emits one).
-    fn pack(inst: Inst) -> Packed {
+    fn pack(inst: Inst) -> Record {
         let dist =
             |d: u32| u64::from(u16::try_from(d).expect("generator clamps distances to 4095"));
         let mut meta = (inst.op as u64) << OP_SHIFT;
@@ -118,113 +133,352 @@ impl Packed {
             }
             (Some(_), Some(_)) => panic!("an instruction has an address or a branch, not both"),
         };
-        Packed { target, meta }
+        Record { target, meta }
     }
 
+    /// The operation class.
     #[inline]
-    fn unpack(self) -> Inst {
-        let m = self.meta;
-        let flag = |bit: u64| m & bit != 0;
+    pub fn op(self) -> OpClass {
+        OpClass::ALL[((self.meta >> OP_SHIFT) & 0xF) as usize]
+    }
+
+    /// Distance to the first source operand's producer, if it has one.
+    #[inline]
+    pub fn src1(self) -> Option<u32> {
+        (self.meta & HAS_SRC1 != 0).then_some(u32::from(self.meta as u16))
+    }
+
+    /// Distance to the second source operand's producer, if it has one.
+    #[inline]
+    pub fn src2(self) -> Option<u32> {
+        (self.meta & HAS_SRC2 != 0).then_some(u32::from((self.meta >> 16) as u16))
+    }
+
+    /// The load/store address, or 0 for an instruction without one.
+    #[inline]
+    pub fn addr(self) -> u64 {
+        if self.meta & HAS_ADDR != 0 {
+            self.target
+        } else {
+            0
+        }
+    }
+
+    /// Whether one of the source operands was produced `distance`
+    /// instructions earlier.
+    #[inline]
+    pub fn reads_at(self, distance: u32) -> bool {
+        (self.src1() == Some(distance)) | (self.src2() == Some(distance))
+    }
+
+    fn branch(self) -> Option<BranchInfo> {
+        let flag = |bit: u64| self.meta & bit != 0;
+        flag(HAS_BRANCH).then_some(BranchInfo {
+            pc: self.target,
+            taken: flag(TAKEN),
+            is_call: flag(IS_CALL),
+            is_return: flag(IS_RETURN),
+        })
+    }
+
+    /// The instruction this record packs.
+    pub fn unpack(self) -> Inst {
         Inst {
-            op: OpClass::ALL[((m >> OP_SHIFT) & 0xF) as usize],
-            src1_dist: flag(HAS_SRC1).then_some(u32::from(m as u16)),
-            src2_dist: flag(HAS_SRC2).then_some(u32::from((m >> 16) as u16)),
-            addr: flag(HAS_ADDR).then_some(self.target),
-            branch: flag(HAS_BRANCH).then_some(BranchInfo {
-                pc: self.target,
-                taken: flag(TAKEN),
-                is_call: flag(IS_CALL),
-                is_return: flag(IS_RETURN),
-            }),
+            op: self.op(),
+            src1_dist: self.src1(),
+            src2_dist: self.src2(),
+            addr: (self.meta & HAS_ADDR != 0).then_some(self.target),
+            branch: self.branch(),
         }
     }
 }
 
 /// A whole chunk of packed records; immutable once published.
-type Chunk = [Packed; CHUNK];
+type Chunk = [Record; CHUNK];
 
-/// Records a replay unpacks at a time; whole batches tile a chunk.
-const BATCH: usize = 64;
+/// One chunk's mispredict bits, bit `i % 64` of word `i / 64` for record
+/// `i`; 0 for every record that is not a branch.
+type Outcomes = [u64; CHUNK / 64];
 
-const _: () = assert!(CHUNK.is_multiple_of(BATCH));
+/// One predictor config's walk over a stream in program order: the
+/// outcome bits of every chunk walked so far, and the predictor trained
+/// on every branch of those chunks.
+#[derive(Debug, Clone)]
+struct Walk {
+    config: PredictorConfig,
+    /// `None` once a stored stream is walked to its end (see
+    /// [`Stream::outcomes`]); retrained from the first record if the
+    /// stream grows.
+    predictor: Option<TournamentPredictor>,
+    outcomes: Vec<Arc<Outcomes>>,
+}
 
-/// An iterator over a thread's instruction stream: a replay of the stored
-/// prefix or, for a request above the store bound, a stream generated one
-/// chunk at a time and never stored.
+impl Walk {
+    /// The walk of `config` among `walks`, started if there is none.
+    fn of<'a>(walks: &'a mut Vec<Walk>, config: &PredictorConfig) -> &'a mut Walk {
+        let i = match walks.iter().position(|w| w.config == *config) {
+            Some(i) => i,
+            None => {
+                walks.push(Walk {
+                    config: *config,
+                    predictor: None,
+                    outcomes: Vec::new(),
+                });
+                walks.len() - 1
+            }
+        };
+        &mut walks[i]
+    }
+
+    /// The outcome bits of chunk `c`, walking every chunk up to it that
+    /// no earlier call walked; `chunks[i - first]` is chunk `i`.
+    fn through(&mut self, c: usize, chunks: &[Arc<Chunk>], first: usize) -> Arc<Outcomes> {
+        let chunk_at = |i: usize| {
+            i.checked_sub(first)
+                .and_then(|i| chunks.get(i))
+                .expect("a stream is dispatched in order")
+        };
+        let walked = self.outcomes.len();
+        if walked > c {
+            return Arc::clone(&self.outcomes[c]);
+        }
+        let predictor = self.predictor.get_or_insert_with(|| {
+            let mut predictor = TournamentPredictor::new(self.config);
+            for i in 0..walked {
+                for b in chunk_at(i).iter().filter_map(|r| r.branch()) {
+                    predictor.mispredicts(&b);
+                }
+            }
+            predictor
+        });
+        for i in walked..=c {
+            let mut bits = [0u64; CHUNK / 64];
+            for (j, record) in chunk_at(i).iter().enumerate() {
+                if let Some(b) = record.branch() {
+                    bits[j / 64] |= u64::from(predictor.mispredicts(&b)) << (j % 64);
+                }
+            }
+            self.outcomes.push(Arc::new(bits));
+        }
+        Arc::clone(&self.outcomes[c])
+    }
+}
+
+/// A thread's instruction stream, read by position: a stored prefix or,
+/// for a request above the store bound, a [`TraceGenerator`] or a list of
+/// instructions, a stream that is not stored and is packed a chunk at a
+/// time as it is read.
+///
+/// Dispatch reads each record in place ([`CachedTrace::dispatch`]),
+/// together with its mispredict bit from the stream's predictor walk,
+/// and the steering peek reads the records after it
+/// ([`CachedTrace::consumer_within`]). The [`Iterator`] unpacks one
+/// record at a time from the start of the stream.
 #[derive(Debug, Clone)]
 pub struct CachedTrace {
+    /// The stream's chunks from chunk `first` on.
     chunks: Vec<Arc<Chunk>>,
-    /// Next record to unpack.
-    pos: usize,
-    /// Generates the next chunk of an unstored stream once the replay
-    /// reaches it; `None` for a stored prefix.
-    fresh: Option<Box<TraceGenerator>>,
-    /// Unpacked records; `unpacked[head..]` are still to be returned.
-    unpacked: Vec<Inst>,
-    head: usize,
+    first: usize,
+    /// Records in the stream; `u64::MAX` for a generated stream, which
+    /// never ends.
+    len: u64,
+    source: Source,
+    /// Index of dispatch's chunk (`usize::MAX` before the first
+    /// dispatch), and its records and outcome bits.
+    cur: usize,
+    current: Option<(Arc<Chunk>, Arc<Outcomes>)>,
+    /// Position of the next record the iterator unpacks.
+    next: u64,
+}
+
+#[derive(Debug, Clone)]
+enum Source {
+    /// A stored prefix; the stream keeps the walks every replay shares.
+    Stored(Arc<Mutex<Stream>>),
+    /// A stream that is not stored: the generator of its next chunk
+    /// (`None` for a list of instructions, packed whole) and its own
+    /// walks.
+    Unstored {
+        generator: Option<Box<TraceGenerator>>,
+        walks: Vec<Walk>,
+    },
 }
 
 impl CachedTrace {
-    fn new(chunks: Vec<Arc<Chunk>>, fresh: Option<Box<TraceGenerator>>) -> CachedTrace {
+    fn new(chunks: Vec<Arc<Chunk>>, len: u64, source: Source) -> CachedTrace {
         CachedTrace {
             chunks,
-            pos: 0,
-            fresh,
-            unpacked: Vec::with_capacity(BATCH),
-            head: 0,
+            first: 0,
+            len,
+            source,
+            cur: usize::MAX,
+            current: None,
+            next: 0,
         }
     }
 
-    /// Unpacks the next [`BATCH`] records (generating a chunk first if an
-    /// unstored stream needs one); `None` at the end of a stored prefix.
-    #[inline(never)]
-    fn unpack_batch(&mut self) -> Option<()> {
-        if self.pos / CHUNK == self.chunks.len() {
-            let generator = self.fresh.as_mut()?;
-            self.chunks = vec![generate_chunk(generator)];
-            self.pos = 0;
+    /// A stream generated a chunk at a time as it is read, never stored.
+    fn unstored(generator: TraceGenerator) -> CachedTrace {
+        let source = Source::Unstored {
+            generator: Some(Box::new(generator)),
+            walks: Vec::new(),
+        };
+        CachedTrace::new(Vec::new(), u64::MAX, source)
+    }
+
+    /// The record at `pos` and whether it is a branch that a predictor of
+    /// `predictor` mispredicts, having trained on every branch before it;
+    /// `None` past the end of the stream. Dispatch reads positions in
+    /// order (a hazard-stalled record is read again).
+    #[inline]
+    pub fn dispatch(&mut self, pos: u64, predictor: &PredictorConfig) -> Option<(Record, bool)> {
+        if pos >= self.len {
+            return None;
         }
-        let start = self.pos % CHUNK;
-        let batch = &self.chunks[self.pos / CHUNK][start..start + BATCH];
-        self.unpacked.clear();
-        self.unpacked.extend(batch.iter().map(|p| p.unpack()));
-        self.pos += BATCH;
-        self.head = 0;
-        Some(())
+        let c = (pos / CHUNK as u64) as usize;
+        if c != self.cur {
+            self.enter(c, predictor);
+        }
+        let (chunk, outcomes) = self.current.as_ref()?;
+        let i = pos as usize % CHUNK;
+        Some((chunk[i], outcomes[i / 64] >> (i % 64) & 1 != 0))
+    }
+
+    /// Whether one of the `window` records after `pos` reads the value of
+    /// the record at `pos`: the record `k` places on has a producer
+    /// distance of `k`. The peek stops at the end of the stream.
+    #[inline]
+    pub fn consumer_within(&mut self, pos: u64, window: u32) -> bool {
+        for k in 1..=window {
+            let at = pos + u64::from(k);
+            if at >= self.len {
+                return false;
+            }
+            if self.record(at).reads_at(k) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The record at `pos`, which must lie before the end of the stream.
+    #[inline]
+    fn record(&mut self, pos: u64) -> Record {
+        let (c, i) = ((pos / CHUNK as u64) as usize, pos as usize % CHUNK);
+        match &self.current {
+            Some((chunk, _)) if c == self.cur => chunk[i],
+            _ => self.chunk(c)[i],
+        }
+    }
+
+    /// Moves dispatch to chunk `c`: its records, and its outcome bits
+    /// under `predictor`, walked first if no earlier dispatch reached it.
+    #[inline(never)]
+    fn enter(&mut self, c: usize, predictor: &PredictorConfig) {
+        // Validate before taking the stream's lock, so that a bad config
+        // panics here and cannot poison the stream.
+        if let Err(e) = predictor.validate() {
+            panic!("invalid predictor: {e}");
+        }
+        let chunk = Arc::clone(self.chunk(c));
+        let outcomes = match &mut self.source {
+            Source::Stored(stream) => stream
+                .lock()
+                .expect("no thread panicked while walking")
+                .outcomes(predictor, c),
+            Source::Unstored { walks, .. } => {
+                Walk::of(walks, predictor).through(c, &self.chunks, self.first)
+            }
+        };
+        self.cur = c;
+        self.current = Some((chunk, outcomes));
+    }
+
+    /// Chunk `c`, generated first if the stream is generated as it is
+    /// read. Such a stream keeps only the chunks dispatch and the
+    /// steering peek can still reach: dispatch's chunk and those after
+    /// it, or, before dispatch starts, the chunk before the newest.
+    fn chunk(&mut self, c: usize) -> &Arc<Chunk> {
+        if let Source::Unstored {
+            generator: Some(generator),
+            ..
+        } = &mut self.source
+        {
+            while self.first + self.chunks.len() <= c {
+                let newest = self.first + self.chunks.len();
+                let keep = self.cur.min(newest.saturating_sub(1)).max(self.first);
+                self.chunks.drain(..keep - self.first);
+                self.first = keep;
+                self.chunks.push(generate_chunk(generator));
+            }
+        }
+        c.checked_sub(self.first)
+            .and_then(|i| self.chunks.get(i))
+            .expect("a stream is read in order, within its length")
     }
 }
 
 impl Iterator for CachedTrace {
     type Item = Inst;
 
-    // `next` only copies out an unpacked record; unpacking stays out of
-    // line. The CPU core's pull loop is generic over its trace, so each
-    // caller compiles its own copy, and with the unpack inlined into it
-    // some copies ran 2-13% slower.
-    #[inline]
     fn next(&mut self) -> Option<Inst> {
-        if self.head == self.unpacked.len() {
-            self.unpack_batch()?;
+        if self.next >= self.len {
+            return None;
         }
-        let inst = self.unpacked.get(self.head).copied();
-        self.head += 1;
-        inst
+        let inst = self.record(self.next).unpack();
+        self.next += 1;
+        Some(inst)
+    }
+}
+
+impl From<TraceGenerator> for CachedTrace {
+    /// The generator's stream, packed a chunk at a time as it is read
+    /// and never stored.
+    fn from(generator: TraceGenerator) -> CachedTrace {
+        CachedTrace::unstored(generator)
+    }
+}
+
+impl From<Vec<Inst>> for CachedTrace {
+    /// A stream of exactly these instructions, not stored.
+    ///
+    /// # Panics
+    ///
+    /// As [`Record`] packing: a producer distance above `u16::MAX`, or an
+    /// instruction with both an address and a branch.
+    fn from(insts: Vec<Inst>) -> CachedTrace {
+        let chunks = insts
+            .chunks(CHUNK)
+            .map(|part| {
+                let padded = part.iter().map(|&inst| Record::pack(inst));
+                let chunk: Arc<[Record]> = padded
+                    .chain(std::iter::repeat(Record::default()))
+                    .take(CHUNK)
+                    .collect();
+                chunk.try_into().expect("padded to a whole chunk")
+            })
+            .collect();
+        let source = Source::Unstored {
+            generator: None,
+            walks: Vec::new(),
+        };
+        CachedTrace::new(chunks, insts.len() as u64, source)
     }
 }
 
 /// The next [`CHUNK`] records of `generator`'s stream.
 fn generate_chunk(generator: &mut TraceGenerator) -> Arc<Chunk> {
-    let chunk: Arc<[Packed]> = generator.take(CHUNK).map(Packed::pack).collect();
+    let chunk: Arc<[Record]> = generator.take(CHUNK).map(Record::pack).collect();
     chunk.try_into().expect("the generator is infinite")
 }
 
 /// The instruction stream of `thread` for `(profile, seed)`, guaranteed to
-/// yield at least `min_len` instructions before ending (the stored prefix
-/// is extended on demand and shared by every thread of the process).
+/// hold at least `min_len` records (the stored prefix is extended on
+/// demand and shared by every thread of the process).
 ///
-/// `min_len` must upper-bound the number of instructions the caller will
-/// pull; pulls past it may see the stream end early (an unstored stream,
-/// served above the store bound, never ends).
+/// `min_len` must upper-bound the positions the caller will read; the
+/// stream may end just past it (an unstored stream, served above the store
+/// bound, never ends).
 ///
 /// # Panics
 ///
@@ -262,11 +516,29 @@ struct Entry {
     stream: Arc<Mutex<Stream>>,
 }
 
+#[derive(Debug)]
 struct Stream {
     /// Generator positioned exactly `chunks.len() * CHUNK` draws into the
     /// stream.
     generator: TraceGenerator,
     chunks: Vec<Arc<Chunk>>,
+    /// One walk per predictor config that has dispatched from the stream.
+    walks: Vec<Walk>,
+}
+
+impl Stream {
+    /// The outcome bits of chunk `c` under `config`, walked by the first
+    /// replay to reach it. A walk that reaches the last stored chunk
+    /// frees its predictor: most streams never grow again, and one
+    /// predictor per stream and config would outweigh the bits.
+    fn outcomes(&mut self, config: &PredictorConfig, c: usize) -> Arc<Outcomes> {
+        let walk = Walk::of(&mut self.walks, config);
+        let bits = walk.through(c, &self.chunks, 0);
+        if walk.outcomes.len() == self.chunks.len() {
+            walk.predictor = None;
+        }
+        bits
+    }
 }
 
 impl Store {
@@ -291,8 +563,7 @@ impl Store {
         min_len: u64,
     ) -> CachedTrace {
         if min_len > MAX_CACHED_INSTS {
-            let generator = TraceGenerator::for_thread(profile, seed, thread);
-            return CachedTrace::new(Vec::new(), Some(Box::new(generator)));
+            return TraceGenerator::for_thread(profile, seed, thread).into();
         }
         // Validate before taking any lock, so that a bad profile panics
         // here and cannot poison the store.
@@ -303,6 +574,7 @@ impl Store {
         let Stream {
             generator,
             chunks: stored,
+            ..
         } = &mut *guard;
         while stored.len() < chunks {
             stored.push(generate_chunk(generator));
@@ -310,7 +582,10 @@ impl Store {
             self.generated
                 .fetch_add(CHUNK as u64, std::sync::atomic::Ordering::Relaxed);
         }
-        CachedTrace::new(stored[..chunks].to_vec(), None)
+        let prefix = stored[..chunks].to_vec();
+        drop(guard);
+        let len = (chunks * CHUNK) as u64;
+        CachedTrace::new(prefix, len, Source::Stored(stream))
     }
 
     /// The stream of `(profile, seed, thread)`, with its entry grown to
@@ -349,6 +624,7 @@ impl Store {
                     stream: Arc::new(Mutex::new(Stream {
                         generator: TraceGenerator::for_thread(profile, seed, thread),
                         chunks: Vec::new(),
+                        walks: Vec::new(),
                     })),
                 });
                 entries.len() - 1
@@ -521,6 +797,65 @@ mod tests {
     }
 
     #[test]
+    fn replays_of_a_stream_share_one_walk_per_config() {
+        let profile = apps::profile("raytrace").expect("raytrace exists");
+        let store = Store::new(MAX_TOTAL_INSTS);
+        let n = 2 * CHUNK as u64 + 7;
+        let default = PredictorConfig::default();
+        let small = PredictorConfig {
+            ras_entries: 2,
+            ..default
+        };
+        let dispatch_all = |cfg: &PredictorConfig| {
+            let mut trace = store.replay(&profile, 4, 0, n);
+            for pos in 0..n {
+                trace.dispatch(pos, cfg).expect("within the prefix");
+            }
+            trace
+        };
+        let outcomes =
+            |trace: &CachedTrace| Arc::clone(&trace.current.as_ref().expect("dispatched").1);
+        let (a, b, c) = (
+            dispatch_all(&default),
+            dispatch_all(&default),
+            dispatch_all(&small),
+        );
+        assert!(
+            Arc::ptr_eq(&outcomes(&a), &outcomes(&b)),
+            "one walk per config"
+        );
+        assert!(!Arc::ptr_eq(&outcomes(&a), &outcomes(&c)));
+        let Source::Stored(stream) = &a.source else {
+            panic!("a stored prefix")
+        };
+        let stream = stream.lock().expect("stream");
+        assert_eq!(stream.walks.len(), 2);
+        for walk in &stream.walks {
+            assert_eq!(walk.outcomes.len(), 3, "every stored chunk walked");
+            assert!(walk.predictor.is_none(), "freed at the stored end");
+        }
+    }
+
+    #[test]
+    fn an_unstored_stream_keeps_only_the_chunks_dispatch_can_reach() {
+        let profile = apps::profile("fft").expect("fft exists");
+        let cfg = PredictorConfig::default();
+        let mut trace: CachedTrace = TraceGenerator::new(&profile, 1).into();
+        let expect: Vec<Inst> = TraceGenerator::new(&profile, 1).take(5 * CHUNK).collect();
+        for (pos, inst) in expect.iter().enumerate() {
+            let (record, _) = trace.dispatch(pos as u64, &cfg).expect("endless");
+            assert_eq!(record.unpack(), *inst);
+            trace.consumer_within(pos as u64, 4);
+            assert!(
+                trace.chunks.len() <= 2,
+                "{} chunks at {pos}",
+                trace.chunks.len()
+            );
+        }
+        assert_eq!(trace.first, 4);
+    }
+
+    #[test]
     fn packing_round_trips_every_field() {
         // Fuzzed profiles across threads 0-7 reach every op class, both
         // producer distances, addresses above 2^32 and calls/returns.
@@ -530,7 +865,7 @@ mod tests {
             let profile = fuzz::workload(seed);
             for thread in 0..8 {
                 for inst in TraceGenerator::for_thread(&profile, seed, thread).take(5000) {
-                    assert_eq!(Packed::pack(inst).unpack(), inst);
+                    assert_eq!(Record::pack(inst).unpack(), inst);
                     ops[inst.op as usize] = true;
                     src2 |= inst.src2_dist.is_some();
                     high_addr |= inst.addr.is_some_and(|a| a >= 1 << 32);

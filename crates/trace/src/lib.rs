@@ -26,6 +26,11 @@
 //! * [`addr`] — the memory address-stream generator.
 //! * [`branch`] — per-site branch outcome generation.
 //! * [`stream`] — the deterministic trace generator.
+//! * [`predictor`] — the Table III tournament predictor the core trains
+//!   at dispatch.
+//! * [`cache`] — the process-wide trace store: packed records read in
+//!   place, with each stream's branch outcomes walked once per predictor
+//!   config.
 //!
 //! # Example
 //!
@@ -48,6 +53,7 @@ pub mod branch;
 pub mod cache;
 pub mod fuzz;
 pub mod isa;
+pub mod predictor;
 pub mod profile;
 pub mod stream;
 

@@ -2,10 +2,12 @@
 //! pipeline, the memory system and the power model.
 
 use hetcore_repro::hetcore::config::CpuDesign;
-use hetcore_repro::hetsim_cpu::core::Core;
+use hetcore_repro::hetsim_cpu::core::{Core, RunResult};
 use hetcore_repro::hetsim_power::account::CpuEnergyModel;
 use hetcore_repro::hetsim_power::assignment::DeviceAssignment;
-use hetcore_repro::hetsim_trace::{apps, stream::TraceGenerator};
+use hetcore_repro::hetsim_trace::cache::{self, CachedTrace};
+use hetcore_repro::hetsim_trace::{apps, stream::TraceGenerator, Inst};
+use proptest::prelude::*;
 
 const INSTS: u64 = 50_000;
 
@@ -119,4 +121,30 @@ fn warmup_region_is_excluded_from_measurement() {
     let mut cold_core = Core::new(CpuDesign::BaseCmos.core_config(), 0);
     let cold = cold_core.run(TraceGenerator::new(&app, 3), 50_000);
     assert!(cold.mem.dram_accesses >= r.mem.dram_accesses);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A stored stream, an unstored generator and a list of the same
+    /// records dispatch to the same run on a steering design: one
+    /// dispatch path, whatever the trace's source.
+    #[test]
+    fn every_trace_source_dispatches_to_the_same_run(idx in 0usize..14, seed in any::<u64>()) {
+        let app = &apps::all()[idx];
+        let cfg = CpuDesign::AdvHet.core_config();
+        let (warmup, n) = (3_000, 12_000);
+        let bound = warmup + n + cfg.steering.lookahead_window() + 1;
+        let run = |trace: CachedTrace| -> RunResult {
+            Core::new(cfg.clone(), 0).run_warmed(trace, warmup, n)
+        };
+        let stored = run(cache::replay(app, seed, 0, bound));
+        let listed: Vec<Inst> = TraceGenerator::new(app, seed).take(bound as usize).collect();
+        for other in [run(TraceGenerator::new(app, seed).into()), run(listed.into())] {
+            prop_assert_eq!(other.stats, stored.stats);
+            prop_assert_eq!(other.mem, stored.mem);
+            prop_assert_eq!(&other.profile, &stored.profile);
+        }
+        prop_assert!(stored.stats.alu_fast_ops > 0, "{} steers", app.name);
+    }
 }
