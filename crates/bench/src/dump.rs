@@ -238,6 +238,19 @@ mod tests {
     }
 
     #[test]
+    fn a_dump_repeating_a_key_is_an_error_not_first_wins() {
+        let text = dump(vec![result("a", 1, &[4])]).to_json();
+        let repeated = text.replacen(
+            "\"wall_us\": 4,",
+            "\"wall_us\": 4,\n      \"wall_us\": 9,",
+            1,
+        );
+        assert_ne!(repeated, text);
+        let err = BenchDump::from_json(&repeated).unwrap_err();
+        assert!(err.contains("`wall_us` appears twice"), "{err}");
+    }
+
+    #[test]
     fn from_json_rejects_garbage_and_wrong_schemas() {
         assert!(BenchDump::from_json("not json").is_err());
         let mut d = dump(vec![result("a", 1, &[1])]);

@@ -1,6 +1,6 @@
 //! `repro baseline DIR [TARGET]...` — rerun the pinned targets and write
 //! one self-describing stats dump per target into `DIR` (see
-//! `hetcore::regression`).
+//! `hetcore::regression`), without the host-timing histograms.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,8 +49,11 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             args.progress(),
             None,
         )?;
+        // The gate exempts `runner.*`, and host timing would make every
+        // re-blessed baseline differ where the simulation did not.
+        let dump = execution.dump.without_runner_timing();
         let path = dir.join(format!("{target}.json"));
-        exec::write(&path, &execution.dump.to_json())?;
+        exec::write(&path, &dump.to_json())?;
         eprintln!("wrote baseline {}", path.display());
     }
     Ok(ExitCode::SUCCESS)

@@ -160,6 +160,13 @@ impl StatsDump {
         self
     }
 
+    /// Drops the `runner.timing` histograms: host timing that a
+    /// checked-in baseline should not carry.
+    pub fn without_runner_timing(mut self) -> Self {
+        self.timing.clear();
+        self
+    }
+
     /// Records the run configuration (`insts`, `seed`, experiment CLI
     /// words), making the dump self-describing: `repro ci-gate` replays
     /// exactly this configuration when re-validating a baseline.

@@ -116,6 +116,37 @@ fn truncated_dump_fails_with_a_clear_error_not_a_panic() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// A dump that gives a counter twice is an error naming the key, not a
+/// silent read of the first value: a copy of the checked-in Fig 7
+/// baseline whose BaseCMOS `core` block repeats `cycles` with another
+/// value would otherwise diff clean.
+#[test]
+fn a_dump_repeating_a_key_fails_naming_it() {
+    let dir = temp_dir("dupkey");
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/fig7.json");
+    let text = std::fs::read_to_string(&baseline).expect("baseline readable");
+    let block = text.find("\"BaseCMOS\": {").expect("BaseCMOS block");
+    let cycles = block
+        + text[block..]
+            .find("\"cycles\": ")
+            .expect("a cycles counter");
+    let line_end = cycles + text[cycles..].find('\n').expect("line end");
+    let mut repeated = text.clone();
+    repeated.insert_str(line_end + 1, "          \"cycles\": 1,\n");
+    let dup = dir.join("dup.json");
+    std::fs::write(&dup, &repeated).expect("write dump");
+
+    let out = repro(&["diff", baseline.to_str().unwrap(), dup.to_str().unwrap()]);
+    assert!(!out.status.success(), "a repeated key must fail the diff");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("dup.json") && stderr.contains("`cycles` appears twice"),
+        "error names the file and the key: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic: {stderr}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 #[test]
 fn valid_json_that_is_not_a_dump_fails_cleanly() {
     let dir = temp_dir("notdump");
@@ -195,7 +226,18 @@ fn baseline_writer_and_ci_gate_round_trip() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(basedir.join("fig14.json").exists());
-    assert!(basedir.join("ext.json").exists());
+    // Baselines carry the runner's counters but not its host timing.
+    let ext = std::fs::read_to_string(basedir.join("ext.json")).expect("ext baseline");
+    let ext: serde_json::Value = serde_json::from_str(&ext).expect("ext baseline is JSON");
+    let runner = ext.get("runner").expect("runner section");
+    assert!(
+        runner.get("cpu").is_some(),
+        "runner counters kept: {runner:?}"
+    );
+    assert!(
+        runner.get("timing").is_none(),
+        "no runner.timing: {runner:?}"
+    );
 
     // A bench ratchet sharing the directory is not replayable — the
     // gate must skip it (it is gated by `repro bench --ratchet`), not

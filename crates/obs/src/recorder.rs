@@ -197,19 +197,14 @@ impl Serialize for TraceEvent {
 impl Deserialize for TraceEvent {
     /// Strict: an object holding each field its kind writes exactly once
     /// and no other (`args` may be absent, and reads as empty), with an
-    /// unsigned-integer track and timestamps, and an `args` object of
-    /// distinct keys. Anything else — a repeated field, an unknown one,
-    /// an `end_us` on an instant — is an error naming the field, so an
+    /// unsigned-integer track and timestamps. Anything else — an unknown
+    /// field, an `end_us` on an instant — is an error naming the field,
+    /// and the JSON parser already rejects a repeated field or arg, so an
     /// accepted event serializes back to exactly what the text holds.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let fields = v
             .as_object()
             .ok_or_else(|| serde::Error::custom("trace event is not an object"))?;
-        if let Some(key) = first_repeated(fields) {
-            return Err(serde::Error::custom(format!(
-                "trace event field `{key}` appears twice"
-            )));
-        }
         let field = |name: &str| {
             v.get(name)
                 .ok_or_else(|| serde::Error::custom(format!("trace event has no `{name}` field")))
@@ -261,11 +256,6 @@ impl Deserialize for TraceEvent {
                 let args = args
                     .as_object()
                     .ok_or_else(|| serde::Error::custom("trace event `args` is not an object"))?;
-                if let Some(key) = first_repeated(args) {
-                    return Err(serde::Error::custom(format!(
-                        "trace event arg `{key}` appears twice"
-                    )));
-                }
                 args.iter()
                     .map(|(k, val)| {
                         ArgValue::from_value(val)
@@ -283,15 +273,6 @@ impl Deserialize for TraceEvent {
             args,
         })
     }
-}
-
-/// The first key of an object that an earlier entry already holds.
-fn first_repeated(entries: &[(String, Value)]) -> Option<&str> {
-    entries
-        .iter()
-        .enumerate()
-        .find(|(i, (key, _))| entries[..*i].iter().any(|(k, _)| k == key))
-        .map(|(_, (key, _))| key.as_str())
 }
 
 /// Collects [`TraceEvent`]s from any thread against one injected

@@ -117,7 +117,11 @@ impl ShardManifest {
         write_atomic(path, &json)
     }
 
-    /// Loads and validates a manifest file.
+    /// Loads and validates a manifest file. Only the form
+    /// [`ShardManifest::write_to`] writes is accepted: a field the
+    /// reader would skip (unknown, or out of order) or a count it would
+    /// coerce (`-0`) is an error, so an accepted manifest says exactly
+    /// what its text says.
     pub fn load(path: &Path) -> Result<ShardManifest, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -125,6 +129,12 @@ impl ShardManifest {
             serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         let manifest = ShardManifest::from_value(&value)
             .map_err(|e| format!("{}: malformed manifest: {e:?}", path.display()))?;
+        if manifest.to_value() != value {
+            return Err(format!(
+                "{}: malformed manifest: fields or numbers not as a worker writes them",
+                path.display()
+            ));
+        }
         if manifest.schema != SHARD_SCHEMA {
             return Err(format!(
                 "{}: schema {} (expected {SHARD_SCHEMA})",
@@ -521,6 +531,33 @@ mod tests {
         };
         wrong.write_to(&path).expect("write");
         assert!(ShardManifest::load(&path).is_err(), "wrong schema");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_manifest_repeating_a_key_is_an_error_not_first_wins() {
+        let dir = tmp_dir("dupmanifest");
+        let path = manifest_path(&dir, 0);
+        let m = ShardManifest {
+            schema: SHARD_SCHEMA.into(),
+            shard: 0,
+            shards: 2,
+            attempt: 0,
+            jobs: 3,
+            executed: 3,
+            keys: vec!["a".repeat(32)],
+        };
+        m.write_to(&path).expect("write");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let repeated = text.replacen(
+            "\"executed\": 3,",
+            "\"executed\": 3,\n  \"executed\": 0,",
+            1,
+        );
+        assert_ne!(repeated, text);
+        std::fs::write(&path, repeated).expect("write");
+        let err = ShardManifest::load(&path).expect_err("repeated key");
+        assert!(err.contains("`executed` appears twice"), "{err}");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
