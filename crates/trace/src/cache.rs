@@ -317,15 +317,6 @@ impl CachedTrace {
         }
     }
 
-    /// A stream generated a chunk at a time as it is read, never stored.
-    fn unstored(generator: TraceGenerator) -> CachedTrace {
-        let source = Source::Unstored {
-            generator: Some(Box::new(generator)),
-            walks: Vec::new(),
-        };
-        CachedTrace::new(Vec::new(), u64::MAX, source)
-    }
-
     /// The record at `pos` and whether it is a branch that a predictor of
     /// `predictor` mispredicts, having trained on every branch before it;
     /// `None` past the end of the stream. Dispatch reads positions in
@@ -435,7 +426,11 @@ impl From<TraceGenerator> for CachedTrace {
     /// The generator's stream, packed a chunk at a time as it is read
     /// and never stored.
     fn from(generator: TraceGenerator) -> CachedTrace {
-        CachedTrace::unstored(generator)
+        let source = Source::Unstored {
+            generator: Some(Box::new(generator)),
+            walks: Vec::new(),
+        };
+        CachedTrace::new(Vec::new(), u64::MAX, source)
     }
 }
 
