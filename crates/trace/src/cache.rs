@@ -47,7 +47,8 @@
 //! are evicted whole.
 //!
 //! The store is process-wide state, but it carries no observations: it
-//! holds only pure functions of its keys, and replaying a stored stream is
+//! holds only pure functions of its keys (the outcome bits, of the key and
+//! the predictor config), and replaying a stored stream is
 //! indistinguishable from generating it afresh. Two campaigns sharing the
 //! process can therefore never see each other's numbers through it.
 
