@@ -151,15 +151,25 @@ impl BenchDump {
         text
     }
 
-    /// Parses and validates a dump document.
+    /// Parses and validates a dump document. Only the form
+    /// [`BenchDump::to_json`] writes is accepted: a field the reader
+    /// would skip (unknown, or out of order) or a number it would coerce
+    /// (`-0`, a float written as an integer) is an error, so an accepted
+    /// dump says exactly what its text says.
     ///
     /// # Errors
     ///
     /// Returns a message for malformed JSON, a layout mismatch, or a
     /// dump failing [`BenchDump::validate`].
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let dump: BenchDump =
+        let value: serde::value::Value =
             serde_json::from_str(text).map_err(|e| format!("not a bench dump: {e}"))?;
+        let dump = BenchDump::from_value(&value).map_err(|e| format!("not a bench dump: {e}"))?;
+        if dump.to_value() != value {
+            return Err(
+                "not a bench dump: fields or numbers not as `repro bench` writes them".into(),
+            );
+        }
         dump.validate()?;
         Ok(dump)
     }
@@ -248,6 +258,18 @@ mod tests {
         assert_ne!(repeated, text);
         let err = BenchDump::from_json(&repeated).unwrap_err();
         assert!(err.contains("`wall_us` appears twice"), "{err}");
+    }
+
+    #[test]
+    fn a_dump_not_in_the_written_form_is_an_error() {
+        let text = dump(vec![result("a", 1, &[4, 5])]).to_json();
+        let extra = text.replacen('{', "{\n  \"note\": 1,", 1);
+        let integral = text.replacen("\"mean_us\": 4.5", "\"mean_us\": 4", 1);
+        for edited in [extra, integral] {
+            assert_ne!(edited, text);
+            let err = BenchDump::from_json(&edited).expect_err("not as written");
+            assert!(err.contains("not as `repro bench` writes them"), "{err}");
+        }
     }
 
     #[test]

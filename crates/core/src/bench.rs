@@ -11,14 +11,14 @@
 //! microbenches:
 //!
 //! * `fig7-cpu-campaign` — the full CPU design x application sweep
-//!   (the figure 7/8/9/13 workload), on a cache-bypassing runner;
+//!   (the figure 7/8/9/13 workload);
 //! * `fig7-sharded` — the same sweep split into two shards by the
 //!   shard protocol's partitioner and merged back by submission index,
 //!   pinning the partition-and-merge overhead;
 //! * `fig10-gpu-campaign` — the full GPU design x kernel sweep
-//!   (figures 10/11/12), same runner mode;
-//! * `fig14-dvfs` — the DVFS / process-variation evaluation: its jobs
-//!   on a cache-bypassing runner, then the report that prices them;
+//!   (figures 10/11/12);
+//! * `fig14-dvfs` — the DVFS / process-variation evaluation: its jobs,
+//!   then the report that prices them;
 //! * `explore-frontier` — the `repro explore` adaptive search over the
 //!   fig7 design space at the golden's pinned budget, pinning the
 //!   wave-loop + Pareto machinery on top of the multicore simulations;
@@ -31,19 +31,19 @@
 //! * `micro-event-queue` — a memory-bound run on the slowest core,
 //!   stressing the timing wheel and the dead-cycle skip machinery.
 //!
-//! Campaign scenarios run on `Runner::with_cache_bypass(true)`: a perf
-//! measurement must time simulation, never a warm-cache lookup, and
-//! must be immune to whatever `--cache-dir` state a machine has.
+//! Campaign scenarios run on a fresh in-memory `Runner::new(jobs)` per
+//! repeat: a plan's keys are unique within a batch and no runner
+//! outlives its repeat, so every repeat simulates every job, and no
+//! `--cache-dir` state a machine has can reach a measurement.
 
 use hetsim_bench::{measure, BenchDump, HostInfo, Measurement, ScenarioResult};
 use hetsim_device::dvfs::DvfsController;
 use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_obs::{Clock, MonotonicClock};
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::Runner;
+use hetsim_runner::{partition, Job, JobKey, Runner};
 use hetsim_trace::apps;
 
-use crate::campaign::run_sharded;
 use crate::config::{CpuDesign, GpuDesign};
 use crate::experiment::{run_cpu, run_gpu, CpuOutcome};
 use crate::suite::Suite;
@@ -123,19 +123,9 @@ impl BenchConfig {
     }
 }
 
-/// A fresh campaign runner in benchmark mode: no cache directory and
-/// cache bypass on, so every repeat simulates from cold on the
-/// identical timing path.
-fn bench_runner<T>(jobs: usize) -> Runner<T>
-where
-    T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
-{
-    Runner::new(jobs.max(1)).with_cache_bypass(true)
-}
-
 /// The full CPU campaign; returns total committed instructions.
 fn run_fig7(cfg: &BenchConfig) -> u64 {
-    let campaign = cfg.suite().cpu_campaign_with(&bench_runner(cfg.jobs));
+    let campaign = cfg.suite().cpu_campaign_with(&Runner::new(cfg.jobs));
     campaign
         .outcomes
         .iter()
@@ -145,8 +135,8 @@ fn run_fig7(cfg: &BenchConfig) -> u64 {
 }
 
 /// The CPU campaign executed through the shard protocol's partitioner:
-/// the job list splits into two shards by key (the exact partition
-/// `--shards 2` uses), each shard runs on its own bypass runner in a
+/// the job list splits into two shards by key ([`partition`], the exact
+/// partition `--shards 2` uses), each shard runs on its own runner in a
 /// separate thread, and outcomes merge back into submission order.
 /// Same simulated work as `fig7-cpu-campaign`, so the insts/sec gap
 /// between the two is the partition-and-merge overhead (without the
@@ -154,14 +144,35 @@ fn run_fig7(cfg: &BenchConfig) -> u64 {
 /// a wall-clock benchmark of subprocesses would smear with exec and
 /// I/O noise). Returns total committed instructions.
 fn run_fig7_sharded(cfg: &BenchConfig) -> u64 {
-    let runners = [bench_runner(cfg.jobs), bench_runner(cfg.jobs)];
-    let outcomes = run_sharded(&runners, cfg.suite().cpu_campaign_jobs());
-    outcomes.iter().map(|o| o.committed).sum()
+    let jobs = cfg.suite().cpu_campaign_jobs();
+    let keys: Vec<JobKey> = jobs.iter().map(|job| job.key).collect();
+    let mut jobs: Vec<Option<Job<CpuOutcome>>> = jobs.into_iter().map(Some).collect();
+    let mut outcomes: Vec<Option<CpuOutcome>> = vec![None; keys.len()];
+    std::thread::scope(|scope| {
+        let shards: Vec<_> = partition(&keys, 2)
+            .into_iter()
+            .map(|indices| {
+                let take = |&i: &usize| jobs[i].take().expect("an exact cover");
+                let batch: Vec<_> = indices.iter().map(take).collect();
+                let runner = Runner::new(cfg.jobs);
+                scope.spawn(move || indices.into_iter().zip(runner.run(batch)))
+            })
+            .collect();
+        for shard in shards {
+            for (index, outcome) in shard.join().expect("shard thread") {
+                outcomes[index] = Some(outcome);
+            }
+        }
+    });
+    let covered = outcomes
+        .into_iter()
+        .map(|o| o.expect("the shards cover the batch"));
+    covered.map(|o| o.committed).sum()
 }
 
 /// The full GPU campaign; returns total wavefront instructions.
 fn run_fig10(cfg: &BenchConfig) -> u64 {
-    let campaign = cfg.suite().gpu_campaign_with(&bench_runner(cfg.jobs));
+    let campaign = cfg.suite().gpu_campaign_with(&Runner::new(cfg.jobs));
     campaign
         .outcomes
         .iter()
@@ -171,19 +182,18 @@ fn run_fig10(cfg: &BenchConfig) -> u64 {
 }
 
 /// The Figure 14 DVFS / process-variation evaluation: its 36 cold-core
-/// jobs on a serial cache-bypassing runner (as `Suite::fig14` runs
-/// them), then the report that prices them. Returns the instructions
-/// those jobs commit.
+/// jobs on a serial runner (as `Suite::fig14` runs them), then the
+/// report that prices them. Returns the instructions those jobs commit.
 fn run_fig14(cfg: &BenchConfig) -> u64 {
     let suite = cfg.suite();
-    let outcomes = bench_runner(1).run(suite.fig14_jobs());
+    let outcomes = Runner::serial().run(suite.fig14_jobs());
     std::hint::black_box(suite.fig14_from(&outcomes));
     outcomes.iter().map(|o| o.committed).sum()
 }
 
 /// The `repro explore` adaptive search at the golden's pinned budget,
-/// on cache-bypassing runners (an exploration benchmark must time the
-/// search + simulation, never warm-cache lookups). The instruction
+/// on the search's own in-memory runner (an exploration benchmark must
+/// time the search + simulation, never warm-cache lookups). The instruction
 /// budget is a quarter of the per-app budget: the search evaluates 12
 /// candidates x 4 apps = 48 multicore jobs, so the quarter keeps this
 /// scenario within the same wall-clock band as the campaign scenarios.
@@ -194,8 +204,7 @@ fn run_explore_frontier(cfg: &BenchConfig) -> u64 {
         budget: 12,
         seed: cfg.seed,
         insts: (cfg.insts / 4).max(1),
-        jobs: cfg.jobs.max(1),
-        cache_bypass: true,
+        jobs: cfg.jobs,
         ..crate::explore::ExploreConfig::default()
     };
     let result = crate::explore::explore(&space, &ecfg).expect("pinned space is valid");

@@ -240,7 +240,6 @@ pub static COMMANDS: &[Command] = &[
             &SEED,
             &INSTS,
             &JOBS,
-            &SHARDS,
             &CACHE_DIR,
             &SWEEP,
             &FORMAT,

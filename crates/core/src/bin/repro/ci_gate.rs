@@ -167,9 +167,7 @@ fn replay_frontier(
         seed: field("seed")?,
         insts: field("insts")?,
         jobs,
-        shards: 1,
         cache_dir: cache_dir.clone(),
-        cache_bypass: false,
     };
     eprintln!(
         "[ci-gate] {name}: replaying explore --budget {} --seed {} --insts {}",

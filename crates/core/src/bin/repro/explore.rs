@@ -10,7 +10,7 @@ use hetcore::explore::{
     explore, DesignSpace, ExploreConfig, DEFAULT_BUDGET, DEFAULT_EXPLORE_INSTS,
 };
 
-use crate::args::{Args, BUDGET, CACHE_DIR, FRONTIER_OUT, INSTS, SEED, SHARDS, SWEEP};
+use crate::args::{Args, BUDGET, CACHE_DIR, FRONTIER_OUT, INSTS, SEED, SWEEP};
 use crate::exec;
 use crate::CliError;
 
@@ -39,9 +39,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         seed: args.num(&SEED).unwrap_or(42),
         insts: args.num(&INSTS).unwrap_or(DEFAULT_EXPLORE_INSTS),
         jobs: args.jobs(),
-        shards: args.num(&SHARDS).unwrap_or(1),
         cache_dir: args.path(&CACHE_DIR),
-        cache_bypass: false,
     };
     let result = explore(&space, &cfg)?;
     if let Some(path) = args.path(&FRONTIER_OUT) {

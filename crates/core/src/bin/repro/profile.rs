@@ -12,9 +12,9 @@ use hetsim_obs::CycleProfile;
 use hetsim_stats::attribution::{ClassCounts, CycleClass};
 use serde::Serialize as _;
 
-use crate::args::{Args, Progress, COUNTERS_OUT, OUT, SHARDS};
+use crate::args::{Args, Progress, COUNTERS_OUT, OUT};
 use crate::exec::{self, execute, experiment, pretty};
-use crate::shard::{supervise_campaign, ShardDirs, ShardedCampaign};
+use crate::shard;
 use crate::CliError;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
@@ -29,22 +29,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
 
     // Sharded: the workers warm an ephemeral cache, and the pass below
     // replays it.
-    let dirs = match args.num(&SHARDS) {
-        Some(shards) => {
-            let dirs = ShardDirs::new(None, "profile", shards)?;
-            let campaign = ShardedCampaign {
-                suite: &suite,
-                requested: &requested,
-                extensions: &[],
-                jobs,
-                progress: Progress::Quiet,
-                trace: false,
-            };
-            supervise_campaign(&campaign, &dirs)?;
-            Some(dirs)
-        }
-        None => None,
-    };
+    let dirs = shard::warm(&args, &requested, &[])?;
     let cache_dir = dirs.as_ref().map(|d| d.cache.as_path());
     let execution = execute(
         &suite,

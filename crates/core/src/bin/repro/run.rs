@@ -10,9 +10,9 @@ use hetcore::suite::Experiment;
 use hetsim_obs::stitch_traces;
 use serde::Serialize as _;
 
-use crate::args::{Args, Progress, CACHE_DIR, PROFILE_OUT, SHARDS, STATS_OUT, TRACE_OUT};
+use crate::args::{Args, Progress, CACHE_DIR, PROFILE_OUT, STATS_OUT, TRACE_OUT};
 use crate::exec::{self, execute, pretty, resolve_target};
-use crate::shard::{supervise_campaign, ShardDirs, ShardedCampaign};
+use crate::shard::{self, ShardDirs};
 use crate::CliError;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
@@ -28,32 +28,17 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let jobs = args.jobs();
     let profile_out = args.path(&PROFILE_OUT);
     let trace_out = args.path(&TRACE_OUT);
-    let mut cache_dir = args.path(&CACHE_DIR);
-    let mut progress = args.progress();
 
-    // Sharded: workers and supervisor share one cache directory, an
-    // ephemeral one unless --cache-dir named it. The workers warm it;
-    // the pass below is then the unchanged single-process path,
-    // answered entirely from the warm cache, so stdout and the stats
-    // dump are byte-for-byte what `--jobs` alone produces. Progress
-    // stays quiet there — the shard phase already narrated the batch.
-    let dirs = match args.num(&SHARDS) {
-        Some(shards) => {
-            let dirs = ShardDirs::new(cache_dir.take(), "shard", shards)?;
-            let campaign = ShardedCampaign {
-                suite: &suite,
-                requested: &requested,
-                extensions: &extensions,
-                jobs,
-                progress,
-                trace: trace_out.is_some(),
-            };
-            supervise_campaign(&campaign, &dirs)?;
-            cache_dir = Some(dirs.cache.clone());
-            progress = Progress::Quiet;
-            Some(dirs)
-        }
-        None => None,
+    // Sharded: the workers warm one cache directory, an ephemeral one
+    // unless --cache-dir named it. The pass below is then the unchanged
+    // single-process path, answered entirely from the warm cache, so
+    // stdout and the stats dump are byte-for-byte what `--jobs` alone
+    // produces. Progress stays quiet there — the shard phase already
+    // narrated the batch.
+    let dirs = shard::warm(&args, &requested, &extensions)?;
+    let (cache_dir, progress) = match &dirs {
+        Some(dirs) => (Some(dirs.cache.clone()), Progress::Quiet),
+        None => (args.path(&CACHE_DIR), args.progress()),
     };
 
     // The recorder exists only when a trace was requested; without it

@@ -12,57 +12,42 @@
 //! single-process run produces. So is the cycle profile: each cache
 //! record carries its job's observations, and the replay folds them.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use hetcore::suite::{Experiment, Extension, Suite};
-use hetcore::telemetry::StatsDump;
+use hetcore::suite::{Experiment, Extension};
 use hetsim_obs::TraceEvent;
 use hetsim_runner::{
-    design_of, fragment_path, manifest_path, supervise, trace_path, Job, JobKey, ProgressEvent,
-    ProgressSink, Runner, RunnerStats, RunnerTiming, ShardEventSink, ShardManifest, ShardPolicy,
-    SimMetrics, WorkerEvent, SHARD_SCHEMA,
+    design_of, manifest_path, supervise, trace_path, Job, JobKey, ProgressEvent, ProgressSink,
+    Runner, ShardEventSink, ShardManifest, ShardPolicy, ShardTally, SimMetrics, SHARD_SCHEMA,
 };
-use serde::value::Value;
 
 use crate::args::{
-    Args, Progress, ATTEMPT, CACHE_DIR, INSTS, JOBS, OUT_DIR, SEED, SHARD, SHARDS, TRACE,
+    Args, ATTEMPT, CACHE_DIR, INSTS, JOBS, OUT_DIR, SEED, SHARD, SHARDS, TRACE, TRACE_OUT,
 };
 use crate::exec::{self, resolve_target};
 use crate::CliError;
 
-/// What a sharded campaign runs — the shape every worker is handed.
-pub struct ShardedCampaign<'a> {
-    pub suite: &'a Suite,
-    pub requested: &'a [Experiment],
-    pub extensions: &'a [Extension],
-    /// The worker-thread budget, split across the worker processes.
-    pub jobs: usize,
-    pub progress: Progress,
-    /// Workers record trace logs beside their manifests.
-    pub trace: bool,
-}
-
 /// Where `shards` workers and their supervisor meet: the shared cache
-/// directory and the `shards/` directory of manifests, stats fragments
-/// and worker traces in it. A cache directory the user did not name is
-/// ephemeral: it is removed when this value drops.
+/// directory and the `shards/` directory of manifests and worker traces
+/// in it. A cache directory the user did not name is ephemeral: it is
+/// removed when this value drops.
 pub struct ShardDirs {
     pub cache: PathBuf,
-    pub out: PathBuf,
+    out: PathBuf,
     pub shards: usize,
     ephemeral: bool,
 }
 
 impl ShardDirs {
-    /// Uses `cache_dir`, or else an ephemeral `hetsim-{tag}-run-{pid}`.
-    pub fn new(cache_dir: Option<PathBuf>, tag: &str, shards: usize) -> Result<ShardDirs, String> {
+    /// Uses `cache_dir`, or else an ephemeral `hetsim-shard-run-{pid}`.
+    fn new(cache_dir: Option<PathBuf>, shards: usize) -> Result<ShardDirs, String> {
         let ephemeral = cache_dir.is_none();
         let cache = cache_dir.unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("hetsim-{tag}-run-{}", std::process::id()))
+            std::env::temp_dir().join(format!("hetsim-shard-run-{}", std::process::id()))
         });
         let out = cache.join("shards");
         let dirs = ShardDirs {
@@ -91,36 +76,61 @@ impl Drop for ShardDirs {
     }
 }
 
+/// The sharded prelude of `run` and `profile`. Without `--shards` it
+/// does nothing. With `--shards N`, N worker processes run every job of
+/// `requested` + `extensions` into a shared cache (`--cache-dir`, or an
+/// ephemeral one), and the caller's single-process pass then answers
+/// the whole run from that cache. Workers record trace logs when
+/// `--trace-out` is given, and the supervisor narrates the batch at
+/// `--progress`.
+pub fn warm(
+    args: &Args,
+    requested: &[Experiment],
+    extensions: &[Extension],
+) -> Result<Option<ShardDirs>, String> {
+    let Some(shards) = args.num(&SHARDS) else {
+        return Ok(None);
+    };
+    let dirs = ShardDirs::new(args.path(&CACHE_DIR), shards)?;
+    supervise_campaign(args, requested, extensions, &dirs)?;
+    Ok(Some(dirs))
+}
+
 /// The supervisor phase: spawn `dirs.shards` workers over the shared
-/// cache, fan their progress into this process's sink, retry
-/// crashed shards, and audit the merged manifests against the canonical
-/// job cover.
-pub fn supervise_campaign(campaign: &ShardedCampaign, dirs: &ShardDirs) -> Result<(), String> {
+/// cache, tally their progress into this process's sink, retry
+/// crashed shards, and audit the manifests against the canonical job
+/// cover.
+fn supervise_campaign(
+    args: &Args,
+    requested: &[Experiment],
+    extensions: &[Extension],
+    dirs: &ShardDirs,
+) -> Result<(), String> {
     let exe =
         std::env::current_exe().map_err(|e| format!("cannot locate the repro binary: {e}"))?;
     let shards = dirs.shards;
+    let suite = args.suite();
 
     // The run's plan, built exactly as workers build it, giving the
-    // progress fan-in its label→index map and the audit its expected
-    // key cover.
-    let plan = campaign.suite.plan(campaign.requested, campaign.extensions);
-    let cpu = plan.cpu.iter().map(|j| (&j.label, j.key));
-    let (labels, keys): (Vec<&String>, Vec<_>) = cpu
-        .chain(plan.gpu.iter().map(|j| (&j.label, j.key)))
+    // tally its label→index map and the audit its expected key cover.
+    let plan = suite.plan(requested, extensions);
+    let cpu = plan.cpu.iter().map(|j| (j.label.as_str(), j.key));
+    let (labels, keys): (Vec<&str>, Vec<_>) = cpu
+        .chain(plan.gpu.iter().map(|j| (j.label.as_str(), j.key)))
         .unzip();
     let expected: BTreeSet<String> = keys.iter().map(|k| k.hex()).collect();
     let total = labels.len();
-    let words: Vec<&str> = campaign
-        .requested
+    let words: Vec<&str> = requested
         .iter()
         .map(|e| e.cli_name())
-        .chain(campaign.extensions.iter().map(|x| x.cli_name()))
+        .chain(extensions.iter().map(|x| x.cli_name()))
         .collect();
     eprintln!("running sharded campaign ({total} job(s) across {shards} worker process(es))...");
 
     // One aggregate batch over all workers: columns in first-submission
     // design order, like the in-process runner announces them.
-    let sink = exec::progress_sink(campaign.progress, None);
+    let started = Instant::now();
+    let sink = exec::progress_sink(args.progress(), None);
     let mut columns: Vec<(String, usize)> = Vec::new();
     for label in &labels {
         let design = design_of(label);
@@ -134,16 +144,11 @@ pub fn supervise_campaign(campaign: &ShardedCampaign, dirs: &ShardDirs) -> Resul
         workers: shards,
         columns,
     });
-    let label_index: HashMap<&str, usize> = labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l.as_str(), i))
-        .collect();
-    let done = AtomicUsize::new(0);
+    let tally = ShardTally::new(labels);
 
     // Split the worker-thread budget across the worker processes so
     // `--shards N` does not oversubscribe the machine N-fold.
-    let worker_jobs = campaign.jobs.div_ceil(shards).max(1);
+    let worker_jobs = args.jobs().div_ceil(shards).max(1);
     let runs = supervise(
         shards,
         &dirs.out,
@@ -155,38 +160,21 @@ pub fn supervise_campaign(campaign: &ShardedCampaign, dirs: &ShardDirs) -> Resul
                 (&SHARD, shard.to_string()),
                 (&SHARDS, shards.to_string()),
                 (&ATTEMPT, attempt.to_string()),
-                (&INSTS, campaign.suite.insts_per_app.to_string()),
-                (&SEED, campaign.suite.seed.to_string()),
+                (&INSTS, suite.insts_per_app.to_string()),
+                (&SEED, suite.seed.to_string()),
                 (&JOBS, worker_jobs.to_string()),
             ] {
                 cmd.arg(flag.name).arg(value);
             }
             cmd.arg(CACHE_DIR.name).arg(&dirs.cache);
             cmd.arg(OUT_DIR.name).arg(&dirs.out);
-            if campaign.trace {
+            if args.has(&TRACE_OUT) {
                 cmd.arg(TRACE.name);
             }
             cmd.args(&words);
             cmd
         },
-        &|_shard, line| {
-            let Some(event) = WorkerEvent::from_line(line) else {
-                return;
-            };
-            let Some(&index) = label_index.get(event.label.as_str()) else {
-                return;
-            };
-            let done_now = done.fetch_add(1, Ordering::SeqCst) + 1;
-            sink.event(&ProgressEvent::JobFinished {
-                index,
-                label: event.label,
-                provenance: event.provenance,
-                done: done_now,
-                total,
-                counters: Vec::new(),
-                sim_seconds: event.sim_seconds,
-            });
-        },
+        &|_shard, line| tally.record(line, sink.as_ref()),
     )?;
 
     // Audit the cover: every canonical key claimed by exactly one
@@ -211,33 +199,8 @@ pub fn supervise_campaign(campaign: &ShardedCampaign, dirs: &ShardDirs) -> Resul
         ));
     }
 
-    // Merge the per-shard StatsDump fragments' runner sections — value
-    // trees folded leaf-wise, then parsed back into `RunnerStats` so
-    // the batch summary goes through the same merge machinery an
-    // in-process campaign uses.
-    let fragments: Vec<Value> = runs
-        .iter()
-        .map(|run| {
-            let path = fragment_path(&dirs.out, run.shard);
-            serde_json::from_str(&exec::read(&path)?)
-                .map_err(|e| format!("{}: {e}", path.display()))
-        })
-        .collect::<Result<_, String>>()?;
-    let mut merged = RunnerStats::default();
-    for section in ["cpu", "gpu"] {
-        let parts: Vec<Value> = fragments
-            .iter()
-            .filter_map(|f| f.get("runner").and_then(|r| r.get(section)).cloned())
-            .collect();
-        if parts.is_empty() {
-            continue;
-        }
-        let folded = hetsim_stats::merge_counter_fragments(&parts)?;
-        let stats = RunnerStats::from_dump_value(&folded)
-            .ok_or_else(|| format!("malformed runner.{section} section in shard fragments"))?;
-        merged.merge(&stats);
-    }
-    sink.event(&ProgressEvent::BatchFinished { stats: merged });
+    let stats = tally.summary(&runs, started.elapsed());
+    sink.event(&ProgressEvent::BatchFinished { stats });
     // The supervisor fans worker events into rate-limited sinks by
     // hand (no Runner in this process), so it settles them by hand too.
     sink.flush();
@@ -261,12 +224,9 @@ fn shard_fail_requested(shard: usize, attempt: u64) -> bool {
 }
 
 /// Runs one campaign's slice of this shard, cut to what is left of the
-/// fault-injection `budget` (if any).
-fn run_slice<T>(
-    mut batch: Vec<Job<T>>,
-    budget: &mut Option<usize>,
-    runner: Runner<T>,
-) -> (RunnerStats, RunnerTiming)
+/// fault-injection `budget` (if any), and returns how many jobs it
+/// executed.
+fn run_slice<T>(mut batch: Vec<Job<T>>, budget: &mut Option<usize>, runner: Runner<T>) -> u64
 where
     T: Clone + Send + serde::Serialize + serde::Deserialize + SimMetrics,
 {
@@ -276,13 +236,13 @@ where
         *b -= take;
     }
     runner.run(batch);
-    (runner.total_stats(), runner.total_timing())
+    runner.total_stats().executed
 }
 
 /// The hidden worker subcommand the supervisor spawns: run this shard's
 /// slice of the campaign into the shared cache, narrate wire events on
-/// stdout, then commit fragment + manifest (manifest last — it is the
-/// shard's commit record).
+/// stdout, then write the trace log (when tracing) and commit the
+/// manifest (last — it is the shard's commit record).
 pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
     let words = std::mem::take(&mut args.positionals);
     let targets = args.parse_each(&words, resolve_target);
@@ -319,26 +279,17 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
     let fail_now = shard_fail_requested(shard, attempt);
     let mut budget = fail_now.then_some(total / 2);
 
-    let mut dump = StatsDump::new().with_run(suite.insts_per_app, suite.seed, &words);
     let mut executed = 0u64;
     let jobs = args.jobs();
     if needs_cpu {
         let runner =
             exec::runner(jobs, Some(&cache_dir), &sink, recorder.as_ref()).map_err(in_shard)?;
-        let (stats, timing) = run_slice(cpu_mine, &mut budget, runner);
-        executed += stats.executed;
-        dump = dump
-            .with_runner("cpu", stats)
-            .with_runner_timing("cpu", timing);
+        executed += run_slice(cpu_mine, &mut budget, runner);
     }
     if needs_gpu {
         let runner =
             exec::runner(jobs, Some(&cache_dir), &sink, recorder.as_ref()).map_err(in_shard)?;
-        let (stats, timing) = run_slice(gpu_mine, &mut budget, runner);
-        executed += stats.executed;
-        dump = dump
-            .with_runner("gpu", stats)
-            .with_runner_timing("gpu", timing);
+        executed += run_slice(gpu_mine, &mut budget, runner);
     }
     if fail_now {
         // Die without a manifest: the half-done work stays in the
@@ -351,7 +302,6 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
     if let Some(rec) = &recorder {
         exec::write(&trace_path(&out_dir, shard), &rec.to_jsonl()).map_err(in_shard)?;
     }
-    exec::write(&fragment_path(&out_dir, shard), &dump.to_json()).map_err(in_shard)?;
     let manifest = ShardManifest {
         schema: SHARD_SCHEMA.into(),
         shard: shard as u64,

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use hetsim_gpu::KernelProfile;
 use hetsim_obs::TraceRecorder;
-use hetsim_runner::{config_object, Job, JobKey, Runner, SimMetrics};
+use hetsim_runner::{config_object, Job, JobKey};
 use hetsim_trace::WorkloadProfile;
 use serde::value::Value;
 use serde::Serialize;
@@ -171,42 +171,6 @@ pub fn traced_campaign<T>(
         }
         None => f(),
     }
-}
-
-/// Runs `jobs` split across `runners` by [`JobKey::shard_of`], each
-/// shard on its own scoped thread, and returns the outcomes in
-/// submission order: the shard count never shows in the result.
-pub fn run_sharded<T>(runners: &[Runner<T>], jobs: Vec<Job<T>>) -> Vec<T>
-where
-    T: Clone + Send + serde::Deserialize + Serialize + SimMetrics,
-{
-    let total = jobs.len();
-    let mut shards: Vec<(Vec<usize>, Vec<Job<T>>)> =
-        runners.iter().map(|_| Default::default()).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        let (indices, batch) = &mut shards[job.key.shard_of(runners.len())];
-        indices.push(index);
-        batch.push(job);
-    }
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .zip(runners)
-            .map(|((indices, batch), runner)| {
-                scope.spawn(move || indices.into_iter().zip(runner.run(batch)))
-            })
-            .collect();
-        for handle in handles {
-            for (index, outcome) in handle.join().expect("shard thread") {
-                slots[index] = Some(outcome);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("the shards cover the batch"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //!    `hetsim_gpu::stats::validate_gpu_stats`, the power validators)
 //!    against a finished experiment outcome.
 //! 2. [`validate_dump`] — reconstruct counter structs from a telemetry
-//!    [`StatsDump`] value tree and validate the *serialized* numbers, so
-//!    a bug anywhere between the simulator and the JSON (merge, telemetry
-//!    keys, campaign aggregation) is caught at the artifact boundary.
+//!    [`StatsDump`](crate::telemetry::StatsDump) value tree and validate
+//!    the *serialized* numbers, so a bug anywhere between the simulator
+//!    and the JSON (merge, telemetry keys, campaign aggregation) is
+//!    caught at the artifact boundary.
 //!    The [`PERTURB_ENV`] hook injects an off-by-one into one named
 //!    counter here, proving end-to-end that a corrupted artifact yields a
 //!    named violation and a non-zero exit.

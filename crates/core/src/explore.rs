@@ -16,10 +16,9 @@
 //!   any design, so repeated searches — a warm rerun, a widened budget,
 //!   an overlapping sweep — only simulate points never seen before, and
 //!   a candidate that is a campaign cell reuses its cache entry;
-//! * `--shards N` splits each batch across N runners by
-//!   [`hetsim_runner::JobKey::shard_of`], the same coordination-free partitioner the
-//!   campaign shard protocol uses; results merge by submission index,
-//!   so the shard count is invisible in the output;
+//! * each wave's batch runs on one runner of `--jobs` workers, and
+//!   results merge by submission index, so the worker count is
+//!   invisible in the output;
 //! * the search itself is **structural**: wave 0 is a deterministic
 //!   stride sample of the grid, every later wave evaluates the
 //!   ±1-step axis neighbors of the current frontier (adaptive
@@ -42,7 +41,7 @@ use hetsim_trace::{apps, WorkloadProfile};
 use serde::value::Value;
 use serde::Serialize;
 
-use crate::campaign::{cpu_job, run_sharded, Fingerprinted};
+use crate::campaign::{cpu_job, Fingerprinted};
 use crate::config::{CpuDesign, CpuPoint, OperatingPoint};
 use crate::experiment::{CpuOutcome, CpuRun};
 use crate::report::Report;
@@ -318,15 +317,10 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Dynamic instructions per application per candidate.
     pub insts: u64,
-    /// Worker threads per shard runner.
+    /// Worker threads of the search's runner.
     pub jobs: usize,
-    /// Shard runners each wave's batch is partitioned across.
-    pub shards: usize,
-    /// On-disk result cache shared by all shards (in-memory only when
-    /// `None`).
+    /// On-disk result cache (in-memory only when `None`).
     pub cache_dir: Option<PathBuf>,
-    /// Benchmark mode: skip cache probe/put entirely.
-    pub cache_bypass: bool,
 }
 
 impl Default for ExploreConfig {
@@ -336,9 +330,7 @@ impl Default for ExploreConfig {
             seed: 42,
             insts: DEFAULT_EXPLORE_INSTS,
             jobs: 1,
-            shards: 1,
             cache_dir: None,
-            cache_bypass: false,
         }
     }
 }
@@ -367,7 +359,7 @@ impl EvaluatedPoint {
     }
 }
 
-/// Deterministic runner counters summed across every shard and wave.
+/// Deterministic runner counters summed across every wave.
 ///
 /// Unlike the full [`hetsim_runner::RunnerStats`] (which is declared
 /// nondeterministic because it carries wall time and cache-layer
@@ -432,11 +424,10 @@ fn candidate_jobs(
 /// # Errors
 ///
 /// Returns an actionable message for an invalid space or an unusable
-/// cache directory. Shard/budget bounds are the caller's contract
-/// (the CLI validates them): both must be ≥ 1.
+/// cache directory. The budget bound is the caller's contract (the CLI
+/// validates it): it must be ≥ 1.
 pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult, String> {
     assert!(cfg.budget >= 1, "budget must be >= 1");
-    assert!(cfg.shards >= 1, "shards must be >= 1");
     space.validate()?;
     let apps: Vec<_> = space
         .apps
@@ -444,19 +435,13 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
         .map(|a| Fingerprinted::new(apps::profile(a).expect("space validated")))
         .collect();
 
-    // One persistent runner per shard: the key→shard mapping is stable,
-    // so each runner's in-memory cache stays valid across waves, and
-    // all runners share the one on-disk cache.
-    let per_shard_jobs = (cfg.jobs / cfg.shards).max(1);
-    let mut runners = Vec::with_capacity(cfg.shards);
-    for _ in 0..cfg.shards {
-        let mut runner = Runner::new(per_shard_jobs);
-        if let Some(dir) = &cfg.cache_dir {
-            runner = runner
-                .with_cache_dir(dir)
-                .map_err(|e| format!("cannot use cache dir {}: {e}", dir.display()))?;
-        }
-        runners.push(runner.with_cache_bypass(cfg.cache_bypass));
+    // One runner for the whole search, so its in-memory cache stays
+    // valid across waves.
+    let mut runner = Runner::new(cfg.jobs);
+    if let Some(dir) = &cfg.cache_dir {
+        runner = runner
+            .with_cache_dir(dir)
+            .map_err(|e| format!("cannot use cache dir {}: {e}", dir.display()))?;
     }
 
     let grid = space.grid_size();
@@ -479,7 +464,7 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
         if wave.is_empty() {
             break;
         }
-        let outcomes = evaluate_wave(space, cfg, &apps, &runners, &wave);
+        let outcomes = evaluate_wave(space, cfg, &apps, &runner, &wave);
         for (coords, point) in wave.iter().zip(outcomes) {
             seen.insert(*coords);
             coords_order.push(*coords);
@@ -540,13 +525,12 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
             .then_with(|| coords_order[a].cmp(&coords_order[b]))
     });
 
-    let mut runner = ExploreCounters::default();
-    for r in &runners {
-        let totals = r.total_stats();
-        runner.jobs += totals.jobs;
-        runner.executed += totals.executed;
-        runner.cache_hits += totals.cache_hits;
-    }
+    let totals = runner.total_stats();
+    let runner = ExploreCounters {
+        jobs: totals.jobs,
+        executed: totals.executed,
+        cache_hits: totals.cache_hits,
+    };
 
     Ok(ExploreResult {
         space: space.clone(),
@@ -561,21 +545,20 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
 }
 
 /// Evaluates one wave of candidates: builds the (candidate × app) job
-/// batch, runs it across the shard runners ([`run_sharded`], the same
-/// coordination-free split the campaign shard protocol uses), and folds
-/// each candidate's per-app outcomes into its aggregate objectives.
+/// batch, runs it on `runner`, and folds each candidate's per-app
+/// outcomes into its aggregate objectives.
 fn evaluate_wave(
     space: &DesignSpace,
     cfg: &ExploreConfig,
     apps: &[Fingerprinted<WorkloadProfile>],
-    runners: &[Runner<CpuOutcome>],
+    runner: &Runner<CpuOutcome>,
     wave: &[[usize; 4]],
 ) -> Vec<EvaluatedPoint> {
     let jobs = wave
         .iter()
         .flat_map(|&coords| candidate_jobs(&space.candidate(coords), apps, cfg.seed, cfg.insts))
         .collect();
-    let outcomes = run_sharded(runners, jobs);
+    let outcomes = runner.run(jobs);
     wave.iter()
         .zip(outcomes.chunks(apps.len()))
         .map(|(&coords, outcomes)| {
@@ -896,17 +879,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_invisible_in_the_dump() {
+    fn job_count_is_invisible_in_the_dump() {
         let space = tiny_space();
-        let one = explore(&space, &quick_cfg(4)).expect("search runs");
-        let two = explore(
-            &space,
-            &ExploreConfig {
-                shards: 2,
+        let two = explore(&space, &quick_cfg(4)).expect("search runs");
+        for jobs in [1, 3] {
+            let cfg = ExploreConfig {
+                jobs,
                 ..quick_cfg(4)
-            },
-        )
-        .expect("search runs");
-        assert_eq!(one.to_json(), two.to_json());
+            };
+            let other = explore(&space, &cfg).expect("search runs");
+            assert_eq!(two.to_json(), other.to_json(), "--jobs {jobs}");
+        }
     }
 }

@@ -132,23 +132,36 @@ fn flatten(v: &Value, path: &str, doc: &mut DumpDoc) {
 
 /// Flattens the `reports` section with figure-shaped paths:
 /// `report.<title>.<row label>.<column>` per cell, so a violation names
-/// the exact figure, application and design that drifted.
+/// the exact figure, application and design that drifted. Strict: every
+/// cell is a number or `null` (skipped, like a `null` leaf elsewhere)
+/// under a string label and a string column, and a row has one cell
+/// per column, so no cell is dropped or filed under a made-up name.
 fn flatten_reports(v: &Value, doc: &mut DumpDoc) -> Result<(), String> {
     let reports = v
         .as_array()
         .ok_or_else(|| "`reports` section is not an array".to_string())?;
     for (i, report) in reports.iter().enumerate() {
+        let fields = report
+            .as_object()
+            .ok_or_else(|| format!("reports[{i}] is not an object"))?;
+        if let Some((key, _)) = fields
+            .iter()
+            .find(|(key, _)| !["title", "columns", "rows"].contains(&key.as_str()))
+        {
+            return Err(format!("reports[{i}] has an unknown field `{key}`"));
+        }
         let title = report
             .get("title")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("reports[{i}] has no title"))?;
-        let columns: Vec<&str> = report
+        let columns = report
             .get("columns")
             .and_then(Value::as_array)
             .ok_or_else(|| format!("reports[{i}] has no columns"))?
             .iter()
-            .map(|c| c.as_str().unwrap_or("?"))
-            .collect();
+            .map(|c| c.as_str())
+            .collect::<Option<Vec<&str>>>()
+            .ok_or_else(|| format!("report '{title}' has a column that is not a string"))?;
         let rows = report
             .get("rows")
             .and_then(Value::as_array)
@@ -158,14 +171,27 @@ fn flatten_reports(v: &Value, doc: &mut DumpDoc) -> Result<(), String> {
                 .as_array()
                 .filter(|r| r.len() == 2)
                 .ok_or_else(|| format!("malformed row in report '{title}'"))?;
-            let label = cells[0].as_str().unwrap_or("?");
+            let label = cells[0]
+                .as_str()
+                .ok_or_else(|| format!("report '{title}' has a row label that is not a string"))?;
             let values = cells[1]
                 .as_array()
                 .ok_or_else(|| format!("malformed row values in report '{title}'"))?;
+            if values.len() != columns.len() {
+                return Err(format!(
+                    "report '{title}' row '{label}' has {} value(s) for {} column(s)",
+                    values.len(),
+                    columns.len()
+                ));
+            }
             for (column, value) in columns.iter().zip(values) {
-                if let Some(x) = value.as_f64() {
-                    doc.metrics
-                        .push((format!("report.{title}.{label}.{column}"), x));
+                let path = format!("report.{title}.{label}.{column}");
+                match value {
+                    Value::Null => {}
+                    _ => match value.as_f64() {
+                        Some(x) => doc.metrics.push((path, x)),
+                        None => return Err(format!("`{path}` is not a number or null")),
+                    },
                 }
             }
         }
@@ -798,6 +824,43 @@ mod tests {
         assert!(err.contains("not a stats dump"), "{err}");
         let err = DumpDoc::parse("{\"x\": 1}").expect_err("no schema");
         assert!(err.contains("schema"), "{err}");
+    }
+
+    #[test]
+    fn a_report_label_or_column_that_is_not_a_string_is_an_error() {
+        let label = BASE.replace(r#"["lu", [1.0, 1.08]]"#, r#"[7, [1.0, 1.08]]"#);
+        let err = DumpDoc::parse(&label).expect_err("numeric row label");
+        assert!(err.contains("row label that is not a string"), "{err}");
+        let column = BASE.replace(r#"["BaseCMOS", "AdvHet"]"#, r#"["BaseCMOS", null]"#);
+        let err = DumpDoc::parse(&column).expect_err("null column");
+        assert!(err.contains("column that is not a string"), "{err}");
+    }
+
+    #[test]
+    fn a_row_whose_value_count_differs_from_its_columns_is_an_error() {
+        for cells in ["[1.0]", "[1.0, 1.08, 1.2]"] {
+            let text = BASE.replace("[1.0, 1.08]", cells);
+            let err = DumpDoc::parse(&text).expect_err("cells must match columns");
+            assert!(err.contains("row 'lu' has"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_cell_that_is_neither_a_number_nor_null_is_an_error() {
+        let text = BASE.replace("[1.0, 1.08]", r#"[1.0, "1.08"]"#);
+        let err = DumpDoc::parse(&text).expect_err("string cell");
+        assert!(err.contains("lu.AdvHet` is not a number or null"), "{err}");
+        // A null cell is a skipped leaf, as anywhere else in a dump.
+        let text = BASE.replace("[1.0, 1.08]", "[1.0, null]");
+        let doc = DumpDoc::parse(&text).expect("null cell");
+        assert!(!doc.metrics.iter().any(|(p, _)| p.ends_with("lu.AdvHet")));
+    }
+
+    #[test]
+    fn a_report_with_an_unknown_field_is_an_error() {
+        let text = BASE.replace(r#""title":"#, r#""note": [2.5], "title":"#);
+        let err = DumpDoc::parse(&text).expect_err("unknown report field");
+        assert!(err.contains("unknown field `note`"), "{err}");
     }
 
     #[test]

@@ -133,10 +133,9 @@ fn explore_rejects_zero_budget_and_bad_counts() {
         &["explore", "--budget", "0"],
         "--budget expects an integer >= 1, got '0'",
     );
-    assert_rejected(
-        &["explore", "--shards", "0"],
-        "--shards expects an integer >= 1, got '0'",
-    );
+    // Worker processes are the campaign runs' knob; a search scales
+    // with --jobs.
+    assert_rejected(&["explore", "--shards", "2"], "unknown argument '--shards'");
     assert_rejected(
         &["explore", "--insts", "many"],
         "--insts expects an integer >= 1, got 'many'",

@@ -10,6 +10,10 @@
 //! (`<shard>` crashes that shard's first attempt halfway through;
 //! `<shard>:always` crashes every attempt).
 //!
+//! Two tests hold the supervisor's own narration: a healed run reports
+//! each job once, and the batch summary counts from the manifests and
+//! times the supervisor's wall clock, not the sum of the workers'.
+//!
 //! The last test attacks the other shared resource: two full-campaign
 //! workers race on one `--cache-dir`. Because each cache handle appends
 //! whole records to a segment of its own and both workers compute
@@ -19,6 +23,7 @@
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::time::Instant;
 
 use serde::value::Value;
 
@@ -125,6 +130,128 @@ fn a_persistently_crashing_shard_fails_the_campaign_loudly() {
         "error names the shard and the attempt budget: {stderr}"
     );
 
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// The `(done, total)` of every `[runner] D/T label (tag)` line, and
+/// the `[runner] done: ...` summary line. A worker's own stderr
+/// message can land at the start of a supervisor line (the supervisor
+/// writes each line whole), so a line is read from its `[runner] `.
+fn narration(stderr: &str) -> (Vec<(u64, u64)>, &str) {
+    let mut progress = Vec::new();
+    let mut summary = None;
+    for line in stderr.lines() {
+        let Some(at) = line.find("[runner] ") else {
+            continue;
+        };
+        let rest = &line[at + "[runner] ".len()..];
+        if rest.starts_with("done:") {
+            summary = Some(rest);
+        } else if let Some((done, tail)) = rest.split_once('/') {
+            let total = tail.split(' ').next().expect("a count");
+            if let (Ok(done), Ok(total)) = (done.parse(), total.parse()) {
+                progress.push((done, total));
+            }
+        }
+    }
+    (progress, summary.expect("a batch summary line"))
+}
+
+/// The number just before `word` in `line`.
+fn count_before(line: &str, word: &str) -> f64 {
+    let head = &line[..line
+        .find(word)
+        .unwrap_or_else(|| panic!("`{word}` in {line}"))];
+    let number = head.trim_end().rsplit(' ').next().expect("a number");
+    number
+        .parse()
+        .unwrap_or_else(|_| panic!("a number before `{word}` in {line}"))
+}
+
+#[test]
+fn a_healed_run_narrates_each_job_once() {
+    let cache = fresh_dir("narrate-cache");
+    // Shard 1's crashed attempt finished half its jobs; its retry
+    // answers them from the cache and narrates them again. The
+    // supervisor must count each job once.
+    let out = repro_cmd()
+        .env("HETSIM_SHARD_FAIL", "1")
+        .args([
+            "--insts",
+            INSTS,
+            "--cache-dir",
+            &cache.to_string_lossy(),
+            "--shards",
+            "2",
+            "--progress",
+            "fig7",
+        ])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "chaos run must recover: {stderr}");
+    let (progress, summary) = narration(&stderr);
+    assert_eq!(progress.len(), 154, "one line per fig7 job: {stderr}");
+    for (done, total) in &progress {
+        assert!(done <= total, "progress overran its total: {done}/{total}");
+    }
+    assert_eq!(
+        progress.last(),
+        Some(&(154, 154)),
+        "the last line completes"
+    );
+    // The committed manifests count the retry's cache hits as cached.
+    let (jobs, executed) = (
+        count_before(summary, "jobs"),
+        count_before(summary, "executed"),
+    );
+    let cached = count_before(summary, "cached");
+    assert_eq!(jobs, 154.0, "{summary}");
+    assert_eq!(executed + cached, jobs, "{summary}");
+    assert!(
+        cached > 0.0,
+        "the crashed attempt's jobs were cached: {summary}"
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn the_sharded_summary_times_the_supervisors_own_wall() {
+    let cache = fresh_dir("wall-cache");
+    // Two workers run concurrently, so the sum of their batch walls
+    // exceeds the run's own; the summary must report the latter.
+    let started = Instant::now();
+    let out = repro(&[
+        "--insts",
+        "20000",
+        "--jobs",
+        "2",
+        "--cache-dir",
+        &cache.to_string_lossy(),
+        "--shards",
+        "2",
+        "--progress",
+        "fig7",
+    ]);
+    let elapsed = started.elapsed().as_secs_f64();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "sharded run fails: {stderr}");
+    let (_, summary) = narration(&stderr);
+    let wall = count_before(summary, "s wall");
+    // The summary prints two decimals.
+    assert!(
+        wall <= elapsed + 0.005,
+        "summary wall {wall} s exceeds the run's {elapsed:.3} s: {summary}"
+    );
+    assert_eq!(count_before(summary, "executed"), 154.0, "{summary}");
+
+    // A manifest is a worker's only commit record.
+    let mut files: Vec<String> = std::fs::read_dir(cache.join("shards"))
+        .expect("shard directory")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["shard-0.manifest.json", "shard-1.manifest.json"]);
     let _ = std::fs::remove_dir_all(&cache);
 }
 

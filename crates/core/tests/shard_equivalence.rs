@@ -2,8 +2,8 @@
 //!
 //! The shard protocol's headline guarantee is that `--shards N` is a
 //! pure throughput knob: the partitioner splits the campaign across N
-//! worker processes, the supervisor merges their fragments, and the
-//! final report — both the headline stdout and the `--stats-out`
+//! worker processes, the supervisor replays the warm cache they share,
+//! and the final report — both the headline stdout and the `--stats-out`
 //! dump — is what a single-process run would have produced. These
 //! tests run the real `repro` binary on the fig7 + fig14 workload and
 //! hold that line byte-for-byte across shard counts, including a
@@ -115,19 +115,19 @@ fn sharded_runs_match_single_process_byte_for_byte() {
 }
 
 /// The exploration engine makes a stronger promise than the campaign
-/// path: its in-process shards feed deterministic counters, so the
-/// frontier dump — `runner` section included — is byte-identical at
-/// any shard count. Cold caches per shard count keep the comparison
-/// honest (no run reads another's results).
+/// path: its runner feeds deterministic counters, so the frontier dump
+/// — `runner` section included — is byte-identical at any worker count.
+/// Cold caches per worker count keep the comparison honest (no run
+/// reads another's results).
 #[test]
-fn explore_frontier_dumps_match_across_shard_counts() {
+fn explore_frontier_dumps_match_across_job_counts() {
     let base = scratch().with_file_name(format!("hetcore-shard-eq-explore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("scratch dir");
 
-    let dump_for = |shards: &str| -> String {
-        let cache = base.join(format!("cache-{shards}"));
-        let out_path = base.join(format!("frontier-{shards}.json"));
+    let dump_for = |jobs: &str| -> String {
+        let cache = base.join(format!("cache-{jobs}"));
+        let out_path = base.join(format!("frontier-{jobs}.json"));
         let out = repro(&[
             "explore",
             "--budget",
@@ -136,8 +136,8 @@ fn explore_frontier_dumps_match_across_shard_counts() {
             "42",
             "--insts",
             INSTS,
-            "--shards",
-            shards,
+            "--jobs",
+            jobs,
             "--cache-dir",
             &cache.to_string_lossy(),
             "--frontier-out",
@@ -145,18 +145,18 @@ fn explore_frontier_dumps_match_across_shard_counts() {
         ]);
         assert!(
             out.status.success(),
-            "explore --shards {shards} fails: {}",
+            "explore --jobs {jobs} fails: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         std::fs::read_to_string(&out_path).expect("frontier dump written")
     };
 
     let reference = dump_for("1");
-    for shards in ["2", "4"] {
+    for jobs in ["2", "4"] {
         assert_eq!(
             reference,
-            dump_for(shards),
-            "frontier dump must be byte-identical at --shards {shards}"
+            dump_for(jobs),
+            "frontier dump must be byte-identical at --jobs {jobs}"
         );
     }
 

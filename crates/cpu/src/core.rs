@@ -23,7 +23,7 @@
 //! cycle-by-cycle loop it replaced (pinned by `tests/step_equivalence.rs`
 //! and the byte-identity goldens):
 //!
-//! * **Struct-of-arrays ROB ring** ([`RobRing`]): in-flight state lives in
+//! * **Struct-of-arrays ROB ring** (`RobRing`): in-flight state lives in
 //!   fixed parallel arrays indexed by `seq & mask` — no `VecDeque`
 //!   pointer-chasing, no per-instruction allocation.
 //! * **Wakeup-driven issue**: instead of re-testing every IQ entry's
@@ -533,9 +533,10 @@ impl Core {
         let mut skipped_cycles: u64 = 0;
         let mut wakeup_jumps: u64 = 0;
         let total = warmup + n;
-        // Snapshot taken when the warmup region retires.
-        let mut snapshot: Option<(u64, CoreStats, MemStats)> = if warmup == 0 {
-            Some((cycle, self.stats, self.hierarchy.stats()))
+        // Snapshot taken when the warmup region retires: the cycle, the
+        // skip counts and the counters, all subtracted at the end.
+        let mut snapshot: Option<(u64, [u64; 2], CoreStats, MemStats)> = if warmup == 0 {
+            Some((cycle, [0, 0], self.stats, self.hierarchy.stats()))
         } else {
             None
         };
@@ -575,7 +576,8 @@ impl Core {
                 last_progress_cycle = cycle;
                 if snapshot.is_none() && committed >= warmup {
                     self.fold_issues(&mut issue_counts);
-                    snapshot = Some((cycle, self.stats, self.hierarchy.stats()));
+                    let skips = [skipped_cycles, wakeup_jumps];
+                    snapshot = Some((cycle, skips, self.stats, self.hierarchy.stats()));
                 }
             }
 
@@ -870,11 +872,11 @@ impl Core {
         profile.rob = Histogram::from_levels(&rob_levels);
         profile.iq = Histogram::from_levels(&iq_levels);
         profile.lsq = Histogram::from_levels(&lsq_levels);
-        profile.skipped_cycles = skipped_cycles;
-        profile.wakeup_jumps = wakeup_jumps;
         self.fold_issues(&mut issue_counts);
-        let (snap_cycle, snap_stats, snap_mem) =
+        let (snap_cycle, [snap_skipped, snap_jumps], snap_stats, snap_mem) =
             snapshot.expect("warmup <= total instructions, so the snapshot was taken");
+        profile.skipped_cycles = skipped_cycles - snap_skipped;
+        profile.wakeup_jumps = wakeup_jumps - snap_jumps;
         self.stats.cycles = cycle;
         self.stats.committed = committed;
         let mut stats = self.stats.minus(&snap_stats);
@@ -1459,6 +1461,24 @@ mod tests {
         assert!(
             loads > 0 && p.mem_miss_latency.count() > 0,
             "canneal misses"
+        );
+    }
+
+    #[test]
+    fn skip_counts_cover_only_the_measured_window() {
+        // A long memory-bound warm-up skips far more dead cycles than a
+        // short measured window holds; none of them may be reported.
+        let profile = apps::profile("canneal").expect("known app");
+        let mut core = Core::new(CoreConfig::default(), 0);
+        let r = core.run_warmed(TraceGenerator::new(&profile, 4), 20_000, 200);
+        let p = &r.profile;
+        assert!(p.skipped_cycles > 0, "the measured window skips");
+        assert!(
+            p.skipped_cycles <= p.cycles && p.wakeup_jumps <= p.cycles,
+            "skipped {} and jumps {} within {} measured cycles",
+            p.skipped_cycles,
+            p.wakeup_jumps,
+            p.cycles
         );
     }
 

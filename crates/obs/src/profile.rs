@@ -311,14 +311,37 @@ impl Deserialize for CycleProfile {
 /// folds every answered job's observations per campaign, so a warm or
 /// sharded run reports what a cold one does. Never part of a job key
 /// or of the regression-checked dump sections.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Observations {
     /// One row per simulated unit (`core{t}` / `cu{i}`).
     pub profile: CycleProfile,
-    /// Dead cycles the event-driven step jumped over.
+    /// Dead cycles the event-driven step jumped over, inside the
+    /// measured window the rows' `cycles` cover.
     pub skipped_cycles: u64,
     /// Jumps it took to skip them.
     pub wakeup_jumps: u64,
+}
+
+impl Deserialize for Observations {
+    /// Strict: skipped cycles are measured cycles, so they cannot
+    /// exceed the rows' summed `cycles`.
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let field = |name| serde::__private::field::<u64>(v, name, "Observations");
+        let observations = Observations {
+            profile: serde::__private::field(v, "profile", "Observations")?,
+            skipped_cycles: field("skipped_cycles")?,
+            wakeup_jumps: field("wakeup_jumps")?,
+        };
+        let rows = observations.profile.rows().iter();
+        let cycles = rows.fold(0, |sum: u64, row| sum.saturating_add(row.cycles));
+        if observations.skipped_cycles > cycles {
+            return Err(Error::custom(format!(
+                "Observations `skipped_cycles` {} exceeds the rows' summed `cycles` {cycles}",
+                observations.skipped_cycles
+            )));
+        }
+        Ok(observations)
+    }
 }
 
 impl Observations {
@@ -493,13 +516,28 @@ mod tests {
     #[test]
     fn observations_merge_and_round_trip() {
         let mut a = Observations::default();
-        a.profile.merge_row(row("Conv", "core0", 3, 1));
+        a.profile.merge_row(row("Conv", "core0", 30, 10));
         a.skipped_cycles = 10;
         a.wakeup_jumps = 2;
         let mut b = a.clone();
         b.merge(&a);
-        assert_eq!(b.profile.rows()[0].cycles, 8);
+        assert_eq!(b.profile.rows()[0].cycles, 80);
         assert_eq!((b.skipped_cycles, b.wakeup_jumps), (20, 4));
         assert_eq!(Observations::from_value(&b.to_value()), Ok(b));
+    }
+
+    #[test]
+    fn observations_skipping_more_than_their_cycles_are_an_error() {
+        let mut o = Observations::default();
+        o.profile.merge_row(row("AdvHet", "core0", 7, 3));
+        o.skipped_cycles = 10;
+        assert_eq!(Observations::from_value(&o.to_value()), Ok(o.clone()));
+        o.skipped_cycles = 11;
+        let err = Observations::from_value(&o.to_value()).expect_err("11 > 10");
+        let err = err.to_string();
+        assert!(
+            err.contains("`skipped_cycles` 11") && err.contains("summed `cycles` 10"),
+            "{err}"
+        );
     }
 }

@@ -59,8 +59,8 @@ pub use progress::{
 };
 pub use runner::Runner;
 pub use shard::{
-    fragment_path, manifest_path, partition, supervise, trace_path, ShardEventSink, ShardManifest,
-    ShardPolicy, ShardRun, WorkerEvent, SHARD_SCHEMA,
+    manifest_path, partition, supervise, trace_path, ShardEventSink, ShardManifest, ShardPolicy,
+    ShardRun, ShardTally, WorkerEvent, SHARD_SCHEMA,
 };
 pub use sinks::{MultiSink, TraceEventSink};
 pub use timing::RunnerTiming;

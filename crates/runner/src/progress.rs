@@ -192,22 +192,6 @@ impl Serialize for RunnerStats {
     }
 }
 
-impl RunnerStats {
-    /// Parses the [`Serialize`] rendering back — the shard supervisor
-    /// reads worker `StatsDump` fragments this way before merging them.
-    pub fn from_dump_value(v: &Value) -> Option<RunnerStats> {
-        use serde::Deserialize;
-        Some(RunnerStats {
-            jobs: v.get("jobs")?.as_u64()?,
-            executed: v.get("executed")?.as_u64()?,
-            cache_hits: v.get("cache_hits")?.as_u64()?,
-            cache: CacheStats::from_value(v.get("cache")?).ok()?,
-            sim_seconds: v.get("sim_seconds")?.as_f64()?,
-            wall: Duration::from_secs_f64(v.get("wall_seconds")?.as_f64()?),
-        })
-    }
-}
-
 /// A consumer of progress events.
 pub trait ProgressSink: Send + Sync {
     /// Receives one event. Called from worker threads; implementations

@@ -46,7 +46,6 @@ use crate::SimMetrics;
 pub struct Runner<T> {
     workers: usize,
     cache: ResultCache<(T, Observations)>,
-    bypass_cache: bool,
     sink: Arc<dyn ProgressSink>,
     clock: Arc<dyn Clock>,
     recorder: Option<Arc<TraceRecorder>>,
@@ -66,7 +65,6 @@ where
         Runner {
             workers: workers.max(1),
             cache: ResultCache::in_memory(),
-            bypass_cache: false,
             sink: Arc::new(NullSink),
             clock: Arc::new(MonotonicClock::new()),
             recorder: None,
@@ -101,19 +99,6 @@ where
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
         self.cache = ResultCache::on_disk(dir)?;
         Ok(self)
-    }
-
-    /// Bypasses the result cache entirely: every job executes, nothing
-    /// is probed or stored, and the `cache_lookup_us`/`cache_write_us`
-    /// timing histograms stay empty.
-    ///
-    /// This is the benchmark mode — a perf measurement must time the
-    /// simulation itself, never a warm-cache lookup, and must follow
-    /// the *identical* timing path whether or not a previous run
-    /// populated a cache.
-    pub fn with_cache_bypass(mut self, bypass: bool) -> Self {
-        self.bypass_cache = bypass;
-        self
     }
 
     /// Replaces the progress sink.
@@ -175,13 +160,6 @@ where
         let mut slots: Vec<Option<(T, Observations)>> = Vec::with_capacity(n);
         let mut misses: Vec<(usize, Job<T>)> = Vec::new();
         for (index, job) in jobs.into_iter().enumerate() {
-            if self.bypass_cache {
-                // Benchmark mode: no probe, no lookup sample, no span —
-                // the timing path is identical cold and warm.
-                slots.push(None);
-                misses.push((index, job));
-                continue;
-            }
             let lookup_start_us = self.clock.now_us();
             let hit = self.cache.get_traced(job.key);
             let lookup_end_us = self.clock.now_us();
@@ -240,7 +218,6 @@ where
         // (shared, per-sample lock) and — when tracing — as spans on
         // the worker's own track.
         let executed = misses.len() as u64;
-        let bypass_cache = self.bypass_cache;
         let cache = &self.cache;
         let sink = &self.sink;
         let clock = &self.clock;
@@ -265,12 +242,8 @@ where
                     let queue_us = sim_start_us.saturating_sub(started_us);
                     let record = run();
                     let sim_end_us = clock.now_us();
-                    let write_end_us = if bypass_cache {
-                        sim_end_us // nothing stored, no write phase
-                    } else {
-                        cache.put(key, &record);
-                        clock.now_us()
-                    };
+                    cache.put(key, &record);
+                    let write_end_us = clock.now_us();
                     {
                         let mut timing = timing.lock().expect("timing lock");
                         timing.skipped_cycles += record.1.skipped_cycles;
@@ -279,11 +252,9 @@ where
                         timing
                             .simulate_us
                             .record(sim_end_us.saturating_sub(sim_start_us));
-                        if !bypass_cache {
-                            timing
-                                .cache_write_us
-                                .record(write_end_us.saturating_sub(sim_end_us));
-                        }
+                        timing
+                            .cache_write_us
+                            .record(write_end_us.saturating_sub(sim_end_us));
                     }
                     if let Some(recorder) = recorder {
                         recorder.record_span(
@@ -297,15 +268,13 @@ where
                                 ("queue_us".into(), queue_us.into()),
                             ],
                         );
-                        if !bypass_cache {
-                            recorder.record_span(
-                                "cache-write",
-                                "job",
-                                sim_end_us,
-                                write_end_us,
-                                vec![("index".into(), index.into())],
-                            );
-                        }
+                        recorder.record_span(
+                            "cache-write",
+                            "job",
+                            sim_end_us,
+                            write_end_us,
+                            vec![("index".into(), index.into())],
+                        );
                     }
                     sink.event(&ProgressEvent::JobFinished {
                         index,
@@ -537,6 +506,35 @@ mod tests {
     }
 
     #[test]
+    fn a_record_skipping_more_than_its_cycles_is_a_corrupt_miss() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "hetsim-runner-skip-bound-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cold = Runner::serial().with_cache_dir(&dir).expect("cache dir");
+        let fresh = cold.run(batch(&RUNS, 1));
+        // Job 0's one row covers 1 cycle; a record claiming 2 skipped
+        // cycles is well-formed JSON under a valid checksum.
+        let key = crate::JobKey::of(&("test-v1", 0u64));
+        let mut observations = observed(0);
+        observations.skipped_cycles = 2;
+        let text = serde_json::to_string(&(Out(0.0), observations)).expect("serializes");
+        let record = crate::cache::encode(key, &text).expect("frame");
+        let segment = cold.cache.path_of(key).expect("the cold run's segment");
+        std::fs::write(&segment, [crate::cache::SEGMENT_HEADER, &record].concat())
+            .expect("overwrite segment");
+
+        let again = Runner::serial().with_cache_dir(&dir).expect("cache dir");
+        assert_eq!(again.run(batch(&RUNS, 1)), fresh);
+        let stats = again.last_stats();
+        assert_eq!(stats.executed, 1, "the record must re-simulate");
+        assert_eq!(stats.cache.corrupt_files, 1, "and count as corrupt");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
     fn a_batch_answers_another_handles_puts_from_disk() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let dir =
@@ -676,47 +674,6 @@ mod tests {
         assert_eq!(timing.simulate_us.count(), 10, "misses only");
         assert_eq!(timing.cache_write_us.count(), 10);
         assert_eq!(timing.queue_wait_us.count(), 10);
-    }
-
-    #[test]
-    fn cache_bypass_follows_the_identical_timing_path_cold_and_warm() {
-        static RUNS: AtomicU64 = AtomicU64::new(0);
-        let runner = Runner::new(4).with_cache_bypass(true);
-        let cold = runner.run(batch(&RUNS, 7));
-        assert_eq!(RUNS.load(Ordering::SeqCst), 7);
-        let warm = runner.run(batch(&RUNS, 7));
-        assert_eq!(
-            RUNS.load(Ordering::SeqCst),
-            14,
-            "a bypassing runner re-executes every job"
-        );
-        assert_eq!(cold, warm, "determinism is unaffected");
-        let last = runner.last_stats();
-        assert_eq!((last.executed, last.cache_hits), (7, 0));
-        let timing = runner.total_timing();
-        assert_eq!(
-            timing.cache_lookup_us.count(),
-            0,
-            "no lookup ever sampled — cold and warm time the same phases"
-        );
-        assert_eq!(timing.cache_write_us.count(), 0, "no write phase either");
-        assert_eq!(timing.simulate_us.count(), 14, "every job, both batches");
-    }
-
-    #[test]
-    fn bypass_leaves_a_shared_cache_dir_untouched() {
-        static RUNS: AtomicU64 = AtomicU64::new(0);
-        let dir =
-            std::env::temp_dir().join(format!("hetsim-runner-bypass-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let bench = Runner::new(2)
-            .with_cache_dir(&dir)
-            .expect("cache dir")
-            .with_cache_bypass(true);
-        bench.run(batch(&RUNS, 5));
-        let leaked = std::fs::read_dir(&dir).expect("dir exists").count();
-        assert_eq!(leaked, 0, "bench runs must not populate the cache");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

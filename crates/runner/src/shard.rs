@@ -16,17 +16,19 @@
 //!   results are in the shared result cache (a record is readable by
 //!   every handle once its `put` returns); a missing or mismatched
 //!   manifest means the shard did not complete, no matter how the
-//!   process exited;
+//!   process exited. The manifest is a worker's only commit record;
 //! * **wire events** — workers narrate per-job completion as JSONL
 //!   [`WorkerEvent`] lines on stdout ([`ShardEventSink`]); the
-//!   supervisor parses them ([`WorkerEvent::from_line`]) and fans them
-//!   into its own [`ProgressSink`], so `--progress=dashboard`
-//!   aggregates across workers;
+//!   supervisor parses them ([`WorkerEvent::from_line`]) and tallies
+//!   them ([`ShardTally`]) into its own [`ProgressSink`], so
+//!   `--progress=dashboard` aggregates across workers;
 //! * **supervisor** — [`supervise`] spawns one child per shard,
 //!   streams their stdout, and retries failed or crashed shards with
 //!   bounded exponential backoff ([`ShardPolicy`]). A shard that still
 //!   has no valid manifest after the last attempt fails the run with
-//!   an error naming the shard.
+//!   an error naming the shard. The batch summary comes from the
+//!   manifests, the tallied events and the supervisor's own clock
+//!   ([`ShardTally::summary`]).
 //!
 //! The module stays simulator-agnostic: it sees `std::process::Command`
 //! factories and manifest files, never job closures or outcome types.
@@ -36,6 +38,7 @@
 //! the campaign against a warm cache and inherits the determinism
 //! contract (a cache hit is bit-identical to a fresh simulation).
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -47,10 +50,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::write_atomic;
 use crate::job::JobKey;
-use crate::progress::{ProgressEvent, ProgressSink, Provenance};
+use crate::progress::{ProgressEvent, ProgressSink, Provenance, RunnerStats};
 
-/// Schema tag of manifest and fragment files; bump on incompatible
-/// layout changes so stale shard directories retire themselves.
+/// Schema tag of manifest files; bump on incompatible layout changes
+/// so stale shard directories retire themselves.
 pub const SHARD_SCHEMA: &str = "hetsim-shard-v1";
 
 /// Splits `keys` into `shards` disjoint index lists (an exact cover:
@@ -94,12 +97,6 @@ pub struct ShardManifest {
 /// `shard-<I>.manifest.json` under `dir`.
 pub fn manifest_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.manifest.json"))
-}
-
-/// `shard-<I>.stats.json` under `dir` (the per-shard `StatsDump`
-/// fragment; written by the worker, merged by the supervisor).
-pub fn fragment_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.stats.json"))
 }
 
 /// `shard-<I>.trace.jsonl` under `dir` (per-worker trace log, stitched
@@ -251,6 +248,79 @@ impl ProgressSink for ShardEventSink {
         // Best-effort: a supervisor that hung up must not kill the job.
         let _ = out.write_all(line.as_bytes());
         let _ = out.flush();
+    }
+}
+
+/// The supervisor's tally of one sharded batch, built from what it
+/// already holds: the workers' wire events and, once they commit, their
+/// manifests.
+///
+/// Each job index has one slot for its simulated seconds. A retried
+/// shard narrates again the jobs its crashed attempt finished, so an
+/// index can see more than one event: a repeat overwrites its slot
+/// (with the same value, since a cache hit equals the simulation) and
+/// is not forwarded. Every forwarded `JobFinished` therefore has
+/// `done <= total`, and the last one has `done == total`.
+pub struct ShardTally {
+    index: HashMap<String, usize>,
+    slots: Mutex<Vec<Option<f64>>>,
+}
+
+impl ShardTally {
+    /// A tally over the batch whose job `i` is labelled `labels[i]`.
+    pub fn new<'a>(labels: impl IntoIterator<Item = &'a str>) -> Self {
+        let index: HashMap<String, usize> = labels
+            .into_iter()
+            .enumerate()
+            .map(|(i, label)| (label.to_string(), i))
+            .collect();
+        let slots = Mutex::new(vec![None; index.len()]);
+        ShardTally { index, slots }
+    }
+
+    /// Reads one line of a worker's stdout. A well-formed event for a
+    /// job of the batch fills its slot; the first one per job is
+    /// forwarded to `sink`, under the tally's lock so `done` reaches the
+    /// sink in order. Other lines are ignored.
+    pub fn record(&self, line: &str, sink: &dyn ProgressSink) {
+        let Some(event) = WorkerEvent::from_line(line) else {
+            return;
+        };
+        let Some(&index) = self.index.get(&event.label) else {
+            return;
+        };
+        let mut slots = self.slots.lock().expect("tally lock");
+        let first = slots[index].replace(event.sim_seconds).is_none();
+        if first {
+            sink.event(&ProgressEvent::JobFinished {
+                index,
+                label: event.label,
+                provenance: event.provenance,
+                done: slots.iter().filter(|s| s.is_some()).count(),
+                total: slots.len(),
+                counters: Vec::new(),
+                sim_seconds: event.sim_seconds,
+            });
+        }
+    }
+
+    /// The batch summary: `jobs` and `executed` summed over the
+    /// committed manifests, cache hits their difference, the simulated
+    /// seconds of every tallied job once, and `wall` as the supervisor
+    /// timed it. The cache-layer detail stays zero: no manifest
+    /// carries it.
+    pub fn summary(&self, runs: &[ShardRun], wall: Duration) -> RunnerStats {
+        let jobs: u64 = runs.iter().map(|r| r.manifest.jobs).sum();
+        let executed: u64 = runs.iter().map(|r| r.manifest.executed).sum();
+        let slots = self.slots.lock().expect("tally lock");
+        RunnerStats {
+            jobs,
+            executed,
+            cache_hits: jobs.saturating_sub(executed),
+            sim_seconds: slots.iter().flatten().sum(),
+            wall,
+            ..RunnerStats::default()
+        }
     }
 }
 
@@ -616,6 +686,90 @@ mod tests {
         let event = WorkerEvent::from_line(lines[0]).expect("valid wire line");
         assert_eq!(event.label, "gpu/matmul/AdvHet");
         assert_eq!(event.provenance, Provenance::Executed);
+    }
+
+    /// Collects the `(done, total, sim_seconds)` of every forwarded
+    /// `JobFinished`, in arrival order.
+    #[derive(Default)]
+    struct Finished(Mutex<Vec<(usize, usize, f64)>>);
+
+    impl ProgressSink for Finished {
+        fn event(&self, event: &ProgressEvent) {
+            if let ProgressEvent::JobFinished {
+                done,
+                total,
+                sim_seconds,
+                ..
+            } = event
+            {
+                let seen = (*done, *total, *sim_seconds);
+                self.0.lock().expect("sink lock").push(seen);
+            }
+        }
+    }
+
+    fn wire(label: &str, provenance: Provenance, sim_seconds: f64) -> String {
+        let event = WorkerEvent {
+            label: label.into(),
+            provenance,
+            sim_seconds,
+        };
+        event.to_line()
+    }
+
+    fn run_of(shard: usize, jobs: u64, executed: u64) -> ShardRun {
+        ShardRun {
+            shard,
+            attempts: 1,
+            manifest: ShardManifest {
+                schema: SHARD_SCHEMA.into(),
+                shard: shard as u64,
+                shards: 2,
+                attempt: 0,
+                jobs,
+                executed,
+                keys: Vec::new(),
+            },
+        }
+    }
+
+    #[test]
+    fn a_retried_shards_repeated_events_count_once() {
+        let labels = ["cpu/lu/BaseCMOSx4", "cpu/lu/AdvHetx4", "cpu/fft/AdvHetx4"];
+        let tally = ShardTally::new(labels);
+        let sink = Finished::default();
+        // Shard 1 runs jobs 1 and 2; its first attempt finishes job 1
+        // and crashes. The retry answers job 1 from the cache and runs
+        // job 2. Shard 0 runs job 0 in between.
+        tally.record(&wire(labels[1], Provenance::Executed, 0.25), &sink);
+        tally.record(&wire(labels[0], Provenance::Executed, 0.5), &sink);
+        tally.record(&wire(labels[1], Provenance::DiskCache, 0.25), &sink);
+        tally.record("not a wire event", &sink);
+        tally.record(&wire("cpu/lu/Unknownx4", Provenance::Executed, 9.0), &sink);
+        tally.record(&wire(labels[2], Provenance::Executed, 1.0), &sink);
+
+        let seen = sink.0.into_inner().expect("sink lock");
+        let dones: Vec<usize> = seen.iter().map(|e| e.0).collect();
+        assert_eq!(dones, [1, 2, 3], "one event per job, in order");
+        assert!(seen.iter().all(|e| e.1 == 3), "total is the batch size");
+        let runs = [run_of(0, 1, 1), run_of(1, 2, 1)];
+        let stats = tally.summary(&runs, Duration::from_millis(1500));
+        assert_eq!(stats.sim_seconds, 1.75, "job 1's seconds count once");
+    }
+
+    #[test]
+    fn the_summary_sums_the_manifests_and_takes_the_supervisors_wall() {
+        let tally = ShardTally::new(["gpu/matmul/AdvHet", "gpu/bfs/AdvHet"]);
+        let runs = [run_of(0, 5, 5), run_of(1, 4, 1)];
+        let wall = Duration::from_millis(2240);
+        let stats = tally.summary(&runs, wall);
+        assert_eq!(
+            (stats.jobs, stats.executed, stats.cache_hits),
+            (9, 6, 3),
+            "jobs and executed sum; hits are their difference"
+        );
+        assert_eq!(stats.wall, wall, "one wall clock, not a sum of workers'");
+        assert_eq!(stats.sim_seconds, 0.0, "no events tallied yet");
     }
 
     /// A worker stub: emits one wire line, then commits a manifest via
