@@ -41,14 +41,16 @@ use crate::experiment::{CpuOutcome, CpuRun, GpuOutcome, GpuRun};
 /// the CPU simulator, energy model or [`CpuOutcome`] layout.
 /// (`v2`: outcomes gained chip-level `stats`/`mem` counter sets;
 /// `v3`: no layout change, the `step_equivalence` golden gained its
-/// per-CU issue-step section.)
-pub const CPU_SCHEMA: &str = "cpu-v3";
+/// per-CU issue-step section; `v4`: no layout change, explore prices a
+/// candidate for the ROB it simulates, which moved the frontier golden.)
+pub const CPU_SCHEMA: &str = "cpu-v4";
 /// Cache-key schema tag for GPU jobs. Bump on incompatible changes to
 /// the GPU simulator, energy model or [`GpuOutcome`] layout.
 /// (`v2`: outcomes gained the run's `stats` counter set; `v3`: no
 /// layout change, the `step_equivalence` golden gained its per-CU
-/// issue-step section.)
-pub const GPU_SCHEMA: &str = "gpu-v3";
+/// issue-step section; `v4`: no layout change, bumped with `cpu-v4`
+/// when the frontier golden moved.)
+pub const GPU_SCHEMA: &str = "gpu-v4";
 
 /// A job input together with its fingerprint: the hash of its `Debug`
 /// rendering (every field, floats in round-trip form). Jobs share the

@@ -162,17 +162,22 @@ impl CpuDesign {
 
     /// Resolves the design at `op`: its Table IV configuration at the
     /// point's clock (relative clocks kept) with `rob` overriding the ROB
-    /// depth, and its energy model at the point's rails.
+    /// depth, and its energy model at the point's rails, priced for the
+    /// ROB and FP register file the configuration simulates.
     pub fn resolve(self, op: OperatingPoint, rob: Option<u32>) -> CpuPoint {
         let mut config = self.core_config();
         config.clock_hz = op.hz * (config.clock_hz / 2.0e9); // keep relative clocks
         if let Some(rob) = rob {
             config.rob_entries = rob;
         }
+        let model = self
+            .energy_model()
+            .with_structure(config.rob_entries, config.fp_regs)
+            .with_voltages(op.volts);
         CpuPoint {
             design: self,
             config,
-            model: self.energy_model().with_voltages(op.volts),
+            model,
         }
     }
 

@@ -879,6 +879,32 @@ mod tests {
     }
 
     #[test]
+    fn a_candidate_is_priced_for_the_rob_it_simulates() {
+        let point = |rob| {
+            let candidate = Candidate {
+                design: CpuDesign::BaseCmos,
+                cores: 4,
+                vdd_ghz: 2.0,
+                rob,
+            };
+            candidate.point()
+        };
+        let nominal = CpuDesign::BaseCmos.resolve(OperatingPoint::nominal(), None);
+        let deep = point(192);
+        assert_eq!(deep.config.rob_entries, 192);
+        assert_eq!(
+            format!("{:?}", deep.model),
+            format!("{:?}", nominal.model.clone().with_structure(192, 80)),
+            "a 192-entry ROB is priced as one"
+        );
+        assert_eq!(
+            format!("{:?}", point(160).model),
+            format!("{:?}", nominal.model),
+            "the Table III ROB keeps the campaign cell's model"
+        );
+    }
+
+    #[test]
     fn job_count_is_invisible_in_the_dump() {
         let space = tiny_space();
         let two = explore(&space, &quick_cfg(4)).expect("search runs");

@@ -1,5 +1,5 @@
 //! Guards the cache-schema contract: the on-disk result cache keys
-//! every outcome under a schema tag (`cpu-v3` / `gpu-v3`), and the
+//! every outcome under a schema tag (`cpu-v4` / `gpu-v4`), and the
 //! contract (see `hetcore::campaign`) is that the tag is bumped
 //! whenever the serialized outcome *layout* changes — otherwise stale
 //! caches deserialize into garbage, or fail to deserialize at all,
@@ -27,11 +27,11 @@ use serde::value::Value;
 use serde::Serialize;
 
 /// The schema tags these fingerprints were pinned under.
-const PINNED_CPU_SCHEMA: &str = "cpu-v3";
-const PINNED_GPU_SCHEMA: &str = "gpu-v3";
+const PINNED_CPU_SCHEMA: &str = "cpu-v4";
+const PINNED_GPU_SCHEMA: &str = "gpu-v4";
 
 /// Fingerprint of [`BEHAVIOUR_FILES`] under the pinned tags.
-const PINNED_BEHAVIOUR: &str = "2ba639861579f97d3a238f12a246ce1b";
+const PINNED_BEHAVIOUR: &str = "35267e3bf8d503a5063736e0de169b30";
 
 /// The files that pin what the simulators produce, relative to the
 /// workspace root.
