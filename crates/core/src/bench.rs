@@ -31,9 +31,8 @@
 //! * `micro-event-queue` — a memory-bound run on the slowest core,
 //!   stressing the timing wheel and the dead-cycle skip machinery.
 //!
-//! Campaign scenarios run on a fresh in-memory `Runner::new(jobs)` per
-//! repeat: a plan's keys are unique within a batch and no runner
-//! outlives its repeat, so every repeat simulates every job, and no
+//! Campaign scenarios run on a fresh `Runner::new(jobs)` per repeat,
+//! which has no cache, so every repeat simulates every job, and no
 //! `--cache-dir` state a machine has can reach a measurement.
 
 use hetsim_bench::{measure, BenchDump, HostInfo, Measurement, ScenarioResult};
@@ -41,7 +40,7 @@ use hetsim_device::dvfs::DvfsController;
 use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_obs::{Clock, MonotonicClock};
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{partition, Job, JobKey, Runner};
+use hetsim_runner::{narrate, partition, Job, JobKey, Runner};
 use hetsim_trace::apps;
 
 use crate::config::{CpuDesign, GpuDesign};
@@ -192,11 +191,12 @@ fn run_fig14(cfg: &BenchConfig) -> u64 {
 }
 
 /// The `repro explore` adaptive search at the golden's pinned budget,
-/// on the search's own in-memory runner (an exploration benchmark must
-/// time the search + simulation, never warm-cache lookups). The instruction
-/// budget is a quarter of the per-app budget: the search evaluates 12
-/// candidates x 4 apps = 48 multicore jobs, so the quarter keeps this
-/// scenario within the same wall-clock band as the campaign scenarios.
+/// on the search's own runner without a cache directory (an exploration
+/// benchmark must time the search + simulation, never warm-cache
+/// lookups). The instruction budget is a quarter of the per-app budget:
+/// the search evaluates 12 candidates x 4 apps = 48 multicore jobs, so
+/// the quarter keeps this scenario within the same wall-clock band as
+/// the campaign scenarios.
 /// Returns total committed instructions across all evaluations.
 fn run_explore_frontier(cfg: &BenchConfig) -> u64 {
     let space = crate::explore::DesignSpace::fig7();
@@ -323,20 +323,20 @@ fn scenario<'a>(name: &str, cfg: &'a BenchConfig) -> Box<dyn FnMut() -> u64 + 'a
 pub fn run_bench_with_clock(clock: &dyn Clock, cfg: &BenchConfig) -> BenchDump {
     let mut scenarios = Vec::with_capacity(SCENARIOS.len());
     for name in SCENARIOS {
-        eprintln!(
+        narrate(&format!(
             "[bench] {name} ({} warmup + {} repeat(s))...",
             cfg.warmup,
             cfg.repeats.max(1)
-        );
+        ));
         let m: Measurement = measure(clock, cfg.warmup, cfg.repeats, scenario(name, cfg));
         let r = ScenarioResult::new(name, &m);
-        eprintln!(
+        narrate(&format!(
             "[bench] {name}: {} insts, median {} us, {:.0} insts/s{}",
             r.insts,
             r.wall_us,
             r.insts_per_sec,
             if r.timing.noisy { " (noisy)" } else { "" }
-        );
+        ));
         scenarios.push(r);
     }
     BenchDump {

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hetcore::suite::Suite;
+use hetsim_runner::narrate;
 
 use crate::args::{Args, CACHE_DIR, INSTS};
 use crate::exec::{self, execute, resolve_target};
@@ -54,7 +55,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         let dump = execution.dump.without_runner_timing();
         let path = dir.join(format!("{target}.json"));
         exec::write(&path, &dump.to_json())?;
-        eprintln!("wrote baseline {}", path.display());
+        narrate(&format!("wrote baseline {}", path.display()));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -13,6 +13,7 @@ use std::process::ExitCode;
 
 use hetcore::bench::{run_bench, BenchConfig};
 use hetsim_bench::{compare, BenchDump, ComparePolicy};
+use hetsim_runner::narrate;
 use serde::value::Value;
 
 use crate::args::{
@@ -80,16 +81,16 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
 
     if let Some(path) = args.path(&OUT) {
         exec::write(&path, &dump.to_json())?;
-        eprintln!("wrote bench dump to {}", path.display());
+        narrate(&format!("wrote bench dump to {}", path.display()));
     }
     if let Some(base_path) = args.path(&COMPARE) {
         let base = load_bench_dump(&base_path)?;
         return Ok(compare_dumps(&base, &dump, &policy)?);
     }
-    match args.format() {
-        "json" => print!("{}", dump.to_json()),
-        _ => print_bench_table(&dump),
-    }
+    exec::print(&match args.format() {
+        "json" => dump.to_json(),
+        _ => bench_table(&dump),
+    })?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -116,15 +117,15 @@ fn compare_dumps(
         ));
     }
     let report = compare(base, cand, policy);
-    print!("{}", report.render());
+    exec::print(&report.render())?;
     Ok(verdict(report.passed()))
 }
 
 /// Renders a fresh bench run as a short stdout table (stderr already
 /// narrated the per-scenario progress).
-fn print_bench_table(dump: &BenchDump) {
-    println!(
-        "bench: {} scenario(s), --insts {}, seed {}, {} warmup + {} repeat(s){}",
+fn bench_table(dump: &BenchDump) -> String {
+    let mut out = format!(
+        "bench: {} scenario(s), --insts {}, seed {}, {} warmup + {} repeat(s){}\n",
         dump.scenarios.len(),
         dump.insts,
         dump.seed,
@@ -132,13 +133,13 @@ fn print_bench_table(dump: &BenchDump) {
         dump.repeats,
         if dump.quick { " (quick)" } else { "" }
     );
-    println!(
-        "{:<22} {:>12} {:>12} {:>14}  spread",
+    out += &format!(
+        "{:<22} {:>12} {:>12} {:>14}  spread\n",
         "scenario", "insts", "median_us", "insts/sec"
     );
     for s in &dump.scenarios {
-        println!(
-            "{:<22} {:>12} {:>12} {:>14.0}  {:.3}{}",
+        out += &format!(
+            "{:<22} {:>12} {:>12} {:>14.0}  {:.3}{}\n",
             s.name,
             s.insts,
             s.wall_us,
@@ -147,6 +148,7 @@ fn print_bench_table(dump: &BenchDump) {
             if s.timing.noisy { " (noisy)" } else { "" }
         );
     }
+    out
 }
 
 /// `repro bench --trend` — the perf trajectory across every pinned
@@ -183,9 +185,9 @@ fn trend(format: &str) -> Result<ExitCode, CliError> {
         .windows(2)
         .all(|w| w[0].1.insts == w[1].1.insts && w[0].1.seed == w[1].1.seed);
     if !uniform {
-        eprintln!(
+        narrate(
             "warning: dumps measured different work (--insts/--seed differ); \
-             ratios are indicative only"
+             ratios are indicative only",
         );
     }
     // Scenario rows in order of first appearance across the sequence.
@@ -224,23 +226,23 @@ fn trend(format: &str) -> Result<ExitCode, CliError> {
                 Value::Array(dumps.iter().map(dump_value).collect()),
             ),
         ]);
-        println!("{}", pretty(&doc));
+        exec::print(&(pretty(&doc) + "\n"))?;
         return Ok(ExitCode::SUCCESS);
     }
 
-    println!(
-        "bench trend: {} pinned dump(s) ({} .. {}), insts/sec",
+    let mut out = format!(
+        "bench trend: {} pinned dump(s) ({} .. {}), insts/sec\n",
         dumps.len(),
         dumps.first().expect("nonempty").0,
         dumps.last().expect("nonempty").0
     );
-    print!("{:<22}", "scenario");
+    out += &format!("{:<22}", "scenario");
     for (file, _) in &dumps {
-        print!(" {file:>14}");
+        out += &format!(" {file:>14}");
     }
-    println!(" {:>14}", "latest/first");
+    out += &format!(" {:>14}\n", "latest/first");
     for name in &scenarios {
-        print!("{name:<22}");
+        out += &format!("{name:<22}");
         let mut first = None;
         let mut last = None;
         for (_, dump) in &dumps {
@@ -248,15 +250,16 @@ fn trend(format: &str) -> Result<ExitCode, CliError> {
                 Some(r) => {
                     first.get_or_insert(r);
                     last = Some(r);
-                    print!(" {r:>14.0}");
+                    out += &format!(" {r:>14.0}");
                 }
-                None => print!(" {:>14}", "-"),
+                None => out += &format!(" {:>14}", "-"),
             }
         }
-        match (first, last) {
-            (Some(f), Some(l)) if f > 0.0 => println!(" {:>13.2}x", l / f),
-            _ => println!(" {:>14}", "-"),
-        }
+        out += &match (first, last) {
+            (Some(f), Some(l)) if f > 0.0 => format!(" {:>13.2}x\n", l / f),
+            _ => format!(" {:>14}\n", "-"),
+        };
     }
+    exec::print(&out)?;
     Ok(ExitCode::SUCCESS)
 }

@@ -15,6 +15,7 @@ use hetcore::check::fuzz_round;
 use hetcore::suite::{Experiment, Suite};
 use hetsim_check::Checker;
 use hetsim_obs::{parse_jsonl, validate_events};
+use hetsim_runner::narrate;
 use serde::value::Value;
 use serde::Serialize as _;
 
@@ -52,7 +53,9 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     // Phase 1: run the real campaigns once and validate every outcome
     // plus the serialized telemetry (where HETSIM_CHECK_PERTURB can
     // inject a fault to prove the layer fires).
-    eprintln!("[check] invariant sweep: fig7 + fig10 at --insts {insts}");
+    narrate(&format!(
+        "[check] invariant sweep: fig7 + fig10 at --insts {insts}"
+    ));
     let execution = execute(
         &suite,
         &CHECK_TARGETS,
@@ -66,7 +69,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     validate_execution(&execution, &mut checker);
 
     // Phase 2: metamorphic fuzz rounds over random-but-legal workloads.
-    eprintln!("[check] fuzzing {fuzz} round(s) from seed {seed}");
+    narrate(&format!("[check] fuzzing {fuzz} round(s) from seed {seed}"));
     for round in 0..fuzz {
         fuzz_round(seed.wrapping_add(round), FUZZ_ROUND_INSTS, &mut checker);
     }
@@ -88,15 +91,14 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             ("seed".into(), Value::UInt(seed)),
             ("violations".into(), Value::Array(list.collect())),
         ]);
-        println!("{}", pretty(&value));
+        exec::print(&(pretty(&value) + "\n"))?;
     } else {
-        for v in &violations {
-            println!("{v}");
-        }
-        println!(
-            "repro check: {checks} checks, {} violation(s) ({fuzz} fuzz round(s), seed {seed})",
+        let mut out: String = violations.iter().map(|v| format!("{v}\n")).collect();
+        out += &format!(
+            "repro check: {checks} checks, {} violation(s) ({fuzz} fuzz round(s), seed {seed})\n",
             violations.len()
         );
+        exec::print(&out)?;
     }
     Ok(verdict(violations.is_empty()))
 }
@@ -116,16 +118,15 @@ fn check_trace(path: &Path, format: &str) -> Result<ExitCode, CliError> {
             ("events".into(), Value::UInt(events_seen as u64)),
             ("violations".into(), violations.to_value()),
         ]);
-        println!("{}", pretty(&value));
+        exec::print(&(pretty(&value) + "\n"))?;
     } else {
-        for v in &violations {
-            println!("{v}");
-        }
-        println!(
-            "repro check: trace {}: {events_seen} event(s), {} violation(s)",
+        let mut out: String = violations.iter().map(|v| format!("{v}\n")).collect();
+        out += &format!(
+            "repro check: trace {}: {events_seen} event(s), {} violation(s)\n",
             path.display(),
             violations.len()
         );
+        exec::print(&out)?;
     }
     Ok(verdict(violations.is_empty()))
 }

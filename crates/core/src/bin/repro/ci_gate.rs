@@ -8,10 +8,11 @@ use std::process::ExitCode;
 use hetcore::explore::{explore, DesignSpace, ExploreConfig};
 use hetcore::regression::{diff_dumps, DiffPolicy, DiffReport, DumpDoc};
 use hetcore::suite::Suite;
+use hetsim_runner::narrate;
 
 use crate::args::{Args, Progress, BASELINE, CACHE_DIR};
 use crate::bench::load_bench_dump;
-use crate::exec::{execute, resolve_target, verdict};
+use crate::exec::{self, execute, resolve_target, verdict};
 use crate::CliError;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
@@ -47,11 +48,13 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             // The bench ratchet lives in the same directory but is
             // gated by `repro bench --ratchet`, not by replay.
             Err(_) if load_bench_dump(file).is_ok() => {
-                eprintln!("[ci-gate] {name}: bench dump, skipped (gated by `repro bench`)");
+                narrate(&format!(
+                    "[ci-gate] {name}: bench dump, skipped (gated by `repro bench`)"
+                ));
                 continue;
             }
             Err(e) => {
-                eprintln!("error: {e}");
+                narrate(&format!("error: {e}"));
                 failed = true;
                 continue;
             }
@@ -74,11 +77,11 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         };
         match replayed {
             Ok(report) => {
-                print!("[{name}] {}", report.to_table());
+                exec::print(&format!("[{name}] {}", report.to_table()))?;
                 failed |= !report.is_clean();
             }
             Err(e) => {
-                eprintln!("error: {e}");
+                narrate(&format!("error: {e}"));
                 failed = true;
             }
         }
@@ -114,11 +117,11 @@ fn replay_campaign(
         insts_per_app: run.insts,
         seed: run.seed,
     };
-    eprintln!(
+    narrate(&format!(
         "[ci-gate] {name}: replaying {} at --insts {}",
         run.experiments.join(" "),
         run.insts
-    );
+    ));
     let execution = execute(
         &suite,
         &requested,
@@ -169,10 +172,10 @@ fn replay_frontier(
         jobs,
         cache_dir: cache_dir.clone(),
     };
-    eprintln!(
+    narrate(&format!(
         "[ci-gate] {name}: replaying explore --budget {} --seed {} --insts {}",
         cfg.budget, cfg.seed, cfg.insts
-    );
+    ));
     let result = explore(&DesignSpace::fig7(), &cfg)?;
     let cand_doc = DumpDoc::parse(&result.to_json())
         .map_err(|e| format!("fresh exploration produced an unparsable dump: {e}"))?;

@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use hetcore::regression::{diff_dumps, DiffPolicy, DumpDoc};
 
 use crate::args::{Args, ALLOW, ALLOW_SCHEMA_CHANGE, REL_TOL};
-use crate::exec::{pretty, verdict};
+use crate::exec::{self, pretty, verdict};
 use crate::CliError;
 
 /// The diff policy `--rel-tol`, `--allow` and `--allow-schema-change`
@@ -34,10 +34,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let base = DumpDoc::load(Path::new(&args.positionals[0]))?;
     let cand = DumpDoc::load(Path::new(&args.positionals[1]))?;
     let report = diff_dumps(&base, &cand, &policy(&args));
-    match args.format() {
-        "json" => println!("{}", pretty(&report)),
-        "csv" => print!("{}", report.to_csv()),
-        _ => print!("{}", report.to_table()),
-    }
+    exec::print(&match args.format() {
+        "json" => pretty(&report) + "\n",
+        "csv" => report.to_csv(),
+        _ => report.to_table(),
+    })?;
     Ok(verdict(report.is_clean()))
 }

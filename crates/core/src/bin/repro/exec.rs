@@ -1,7 +1,7 @@
 //! The one execution path shared by the run, baseline, ci-gate, check
 //! and profile commands, plus the output helpers they share.
 
-use std::io::IsTerminal;
+use std::io::{IsTerminal, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -16,39 +16,41 @@ use hetcore::telemetry::StatsDump;
 use hetsim_check::Checker;
 use hetsim_obs::{parse_jsonl, CycleProfile, MonotonicClock, TraceEvent, TraceRecorder};
 use hetsim_runner::{
-    write_atomic, DashboardSink, Job, MultiSink, NullSink, ProgressSink, Runner, SimMetrics,
-    StderrSink, TraceEventSink,
+    narrate, write_atomic, DashboardSink, Job, NullSink, ProgressSink, Runner, SimMetrics,
+    StderrSink,
 };
 use serde::Serialize as _;
 
 use crate::args::Progress;
 
-/// The progress sink for `mode` (+ a trace-event bridge when tracing),
-/// honoring the dashboard's TTY degrade.
+/// The progress sink for `mode`, honoring the dashboard's TTY degrade.
+/// The dashboard reads `recorder`'s clock when tracing, so its rates
+/// share the trace's timeline.
 pub fn progress_sink(
     mode: Progress,
     recorder: Option<&Arc<TraceRecorder>>,
 ) -> Arc<dyn ProgressSink> {
-    let mut sinks: Vec<Arc<dyn ProgressSink>> = Vec::new();
     match mode {
-        Progress::Quiet => {}
+        Progress::Quiet => Arc::new(NullSink),
         Progress::Dashboard if std::io::stderr().is_terminal() => {
             let clock = match recorder {
                 Some(r) => r.clock(),
                 None => Arc::new(MonotonicClock::new()),
             };
-            sinks.push(Arc::new(DashboardSink::new(clock)));
+            Arc::new(DashboardSink::new(clock))
         }
-        Progress::Stderr | Progress::Dashboard => sinks.push(Arc::new(StderrSink::new())),
+        Progress::Stderr | Progress::Dashboard => Arc::new(StderrSink::new()),
     }
-    if let Some(recorder) = recorder {
-        sinks.push(Arc::new(TraceEventSink::new(recorder.clone())));
-    }
-    match sinks.len() {
-        0 => Arc::new(NullSink),
-        1 => sinks.pop().expect("one sink"),
-        _ => Arc::new(MultiSink::new(sinks)),
-    }
+}
+
+/// Writes a report or document to stdout. Stdout carries a command's
+/// result, so a failed write fails the command; stderr narration, by
+/// contrast, is best-effort (`narrate`).
+pub fn print(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write to stdout: {e}"))
 }
 
 /// A span recorder on the monotonic clock.
@@ -97,7 +99,7 @@ pub fn runner<T>(
     recorder: Option<&Arc<TraceRecorder>>,
 ) -> Result<Runner<T>, String>
 where
-    T: Clone + Send + serde::Serialize + serde::Deserialize + SimMetrics,
+    T: Send + serde::Serialize + serde::Deserialize + SimMetrics,
 {
     let mut runner = Runner::new(jobs);
     if let Some(dir) = cache_dir {
@@ -193,7 +195,7 @@ pub fn execute(
         validate_execution(&execution, &mut checker);
         if !checker.is_clean() {
             for v in checker.violations() {
-                eprintln!("{v}");
+                narrate(&v.to_string());
             }
             return Err(format!(
                 "{} invariant violation(s) (HETSIM_CHECK)",
@@ -213,16 +215,16 @@ fn run_batch<T>(
     recorder: Option<&TraceRecorder>,
 ) -> Vec<T>
 where
-    T: Clone + Send + serde::Serialize + serde::Deserialize + SimMetrics,
+    T: Send + serde::Serialize + serde::Deserialize + SimMetrics,
 {
     let Some(runner) = runner else {
         return Vec::new();
     };
     let workers = runner.workers();
-    eprintln!(
+    narrate(&format!(
         "running {} {kind} job(s) on {workers} worker(s)...",
         batch.len()
-    );
+    ));
     let span = format!("{}-campaign", kind.to_lowercase());
     traced_campaign(recorder, &span, || runner.run(batch))
 }

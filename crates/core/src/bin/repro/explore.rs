@@ -9,6 +9,7 @@ use std::process::ExitCode;
 use hetcore::explore::{
     explore, DesignSpace, ExploreConfig, DEFAULT_BUDGET, DEFAULT_EXPLORE_INSTS,
 };
+use hetsim_runner::narrate;
 
 use crate::args::{Args, BUDGET, CACHE_DIR, FRONTIER_OUT, INSTS, SEED, SWEEP};
 use crate::exec;
@@ -44,12 +45,12 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let result = explore(&space, &cfg)?;
     if let Some(path) = args.path(&FRONTIER_OUT) {
         exec::write(&path, &result.to_json())?;
-        eprintln!("wrote frontier dump to {}", path.display());
+        narrate(&format!("wrote frontier dump to {}", path.display()));
     }
-    match args.format() {
-        "json" => println!("{}", result.to_json()),
-        "csv" => print!("{}", result.frontier_report().to_csv()),
-        _ => print!("{}", result.frontier_report()),
-    }
+    exec::print(&match args.format() {
+        "json" => result.to_json() + "\n",
+        "csv" => result.frontier_report().to_csv(),
+        _ => result.frontier_report().to_string(),
+    })?;
     Ok(ExitCode::SUCCESS)
 }

@@ -62,6 +62,8 @@ mod trace_export;
 
 use std::process::ExitCode;
 
+use hetsim_runner::narrate;
+
 /// Why a subcommand failed.
 pub enum CliError {
     /// Bad arguments: every problem found, reported with the usage text.
@@ -83,15 +85,15 @@ fn main() -> ExitCode {
         Ok(code) => code,
         Err(CliError::Usage(errors)) => {
             for e in errors {
-                eprintln!("error: {e}");
+                narrate(&format!("error: {e}"));
             }
             if !cmd.hidden {
-                eprintln!("{}", args::usage());
+                narrate(&args::usage());
             }
             ExitCode::FAILURE
         }
         Err(CliError::Failed(e)) => {
-            eprintln!("error: {e}");
+            narrate(&format!("error: {e}"));
             ExitCode::FAILURE
         }
     }

@@ -9,6 +9,7 @@ use std::process::ExitCode;
 
 use hetcore::suite::{Experiment, Suite};
 use hetsim_obs::CycleProfile;
+use hetsim_runner::narrate;
 use hetsim_stats::attribution::{ClassCounts, CycleClass};
 use serde::Serialize as _;
 
@@ -44,10 +45,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
 
     if let Some(path) = args.path(&COUNTERS_OUT) {
         exec::write(&path, &pretty(&profile.counter_track_doc()))?;
-        eprintln!(
+        narrate(&format!(
             "wrote Perfetto counter tracks to {} — load in Perfetto or chrome://tracing",
             path.display()
-        );
+        ));
     }
     let rendered = match args.format() {
         "json" => pretty(&profile.to_value()) + "\n",
@@ -57,13 +58,13 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     match args.path(&OUT) {
         Some(path) => {
             exec::write(&path, &rendered)?;
-            eprintln!(
+            narrate(&format!(
                 "wrote cycle profile ({} unit(s)) to {}",
                 profile.rows().len(),
                 path.display()
-            );
+            ));
         }
-        None => print!("{rendered}"),
+        None => exec::print(&rendered)?,
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -8,6 +8,7 @@ use std::process::ExitCode;
 
 use hetcore::suite::Experiment;
 use hetsim_obs::stitch_traces;
+use hetsim_runner::narrate;
 use serde::Serialize as _;
 
 use crate::args::{Args, Progress, CACHE_DIR, PROFILE_OUT, STATS_OUT, TRACE_OUT};
@@ -60,14 +61,15 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         dump = dump.with_profile(profile.to_value());
     }
     let reports = &execution.reports;
-    match args.format() {
-        "json" => println!("{}", pretty(&reports.to_vec())),
-        "csv" => reports.iter().for_each(|r| println!("{}", r.to_csv())),
-        _ => reports.iter().for_each(|r| println!("{r}")),
-    }
+    let rendered: String = match args.format() {
+        "json" => pretty(&reports.to_vec()) + "\n",
+        "csv" => reports.iter().map(|r| r.to_csv() + "\n").collect(),
+        _ => reports.iter().map(|r| format!("{r}\n")).collect(),
+    };
+    exec::print(&rendered)?;
     if let Some(path) = args.path(&STATS_OUT) {
         exec::write(&path, &dump.to_json())?;
-        eprintln!("wrote counter telemetry to {}", path.display());
+        narrate(&format!("wrote counter telemetry to {}", path.display()));
     }
     if let (Some(path), Some(recorder)) = (&trace_out, &recorder) {
         // Per-worker trace logs (sharded runs) plus this pass, stitched
@@ -79,7 +81,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         let events = stitch_traces(inputs);
         let line = |e| serde_json::to_string(e).expect("value trees always serialize") + "\n";
         exec::write(path, &events.iter().map(line).collect::<String>())?;
-        eprintln!(
+        narrate(&format!(
             "wrote {} trace event(s) to {}{}",
             events.len(),
             path.display(),
@@ -87,7 +89,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
                 " (stitched from {} worker(s) + merge pass)",
                 d.shards
             ))
-        );
+        ));
     }
     if let Some(path) = &profile_out {
         // Cold, warm or sharded: the runners folded every job's cached
@@ -95,10 +97,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         // `repro profile --format json` prints.
         exec::write(path, &(pretty(&profile.to_value()) + "\n"))?;
         let units = profile.rows().len();
-        eprintln!(
+        narrate(&format!(
             "wrote cycle profile ({units} unit(s)) to {}",
             path.display()
-        );
+        ));
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -21,8 +21,9 @@ use std::time::Instant;
 use hetcore::suite::{Experiment, Extension};
 use hetsim_obs::TraceEvent;
 use hetsim_runner::{
-    design_of, manifest_path, supervise, trace_path, Job, JobKey, ProgressEvent, ProgressSink,
-    Runner, ShardEventSink, ShardManifest, ShardPolicy, ShardTally, SimMetrics, SHARD_SCHEMA,
+    design_columns, manifest_path, narrate, supervise, trace_path, Job, JobKey, ProgressEvent,
+    ProgressSink, Runner, ShardEventSink, ShardManifest, ShardPolicy, ShardTally, SimMetrics,
+    SHARD_SCHEMA,
 };
 
 use crate::args::{
@@ -125,24 +126,18 @@ fn supervise_campaign(
         .map(|e| e.cli_name())
         .chain(extensions.iter().map(|x| x.cli_name()))
         .collect();
-    eprintln!("running sharded campaign ({total} job(s) across {shards} worker process(es))...");
+    narrate(&format!(
+        "running sharded campaign ({total} job(s) across {shards} worker process(es))..."
+    ));
 
-    // One aggregate batch over all workers: columns in first-submission
-    // design order, like the in-process runner announces them.
+    // One aggregate batch over all workers, announced as the runner
+    // announces its own.
     let started = Instant::now();
     let sink = exec::progress_sink(args.progress(), None);
-    let mut columns: Vec<(String, usize)> = Vec::new();
-    for label in &labels {
-        let design = design_of(label);
-        match columns.iter_mut().find(|(name, _)| name == design) {
-            Some((_, count)) => *count += 1,
-            None => columns.push((design.to_string(), 1)),
-        }
-    }
     sink.event(&ProgressEvent::BatchStarted {
         total,
         workers: shards,
-        columns,
+        columns: design_columns(labels.iter().copied()),
     });
     let tally = ShardTally::new(labels);
 
@@ -228,7 +223,7 @@ fn shard_fail_requested(shard: usize, attempt: u64) -> bool {
 /// executed.
 fn run_slice<T>(mut batch: Vec<Job<T>>, budget: &mut Option<usize>, runner: Runner<T>) -> u64
 where
-    T: Clone + Send + serde::Serialize + serde::Deserialize + SimMetrics,
+    T: Send + serde::Serialize + serde::Deserialize + SimMetrics,
 {
     if let Some(b) = budget {
         let take = (*b).min(batch.len());
@@ -295,7 +290,9 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
         // Die without a manifest: the half-done work stays in the
         // cache, the commit record does not exist, and the supervisor
         // must retry this shard.
-        eprintln!("[shard {shard}] HETSIM_SHARD_FAIL: crashing mid-shard (attempt {attempt})");
+        narrate(&format!(
+            "[shard {shard}] HETSIM_SHARD_FAIL: crashing mid-shard (attempt {attempt})"
+        ));
         std::process::exit(3);
     }
 
@@ -311,6 +308,8 @@ pub fn worker(mut args: Args) -> Result<ExitCode, CliError> {
         executed,
         keys,
     };
-    exec::write(&manifest_path(&out_dir, shard), &exec::pretty(&manifest)).map_err(in_shard)?;
+    manifest
+        .write_to(&manifest_path(&out_dir, shard))
+        .map_err(in_shard)?;
     Ok(ExitCode::SUCCESS)
 }

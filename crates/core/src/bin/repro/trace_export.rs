@@ -6,6 +6,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hetsim_obs::{chrome_trace, stitch_traces};
+use hetsim_runner::narrate;
 
 use crate::args::Args;
 use crate::exec::{self, pretty};
@@ -30,10 +31,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let events = stitch_traces(inputs);
     let output = Path::new(output);
     exec::write(output, &pretty(&chrome_trace(&events)))?;
-    eprintln!(
+    narrate(&format!(
         "wrote Chrome trace ({} event(s)) to {} — load it in Perfetto or chrome://tracing",
         events.len(),
         output.display()
-    );
+    ));
     Ok(ExitCode::SUCCESS)
 }

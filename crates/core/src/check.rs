@@ -25,7 +25,7 @@
 
 use hetsim_check::{CheckConfig, Checker};
 use hetsim_cpu::core::{validate_run, RunResult};
-use hetsim_cpu::multicore::{run_multicore, run_multicore_checked, MulticoreResult};
+use hetsim_cpu::multicore::{run_multicore, run_multicore_checked};
 use hetsim_cpu::stats::CoreStats;
 use hetsim_gpu::gpu::Gpu;
 use hetsim_gpu::stats::{validate_gpu_stats, GpuStats};
@@ -258,15 +258,6 @@ pub fn validate_dump(
     });
 }
 
-/// End-to-end chip cycles of a multicore result, computed the same way
-/// `run_cpu_multicore` fixes up the merged counter: serial phase plus the
-/// slowest parallel core.
-fn chip_cycles(mc: &MulticoreResult) -> u64 {
-    let serial = mc.serial.as_ref().map_or(0, |r| r.stats.cycles);
-    let parallel = mc.parallel.iter().map(|r| r.stats.cycles).fold(0, u64::max);
-    serial + parallel
-}
-
 /// One metamorphic fuzz round: a seeded random CPU workload and GPU
 /// kernel, run through a design rotated by the seed, asserting the
 /// oracle-free relations listed in the module docs. All violations land
@@ -353,8 +344,8 @@ fn fuzz_cpu_round(seed: u64, insts: u64, c: &mut Checker) {
         );
         c.le_u64(
             "fuzz.dvfs_cycles_monotone",
-            ("cycles(half clock)", chip_cycles(&half)),
-            ("cycles(base)", chip_cycles(&base)),
+            ("cycles(half clock)", half.chip_counters().0.cycles),
+            ("cycles(base)", base.chip_counters().0.cycles),
         );
     });
 }

@@ -242,27 +242,29 @@ impl CpuDesign {
         cfg
     }
 
-    /// The energy model for this design.
+    /// The energy model for this design, priced for the ROB and FP
+    /// register file of its [`CpuDesign::core_config`].
     pub fn energy_model(self) -> CpuEnergyModel {
-        match self {
-            CpuDesign::BaseCmos => CpuEnergyModel::new(DeviceAssignment::all_cmos()),
-            CpuDesign::BaseCmosEnh => CpuEnergyModel::new(DeviceAssignment::all_cmos())
-                .with_structure(ENH_ROB, ENH_FP_REGS),
+        let model = match self {
+            CpuDesign::BaseCmos | CpuDesign::BaseCmosEnh => {
+                CpuEnergyModel::new(DeviceAssignment::all_cmos())
+            }
             CpuDesign::BaseTfet => CpuEnergyModel::new(DeviceAssignment::all_tfet()),
-            CpuDesign::BaseHet => CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(false)),
-            CpuDesign::AdvHet => CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(true))
-                .with_dual_speed_alu()
-                .with_structure(ENH_ROB, ENH_FP_REGS),
-            CpuDesign::BaseL3 => CpuEnergyModel::new(DeviceAssignment::l3_only())
-                .with_structure(ENH_ROB, ENH_FP_REGS),
+            CpuDesign::BaseHet | CpuDesign::BaseHetEnh => {
+                CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(false))
+            }
+            CpuDesign::AdvHet => {
+                CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(true)).with_dual_speed_alu()
+            }
+            CpuDesign::BaseL3 => CpuEnergyModel::new(DeviceAssignment::l3_only()),
             CpuDesign::BaseHighVt => CpuEnergyModel::new(DeviceAssignment::high_vt_fus()),
             CpuDesign::BaseHetFastAlu => CpuEnergyModel::new(DeviceAssignment::hetcore_fast_alu()),
-            CpuDesign::BaseHetEnh => CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(false))
-                .with_structure(ENH_ROB, ENH_FP_REGS),
-            CpuDesign::BaseHetSplit => CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(false))
-                .with_dual_speed_alu()
-                .with_structure(ENH_ROB, ENH_FP_REGS),
-        }
+            CpuDesign::BaseHetSplit => {
+                CpuEnergyModel::new(DeviceAssignment::hetcore_cpu(false)).with_dual_speed_alu()
+            }
+        };
+        let config = self.core_config();
+        model.with_structure(config.rob_entries, config.fp_regs)
     }
 }
 

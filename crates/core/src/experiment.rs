@@ -14,8 +14,8 @@
 //! Table IV design at its nominal point, call those, and keep the
 //! outcome.
 
-use hetsim_cpu::core::Core;
-use hetsim_cpu::multicore::{run_multicore, MulticoreResult};
+use hetsim_check::CheckConfig;
+use hetsim_cpu::multicore::{run_multicore, run_thread, MulticoreResult};
 use hetsim_cpu::stats::CoreStats;
 use hetsim_cpu::CoreProfile;
 use hetsim_gpu::gpu::Gpu;
@@ -73,27 +73,11 @@ impl SimMetrics for CpuOutcome {
     fn sim_seconds(&self) -> f64 {
         self.seconds
     }
-
-    fn counters(&self) -> Vec<(String, u64)> {
-        let mut pairs = Vec::new();
-        self.stats
-            .visit("core.", &mut |name, value| pairs.push((name.into(), value)));
-        self.mem
-            .visit("mem.", &mut |name, value| pairs.push((name.into(), value)));
-        pairs
-    }
 }
 
 impl SimMetrics for GpuOutcome {
     fn sim_seconds(&self) -> f64 {
         self.seconds
-    }
-
-    fn counters(&self) -> Vec<(String, u64)> {
-        let mut pairs = Vec::new();
-        self.stats
-            .visit("gpu.", &mut |name, value| pairs.push((name.into(), value)));
-        pairs
     }
 }
 
@@ -128,18 +112,7 @@ impl CpuRun {
             CpuRun::Core => true,
             CpuRun::ColdCore => false,
         };
-        let cfg = &point.config;
-        let mut core = Core::new(cfg.clone(), 0);
-        let mut warmup = 0;
-        if warm {
-            core.prewarm(0, app.memory.working_set_bytes);
-            warmup = (insts / 4).min(25_000);
-        }
-        // Same-stream sweeps (one app across every design) replay the
-        // stored trace instead of regenerating it per design.
-        let pull_bound = warmup + insts + cfg.steering.lookahead_window() + 1;
-        let trace = hetsim_trace::cache::replay(app, seed, 0, pull_bound);
-        let result = core.run_warmed(trace, warmup, insts);
+        let (result, _) = run_thread(&point.config, app, seed, 0, insts, warm, CheckConfig::OFF);
         let mut observations = Observations::default();
         observe_core(&mut observations, point.design, 0, &result.profile);
         let seconds = result.seconds();
@@ -216,26 +189,7 @@ fn simulate_chip(
         energy.merge(&model.energy(&r.stats, &r.mem, t_parallel));
     }
 
-    // Chip-level counters: merge every phase's cores, then fix up the
-    // cycle count — phases run back-to-back, so the chip's cycles are
-    // the serial phase plus the slowest parallel core (merge alone
-    // would take the max across phases, losing the serial span).
-    let mut stats = CoreStats::default();
-    let mut mem = MemStats::default();
-    let mut serial_cycles = 0;
-    if let Some(serial) = &mc.serial {
-        stats.merge(&serial.stats);
-        mem.merge(&serial.mem);
-        serial_cycles = serial.stats.cycles;
-    }
-    let mut parallel_cycles = 0;
-    for r in &mc.parallel {
-        stats.merge(&r.stats);
-        mem.merge(&r.mem);
-        parallel_cycles = parallel_cycles.max(r.stats.cycles);
-    }
-    stats.cycles = serial_cycles + parallel_cycles;
-
+    let (stats, mem) = mc.chip_counters();
     let outcome = CpuOutcome {
         design,
         app: app.name.to_string(),

@@ -32,7 +32,7 @@
 //!   testable and CI-gateable.
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use hetsim_device::dvfs::DvfsController;
 use hetsim_runner::{Job, Runner};
@@ -319,7 +319,7 @@ pub struct ExploreConfig {
     pub insts: u64,
     /// Worker threads of the search's runner.
     pub jobs: usize,
-    /// On-disk result cache (in-memory only when `None`).
+    /// On-disk result cache (none when `None`: every candidate runs).
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -435,8 +435,9 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
         .map(|a| Fingerprinted::new(apps::profile(a).expect("space validated")))
         .collect();
 
-    // One runner for the whole search, so its in-memory cache stays
-    // valid across waves.
+    // One runner for the whole search: its stats and observations
+    // accumulate across waves. Each grid cell is evaluated once, so a
+    // runner without a cache directory runs each job once.
     let mut runner = Runner::new(cfg.jobs);
     if let Some(dir) = &cfg.cache_dir {
         runner = runner
@@ -620,17 +621,6 @@ impl ExploreResult {
     /// section the diff policy already exempts.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(&self.to_value()).expect("value trees always serialize")
-    }
-
-    /// Writes the frontier dump to `path` through the runner's atomic
-    /// temp-file+rename path, creating missing parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the directory cannot be
-    /// created or either write step fails.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        hetsim_runner::write_atomic(path, &self.to_json())
     }
 }
 

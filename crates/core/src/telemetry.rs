@@ -28,8 +28,6 @@
 //! merge all applications/kernels of the campaign with the structs'
 //! own `merge` policies (`cycles` maxes, events sum).
 
-use std::path::Path;
-
 use hetsim_cpu::stats::CoreStats;
 use hetsim_gpu::stats::GpuStats;
 use hetsim_mem::stats::MemStats;
@@ -196,19 +194,6 @@ impl StatsDump {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(&self.to_value()).expect("value trees always serialize")
     }
-
-    /// Writes the dump to `path` through the runner's atomic
-    /// temp-file+rename path, creating missing parent directories: a
-    /// crashed run never leaves a torn telemetry file for a later
-    /// `repro diff` to stumble over.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the directory cannot be
-    /// created or either write step fails.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        hetsim_runner::write_atomic(path, &self.to_json())
-    }
 }
 
 impl Serialize for StatsDump {
@@ -346,27 +331,6 @@ mod tests {
         );
         let reports = v.get("reports").and_then(Value::as_array).expect("reports");
         assert_eq!(reports[0].get("title").and_then(Value::as_str), Some("T"));
-    }
-
-    #[test]
-    fn write_to_creates_parents_and_lands_atomically() {
-        let dir =
-            std::env::temp_dir().join(format!("hetcore-telemetry-write-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("deep/nested/stats.json");
-        StatsDump::new()
-            .with_run(100, 1, &[])
-            .write_to(&path)
-            .expect("write with missing parents");
-        let text = std::fs::read_to_string(&path).expect("readable");
-        let v: Value = serde_json::from_str(&text).expect("valid JSON");
-        assert_eq!(
-            v.get("run")
-                .and_then(|r| r.get("insts"))
-                .and_then(Value::as_u64),
-            Some(100)
-        );
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

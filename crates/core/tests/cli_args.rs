@@ -289,3 +289,59 @@ fn deeply_nested_json_is_an_error_not_an_abort() {
     assert!(stderr.starts_with(&format!("error: {path}: ")), "{stderr}");
     std::fs::remove_file(&deep).expect("cleanup");
 }
+
+/// A handle on `/dev/full`, where every write fails with ENOSPC.
+#[cfg(target_os = "linux")]
+fn dev_full() -> std::process::Stdio {
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full")
+        .into()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_report_that_cannot_reach_stdout_fails_the_command() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "fig10"])
+        .stdout(dev_full())
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "an error, not a panic: {stderr}"
+    );
+    assert!(
+        stderr.contains("error: cannot write to stdout: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn narration_that_cannot_reach_stderr_does_not_fail_the_command() {
+    let reference = repro(&["--quick", "fig10"]);
+    assert!(reference.status.success());
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "fig10"])
+        .stderr(dev_full())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(0), "stderr is best-effort");
+    assert_eq!(out.stdout, reference.stdout, "the report still prints");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_usage_error_with_stderr_on_dev_full_still_exits_1() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--bogus")
+        .stderr(dev_full())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "an error, not a panic");
+}

@@ -134,17 +134,15 @@ fn a_persistently_crashing_shard_fails_the_campaign_loudly() {
 }
 
 /// The `(done, total)` of every `[runner] D/T label (tag)` line, and
-/// the `[runner] done: ...` summary line. A worker's own stderr
-/// message can land at the start of a supervisor line (the supervisor
-/// writes each line whole), so a line is read from its `[runner] `.
+/// the `[runner] done: ...` summary line. Workers and the supervisor
+/// write each stderr line whole, so every line starts with its own tag.
 fn narration(stderr: &str) -> (Vec<(u64, u64)>, &str) {
     let mut progress = Vec::new();
     let mut summary = None;
     for line in stderr.lines() {
-        let Some(at) = line.find("[runner] ") else {
+        let Some(rest) = line.strip_prefix("[runner] ") else {
             continue;
         };
-        let rest = &line[at + "[runner] ".len()..];
         if rest.starts_with("done:") {
             summary = Some(rest);
         } else if let Some((done, tail)) = rest.split_once('/') {
@@ -190,6 +188,19 @@ fn a_healed_run_narrates_each_job_once() {
         .expect("repro runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "chaos run must recover: {stderr}");
+    // The crashed worker's message reaches the shared stderr whole, not
+    // split around the supervisor's progress lines.
+    let crash_lines: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.contains("HETSIM_SHARD_FAIL"))
+        .collect();
+    assert!(
+        !crash_lines.is_empty(),
+        "the worker says why it died: {stderr}"
+    );
+    for line in crash_lines {
+        assert!(line.starts_with("[shard "), "torn crash line: {line:?}");
+    }
     let (progress, summary) = narration(&stderr);
     assert_eq!(progress.len(), 154, "one line per fig7 job: {stderr}");
     for (done, total) in &progress {

@@ -13,10 +13,13 @@
 //! that sit out the serial phase.
 
 use hetsim_check::{CheckConfig, Checker, Violation};
+use hetsim_mem::stats::MemStats;
+use hetsim_trace::stream::THREAD_ADDRESS_STRIDE;
 use hetsim_trace::WorkloadProfile;
 
 use crate::config::CoreConfig;
 use crate::core::{validate_run, Core, RunResult};
+use crate::stats::CoreStats;
 
 /// Result of a multicore run.
 #[derive(Debug, Clone)]
@@ -56,6 +59,60 @@ impl MulticoreResult {
         self.serial.as_ref().map_or(0, |r| r.stats.committed)
             + self.parallel.iter().map(|r| r.stats.committed).sum::<u64>()
     }
+
+    /// The chip-level counters: every phase's cores merged, with
+    /// `cycles` set to the serial phase plus the slowest parallel core.
+    /// Phases run back to back, so merging alone, which takes the max
+    /// across phases, would lose the serial span.
+    pub fn chip_counters(&self) -> (CoreStats, MemStats) {
+        let mut stats = CoreStats::default();
+        let mut mem = MemStats::default();
+        for r in self.serial.iter().chain(&self.parallel) {
+            stats.merge(&r.stats);
+            mem.merge(&r.mem);
+        }
+        let serial = self.serial.as_ref().map_or(0, |r| r.stats.cycles);
+        let parallel = self
+            .parallel
+            .iter()
+            .map(|r| r.stats.cycles)
+            .fold(0, u64::max);
+        stats.cycles = serial + parallel;
+        (stats, mem)
+    }
+}
+
+/// Runs one thread's phase: `n` instructions of thread `thread`'s
+/// stream of `profile` (seed `seed`) on a core of `cfg`, with the
+/// core's in-flight checks per `check`. A warm run first fills the
+/// caches with the thread's working set and retires a warm-up window of
+/// `(n / 4).min(25_000)` instructions before the measured `n`; a cold
+/// run starts empty and measures from the first instruction. Returns
+/// the run together with the core's violations.
+pub fn run_thread(
+    cfg: &CoreConfig,
+    profile: &WorkloadProfile,
+    seed: u64,
+    thread: u32,
+    n: u64,
+    warm: bool,
+    check: CheckConfig,
+) -> (RunResult, Vec<Violation>) {
+    let mut core = Core::new(cfg.clone(), thread).with_checks(check);
+    let mut warmup = 0;
+    if warm {
+        let base = u64::from(thread) * THREAD_ADDRESS_STRIDE;
+        core.prewarm(base, profile.memory.working_set_bytes);
+        warmup = (n / 4).min(25_000);
+    }
+    // Design sweeps rerun the same (profile, seed) streams, so read them
+    // from the trace store. A run of `n` committed instructions reads
+    // fewer than `warmup + n + steering window + 1` records of the stream
+    // (the steering peek reads `window` records past the last dispatch).
+    let pull_bound = warmup + n + cfg.steering.lookahead_window() + 1;
+    let trace = hetsim_trace::cache::replay(profile, seed, thread, pull_bound);
+    let result = core.run_warmed(trace, warmup, n);
+    (result, core.take_violations())
 }
 
 /// Runs `total_insts` dynamic instructions of `profile` on `cores` cores.
@@ -107,41 +164,18 @@ pub fn run_multicore_checked(
     let per_core = parallel_insts / u64::from(cores);
 
     let mut checker = Checker::new();
-    let warmup = |n: u64| (n / 4).min(25_000);
-    // Design sweeps rerun the same (profile, seed) streams, so read them
-    // from the trace store. A run of `n` committed instructions reads
-    // fewer than `warmup + n + steering window + 1` records of the stream
-    // (the steering peek reads `window` records past the last dispatch).
-    let pull_bound = |n: u64| warmup(n) + n + core_cfg.steering.lookahead_window() + 1;
-    let ws = profile.memory.working_set_bytes;
-    let serial = if serial_insts > 0 {
-        let mut core = Core::new(core_cfg.clone(), 0).with_checks(check);
-        core.prewarm(0, ws);
-        let r = core.run_warmed(
-            hetsim_trace::cache::replay(profile, seed, 0, pull_bound(serial_insts)),
-            warmup(serial_insts),
-            serial_insts,
-        );
-        checker.scoped("serial", |c| c.absorb(core.take_violations()));
-        Some(r)
-    } else {
-        None
-    };
-
+    let serial = (serial_insts > 0).then(|| {
+        let (r, violations) = run_thread(core_cfg, profile, seed, 0, serial_insts, true, check);
+        checker.scoped("serial", |c| c.absorb(violations));
+        r
+    });
     let parallel = (0..cores)
         .filter(|_| per_core > 0)
         .map(|t| {
-            let mut core = Core::new(core_cfg.clone(), t).with_checks(check);
-            core.prewarm(
-                u64::from(t) * hetsim_trace::stream::THREAD_ADDRESS_STRIDE,
-                ws,
-            );
-            let r = core.run_warmed(
-                hetsim_trace::cache::replay(profile, seed.wrapping_add(1), t, pull_bound(per_core)),
-                warmup(per_core),
-                per_core,
-            );
-            checker.scoped("parallel", |c| c.absorb(core.take_violations()));
+            let parallel_seed = seed.wrapping_add(1);
+            let (r, violations) =
+                run_thread(core_cfg, profile, parallel_seed, t, per_core, true, check);
+            checker.scoped("parallel", |c| c.absorb(violations));
             r
         })
         .collect();

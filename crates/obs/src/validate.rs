@@ -10,9 +10,10 @@
 //!    means the recorder interleaved open spans on one thread, which
 //!    the guard API makes impossible);
 //! 3. every `job-finished` instant has a matching `cache-lookup` span
-//!    for the same job index (every job is looked up exactly once
-//!    before it finishes), and every executed job (`provenance: ran`)
-//!    additionally has a `simulate` span.
+//!    for the same job — the same `index` and `job` label, since
+//!    indices restart in every batch — (every job is looked up exactly
+//!    once before it finishes), and every executed job
+//!    (`provenance: ran`) additionally has a `simulate` span.
 
 use serde::value::Value;
 use serde::Deserialize;
@@ -114,31 +115,38 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
     }
 
     // ---- property 3: every JobFinished has its spans ----
-    let span_indices = |name: &str| -> Vec<String> {
+    // A job is its `(index, job)` pair: indices restart in every batch,
+    // so an index alone could match another batch's span.
+    let job_of = |e: &TraceEvent| arg(e, "index").map(|index| (index, arg(e, "job")));
+    let span_jobs = |name: &str| -> Vec<(String, Option<String>)> {
         events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Span { .. }) && e.name == name)
-            .filter_map(|e| arg(e, "index"))
+            .filter_map(job_of)
             .collect()
     };
-    let lookups = span_indices("cache-lookup");
-    let simulates = span_indices("simulate");
+    let lookups = span_jobs("cache-lookup");
+    let simulates = span_jobs("simulate");
     for event in events {
         if !matches!(event.kind, EventKind::Instant { .. }) || event.name != "job-finished" {
             continue;
         }
-        let Some(index) = arg(event, "index") else {
+        let Some(job) = job_of(event) else {
             violations.push("`job-finished` instant has no `index` arg".to_string());
             continue;
         };
-        if !lookups.contains(&index) {
+        let name = match &job {
+            (index, Some(label)) => format!("#{index} ({label})"),
+            (index, None) => format!("#{index}"),
+        };
+        if !lookups.contains(&job) {
             violations.push(format!(
-                "job-finished #{index} has no matching `cache-lookup` span"
+                "job-finished {name} has no matching `cache-lookup` span"
             ));
         }
-        if arg(event, "provenance").as_deref() == Some("ran") && !simulates.contains(&index) {
+        if arg(event, "provenance").as_deref() == Some("ran") && !simulates.contains(&job) {
             violations.push(format!(
-                "job-finished #{index} was executed but has no `simulate` span"
+                "job-finished {name} was executed but has no `simulate` span"
             ));
         }
     }
@@ -184,7 +192,7 @@ mod tests {
             span("cache-lookup", 0, 2, 3, Some("1")),
             span("simulate", 1, 5, 50, Some("1")),
             span("cache-write", 1, 50, 52, Some("1")),
-            finished("0", "mem", 2),
+            finished("0", "disk", 2),
             finished("1", "ran", 53),
         ];
         assert_eq!(validate_events(&events), Vec::<String>::new());
@@ -226,7 +234,7 @@ mod tests {
 
     #[test]
     fn job_finished_without_its_spans_is_flagged() {
-        let no_lookup = vec![finished("3", "mem", 9)];
+        let no_lookup = vec![finished("3", "disk", 9)];
         let violations = validate_events(&no_lookup);
         assert!(
             violations
@@ -245,6 +253,46 @@ mod tests {
         );
     }
 
+    /// `event` with a `job` label arg added.
+    fn labelled(mut event: TraceEvent, job: &str) -> TraceEvent {
+        event.args.push(("job".into(), job.into()));
+        event
+    }
+
+    #[test]
+    fn a_job_matches_its_spans_by_index_and_label_across_batches() {
+        // A CPU and a GPU batch, each with a job 0 that ran. Indices
+        // restart per batch, so the GPU job's missing `simulate` span
+        // must not be covered by the CPU job's.
+        let (cpu, gpu) = ("cpu/lu/AdvHetx4", "gpu/matmul/AdvHet");
+        let events = vec![
+            labelled(span("cache-lookup", 0, 1, 2, Some("0")), cpu),
+            labelled(span("simulate", 1, 3, 10, Some("0")), cpu),
+            labelled(finished("0", "ran", 11), cpu),
+            labelled(span("cache-lookup", 0, 20, 21, Some("0")), gpu),
+            labelled(finished("0", "ran", 30), gpu),
+        ];
+        let violations = validate_events(&events);
+        assert_eq!(
+            violations,
+            [format!(
+                "job-finished #0 ({gpu}) was executed but has no `simulate` span"
+            )]
+        );
+        // A label the spans do not carry matches nothing either.
+        let stray = vec![
+            labelled(span("cache-lookup", 0, 1, 2, Some("0")), cpu),
+            labelled(finished("0", "disk", 3), gpu),
+        ];
+        let violations = validate_events(&stray);
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("no matching `cache-lookup`")),
+            "{violations:?}"
+        );
+    }
+
     #[test]
     fn typed_and_stringly_index_args_match_each_other() {
         use crate::recorder::ArgValue;
@@ -252,7 +300,7 @@ mod tests {
         // instant a stringly one — canonical rendering must unify them.
         let mut lookup = span("cache-lookup", 0, 1, 2, None);
         lookup.args = vec![("index".to_string(), ArgValue::U64(3))];
-        let events = vec![lookup, finished("3", "mem", 2)];
+        let events = vec![lookup, finished("3", "disk", 2)];
         assert_eq!(validate_events(&events), Vec::<String>::new());
     }
 
@@ -260,7 +308,7 @@ mod tests {
     fn jsonl_round_trips_and_flags_malformed_lines() {
         let events = vec![
             span("cache-lookup", 0, 1, 2, Some("0")),
-            finished("0", "mem", 2),
+            finished("0", "disk", 2),
         ];
         let jsonl: String = events
             .iter()

@@ -1,16 +1,11 @@
-//! The content-addressed result cache.
-//!
-//! Two layers, both keyed by [`JobKey`]:
-//!
-//! * an **in-process store** (`HashMap` behind a mutex) that memoizes
-//!   every outcome produced or loaded during this process — repeated
-//!   figures within one `repro` invocation never re-simulate;
-//! * an optional **on-disk layer** (`--cache-dir`) of append-only
-//!   *segments*. Each cache handle appends its outcomes to one segment
-//!   of its own and reads every handle's records through an in-memory
-//!   index of the directory. Torn, damaged or unparseable records are
-//!   counted and treated as misses — a cache can never make a campaign
-//!   wrong, only slow.
+//! The content-addressed result cache: an on-disk directory of
+//! append-only *segments*, keyed by [`JobKey`]. Each cache handle
+//! appends its outcomes to one segment of its own and reads every
+//! handle's records through an in-memory index of the directory. Torn,
+//! damaged or unparseable records are counted and treated as misses —
+//! a cache can never make a campaign wrong, only slow. A
+//! [`crate::Runner`] without a cache directory has no cache at all and
+//! runs every job it is given.
 //!
 //! # Segment layout
 //!
@@ -59,6 +54,7 @@ use std::collections::HashMap;
 use std::ffi::OsStr;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -74,9 +70,7 @@ counters! {
     /// Defined through [`hetsim_stats::counters!`], so `merge`/`minus`
     /// and `iter()` over `(name, value)` pairs come for free.
     pub struct CacheStats {
-        /// Lookups answered from the in-process store.
-        pub memory_hits: u64,
-        /// Lookups answered from the on-disk layer.
+        /// Lookups answered from disk.
         pub disk_hits: u64,
         /// Lookups that found nothing (the job must run).
         pub misses: u64,
@@ -89,12 +83,7 @@ counters! {
 impl CacheStats {
     /// Total lookups.
     pub fn lookups(&self) -> u64 {
-        self.memory_hits + self.disk_hits + self.misses
-    }
-
-    /// Hits (memory + disk).
-    pub fn hits(&self) -> u64 {
-        self.memory_hits + self.disk_hits
+        self.disk_hits + self.misses
     }
 
     /// Hit rate in `[0, 1]`; `0` when no lookups happened.
@@ -102,37 +91,19 @@ impl CacheStats {
         if self.lookups() == 0 {
             0.0
         } else {
-            self.hits() as f64 / self.lookups() as f64
+            self.disk_hits as f64 / self.lookups() as f64
         }
     }
 }
 
-/// Which cache layer answered a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheLayer {
-    /// The in-process store.
-    Memory,
-    /// The on-disk segment layer.
-    Disk,
-}
-
-/// A two-layer (memory + optional disk) result cache.
+/// A result cache in one directory.
 pub struct ResultCache<T> {
-    memory: Mutex<HashMap<JobKey, T>>,
-    disk: Option<Disk>,
+    disk: Disk,
     stats: Mutex<CacheStats>,
+    _value: PhantomData<fn() -> T>,
 }
 
-impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
-    /// An in-process-only cache.
-    pub fn in_memory() -> Self {
-        ResultCache {
-            memory: Mutex::new(HashMap::new()),
-            disk: None,
-            stats: Mutex::default(),
-        }
-    }
-
+impl<T: Serialize + Deserialize> ResultCache<T> {
     /// A cache backed by `dir` (created if missing). Nothing is read
     /// until the first disk lookup, and no segment is created until
     /// the first `put`.
@@ -145,22 +116,21 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(ResultCache {
-            memory: Mutex::new(HashMap::new()),
-            disk: Some(Disk {
+            disk: Disk {
                 dir,
                 index: Mutex::new(Index::default()),
                 writer: Mutex::new(None),
-            }),
+            },
             stats: Mutex::default(),
+            _value: PhantomData,
         })
     }
 
-    /// The segment holding `key`'s record, if this cache has a disk
-    /// layer and has indexed or written such a record.
+    /// The segment holding `key`'s record, if this cache has indexed or
+    /// written such a record.
     pub fn path_of(&self, key: JobKey) -> Option<PathBuf> {
-        let disk = self.disk.as_ref()?;
-        let mut index = disk.index();
-        index.scan_if_stale(&disk.dir);
+        let mut index = self.disk.index();
+        index.scan_if_stale(&self.disk.dir);
         match index.records.get(&key)? {
             Record::At { segment, .. } => Some(index.segments[*segment].path.clone()),
             Record::Damaged => None,
@@ -172,59 +142,37 @@ impl<T: Clone + Serialize + Deserialize> ResultCache<T> {
     /// new segments included. [`crate::Runner::run`] calls this at the
     /// start of each batch.
     pub(crate) fn refresh(&self) {
-        if let Some(disk) = &self.disk {
-            disk.index().fresh = false;
-        }
+        self.disk.index().fresh = false;
     }
 
-    /// Looks up `key`, trying memory then disk.
+    /// Looks up `key`.
     pub fn get(&self, key: JobKey) -> Option<T> {
-        self.get_traced(key).map(|(value, _)| value)
-    }
-
-    /// Like [`ResultCache::get`], also reporting which layer answered.
-    pub fn get_traced(&self, key: JobKey) -> Option<(T, CacheLayer)> {
-        if let Some(hit) = self.memory.lock().expect("cache lock").get(&key).cloned() {
-            self.stats.lock().expect("stats lock").memory_hits += 1;
-            return Some((hit, CacheLayer::Memory));
-        }
-        if let Some(disk) = &self.disk {
-            match disk.load(key, |text| serde_json::from_str::<T>(text).ok()) {
-                LoadResult::Loaded(value) => {
-                    self.stats.lock().expect("stats lock").disk_hits += 1;
-                    self.memory
-                        .lock()
-                        .expect("cache lock")
-                        .insert(key, value.clone());
-                    return Some((value, CacheLayer::Disk));
-                }
-                LoadResult::Corrupt => {
-                    // A torn or damaged record: count it, then fall
-                    // through to a miss so the job re-simulates and
-                    // appends a fresh record.
-                    self.stats.lock().expect("stats lock").corrupt_files += 1;
-                }
-                LoadResult::Absent => {}
+        let loaded = self
+            .disk
+            .load(key, |text| serde_json::from_str::<T>(text).ok());
+        let mut stats = self.stats.lock().expect("stats lock");
+        match loaded {
+            LoadResult::Loaded(value) => {
+                stats.disk_hits += 1;
+                return Some(value);
             }
+            // A torn or damaged record: count it, then fall through to
+            // a miss so the job re-simulates and appends a fresh record.
+            LoadResult::Corrupt => stats.corrupt_files += 1,
+            LoadResult::Absent => {}
         }
-        self.stats.lock().expect("stats lock").misses += 1;
+        stats.misses += 1;
         None
     }
 
-    /// Stores `value` under `key` in both layers.
+    /// Appends `value` under `key`.
     ///
-    /// Disk write failures are swallowed: the cache is an accelerator,
-    /// and a full disk must not fail a campaign that already computed
-    /// its result.
+    /// Write failures are swallowed: the cache is an accelerator, and a
+    /// full disk must not fail a campaign that already computed its
+    /// result.
     pub fn put(&self, key: JobKey, value: &T) {
-        self.memory
-            .lock()
-            .expect("cache lock")
-            .insert(key, value.clone());
-        if let Some(disk) = &self.disk {
-            if let Ok(text) = serde_json::to_string(value) {
-                let _ = disk.append(key, &text);
-            }
+        if let Ok(text) = serde_json::to_string(value) {
+            let _ = self.disk.append(key, &text);
         }
     }
 
@@ -251,8 +199,8 @@ const SEGMENT_EXT: &str = "seg";
 /// two separating spaces and the newline.
 const HEAD: usize = 32 + 1 + 8 + 1 + 16 + 1;
 
-/// The on-disk layer: the directory, this handle's index of it, and
-/// the segment this handle appends to (opened by the first `put`).
+/// The directory, this handle's index of it, and the segment this
+/// handle appends to (opened by the first `put`).
 ///
 /// Lock order: `writer`, then `index`.
 struct Disk {
@@ -639,17 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_cache_hits_after_put() {
-        let cache: ResultCache<u64> = ResultCache::in_memory();
-        let key = JobKey::from_bytes(b"k");
-        assert_eq!(cache.get(key), None);
-        cache.put(key, &99);
-        assert_eq!(cache.get(key), Some(99));
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.memory_hits), (1, 1));
-    }
-
-    #[test]
     fn disk_cache_survives_process_boundaries() {
         let dir = tmp_dir("persist");
         let key = JobKey::from_bytes(b"persisted");
@@ -657,7 +594,7 @@ mod tests {
             let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
             cache.put(key, &vec![1.5, 2.5]);
         }
-        // A fresh cache (fresh memory layer) must load from disk.
+        // A fresh handle (a fresh index) must load from disk.
         let cache: ResultCache<Vec<f64>> = ResultCache::on_disk(&dir).expect("mkdir");
         assert_eq!(cache.get(key), Some(vec![1.5, 2.5]));
         assert_eq!(cache.stats().disk_hits, 1);
@@ -776,8 +713,6 @@ mod tests {
         let len_after_tear = std::fs::metadata(&first).expect("segment").len();
         cache
             .disk
-            .as_ref()
-            .expect("disk layer")
             .writer
             .lock()
             .expect("writer lock")
@@ -1016,8 +951,7 @@ mod tests {
         let empty = CacheStats::default();
         assert_eq!(empty.hit_rate(), 0.0);
         let half = CacheStats {
-            memory_hits: 1,
-            disk_hits: 1,
+            disk_hits: 2,
             misses: 2,
             corrupt_files: 0,
         };

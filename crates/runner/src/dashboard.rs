@@ -180,7 +180,6 @@ impl ProgressSink for DashboardSink {
                 }
                 DashboardSink::redraw(&mut out, now_us, true);
             }
-            ProgressEvent::JobStarted { .. } => {}
             ProgressEvent::JobFinished {
                 label,
                 provenance,
@@ -302,7 +301,6 @@ mod tests {
             provenance,
             done: index + 1,
             total: 4,
-            counters: Vec::new(),
             sim_seconds,
         }
     }
@@ -320,7 +318,7 @@ mod tests {
         clock.advance(1_000_000); // 1 s per job => 1.0 jobs/s
         sink.event(&finished(0, "cpu/lu/AdvHetx4", Provenance::Executed));
         clock.advance(1_000_000);
-        sink.event(&finished(1, "cpu/lu/CmosHPx4", Provenance::MemoryCache));
+        sink.event(&finished(1, "cpu/lu/CmosHPx4", Provenance::DiskCache));
         let text = buf.text();
         assert!(text.contains("2/4 jobs"), "{text}");
         assert!(text.contains("50% cached"), "{text}");
@@ -378,7 +376,7 @@ mod tests {
         sink.event(&finished_sim(
             3,
             "cpu/fft/BaseCmosHPx4",
-            Provenance::MemoryCache,
+            Provenance::DiskCache,
             0.5,
         ));
         let text = buf.text();
@@ -408,12 +406,12 @@ mod tests {
         // into zero additional draws...
         for i in 0..50 {
             clock.advance(10); // far below REDRAW_INTERVAL_US
-            sink.event(&finished(i, "gpu/matmul/HetGPU", Provenance::MemoryCache));
+            sink.event(&finished(i, "gpu/matmul/HetGPU", Provenance::DiskCache));
         }
         assert_eq!(buf.text().matches("[dash] ").count(), drawn_after_start);
         // ...and the next completion after the interval draws once.
         clock.advance(REDRAW_INTERVAL_US);
-        sink.event(&finished(50, "gpu/matmul/HetGPU", Provenance::MemoryCache));
+        sink.event(&finished(50, "gpu/matmul/HetGPU", Provenance::DiskCache));
         let text = buf.text();
         assert!(text.contains("51/100 jobs"), "{text}");
     }
@@ -432,7 +430,7 @@ mod tests {
         // block still shows the count from `BatchStarted`...
         for i in 0..4 {
             clock.advance(10);
-            sink.event(&finished(i, "gpu/matmul/HetGPU", Provenance::MemoryCache));
+            sink.event(&finished(i, "gpu/matmul/HetGPU", Provenance::DiskCache));
         }
         assert!(!buf.text().contains("4/4 jobs"), "{}", buf.text());
         // ...until the campaign driver flushes on completion.

@@ -3,15 +3,16 @@
 //! Every paper artifact is produced by a *campaign* — a design ×
 //! application sweep whose individual simulations are independent and
 //! pure. This crate turns a campaign into a batch of [`Job`]s and runs
-//! them on a work-stealing thread pool with a content-addressed result
-//! cache, so:
+//! them on a work-stealing thread pool with an optional content-addressed
+//! result cache, so:
 //!
 //! * sweeps use every core (`--jobs` / `available_parallelism`),
-//! * re-running a figure is near-free (in-process memo store, plus an
-//!   optional on-disk cache of append-only segments shared across
-//!   processes), and
-//! * callers observe structured progress ([`ProgressSink`]) and
-//!   throughput/cache metrics ([`RunnerStats`]).
+//! * re-running a figure is near-free with a cache directory (an
+//!   on-disk cache of append-only segments shared across processes;
+//!   without one, every job runs), and
+//! * callers observe structured progress ([`ProgressSink`]),
+//!   throughput/cache metrics ([`RunnerStats`]) and, with a
+//!   [`hetsim_obs::TraceRecorder`] attached, a trace of every batch.
 //!
 //! ## Determinism contract
 //!
@@ -30,7 +31,7 @@
 //! produce the same `Vec<T>` for the same batch, byte for byte.
 //!
 //! The crate is deliberately independent of the simulators: jobs carry
-//! closures, outcomes are any `Serialize + Deserialize + Clone + Send`
+//! closures, outcomes are any `Serialize + Deserialize + Send`
 //! type, and the sim-seconds metric comes from the [`SimMetrics`] trait
 //! the outcome types implement. Each job also returns its
 //! [`hetsim_obs::Observations`]; the cache stores them in the outcome's
@@ -47,22 +48,21 @@ mod pool;
 mod progress;
 mod runner;
 mod shard;
-mod sinks;
 mod timing;
 
-pub use cache::{write_atomic, CacheLayer, CacheStats, ResultCache};
+pub use cache::{write_atomic, CacheStats, ResultCache};
 pub use dashboard::DashboardSink;
 pub use job::{config_object, Job, JobKey};
 pub use pool::{run_batch, Task};
 pub use progress::{
-    design_of, NullSink, ProgressEvent, ProgressSink, Provenance, RunnerStats, StderrSink,
+    design_columns, design_of, narrate, NullSink, ProgressEvent, ProgressSink, Provenance,
+    RunnerStats, StderrSink,
 };
 pub use runner::Runner;
 pub use shard::{
     manifest_path, partition, supervise, trace_path, ShardEventSink, ShardManifest, ShardPolicy,
     ShardRun, ShardTally, WorkerEvent, SHARD_SCHEMA,
 };
-pub use sinks::{MultiSink, TraceEventSink};
 pub use timing::RunnerTiming;
 
 /// Outcome types that can report how much simulated time they cover.
@@ -74,14 +74,5 @@ pub trait SimMetrics {
     /// Simulated seconds this outcome represents.
     fn sim_seconds(&self) -> f64 {
         0.0
-    }
-
-    /// Flat `(name, value)` counter pairs summarizing this outcome,
-    /// carried on every [`ProgressEvent::JobFinished`] so sinks can
-    /// stream per-job telemetry without knowing the outcome type.
-    /// Names should be stable, dotted paths (e.g. `"core.cycles"`).
-    /// The default (empty) simply mutes per-job counters.
-    fn counters(&self) -> Vec<(String, u64)> {
-        Vec::new()
     }
 }

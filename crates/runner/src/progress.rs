@@ -20,19 +20,16 @@ use crate::cache::CacheStats;
 pub enum Provenance {
     /// Freshly simulated on a worker.
     Executed,
-    /// Answered from the in-process store.
-    MemoryCache,
     /// Answered from the on-disk cache.
     DiskCache,
 }
 
 impl Provenance {
-    /// A short, stable tag (`ran`/`mem`/`disk`) used in progress lines
-    /// and trace-event args.
+    /// A short, stable tag (`ran`/`disk`) used in progress lines and
+    /// trace-event args.
     pub fn tag(self) -> &'static str {
         match self {
             Provenance::Executed => "ran",
-            Provenance::MemoryCache => "mem",
             Provenance::DiskCache => "disk",
         }
     }
@@ -42,7 +39,6 @@ impl Provenance {
     pub fn from_tag(tag: &str) -> Option<Provenance> {
         match tag {
             "ran" => Some(Provenance::Executed),
-            "mem" => Some(Provenance::MemoryCache),
             "disk" => Some(Provenance::DiskCache),
             _ => None,
         }
@@ -68,6 +64,21 @@ pub fn design_of(label: &str) -> &str {
     }
 }
 
+/// A batch's per-design job counts: `(design, jobs)` parsed from the
+/// job labels with [`design_of`], in first-submission order, so the
+/// first entry is the campaign's baseline column.
+pub fn design_columns<'a>(labels: impl IntoIterator<Item = &'a str>) -> Vec<(String, usize)> {
+    let mut columns: Vec<(String, usize)> = Vec::new();
+    for label in labels {
+        let design = design_of(label);
+        match columns.iter_mut().find(|(d, _)| d == design) {
+            Some((_, count)) => *count += 1,
+            None => columns.push((design.to_string(), 1)),
+        }
+    }
+    columns
+}
+
 /// One progress event.
 #[derive(Debug, Clone)]
 pub enum ProgressEvent {
@@ -77,19 +88,10 @@ pub enum ProgressEvent {
         total: usize,
         /// Worker threads executing it.
         workers: usize,
-        /// Per-design job counts (`(design, jobs)` parsed from labels
-        /// with [`design_of`], in first-submission order — the first
-        /// entry is the campaign's baseline column). Sinks that render
-        /// per-design completion (the dashboard's figure rows) read
-        /// the expected column sizes from here.
+        /// Per-design job counts ([`design_columns`]). Sinks that
+        /// render per-design completion (the dashboard's figure rows)
+        /// read the expected column sizes from here.
         columns: Vec<(String, usize)>,
-    },
-    /// A job started executing on a worker (cache misses only).
-    JobStarted {
-        /// Index of the job in the batch.
-        index: usize,
-        /// The job's label.
-        label: String,
     },
     /// A job finished (by execution or cache hit).
     JobFinished {
@@ -103,15 +105,9 @@ pub enum ProgressEvent {
         done: usize,
         /// Jobs in the batch.
         total: usize,
-        /// The outcome's counter summary (`(name, value)` pairs from
-        /// [`crate::SimMetrics::counters`]); empty for outcome types
-        /// that do not expose counters. Cache hits carry the cached
-        /// outcome's counters, so the telemetry stream is identical
-        /// whether a campaign ran cold or warm.
-        counters: Vec<(String, u64)>,
         /// Simulated seconds covered by the outcome
-        /// ([`crate::SimMetrics::sim_seconds`]); like `counters`,
-        /// identical whether the job ran or was answered from cache.
+        /// ([`crate::SimMetrics::sim_seconds`]), identical whether the
+        /// job ran or was answered from cache.
         sim_seconds: f64,
     },
     /// The batch completed.
@@ -128,7 +124,7 @@ pub struct RunnerStats {
     pub jobs: u64,
     /// Jobs actually simulated (cache misses).
     pub executed: u64,
-    /// Jobs answered by either cache layer.
+    /// Jobs answered from the cache.
     pub cache_hits: u64,
     /// Cache-layer detail.
     pub cache: CacheStats,
@@ -247,25 +243,20 @@ impl StderrSink {
         }
     }
 
-    /// The one-line rendering of `event`, newline-terminated; `None`
-    /// for events this sink does not narrate.
-    fn format(event: &ProgressEvent) -> Option<String> {
+    /// The one-line rendering of `event`, newline-terminated.
+    fn format(event: &ProgressEvent) -> String {
         match event {
             ProgressEvent::BatchStarted { total, workers, .. } => {
-                Some(format!("[runner] {total} jobs on {workers} worker(s)\n"))
+                format!("[runner] {total} jobs on {workers} worker(s)\n")
             }
-            ProgressEvent::JobStarted { .. } => None,
             ProgressEvent::JobFinished {
                 label,
                 provenance,
                 done,
                 total,
                 ..
-            } => Some(format!(
-                "[runner] {done}/{total} {label} ({})\n",
-                provenance.tag()
-            )),
-            ProgressEvent::BatchFinished { stats } => Some(format!(
+            } => format!("[runner] {done}/{total} {label} ({})\n", provenance.tag()),
+            ProgressEvent::BatchFinished { stats } => format!(
                 "[runner] done: {} jobs, {} executed, {} cached ({:.0}% hit rate), \
                  {:.2} sim-ms in {:.2} s wall ({:.1} sim-ms/s)\n",
                 stats.jobs,
@@ -275,21 +266,29 @@ impl StderrSink {
                 stats.sim_seconds * 1e3,
                 stats.wall.as_secs_f64(),
                 stats.sim_seconds_per_wall_second() * 1e3,
-            )),
+            ),
         }
     }
 }
 
 impl ProgressSink for StderrSink {
     fn event(&self, event: &ProgressEvent) {
-        let Some(line) = StderrSink::format(event) else {
-            return;
-        };
+        let line = StderrSink::format(event);
         let mut out = self.out.lock().expect("stderr sink lock");
         // Progress is best-effort: a closed stderr must not kill a job.
         let _ = out.write_all(line.as_bytes());
         let _ = out.flush();
     }
+}
+
+/// Writes `line` and a newline to stderr in one `write_all`, ignoring
+/// failure: narration is best-effort, as [`StderrSink`]'s is, and one
+/// write per line keeps lines whole where several threads or processes
+/// share the stream (`eprintln!` writes each formatted piece
+/// separately, so a shard worker's line could be split by the
+/// supervisor's progress lines).
+pub fn narrate(line: &str) {
+    let _ = std::io::stderr().write_all(format!("{line}\n").as_bytes());
 }
 
 #[cfg(test)]
@@ -310,7 +309,6 @@ mod tests {
             executed: 1,
             cache_hits: 1,
             cache: CacheStats {
-                memory_hits: 1,
                 disk_hits: 0,
                 misses: 1,
                 corrupt_files: 0,
@@ -323,7 +321,6 @@ mod tests {
             executed: 3,
             cache_hits: 0,
             cache: CacheStats {
-                memory_hits: 0,
                 disk_hits: 0,
                 misses: 3,
                 corrupt_files: 1,
@@ -347,7 +344,6 @@ mod tests {
             executed: 3,
             cache_hits: 1,
             cache: CacheStats {
-                memory_hits: 1,
                 disk_hits: 0,
                 misses: 3,
                 corrupt_files: 0,
@@ -385,6 +381,15 @@ mod tests {
     }
 
     #[test]
+    fn design_columns_count_jobs_in_first_submission_order() {
+        let labels = ["cpu/lu/BaseCMOSx4", "cpu/lu/AdvHetx4", "cpu/fft/BaseCMOSx4"];
+        assert_eq!(
+            design_columns(labels),
+            [("BaseCMOS".to_string(), 2), ("AdvHet".to_string(), 1)]
+        );
+    }
+
+    #[test]
     fn stderr_sink_formats_without_panicking() {
         let sink = StderrSink::default();
         sink.event(&ProgressEvent::BatchStarted {
@@ -398,7 +403,6 @@ mod tests {
             provenance: Provenance::DiskCache,
             done: 1,
             total: 2,
-            counters: vec![("core.cycles".into(), 42)],
             sim_seconds: 0.25,
         });
         sink.event(&ProgressEvent::BatchFinished {
@@ -439,7 +443,6 @@ mod tests {
                             provenance: Provenance::Executed,
                             done: i + 1,
                             total: THREADS * EVENTS,
-                            counters: Vec::new(),
                             sim_seconds: 0.0,
                         });
                     }

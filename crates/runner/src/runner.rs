@@ -7,25 +7,28 @@ use std::time::Duration;
 use hetsim_obs::{Clock, MonotonicClock, Observations, TraceRecorder};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheLayer, ResultCache};
+use crate::cache::ResultCache;
 use crate::job::Job;
 use crate::pool::{run_batch, Task};
-use crate::progress::{design_of, NullSink, ProgressEvent, ProgressSink, Provenance, RunnerStats};
+use crate::progress::{
+    design_columns, NullSink, ProgressEvent, ProgressSink, Provenance, RunnerStats,
+};
 use crate::timing::RunnerTiming;
 use crate::SimMetrics;
 
-/// The campaign-execution engine: a worker count, a result cache and a
-/// progress sink.
+/// The campaign-execution engine: a worker count, an optional on-disk
+/// result cache and a progress sink.
 ///
 /// A batch of [`Job`]s submitted through [`Runner::run`] is answered in
 /// three steps:
 ///
-/// 1. **lookup** — every key is probed in the cache (memory, then
-///    disk); hits fill their result slot immediately and emit a
-///    `JobFinished` event with cache provenance;
-/// 2. **execute** — the remaining misses run on the work-stealing pool
+/// 1. **lookup** — with a cache directory, every key is probed on
+///    disk; hits fill their result slot immediately and emit a
+///    `JobFinished` event with cache provenance. Without one, every
+///    job is a miss;
+/// 2. **execute** — the misses run on the work-stealing pool
 ///    ([`run_batch`]), each storing its outcome and [`Observations`]
-///    back into the cache as one record;
+///    back into the cache (if any) as one record;
 /// 3. **merge** — results are returned in submission order, so the
 ///    output is independent of worker count and scheduling, and every
 ///    answered job's observations fold into the runner's total in the
@@ -39,13 +42,15 @@ use crate::SimMetrics;
 ///
 /// All timestamps come from an injected [`Clock`] — a
 /// [`hetsim_obs::ManualClock`] under test makes timing and tracing
-/// assertions exact — and, when a
-/// [`TraceRecorder`] is attached via [`Runner::with_recorder`], each
-/// job's phases (`cache-lookup`, `simulate`, `cache-write`) are
-/// recorded as spans on the thread that ran them.
+/// assertions exact. When a [`TraceRecorder`] is attached via
+/// [`Runner::with_recorder`], each job's phases (`cache-lookup`,
+/// `simulate`, `cache-write`) are recorded as spans on the thread that
+/// ran them, and the batch's progress as instants: `batch-started` and
+/// `batch-finished` on the submitting thread, and one `job-finished`
+/// per job on the thread that answered it.
 pub struct Runner<T> {
     workers: usize,
-    cache: ResultCache<(T, Observations)>,
+    cache: Option<ResultCache<(T, Observations)>>,
     sink: Arc<dyn ProgressSink>,
     clock: Arc<dyn Clock>,
     recorder: Option<Arc<TraceRecorder>>,
@@ -57,14 +62,14 @@ pub struct Runner<T> {
 
 impl<T> Runner<T>
 where
-    T: Clone + Send + Serialize + Deserialize + SimMetrics,
+    T: Send + Serialize + Deserialize + SimMetrics,
 {
-    /// A runner with `workers` threads (clamped to at least 1) and an
-    /// in-memory cache.
+    /// A runner with `workers` threads (clamped to at least 1) and no
+    /// cache: every job it is given runs.
     pub fn new(workers: usize) -> Self {
         Runner {
             workers: workers.max(1),
-            cache: ResultCache::in_memory(),
+            cache: None,
             sink: Arc::new(NullSink),
             clock: Arc::new(MonotonicClock::new()),
             recorder: None,
@@ -89,15 +94,14 @@ where
         Runner::new(workers)
     }
 
-    /// Adds an on-disk cache layer rooted at `dir` (created if
-    /// missing). Results already memoized in memory are kept.
+    /// Caches outcomes in `dir` (created if missing).
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error if the directory cannot be
     /// created.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        self.cache = ResultCache::on_disk(dir)?;
+        self.cache = Some(ResultCache::on_disk(dir)?);
         Ok(self)
     }
 
@@ -116,7 +120,9 @@ where
 
     /// Attaches a trace recorder: each job's phases are recorded as
     /// spans (`cache-lookup` for every probe; `simulate` and
-    /// `cache-write` for misses; one `batch` span per [`Runner::run`]).
+    /// `cache-write` for misses; one `batch` span per [`Runner::run`]),
+    /// and the batch's progress as `batch-started`, `job-finished` and
+    /// `batch-finished` instants.
     ///
     /// The runner adopts the recorder's clock, so span timestamps and
     /// wall-time histograms share one timeline (a later
@@ -136,23 +142,25 @@ where
     pub fn run(&self, jobs: Vec<Job<T>>) -> Vec<T> {
         let started_us = self.clock.now_us();
         let n = jobs.len();
-        self.cache.reset_stats();
-        self.cache.refresh();
-        // Per-design job counts, first-submission order, so sinks know
-        // each campaign column's size up front.
-        let mut columns: Vec<(String, usize)> = Vec::new();
-        for job in &jobs {
-            let design = design_of(&job.label);
-            match columns.iter_mut().find(|(d, _)| d == design) {
-                Some((_, count)) => *count += 1,
-                None => columns.push((design.to_string(), 1)),
-            }
+        if let Some(cache) = &self.cache {
+            cache.reset_stats();
+            cache.refresh();
         }
         self.sink.event(&ProgressEvent::BatchStarted {
             total: n,
             workers: self.workers,
-            columns,
+            columns: design_columns(jobs.iter().map(|job| job.label.as_str())),
         });
+        if let Some(recorder) = &self.recorder {
+            recorder.instant(
+                "batch-started",
+                "runner",
+                vec![
+                    ("total".into(), n.into()),
+                    ("workers".into(), self.workers.into()),
+                ],
+            );
+        }
         let mut batch_timing = RunnerTiming::default();
 
         // Step 1: probe the cache for every job, in submission order.
@@ -161,17 +169,13 @@ where
         let mut misses: Vec<(usize, Job<T>)> = Vec::new();
         for (index, job) in jobs.into_iter().enumerate() {
             let lookup_start_us = self.clock.now_us();
-            let hit = self.cache.get_traced(job.key);
+            let hit = self.cache.as_ref().and_then(|cache| cache.get(job.key));
             let lookup_end_us = self.clock.now_us();
             batch_timing
                 .cache_lookup_us
                 .record(lookup_end_us.saturating_sub(lookup_start_us));
-            let provenance = match hit {
-                Some((_, CacheLayer::Memory)) => Provenance::MemoryCache,
-                Some((_, CacheLayer::Disk)) => Provenance::DiskCache,
-                None => Provenance::Executed, // will run on the pool
-            };
             if let Some(recorder) = &self.recorder {
+                let found = hit.as_ref().map_or("miss", |_| Provenance::DiskCache.tag());
                 recorder.record_span(
                     "cache-lookup",
                     "job",
@@ -180,29 +184,21 @@ where
                     vec![
                         ("index".into(), index.into()),
                         ("job".into(), job.label.clone().into()),
-                        (
-                            "provenance".into(),
-                            if hit.is_some() {
-                                provenance.tag()
-                            } else {
-                                "miss"
-                            }
-                            .into(),
-                        ),
+                        ("provenance".into(), found.into()),
                     ],
                 );
             }
             match hit {
-                Some((record, _)) => {
-                    self.sink.event(&ProgressEvent::JobFinished {
+                Some(record) => {
+                    let sim_seconds = record.0.sim_seconds();
+                    self.finished(
                         index,
-                        label: job.label,
-                        provenance,
-                        done: done.fetch_add(1, Ordering::SeqCst) + 1,
-                        total: n,
-                        counters: record.0.counters(),
-                        sim_seconds: record.0.sim_seconds(),
-                    });
+                        job.label,
+                        Provenance::DiskCache,
+                        &done,
+                        n,
+                        sim_seconds,
+                    );
                     slots.push(Some(record));
                 }
                 None => {
@@ -212,40 +208,32 @@ where
             }
         }
 
-        // Step 2: execute the misses on the pool. Each task announces
-        // itself, simulates, stores outcome and observations, and
-        // reports. Phase times and skip counts land in `timing`
-        // (shared, per-sample lock) and — when tracing — as spans on
-        // the worker's own track.
+        // Step 2: execute the misses on the pool. Each task simulates,
+        // stores outcome and observations, and reports. Phase times and
+        // skip counts land in `timing` (shared, per-sample lock) and —
+        // when tracing — as spans on the worker's own track.
         let executed = misses.len() as u64;
-        let cache = &self.cache;
-        let sink = &self.sink;
-        let clock = &self.clock;
-        let recorder = self.recorder.as_deref();
-        let timing = &self.timing;
         let done = &done;
         let tasks: Vec<Task<'_, (usize, (T, Observations))>> = misses
             .into_iter()
             .map(|(index, job)| {
                 let Job { key, label, run } = job;
                 Box::new(move || {
-                    sink.event(&ProgressEvent::JobStarted {
-                        index,
-                        label: label.clone(),
-                    });
                     // Queue wait: submission (= batch start; all misses
                     // are submitted together) to worker pickup. Not a
                     // span — waits overlap arbitrarily on a worker's
                     // track — so it rides on the simulate span as an
                     // annotation instead.
-                    let sim_start_us = clock.now_us();
+                    let sim_start_us = self.clock.now_us();
                     let queue_us = sim_start_us.saturating_sub(started_us);
                     let record = run();
-                    let sim_end_us = clock.now_us();
-                    cache.put(key, &record);
-                    let write_end_us = clock.now_us();
+                    let sim_end_us = self.clock.now_us();
+                    if let Some(cache) = &self.cache {
+                        cache.put(key, &record);
+                    }
+                    let write_end_us = self.clock.now_us();
                     {
-                        let mut timing = timing.lock().expect("timing lock");
+                        let mut timing = self.timing.lock().expect("timing lock");
                         timing.skipped_cycles += record.1.skipped_cycles;
                         timing.wakeup_jumps += record.1.wakeup_jumps;
                         timing.queue_wait_us.record(queue_us);
@@ -256,7 +244,7 @@ where
                             .cache_write_us
                             .record(write_end_us.saturating_sub(sim_end_us));
                     }
-                    if let Some(recorder) = recorder {
+                    if let Some(recorder) = &self.recorder {
                         recorder.record_span(
                             "simulate",
                             "job",
@@ -276,15 +264,8 @@ where
                             vec![("index".into(), index.into())],
                         );
                     }
-                    sink.event(&ProgressEvent::JobFinished {
-                        index,
-                        label,
-                        provenance: Provenance::Executed,
-                        done: done.fetch_add(1, Ordering::SeqCst) + 1,
-                        total: n,
-                        counters: record.0.counters(),
-                        sim_seconds: record.0.sim_seconds(),
-                    });
+                    let sim_seconds = record.0.sim_seconds();
+                    self.finished(index, label, Provenance::Executed, done, n, sim_seconds);
                     (index, record)
                 }) as Task<'_, (usize, (T, Observations))>
             })
@@ -331,17 +312,67 @@ where
             jobs: n as u64,
             executed,
             cache_hits: n as u64 - executed,
-            cache: self.cache.stats(),
+            cache: self
+                .cache
+                .as_ref()
+                .map(ResultCache::stats)
+                .unwrap_or_default(),
             sim_seconds: results.iter().map(SimMetrics::sim_seconds).sum(),
             wall: Duration::from_micros(end_us.saturating_sub(started_us)),
         };
         self.sink.event(&ProgressEvent::BatchFinished { stats });
+        if let Some(recorder) = &self.recorder {
+            recorder.instant(
+                "batch-finished",
+                "runner",
+                vec![
+                    ("jobs".into(), stats.jobs.into()),
+                    ("executed".into(), stats.executed.into()),
+                    ("cache_hits".into(), stats.cache_hits.into()),
+                ],
+            );
+        }
         // Settle rate-limited sinks (the dashboard) so the final frame
         // always reflects the completed batch.
         self.sink.flush();
         *self.last.lock().expect("stats lock") = stats;
         self.total.lock().expect("stats lock").merge(&stats);
         results
+    }
+
+    /// Reports job `index` answered (`done` counts it): a `JobFinished`
+    /// event to the sink and, when tracing, a `job-finished` instant on
+    /// the calling thread.
+    fn finished(
+        &self,
+        index: usize,
+        label: String,
+        provenance: Provenance,
+        done: &AtomicUsize,
+        total: usize,
+        sim_seconds: f64,
+    ) {
+        let done = done.fetch_add(1, Ordering::SeqCst) + 1;
+        let event = ProgressEvent::JobFinished {
+            index,
+            label,
+            provenance,
+            done,
+            total,
+            sim_seconds,
+        };
+        self.sink.event(&event);
+        if let (Some(recorder), ProgressEvent::JobFinished { label, .. }) = (&self.recorder, event)
+        {
+            let args = vec![
+                ("index".into(), index.into()),
+                ("job".into(), label.into()),
+                ("provenance".into(), provenance.tag().into()),
+                ("done".into(), done.into()),
+                ("total".into(), total.into()),
+            ];
+            recorder.instant("job-finished", "job", args);
+        }
     }
 
     /// Counters for the most recent batch.
@@ -392,10 +423,14 @@ mod tests {
         fn sim_seconds(&self) -> f64 {
             self.0
         }
+    }
 
-        fn counters(&self) -> Vec<(String, u64)> {
-            vec![("value_millis".into(), (self.0 * 1e3) as u64)]
-        }
+    /// An empty scratch directory named for this process and `tag`.
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("hetsim-runner-{tag}-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     /// Job `i`'s observations: one row and `i` skipped cycles.
@@ -438,23 +473,17 @@ mod tests {
     }
 
     #[test]
-    fn second_batch_is_answered_from_memory() {
+    fn a_runner_without_a_cache_dir_runs_every_job_it_is_given() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let runner = Runner::new(4);
         runner.run(batch(&RUNS, 10));
-        assert_eq!(RUNS.load(Ordering::SeqCst), 10);
         runner.run(batch(&RUNS, 10));
-        assert_eq!(
-            RUNS.load(Ordering::SeqCst),
-            10,
-            "warm batch must execute nothing"
-        );
+        assert_eq!(RUNS.load(Ordering::SeqCst), 20, "nothing is remembered");
         let last = runner.last_stats();
-        assert_eq!((last.executed, last.cache_hits), (0, 10));
-        assert_eq!(last.cache.memory_hits, 10);
-        assert!((last.hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!((last.executed, last.cache_hits), (10, 0));
+        assert_eq!(last.cache.lookups(), 0, "no cache to probe");
         let total = runner.total_stats();
-        assert_eq!((total.jobs, total.executed), (20, 10));
+        assert_eq!((total.jobs, total.executed), (20, 20));
     }
 
     #[test]
@@ -492,7 +521,8 @@ mod tests {
         // would overflow the stack. The record's checksum holds, so
         // only the payload parser stands in the way.
         let key = crate::JobKey::of(&("test-v1", 0u64));
-        let segment = cold.cache.path_of(key).expect("the cold run's segment");
+        let cache = cold.cache.as_ref().expect("a cache dir");
+        let segment = cache.path_of(key).expect("the cold run's segment");
         let record = crate::cache::encode(key, &"[".repeat(100_000)).expect("frame");
         std::fs::write(&segment, [crate::cache::SEGMENT_HEADER, &record].concat())
             .expect("overwrite segment");
@@ -522,7 +552,8 @@ mod tests {
         observations.skipped_cycles = 2;
         let text = serde_json::to_string(&(Out(0.0), observations)).expect("serializes");
         let record = crate::cache::encode(key, &text).expect("frame");
-        let segment = cold.cache.path_of(key).expect("the cold run's segment");
+        let cache = cold.cache.as_ref().expect("a cache dir");
+        let segment = cache.path_of(key).expect("the cold run's segment");
         std::fs::write(&segment, [crate::cache::SEGMENT_HEADER, &record].concat())
             .expect("overwrite segment");
 
@@ -559,7 +590,7 @@ mod tests {
         );
         assert_eq!(outcomes, (0..6).map(|i| Out(i as f64)).collect::<Vec<_>>());
         let last = runner.last_stats();
-        assert_eq!((last.cache.memory_hits, last.cache.disk_hits), (3, 3));
+        assert_eq!((last.cache.disk_hits, last.cache.misses), (6, 0));
         let mut expected = folded(3);
         expected.merge(&folded(6));
         assert_eq!(runner.total_observations(), expected);
@@ -569,17 +600,20 @@ mod tests {
     #[test]
     fn skip_totals_sum_the_executed_jobs_and_a_warm_batch_adds_none() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
-        let runner = Runner::new(3);
+        let dir = tmp_dir("skip-totals");
+        let runner = Runner::new(3).with_cache_dir(&dir).expect("cache dir");
         runner.run(batch(&RUNS, 10));
         let cold = runner.total_timing();
         assert_eq!((cold.skipped_cycles, cold.wakeup_jumps), (45, 10));
-        runner.run(batch(&RUNS, 10)); // all memory hits
+        runner.run(batch(&RUNS, 10)); // all disk hits
+        assert_eq!(runner.last_stats().executed, 0);
         let warm = runner.total_timing();
         assert_eq!((warm.skipped_cycles, warm.wakeup_jumps), (45, 10));
         // The fold covers every answered job, hit or executed.
         let mut twice = folded(10);
         twice.merge(&folded(10));
         assert_eq!(runner.total_observations(), twice);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -624,35 +658,42 @@ mod tests {
     }
 
     #[test]
-    fn job_finished_events_carry_outcome_counters_cold_and_warm() {
-        struct Collecting(Mutex<Vec<Vec<(String, u64)>>>);
+    fn job_finished_events_carry_sim_seconds_cold_and_warm() {
+        struct Collecting(Mutex<Vec<(usize, Provenance, f64)>>);
         impl ProgressSink for Collecting {
             fn event(&self, event: &ProgressEvent) {
                 if let ProgressEvent::JobFinished {
-                    index, counters, ..
+                    index,
+                    provenance,
+                    sim_seconds,
+                    ..
                 } = event
                 {
                     let mut seen = self.0.lock().expect("sink lock");
-                    // Keyed by index so worker completion order is moot.
-                    if seen.len() <= *index {
-                        seen.resize(*index + 1, Vec::new());
-                    }
-                    seen[*index] = counters.clone();
+                    seen.push((*index, *provenance, *sim_seconds));
                 }
             }
         }
         static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir = tmp_dir("sim-seconds");
         let sink = Arc::new(Collecting(Mutex::new(Vec::new())));
-        let runner = Runner::new(4).with_sink(sink.clone());
-        runner.run(batch(&RUNS, 3));
-        let cold = std::mem::take(&mut *sink.0.lock().expect("sink lock"));
-        assert_eq!(cold[2], vec![("value_millis".to_string(), 2000)]);
-
-        // A warm batch (pure memory hits) must report the same counters.
-        runner.run(batch(&RUNS, 3));
-        assert_eq!(runner.last_stats().executed, 0);
-        let warm = std::mem::take(&mut *sink.0.lock().expect("sink lock"));
-        assert_eq!(cold, warm);
+        let runner = Runner::new(4)
+            .with_cache_dir(&dir)
+            .expect("cache dir")
+            .with_sink(sink.clone());
+        let taken = |expected: Provenance| {
+            runner.run(batch(&RUNS, 3));
+            let mut seen = std::mem::take(&mut *sink.0.lock().expect("sink lock"));
+            // Sorted by index so worker completion order is moot.
+            seen.sort_by_key(|&(index, ..)| index);
+            assert!(seen.iter().all(|&(_, p, _)| p == expected), "{seen:?}");
+            seen.into_iter().map(|(.., s)| s).collect::<Vec<f64>>()
+        };
+        let cold = taken(Provenance::Executed);
+        assert_eq!(cold, [0.0, 1.0, 2.0]);
+        // A warm batch (pure disk hits) reports the same values.
+        assert_eq!(taken(Provenance::DiskCache), cold);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
@@ -666,26 +707,29 @@ mod tests {
     #[test]
     fn timing_histograms_count_every_phase() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
-        let runner = Runner::new(4);
+        let dir = tmp_dir("timing");
+        let runner = Runner::new(4).with_cache_dir(&dir).expect("cache dir");
         runner.run(batch(&RUNS, 10)); // cold: 10 misses
-        runner.run(batch(&RUNS, 10)); // warm: 10 memory hits
+        runner.run(batch(&RUNS, 10)); // warm: 10 disk hits
         let timing = runner.total_timing();
         assert_eq!(timing.cache_lookup_us.count(), 20, "every probe sampled");
         assert_eq!(timing.simulate_us.count(), 10, "misses only");
         assert_eq!(timing.cache_write_us.count(), 10);
         assert_eq!(timing.queue_wait_us.count(), 10);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn recorder_captures_a_structurally_valid_trace() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir = tmp_dir("valid-trace");
         let recorder = Arc::new(hetsim_obs::TraceRecorder::new(Arc::new(
             hetsim_obs::MonotonicClock::new(),
         )));
-        let sink = Arc::new(crate::TraceEventSink::new(recorder.clone()));
         let runner = Runner::new(4)
-            .with_recorder(recorder.clone())
-            .with_sink(sink);
+            .with_cache_dir(&dir)
+            .expect("cache dir")
+            .with_recorder(recorder.clone());
         runner.run(batch(&RUNS, 8)); // cold
         runner.run(batch(&RUNS, 8)); // warm
         let events = recorder.events();
@@ -704,5 +748,90 @@ mod tests {
             Vec::<String>::new(),
             "runner traces must self-validate"
         );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn recorder_captures_the_batch_and_each_job_as_instants() {
+        use hetsim_obs::{EventKind, ManualClock, TraceEvent};
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let dir = tmp_dir("instants");
+        // Jobs 0 and 1 are on disk, so the traced batch hits two and
+        // executes two.
+        Runner::serial()
+            .with_cache_dir(&dir)
+            .expect("cache dir")
+            .run(batch(&RUNS, 2));
+        let clock = Arc::new(ManualClock::new());
+        clock.advance(7);
+        let recorder = Arc::new(hetsim_obs::TraceRecorder::new(clock));
+        let runner = Runner::new(2)
+            .with_cache_dir(&dir)
+            .expect("cache dir")
+            .with_recorder(recorder.clone());
+        runner.run(batch(&RUNS, 4));
+        assert_eq!(RUNS.load(Ordering::SeqCst), 4, "2 cold + 2 traced misses");
+
+        let events = recorder.events();
+        let instants: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Instant { .. }))
+            .collect();
+        let named = |name: &str| -> Vec<&TraceEvent> {
+            instants
+                .iter()
+                .copied()
+                .filter(|e| e.name == name)
+                .collect()
+        };
+        let arg = |e: &TraceEvent, key: &str| {
+            let found = e.args.iter().find(|(k, _)| k == key);
+            found.map(|(_, v)| v.render())
+        };
+        let (started, finished) = (named("batch-started"), named("batch-finished"));
+        assert_eq!((started.len(), finished.len()), (1, 1));
+        assert_eq!(started[0].kind, EventKind::Instant { at_us: 7 });
+        assert_eq!(arg(started[0], "total").as_deref(), Some("4"));
+        assert_eq!(arg(started[0], "workers").as_deref(), Some("2"));
+        assert_eq!(arg(finished[0], "jobs").as_deref(), Some("4"));
+        assert_eq!(arg(finished[0], "executed").as_deref(), Some("2"));
+        assert_eq!(arg(finished[0], "cache_hits").as_deref(), Some("2"));
+        // The batch boundaries and both hits are stamped on the
+        // submitting thread.
+        assert_eq!(started[0].track, finished[0].track);
+
+        let mut jobs: Vec<(String, String, String, String)> = named("job-finished")
+            .into_iter()
+            .map(|e| {
+                let get = |key| arg(e, key).unwrap_or_else(|| panic!("`{key}` arg"));
+                assert_eq!(get("total"), "4");
+                (get("index"), get("job"), get("provenance"), get("done"))
+            })
+            .collect();
+        assert_eq!(jobs.len(), 4, "one per job: {jobs:?}");
+        let mut done: Vec<String> = jobs.iter().map(|j| j.3.clone()).collect();
+        done.sort();
+        assert_eq!(done, ["1", "2", "3", "4"]);
+        jobs.sort();
+        let answered: Vec<(&str, &str, &str)> = jobs
+            .iter()
+            .map(|(i, job, provenance, _)| (i.as_str(), job.as_str(), provenance.as_str()))
+            .collect();
+        assert_eq!(
+            answered,
+            [
+                ("0", "job0", "disk"),
+                ("1", "job1", "disk"),
+                ("2", "job2", "ran"),
+                ("3", "job3", "ran"),
+            ]
+        );
+        for hit in named("job-finished")
+            .iter()
+            .filter(|e| arg(e, "provenance").as_deref() == Some("disk"))
+        {
+            assert_eq!(hit.track, started[0].track);
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -50,7 +50,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::write_atomic;
 use crate::job::JobKey;
-use crate::progress::{ProgressEvent, ProgressSink, Provenance, RunnerStats};
+use crate::progress::{narrate, ProgressEvent, ProgressSink, Provenance, RunnerStats};
 
 /// Schema tag of manifest files; bump on incompatible layout changes
 /// so stale shard directories retire themselves.
@@ -107,11 +107,12 @@ pub fn trace_path(dir: &Path, shard: usize) -> PathBuf {
 
 impl ShardManifest {
     /// Writes the manifest atomically (temp file + rename), creating
-    /// missing parent directories.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
+    /// missing parent directories; an error names the path. This is
+    /// the form workers commit and [`ShardManifest::load`] accepts.
+    pub fn write_to(&self, path: &Path) -> Result<(), String> {
         let json = serde_json::to_string_pretty(&self.to_value())
             .expect("manifest serialization is infallible");
-        write_atomic(path, &json)
+        write_atomic(path, &json).map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
 
     /// Loads and validates a manifest file. Only the form
@@ -298,7 +299,6 @@ impl ShardTally {
                 provenance: event.provenance,
                 done: slots.iter().filter(|s| s.is_some()).count(),
                 total: slots.len(),
-                counters: Vec::new(),
                 sim_seconds: event.sim_seconds,
             });
         }
@@ -436,11 +436,11 @@ fn run_shard(
                 .backoff
                 .saturating_mul(1 << (attempt - 1).min(16))
                 .min(ShardPolicy::MAX_BACKOFF);
-            eprintln!(
+            narrate(&format!(
                 "[shard] retrying shard {shard} (attempt {} of {max_attempts}, backoff {} ms): {last_error}",
                 attempt + 1,
                 backoff.as_millis()
-            );
+            ));
             std::thread::sleep(backoff);
         }
         // A manifest from a previous attempt must not count as this
@@ -676,7 +676,6 @@ mod tests {
             provenance: Provenance::Executed,
             done: 1,
             total: 1,
-            counters: vec![("gpu.cycles".into(), 7)],
             sim_seconds: 0.5,
         });
         let bytes = buf.0.lock().expect("buf lock").clone();

@@ -64,7 +64,7 @@ fn warm_disk_cache_executes_zero_simulations() {
         "cold cache must simulate everything"
     );
 
-    // A fresh runner (fresh in-process store) over the same directory:
+    // A fresh runner (a fresh cache handle) over the same directory:
     // every job must be answered from disk, none executed.
     let warm = Runner::new(4).with_cache_dir(&dir).expect("cache dir");
     let second = s.gpu_campaign_with(&warm);
