@@ -36,35 +36,50 @@ fn names_of(events: &[TraceEvent], want_span: bool) -> Vec<&str> {
         .collect()
 }
 
-#[test]
-fn fig7_trace_records_exports_and_validates() {
-    let trace_path = tmp("trace.jsonl");
-    let chrome_path = tmp("trace.json");
-    let trace_arg = trace_path.to_string_lossy().into_owned();
-    let chrome_arg = chrome_path.to_string_lossy().into_owned();
-
-    // ---- record: repro --trace-out writes a JSONL span log ----
-    let out = repro(&[
+/// Runs fig7 with `--trace-out` (and `extra` flags) and returns the
+/// parsed log, which must validate clean.
+fn record_fig7(trace_path: &std::path::Path, extra: &[&str]) -> Vec<TraceEvent> {
+    let trace_arg = trace_path.to_string_lossy();
+    let mut args = vec![
         "--insts",
         INSTS,
         "--format",
         "json",
         "--trace-out",
         &trace_arg,
-        "fig7",
-    ]);
+    ];
+    args.extend(extra);
+    args.push("fig7");
+    let out = repro(&args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "traced run fails: {stderr}");
     assert!(
         stderr.contains("trace event(s)"),
         "narrates the trace write: {stderr}"
     );
-
-    // The log parses, validates clean, and covers every span kind the
-    // runner emits plus the campaign scope wrapped around it.
-    let text = std::fs::read_to_string(&trace_path).expect("trace written");
+    let text = std::fs::read_to_string(trace_path).expect("trace written");
     let events = parse_jsonl(&text).expect("trace parses");
     assert_eq!(validate_events(&events), Vec::<String>::new());
+    assert!(
+        names_of(&events, false).contains(&"job-finished"),
+        "trace has job-finished instants"
+    );
+    events
+}
+
+#[test]
+fn fig7_trace_records_exports_and_validates() {
+    let trace_path = tmp("trace.jsonl");
+    let chrome_path = tmp("trace.json");
+    let cache_dir = tmp("cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let trace_arg = trace_path.to_string_lossy().into_owned();
+    let chrome_arg = chrome_path.to_string_lossy().into_owned();
+
+    // ---- record: repro --trace-out writes a JSONL span log ----
+    // With a cache directory the log covers every span kind the runner
+    // emits plus the campaign scope wrapped around it.
+    let events = record_fig7(&trace_path, &["--cache-dir", &cache_dir.to_string_lossy()]);
     let spans = names_of(&events, true);
     for name in [
         "cpu-campaign",
@@ -75,10 +90,27 @@ fn fig7_trace_records_exports_and_validates() {
     ] {
         assert!(spans.contains(&name), "trace has a `{name}` span");
     }
-    assert!(
-        names_of(&events, false).contains(&"job-finished"),
-        "trace has job-finished instants"
-    );
+    // A job whose lookup span is gone is a violation.
+    let mut unlooked = events.clone();
+    let lookup = unlooked
+        .iter()
+        .position(|e| e.name == "cache-lookup")
+        .expect("a lookup span");
+    unlooked.remove(lookup);
+    let violations = validate_events(&unlooked);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(violations[0].contains("no matching `cache-lookup` span"));
+
+    // Without one, the runner has no cache phases to record.
+    let uncached_path = tmp("uncached.jsonl");
+    let uncached = record_fig7(&uncached_path, &[]);
+    let spans = names_of(&uncached, true);
+    for name in ["cpu-campaign", "batch", "simulate"] {
+        assert!(spans.contains(&name), "trace has a `{name}` span");
+    }
+    for name in ["cache-lookup", "cache-write"] {
+        assert!(!spans.contains(&name), "no-cache trace has a `{name}` span");
+    }
 
     // ---- export: Chrome trace-event JSON, Perfetto-loadable ----
     let out = repro(&["trace-export", &trace_arg, &chrome_arg]);
@@ -150,9 +182,10 @@ fn fig7_trace_records_exports_and_validates() {
     assert!(!out.status.success(), "perturbed trace must fail: {stdout}");
     assert!(stdout.contains("ends before it starts"), "{stdout}");
 
-    for path in [&trace_path, &chrome_path, &bad_path] {
+    for path in [&trace_path, &chrome_path, &bad_path, &uncached_path] {
         let _ = std::fs::remove_file(path);
     }
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
 #[test]

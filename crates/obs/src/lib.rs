@@ -17,7 +17,9 @@
 //! * structural trace validation ([`validate_events`]) used by
 //!   `repro check --trace-in`: spans must end at or after they start,
 //!   spans on one track must nest properly, and every `job-finished`
-//!   instant must have a matching `cache-lookup` span.
+//!   instant of a batch with a cache must have a matching
+//!   `cache-lookup` span, while a batch without one records no cache
+//!   spans.
 //!
 //! Tracing is strictly observational: recording is off unless a
 //! recorder is attached, and even then only stderr/side files are

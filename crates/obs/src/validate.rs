@@ -9,11 +9,16 @@
 //!    either contain one another or are disjoint (a partial overlap
 //!    means the recorder interleaved open spans on one thread, which
 //!    the guard API makes impossible);
-//! 3. every `job-finished` instant has a matching `cache-lookup` span
-//!    for the same job — the same `index` and `job` label, since
-//!    indices restart in every batch — (every job is looked up exactly
-//!    once before it finishes), and every executed job
-//!    (`provenance: ran`) additionally has a `simulate` span.
+//! 3. in a batch whose runner has a cache, every `job-finished` instant
+//!    has a matching `cache-lookup` span for the same job — the same
+//!    `index` and `job` label, since indices restart in every batch —
+//!    (every job is looked up exactly once before it finishes); in a
+//!    batch whose `batch-started` instant says `cache: none`, no
+//!    `cache-lookup` or `cache-write` span is recorded; and every
+//!    executed job (`provenance: ran`) has a `simulate` span. A batch
+//!    spans the events from its `batch-started` instant to the next
+//!    one: a runner records its batches one after another, and a
+//!    stitched log keeps each process's events together.
 
 use serde::value::Value;
 use serde::Deserialize;
@@ -127,9 +132,23 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
     };
     let lookups = span_jobs("cache-lookup");
     let simulates = span_jobs("simulate");
+    // A log that starts outside any batch is held to the cached rule.
+    let mut cached = true;
     for event in events {
-        if !matches!(event.kind, EventKind::Instant { .. }) || event.name != "job-finished" {
-            continue;
+        match (&event.kind, event.name.as_str()) {
+            (EventKind::Instant { .. }, "batch-started") => {
+                cached = arg(event, "cache").as_deref() != Some("none");
+                continue;
+            }
+            (EventKind::Span { .. }, "cache-lookup" | "cache-write") if !cached => {
+                violations.push(format!(
+                    "`{}` span on track {} in a batch without a cache",
+                    event.name, event.track
+                ));
+                continue;
+            }
+            (EventKind::Instant { .. }, "job-finished") => {}
+            _ => continue,
         }
         let Some(job) = job_of(event) else {
             violations.push("`job-finished` instant has no `index` arg".to_string());
@@ -139,7 +158,7 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
             (index, Some(label)) => format!("#{index} ({label})"),
             (index, None) => format!("#{index}"),
         };
-        if !lookups.contains(&job) {
+        if cached && !lookups.contains(&job) {
             violations.push(format!(
                 "job-finished {name} has no matching `cache-lookup` span"
             ));
@@ -250,6 +269,69 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.contains("no `simulate` span")),
             "{violations:?}"
+        );
+    }
+
+    fn batch_started(cache: &str, at_us: u64) -> TraceEvent {
+        TraceEvent {
+            name: "batch-started".into(),
+            cat: "runner".into(),
+            track: 0,
+            kind: EventKind::Instant { at_us },
+            args: vec![("cache".into(), cache.into())],
+        }
+    }
+
+    #[test]
+    fn a_cached_batch_needs_a_lookup_span_per_finished_job() {
+        let events = vec![
+            batch_started("disk", 0),
+            span("cache-lookup", 0, 1, 2, Some("0")),
+            span("simulate", 1, 5, 50, Some("1")),
+            finished("0", "disk", 2),
+            finished("1", "ran", 53),
+        ];
+        assert_eq!(
+            validate_events(&events),
+            ["job-finished #1 has no matching `cache-lookup` span"]
+        );
+    }
+
+    #[test]
+    fn a_batch_without_a_cache_validates_without_lookup_spans() {
+        let events = vec![
+            batch_started("none", 0),
+            span("simulate", 1, 5, 50, Some("0")),
+            span("simulate", 1, 50, 60, Some("1")),
+            finished("0", "ran", 51),
+            finished("1", "ran", 61),
+        ];
+        assert_eq!(validate_events(&events), Vec::<String>::new());
+        // Each batch keeps its own rule: a cached batch after it still
+        // needs its lookups.
+        let mut two = events.clone();
+        two.extend([batch_started("disk", 70), finished("0", "disk", 71)]);
+        assert_eq!(
+            validate_events(&two),
+            ["job-finished #0 has no matching `cache-lookup` span"]
+        );
+    }
+
+    #[test]
+    fn a_batch_without_a_cache_records_no_cache_spans() {
+        let events = vec![
+            batch_started("none", 0),
+            span("cache-lookup", 0, 1, 2, Some("0")),
+            span("simulate", 1, 5, 50, Some("0")),
+            span("cache-write", 1, 50, 52, Some("0")),
+            finished("0", "ran", 53),
+        ];
+        assert_eq!(
+            validate_events(&events),
+            [
+                "`cache-lookup` span on track 0 in a batch without a cache",
+                "`cache-write` span on track 1 in a batch without a cache",
+            ]
         );
     }
 

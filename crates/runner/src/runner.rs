@@ -47,7 +47,9 @@ use crate::SimMetrics;
 /// `simulate`, `cache-write`) are recorded as spans on the thread that
 /// ran them, and the batch's progress as instants: `batch-started` and
 /// `batch-finished` on the submitting thread, and one `job-finished`
-/// per job on the thread that answered it.
+/// per job on the thread that answered it. A runner without a cache
+/// directory has no cache phases: it neither times nor records them,
+/// and its `batch-started` instants say `cache: none`.
 pub struct Runner<T> {
     workers: usize,
     cache: Option<ResultCache<(T, Observations)>>,
@@ -119,9 +121,10 @@ where
     }
 
     /// Attaches a trace recorder: each job's phases are recorded as
-    /// spans (`cache-lookup` for every probe; `simulate` and
-    /// `cache-write` for misses; one `batch` span per [`Runner::run`]),
-    /// and the batch's progress as `batch-started`, `job-finished` and
+    /// spans (`cache-lookup` for every probe; `simulate` for misses and
+    /// `cache-write` for their stores; one `batch` span per
+    /// [`Runner::run`]), and the batch's progress as `batch-started`
+    /// (with `cache`: `disk` or `none`), `job-finished` and
     /// `batch-finished` instants.
     ///
     /// The runner adopts the recorder's clock, so span timestamps and
@@ -152,42 +155,48 @@ where
             columns: design_columns(jobs.iter().map(|job| job.label.as_str())),
         });
         if let Some(recorder) = &self.recorder {
+            let cache = if self.cache.is_some() { "disk" } else { "none" };
             recorder.instant(
                 "batch-started",
                 "runner",
                 vec![
                     ("total".into(), n.into()),
                     ("workers".into(), self.workers.into()),
+                    ("cache".into(), cache.into()),
                 ],
             );
         }
         let mut batch_timing = RunnerTiming::default();
 
-        // Step 1: probe the cache for every job, in submission order.
+        // Step 1: probe the cache, if there is one, for every job, in
+        // submission order.
         let done = AtomicUsize::new(0);
         let mut slots: Vec<Option<(T, Observations)>> = Vec::with_capacity(n);
         let mut misses: Vec<(usize, Job<T>)> = Vec::new();
         for (index, job) in jobs.into_iter().enumerate() {
-            let lookup_start_us = self.clock.now_us();
-            let hit = self.cache.as_ref().and_then(|cache| cache.get(job.key));
-            let lookup_end_us = self.clock.now_us();
-            batch_timing
-                .cache_lookup_us
-                .record(lookup_end_us.saturating_sub(lookup_start_us));
-            if let Some(recorder) = &self.recorder {
-                let found = hit.as_ref().map_or("miss", |_| Provenance::DiskCache.tag());
-                recorder.record_span(
-                    "cache-lookup",
-                    "job",
-                    lookup_start_us,
-                    lookup_end_us,
-                    vec![
-                        ("index".into(), index.into()),
-                        ("job".into(), job.label.clone().into()),
-                        ("provenance".into(), found.into()),
-                    ],
-                );
-            }
+            let hit = self.cache.as_ref().and_then(|cache| {
+                let lookup_start_us = self.clock.now_us();
+                let hit = cache.get(job.key);
+                let lookup_end_us = self.clock.now_us();
+                batch_timing
+                    .cache_lookup_us
+                    .record(lookup_end_us.saturating_sub(lookup_start_us));
+                if let Some(recorder) = &self.recorder {
+                    let found = hit.as_ref().map_or("miss", |_| Provenance::DiskCache.tag());
+                    recorder.record_span(
+                        "cache-lookup",
+                        "job",
+                        lookup_start_us,
+                        lookup_end_us,
+                        vec![
+                            ("index".into(), index.into()),
+                            ("job".into(), job.label.clone().into()),
+                            ("provenance".into(), found.into()),
+                        ],
+                    );
+                }
+                hit
+            });
             match hit {
                 Some(record) => {
                     let sim_seconds = record.0.sim_seconds();
@@ -228,10 +237,10 @@ where
                     let queue_us = sim_start_us.saturating_sub(started_us);
                     let record = run();
                     let sim_end_us = self.clock.now_us();
-                    if let Some(cache) = &self.cache {
+                    let write_end_us = self.cache.as_ref().map(|cache| {
                         cache.put(key, &record);
-                    }
-                    let write_end_us = self.clock.now_us();
+                        self.clock.now_us()
+                    });
                     {
                         let mut timing = self.timing.lock().expect("timing lock");
                         timing.skipped_cycles += record.1.skipped_cycles;
@@ -240,9 +249,11 @@ where
                         timing
                             .simulate_us
                             .record(sim_end_us.saturating_sub(sim_start_us));
-                        timing
-                            .cache_write_us
-                            .record(write_end_us.saturating_sub(sim_end_us));
+                        if let Some(write_end_us) = write_end_us {
+                            timing
+                                .cache_write_us
+                                .record(write_end_us.saturating_sub(sim_end_us));
+                        }
                     }
                     if let Some(recorder) = &self.recorder {
                         recorder.record_span(
@@ -256,13 +267,15 @@ where
                                 ("queue_us".into(), queue_us.into()),
                             ],
                         );
-                        recorder.record_span(
-                            "cache-write",
-                            "job",
-                            sim_end_us,
-                            write_end_us,
-                            vec![("index".into(), index.into())],
-                        );
+                        if let Some(write_end_us) = write_end_us {
+                            recorder.record_span(
+                                "cache-write",
+                                "job",
+                                sim_end_us,
+                                write_end_us,
+                                vec![("index".into(), index.into())],
+                            );
+                        }
                     }
                     let sim_seconds = record.0.sim_seconds();
                     self.finished(index, label, Provenance::Executed, done, n, sim_seconds);
@@ -720,6 +733,36 @@ mod tests {
     }
 
     #[test]
+    fn a_runner_without_a_cache_dir_records_no_cache_phases() {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let recorder = Arc::new(hetsim_obs::TraceRecorder::new(Arc::new(
+            hetsim_obs::MonotonicClock::new(),
+        )));
+        let runner = Runner::new(3).with_recorder(recorder.clone());
+        runner.run(batch(&RUNS, 6));
+        let timing = runner.total_timing();
+        assert_eq!(timing.simulate_us.count(), 6);
+        assert_eq!(timing.cache_lookup_us.count(), 0, "no probe to time");
+        assert_eq!(timing.cache_write_us.count(), 0, "no write to time");
+        let events = recorder.events();
+        let named = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!((named("simulate"), named("job-finished")), (6, 6));
+        assert_eq!(named("cache-lookup"), 0);
+        assert_eq!(named("cache-write"), 0);
+        let started = events
+            .iter()
+            .find(|e| e.name == "batch-started")
+            .expect("a batch-started instant");
+        let cache = started.args.iter().find(|(k, _)| k == "cache");
+        assert_eq!(cache.map(|(_, v)| v.render()).as_deref(), Some("none"));
+        assert_eq!(
+            hetsim_obs::validate_events(&events),
+            Vec::<String>::new(),
+            "a no-cache trace validates without lookup spans"
+        );
+    }
+
+    #[test]
     fn recorder_captures_a_structurally_valid_trace() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let dir = tmp_dir("valid-trace");
@@ -793,6 +836,7 @@ mod tests {
         assert_eq!(started[0].kind, EventKind::Instant { at_us: 7 });
         assert_eq!(arg(started[0], "total").as_deref(), Some("4"));
         assert_eq!(arg(started[0], "workers").as_deref(), Some("2"));
+        assert_eq!(arg(started[0], "cache").as_deref(), Some("disk"));
         assert_eq!(arg(finished[0], "jobs").as_deref(), Some("4"));
         assert_eq!(arg(finished[0], "executed").as_deref(), Some("2"));
         assert_eq!(arg(finished[0], "cache_hits").as_deref(), Some("2"));

@@ -1,8 +1,9 @@
 //! Wall-time histograms for the runner's per-job phases.
 //!
 //! Every job passes through up to four timed phases: the cache probe
-//! (all jobs), then — for misses only — the wait for a free worker,
-//! the simulation itself, and the cache write-back. [`RunnerTiming`]
+//! (every job of a runner with a cache), then — for misses only — the
+//! wait for a free worker, the simulation itself, and the cache
+//! write-back (again only with a cache). [`RunnerTiming`]
 //! keeps one bounded [`Histogram`] per phase, accumulated on every
 //! batch whether or not tracing is enabled (recording four samples per
 //! job is far below measurement noise).
@@ -22,11 +23,13 @@ use serde::Serialize;
 pub struct RunnerTiming {
     /// Time a cache miss spent queued before a worker picked it up.
     pub queue_wait_us: Histogram,
-    /// Time spent probing the cache (every job, hit or miss).
+    /// Time spent probing the cache (every job, hit or miss, of a
+    /// runner with a cache).
     pub cache_lookup_us: Histogram,
     /// Time spent inside the simulation closure (misses only).
     pub simulate_us: Histogram,
-    /// Time spent writing the outcome back to the cache (misses only).
+    /// Time spent writing the outcome back to the cache (misses of a
+    /// runner with a cache).
     pub cache_write_us: Histogram,
     /// Dead cycles elided by the event-driven simulator step, summed
     /// over the jobs this runner executed (from their observations;

@@ -27,6 +27,17 @@ const CALL_RETURN_FRACTION: f64 = 0.04;
 /// from data addresses).
 const CODE_BASE: u64 = 0x4000_0000;
 
+/// Site `i`'s pc is `CODE_BASE + SITE_PC_STRIDE * i`.
+const SITE_PC_STRIDE: u64 = 16;
+
+/// Offsets from `CODE_BASE` of the call and return pcs (plus 4 per level
+/// of call depth), above every site's pc.
+const CALL_PCS: u64 = 0xE000;
+const RETURN_PCS: u64 = 0xF000;
+
+/// Most branch sites a profile may have: more would reach the call pcs.
+pub const MAX_SITES: u32 = (CALL_PCS / SITE_PC_STRIDE) as u32;
+
 /// Stateful branch outcome generator for one thread.
 #[derive(Debug, Clone)]
 pub struct BranchModel {
@@ -82,14 +93,14 @@ impl BranchModel {
         if self.call_depth > 0 && rng.gen_bool(CALL_RETURN_FRACTION) {
             self.call_depth -= 1;
             return BranchInfo {
-                pc: CODE_BASE + 0xF000 + u64::from(self.call_depth) * 4,
+                pc: CODE_BASE + RETURN_PCS + u64::from(self.call_depth) * 4,
                 taken: true,
                 is_call: false,
                 is_return: true,
             };
         }
         if self.call_depth < 24 && rng.gen_bool(CALL_RETURN_FRACTION) {
-            let pc = CODE_BASE + 0xE000 + u64::from(self.call_depth) * 4;
+            let pc = CODE_BASE + CALL_PCS + u64::from(self.call_depth) * 4;
             self.call_depth += 1;
             return BranchInfo {
                 pc,
@@ -101,7 +112,7 @@ impl BranchModel {
 
         let idx = self.cursor;
         self.cursor = (self.cursor + 1) % self.sites.len();
-        let pc = CODE_BASE + (idx as u64) * 16;
+        let pc = CODE_BASE + (idx as u64) * SITE_PC_STRIDE;
         let taken = match &mut self.sites[idx] {
             SiteState::Loop { count } => {
                 *count += 1;

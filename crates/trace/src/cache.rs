@@ -7,9 +7,11 @@
 //! per design, and generation is a large fraction of simulator wall time
 //! (the stream's RNG-driven control flow defeats the host branch
 //! predictor). [`replay`] generates each stream once per process, keeps
-//! it packed at 16 bytes an instruction, and hands out [`CachedTrace`]s
+//! it packed at 8 bytes an instruction, and hands out [`CachedTrace`]s
 //! that read the packed records in place, so a sweep pays for generation
-//! once.
+//! once. A record keeps the low half of its load/store address, and its
+//! chunk keeps the high half, which in a generated stream is the thread's
+//! index (see [`crate::stream::THREAD_ADDRESS_STRIDE`]).
 //!
 //! # Equivalence
 //!
@@ -59,11 +61,11 @@ use crate::predictor::{PredictorConfig, TournamentPredictor};
 use crate::profile::WorkloadProfile;
 use crate::stream::TraceGenerator;
 
-/// Total records kept resident across all streams. A full campaign (14
-/// apps x serial + parallel seeds at figure scale) sums to a few tens of
-/// millions, so a whole sweep — including its repeat runs — replays from
-/// memory; beyond the budget, least-recently-used streams are evicted
-/// whole.
+/// Total records kept resident across all streams, 8 bytes each, so at
+/// most 512 MiB. A full campaign (14 apps x serial + parallel seeds at
+/// figure scale) sums to a few tens of millions, so a whole sweep —
+/// including its repeat runs — replays from memory; beyond the budget,
+/// least-recently-used streams are evicted whole.
 const MAX_TOTAL_INSTS: u64 = 64_000_000;
 
 /// Longest per-thread trace worth materializing (beyond this, streaming
@@ -78,88 +80,119 @@ const CHUNK: usize = 4096;
 /// The store every thread of the process shares.
 static STORE: Store = Store::new(MAX_TOTAL_INSTS);
 
-/// One [`Inst`] in 16 bytes, as the store keeps it and dispatch reads it.
-/// `target` holds the load/store address or the branch pc. `meta` holds
-/// both producer distances (bits 0–15 and 16–31), the op class (bits
-/// 32–35) and the presence and branch flags (bits 36–42); an absent
-/// distance reads 0.
+/// One [`Inst`] in 8 bytes, as a chunk keeps it. `meta` holds both
+/// producer distances (bits 0–11 and 12–23; 0 for none), the op class
+/// (bits 24–27), the target kind (bits 28–30: none, address, branch,
+/// call or return) and the taken bit (bit 31). `low` holds the branch
+/// pc or the low half of the load/store address; the chunk keeps the
+/// high half once for all its addresses.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Record {
-    target: u64,
-    meta: u64,
+struct Packed {
+    meta: u32,
+    low: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() == 16);
+const _: () = assert!(std::mem::size_of::<Packed>() == 8);
 
-const OP_SHIFT: u32 = 32;
-const HAS_SRC1: u64 = 1 << 36;
-const HAS_SRC2: u64 = 1 << 37;
-const HAS_ADDR: u64 = 1 << 38;
-const HAS_BRANCH: u64 = 1 << 39;
-const TAKEN: u64 = 1 << 40;
-const IS_CALL: u64 = 1 << 41;
-const IS_RETURN: u64 = 1 << 42;
+/// Width of one producer distance; the generator clamps distances to
+/// 1–4095.
+const DIST_BITS: u32 = 12;
+const MAX_DIST: u32 = (1 << DIST_BITS) - 1;
+const OP_SHIFT: u32 = 24;
+const KIND_SHIFT: u32 = 28;
+const TAKEN: u32 = 1 << 31;
+
+/// Target kinds.
+const NO_TARGET: u32 = 0;
+const ADDRESS: u32 = 1;
+const BRANCH: u32 = 2;
+const CALL: u32 = 3;
+const RETURN: u32 = 4;
+
+/// One [`Inst`] as dispatch, the steering peek, the predictor walks and
+/// the iterator read it: a packed record and the high half of its
+/// chunk's addresses.
+#[derive(Debug, Clone, Copy)]
+pub struct Record {
+    packed: Packed,
+    high: u32,
+}
 
 impl Record {
-    /// Packs `inst`.
+    /// Packs `inst`, with the high half of its address (0 for an
+    /// instruction without one).
     ///
     /// # Panics
     ///
-    /// Panics if a producer distance exceeds `u16::MAX` (the generator
-    /// clamps them to 4095) or if `inst` carries both an address and a
-    /// branch (the generator never emits one).
+    /// Panics, naming the field, on an instruction the packed form cannot
+    /// hold: a producer distance outside 1–4095, a branch pc at or above
+    /// 2^32, a branch that is both a call and a return, or an address and
+    /// a branch together (the generator emits none of these).
     fn pack(inst: Inst) -> Record {
-        let dist =
-            |d: u32| u64::from(u16::try_from(d).expect("generator clamps distances to 4095"));
-        let mut meta = (inst.op as u64) << OP_SHIFT;
-        if let Some(d) = inst.src1_dist {
-            meta |= HAS_SRC1 | dist(d);
-        }
-        if let Some(d) = inst.src2_dist {
-            meta |= HAS_SRC2 | dist(d) << 16;
-        }
-        let target = match (inst.addr, inst.branch) {
-            (None, None) => 0,
-            (Some(addr), None) => {
-                meta |= HAS_ADDR;
-                addr
-            }
-            (None, Some(b)) => {
-                let bit = |set: bool, flag: u64| if set { flag } else { 0 };
-                meta |= HAS_BRANCH
-                    | bit(b.taken, TAKEN)
-                    | bit(b.is_call, IS_CALL)
-                    | bit(b.is_return, IS_RETURN);
-                b.pc
-            }
-            (Some(_), Some(_)) => panic!("an instruction has an address or a branch, not both"),
+        let dist = |field: &str, d: Option<u32>| match d {
+            None => 0,
+            Some(d @ 1..=MAX_DIST) => d,
+            Some(d) => panic!("{field} {d} is outside the packed range 1..={MAX_DIST}"),
         };
-        Record { target, meta }
+        let mut meta = dist("src1_dist", inst.src1_dist)
+            | dist("src2_dist", inst.src2_dist) << DIST_BITS
+            | (inst.op as u32) << OP_SHIFT;
+        let (kind, target) = match (inst.addr, inst.branch) {
+            (None, None) => (NO_TARGET, 0),
+            (Some(addr), None) => (ADDRESS, addr),
+            (None, Some(b)) => {
+                assert!(b.pc >> 32 == 0, "branch pc {:#x} is at or above 2^32", b.pc);
+                if b.taken {
+                    meta |= TAKEN;
+                }
+                let kind = match (b.is_call, b.is_return) {
+                    (false, false) => BRANCH,
+                    (true, false) => CALL,
+                    (false, true) => RETURN,
+                    (true, true) => panic!("a branch sets is_call or is_return, not both"),
+                };
+                (kind, b.pc)
+            }
+            (Some(_), Some(_)) => panic!("an instruction has an addr or a branch, not both"),
+        };
+        Record {
+            packed: Packed {
+                meta: meta | kind << KIND_SHIFT,
+                low: target as u32,
+            },
+            high: (target >> 32) as u32,
+        }
+    }
+
+    fn kind(self) -> u32 {
+        self.packed.meta >> KIND_SHIFT & 0b111
     }
 
     /// The operation class.
     #[inline]
     pub fn op(self) -> OpClass {
-        OpClass::ALL[((self.meta >> OP_SHIFT) & 0xF) as usize]
+        OpClass::ALL[(self.packed.meta >> OP_SHIFT & 0xF) as usize]
     }
 
     /// Distance to the first source operand's producer, if it has one.
     #[inline]
     pub fn src1(self) -> Option<u32> {
-        (self.meta & HAS_SRC1 != 0).then_some(u32::from(self.meta as u16))
+        let d = self.packed.meta & MAX_DIST;
+        (d != 0).then_some(d)
     }
 
     /// Distance to the second source operand's producer, if it has one.
     #[inline]
     pub fn src2(self) -> Option<u32> {
-        (self.meta & HAS_SRC2 != 0).then_some(u32::from((self.meta >> 16) as u16))
+        let d = self.packed.meta >> DIST_BITS & MAX_DIST;
+        (d != 0).then_some(d)
     }
 
     /// The load/store address, or 0 for an instruction without one.
     #[inline]
     pub fn addr(self) -> u64 {
-        if self.meta & HAS_ADDR != 0 {
-            self.target
+        if self.kind() == ADDRESS {
+            u64::from(self.high) << 32 | u64::from(self.packed.low)
         } else {
             0
         }
@@ -169,16 +202,18 @@ impl Record {
     /// instructions earlier.
     #[inline]
     pub fn reads_at(self, distance: u32) -> bool {
-        (self.src1() == Some(distance)) | (self.src2() == Some(distance))
+        let meta = self.packed.meta;
+        (distance != 0)
+            & ((meta & MAX_DIST == distance) | (meta >> DIST_BITS & MAX_DIST == distance))
     }
 
     fn branch(self) -> Option<BranchInfo> {
-        let flag = |bit: u64| self.meta & bit != 0;
-        flag(HAS_BRANCH).then_some(BranchInfo {
-            pc: self.target,
-            taken: flag(TAKEN),
-            is_call: flag(IS_CALL),
-            is_return: flag(IS_RETURN),
+        let kind = self.kind();
+        matches!(kind, BRANCH | CALL | RETURN).then_some(BranchInfo {
+            pc: u64::from(self.packed.low),
+            taken: self.packed.meta & TAKEN != 0,
+            is_call: kind == CALL,
+            is_return: kind == RETURN,
         })
     }
 
@@ -188,14 +223,60 @@ impl Record {
             op: self.op(),
             src1_dist: self.src1(),
             src2_dist: self.src2(),
-            addr: (self.meta & HAS_ADDR != 0).then_some(self.target),
+            addr: (self.kind() == ADDRESS).then(|| self.addr()),
             branch: self.branch(),
         }
     }
 }
 
-/// A whole chunk of packed records; immutable once published.
-type Chunk = [Record; CHUNK];
+/// A whole chunk of packed records, and the high half that every
+/// address among them shares; immutable once published.
+#[derive(Debug)]
+struct Chunk {
+    records: [Packed; CHUNK],
+    high: u32,
+}
+
+impl Chunk {
+    /// Packs the first [`CHUNK`] of `insts`, padding a shorter list.
+    ///
+    /// # Panics
+    ///
+    /// As [`Record::pack`], or if two addresses among them differ in
+    /// their high half.
+    fn pack(insts: impl IntoIterator<Item = Inst>) -> Arc<Chunk> {
+        let mut records = [Packed::default(); CHUNK];
+        let mut high = None;
+        for (slot, inst) in records.iter_mut().zip(insts) {
+            let record = Record::pack(inst);
+            if inst.addr.is_some() {
+                let shared = *high.get_or_insert(record.high);
+                assert!(
+                    record.high == shared,
+                    "addr {:#x} differs in its high half from its chunk's earlier addresses ({shared:#x})",
+                    record.addr()
+                );
+            }
+            *slot = record.packed;
+        }
+        let high = high.unwrap_or(0);
+        Arc::new(Chunk { records, high })
+    }
+
+    /// Record `i`.
+    #[inline]
+    fn record(&self, i: usize) -> Record {
+        Record {
+            packed: self.records[i],
+            high: self.high,
+        }
+    }
+
+    /// Every record, padding included, in order.
+    fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        (0..CHUNK).map(|i| self.record(i))
+    }
+}
 
 /// One chunk's mispredict bits, bit `i % 64` of word `i / 64` for record
 /// `i`; 0 for every record that is not a branch.
@@ -246,7 +327,7 @@ impl Walk {
         let predictor = self.predictor.get_or_insert_with(|| {
             let mut predictor = TournamentPredictor::new(self.config);
             for i in 0..walked {
-                for b in chunk_at(i).iter().filter_map(|r| r.branch()) {
+                for b in chunk_at(i).records().filter_map(Record::branch) {
                     predictor.mispredicts(&b);
                 }
             }
@@ -254,7 +335,7 @@ impl Walk {
         });
         for i in walked..=c {
             let mut bits = [0u64; CHUNK / 64];
-            for (j, record) in chunk_at(i).iter().enumerate() {
+            for (j, record) in chunk_at(i).records().enumerate() {
                 if let Some(b) = record.branch() {
                     bits[j / 64] |= u64::from(predictor.mispredicts(&b)) << (j % 64);
                 }
@@ -333,7 +414,7 @@ impl CachedTrace {
         }
         let (chunk, outcomes) = self.current.as_ref()?;
         let i = pos as usize % CHUNK;
-        Some((chunk[i], outcomes[i / 64] >> (i % 64) & 1 != 0))
+        Some((chunk.record(i), outcomes[i / 64] >> (i % 64) & 1 != 0))
     }
 
     /// Whether one of the `window` records after `pos` reads the value of
@@ -358,8 +439,8 @@ impl CachedTrace {
     fn record(&mut self, pos: u64) -> Record {
         let (c, i) = ((pos / CHUNK as u64) as usize, pos as usize % CHUNK);
         match &self.current {
-            Some((chunk, _)) if c == self.cur => chunk[i],
-            _ => self.chunk(c)[i],
+            Some((chunk, _)) if c == self.cur => chunk.record(i),
+            _ => self.chunk(c).record(i),
         }
     }
 
@@ -401,7 +482,7 @@ impl CachedTrace {
                 let keep = self.cur.min(newest.saturating_sub(1)).max(self.first);
                 self.chunks.drain(..keep - self.first);
                 self.first = keep;
-                self.chunks.push(generate_chunk(generator));
+                self.chunks.push(Chunk::pack(generator.take(CHUNK)));
             }
         }
         c.checked_sub(self.first)
@@ -440,19 +521,12 @@ impl From<Vec<Inst>> for CachedTrace {
     ///
     /// # Panics
     ///
-    /// As [`Record`] packing: a producer distance above `u16::MAX`, or an
-    /// instruction with both an address and a branch.
+    /// As [`Record`] packing, or if two addresses in one chunk of 4096
+    /// instructions differ in their high half.
     fn from(insts: Vec<Inst>) -> CachedTrace {
         let chunks = insts
             .chunks(CHUNK)
-            .map(|part| {
-                let padded = part.iter().map(|&inst| Record::pack(inst));
-                let chunk: Arc<[Record]> = padded
-                    .chain(std::iter::repeat(Record::default()))
-                    .take(CHUNK)
-                    .collect();
-                chunk.try_into().expect("padded to a whole chunk")
-            })
+            .map(|part| Chunk::pack(part.iter().copied()))
             .collect();
         let source = Source::Unstored {
             generator: None,
@@ -460,12 +534,6 @@ impl From<Vec<Inst>> for CachedTrace {
         };
         CachedTrace::new(chunks, insts.len() as u64, source)
     }
-}
-
-/// The next [`CHUNK`] records of `generator`'s stream.
-fn generate_chunk(generator: &mut TraceGenerator) -> Arc<Chunk> {
-    let chunk: Arc<[Record]> = generator.take(CHUNK).map(Record::pack).collect();
-    chunk.try_into().expect("the generator is infinite")
 }
 
 /// The instruction stream of `thread` for `(profile, seed)`, guaranteed to
@@ -573,7 +641,7 @@ impl Store {
             ..
         } = &mut *guard;
         while stored.len() < chunks {
-            stored.push(generate_chunk(generator));
+            stored.push(Chunk::pack(generator.take(CHUNK)));
             #[cfg(test)]
             self.generated
                 .fetch_add(CHUNK as u64, std::sync::atomic::Ordering::Relaxed);
@@ -853,18 +921,24 @@ mod tests {
 
     #[test]
     fn packing_round_trips_every_field() {
-        // Fuzzed profiles across threads 0-7 reach every op class, both
-        // producer distances, addresses above 2^32 and calls/returns.
+        // Fuzzed profiles across threads 0-7 and 1000 reach every op
+        // class, both producer distances, addresses above 2^32 (the kept
+        // high half up to 1000) and calls/returns.
         let (mut ops, mut src2, mut high_addr, mut calls, mut returns) =
             ([false; 9], false, false, false, false);
         for seed in 0..4 {
             let profile = fuzz::workload(seed);
-            for thread in 0..8 {
-                for inst in TraceGenerator::for_thread(&profile, seed, thread).take(5000) {
+            for thread in (0..8).chain([1000]) {
+                let insts: Vec<Inst> = TraceGenerator::for_thread(&profile, seed, thread)
+                    .take(5000)
+                    .collect();
+                let trace = CachedTrace::from(insts.clone());
+                assert!(trace.eq(insts.iter().copied()), "thread {thread}");
+                for inst in insts {
                     assert_eq!(Record::pack(inst).unpack(), inst);
                     ops[inst.op as usize] = true;
                     src2 |= inst.src2_dist.is_some();
-                    high_addr |= inst.addr.is_some_and(|a| a >= 1 << 32);
+                    high_addr |= inst.addr.is_some_and(|a| a >> 32 == 1000);
                     calls |= inst.branch.is_some_and(|b| b.is_call);
                     returns |= inst.branch.is_some_and(|b| b.is_return);
                 }
@@ -872,5 +946,82 @@ mod tests {
         }
         assert_eq!(ops, [true; 9], "every op class seen");
         assert!(src2 && high_addr && calls && returns);
+    }
+
+    /// An integer ALU op whose first operand's producer is `src1_dist`
+    /// instructions earlier.
+    fn alu(src1_dist: u32) -> Inst {
+        Inst {
+            src1_dist: Some(src1_dist),
+            ..Inst::simple(OpClass::IntAlu)
+        }
+    }
+
+    /// A branch at `pc`.
+    fn branch(pc: u64, is_call: bool, is_return: bool) -> Inst {
+        let info = BranchInfo {
+            pc,
+            taken: true,
+            is_call,
+            is_return,
+        };
+        Inst {
+            branch: Some(info),
+            ..Inst::simple(OpClass::Branch)
+        }
+    }
+
+    #[test]
+    fn the_packed_distance_range_is_1_to_4095() {
+        for d in [1, 4095] {
+            assert_eq!(Record::pack(alu(d)).unpack(), alu(d));
+            assert!(Record::pack(alu(d)).reads_at(d));
+        }
+        assert!(!Record::pack(Inst::simple(OpClass::IntAlu)).reads_at(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "src1_dist 0 is outside")]
+    fn a_producer_distance_of_0_does_not_pack() {
+        Record::pack(alu(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "src2_dist 4096 is outside")]
+    fn a_producer_distance_of_4096_does_not_pack() {
+        Record::pack(Inst {
+            src2_dist: Some(4096),
+            ..alu(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "is_call or is_return, not both")]
+    fn a_call_that_is_also_a_return_does_not_pack() {
+        Record::pack(branch(0x4000_0000, true, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "branch pc 0x100000000 is at or above 2^32")]
+    fn a_branch_pc_at_or_above_2_pow_32_does_not_pack() {
+        let below = branch(u64::from(u32::MAX), false, true);
+        assert_eq!(Record::pack(below).unpack(), below);
+        Record::pack(branch(1 << 32, false, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "addr 0x200000010 differs in its high half")]
+    fn addresses_of_one_chunk_share_their_high_half() {
+        let load = |addr: u64| Inst {
+            addr: Some(addr),
+            ..Inst::simple(OpClass::Load)
+        };
+        // The next chunk may take another high half.
+        let mut insts = vec![load(1 << 32); CHUNK];
+        insts.push(load(2 << 32));
+        let trace = CachedTrace::from(insts.clone());
+        assert!(trace.eq(insts.iter().copied()));
+        insts[CHUNK - 1] = load((2 << 32) + 16);
+        let _ = CachedTrace::from(insts);
     }
 }

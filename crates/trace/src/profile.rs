@@ -4,6 +4,9 @@
 //! application: everything the trace generator samples from. Profiles for
 //! the paper's applications live in [`crate::apps`].
 
+use crate::branch::MAX_SITES;
+use crate::stream::THREAD_ADDRESS_STRIDE;
+
 /// Instruction-class mix. Weights are relative; they are normalized by the
 /// generator, but by convention the named profiles sum to 1.0.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,10 +92,18 @@ pub struct MemoryBehavior {
 }
 
 impl MemoryBehavior {
-    /// Validates ranges.
+    /// Validates ranges. A working set fits in one thread's address
+    /// space, [`THREAD_ADDRESS_STRIDE`] bytes, so the threads of a
+    /// multicore run touch disjoint addresses.
     pub fn validate(&self) -> Result<(), String> {
         if self.working_set_bytes == 0 {
             return Err("working set must be non-empty".to_string());
+        }
+        if self.working_set_bytes > THREAD_ADDRESS_STRIDE {
+            return Err(format!(
+                "working set ({}) must fit in a thread's {THREAD_ADDRESS_STRIDE}-byte address space",
+                self.working_set_bytes
+            ));
         }
         if self.hot_region_bytes == 0 || self.hot_region_bytes > self.working_set_bytes {
             return Err(format!(
@@ -126,10 +137,17 @@ pub struct BranchBehavior {
 }
 
 impl BranchBehavior {
-    /// Validates ranges.
+    /// Validates ranges. At most [`MAX_SITES`] sites, so that no site's
+    /// pc is a call's or a return's.
     pub fn validate(&self) -> Result<(), String> {
         if self.sites == 0 {
             return Err("need at least one branch site".to_string());
+        }
+        if self.sites > MAX_SITES {
+            return Err(format!(
+                "{} branch sites exceed the {MAX_SITES} below the call and return pcs",
+                self.sites
+            ));
         }
         if !(0.5..=1.0).contains(&self.bias) {
             return Err(format!(
@@ -262,6 +280,31 @@ mod tests {
         let mut p = sane_profile();
         p.memory.hot_region_bytes = p.memory.working_set_bytes * 2;
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_a_working_set_past_the_thread_address_stride() {
+        let mut p = sane_profile();
+        p.memory.working_set_bytes = THREAD_ADDRESS_STRIDE;
+        p.validate()
+            .expect("a whole thread's address space is valid");
+        p.memory.working_set_bytes += 1;
+        let err = p
+            .validate()
+            .expect_err("one byte more reaches the next thread");
+        assert!(err.contains("address space"), "{err}");
+    }
+
+    #[test]
+    fn rejects_branch_sites_that_reach_the_call_pcs() {
+        let mut p = sane_profile();
+        p.branches.sites = 3584;
+        p.validate().expect("site pcs below the call pcs are valid");
+        p.branches.sites += 1;
+        let err = p
+            .validate()
+            .expect_err("site 3584's pc is the first call pc");
+        assert!(err.contains("branch sites"), "{err}");
     }
 
     #[test]
