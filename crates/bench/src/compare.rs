@@ -1,13 +1,16 @@
 //! Noise-aware comparison of two bench dumps (`repro bench --compare`).
 //!
 //! The unit of comparison is the headline insts/sec per scenario,
-//! joined by name. Thresholds are *relative* and *noise-aware*: the
-//! policy's base tolerance is widened by the larger of the two dumps'
-//! recorded repeat spreads, so a scenario that measured noisily needs
-//! a proportionally larger slowdown to be called a regression, while a
-//! tight scenario is held to the tight band. A scenario missing from
-//! the candidate is a regression (a pinned scenario silently dropping
-//! out must fail CI); a new scenario in the candidate is informational.
+//! joined by name through [`hetsim_stats::diff::align`]. Thresholds are
+//! *relative* and *noise-aware*: the policy's base tolerance is widened
+//! by the larger of the two dumps' recorded repeat spreads, so a
+//! scenario that measured noisily needs a proportionally larger
+//! slowdown to be called a regression, while a tight scenario is held
+//! to the tight band. A scenario missing from the candidate is a
+//! regression (a pinned scenario silently dropping out must fail CI); a
+//! new scenario in the candidate is informational.
+
+use hetsim_stats::diff::{align, Side};
 
 use crate::dump::BenchDump;
 
@@ -149,58 +152,64 @@ impl CompareReport {
 }
 
 /// Compares `cand` against `base` under `policy`.
+///
+/// # Panics
+///
+/// Panics if either dump repeats a scenario name, which
+/// [`BenchDump::validate`] rejects.
 pub fn compare(base: &BenchDump, cand: &BenchDump, policy: &ComparePolicy) -> CompareReport {
-    let mut diffs = Vec::with_capacity(base.scenarios.len());
-    for b in &base.scenarios {
-        let Some(c) = cand.scenario(&b.name) else {
-            diffs.push(ScenarioDiff {
-                name: b.name.clone(),
+    let aligned = align(
+        base.scenarios.iter().map(|s| (s.name.as_str(), s)),
+        cand.scenarios.iter().map(|s| (s.name.as_str(), s)),
+    );
+    let diffs = aligned
+        .into_iter()
+        .map(|(name, side)| match side {
+            Side::Both(b, c) => {
+                let tolerance = policy.effective_tol(b.timing.rel_spread, c.timing.rel_spread);
+                // Zero-time guard: a scenario finishing below the clock's
+                // resolution on either side has no meaningful ratio.
+                let verdict = if b.wall_us == 0 || c.wall_us == 0 {
+                    Verdict::Unchanged
+                } else if c.insts_per_sec < b.insts_per_sec * (1.0 - tolerance) {
+                    Verdict::Regressed
+                } else if c.insts_per_sec > b.insts_per_sec * (1.0 + tolerance) {
+                    Verdict::Improved
+                } else {
+                    Verdict::Unchanged
+                };
+                let ratio = if b.insts_per_sec > 0.0 {
+                    c.insts_per_sec / b.insts_per_sec
+                } else {
+                    0.0
+                };
+                ScenarioDiff {
+                    name: name.to_string(),
+                    verdict,
+                    base_insts_per_sec: b.insts_per_sec,
+                    cand_insts_per_sec: c.insts_per_sec,
+                    ratio,
+                    tolerance,
+                }
+            }
+            Side::Baseline(b) => ScenarioDiff {
+                name: name.to_string(),
                 verdict: Verdict::Missing,
                 base_insts_per_sec: b.insts_per_sec,
                 cand_insts_per_sec: 0.0,
                 ratio: 0.0,
                 tolerance: policy.rel_tol,
-            });
-            continue;
-        };
-        let tolerance = policy.effective_tol(b.timing.rel_spread, c.timing.rel_spread);
-        // Zero-time guard: a scenario finishing below the clock's
-        // resolution on either side has no meaningful ratio.
-        let verdict = if b.wall_us == 0 || c.wall_us == 0 {
-            Verdict::Unchanged
-        } else if c.insts_per_sec < b.insts_per_sec * (1.0 - tolerance) {
-            Verdict::Regressed
-        } else if c.insts_per_sec > b.insts_per_sec * (1.0 + tolerance) {
-            Verdict::Improved
-        } else {
-            Verdict::Unchanged
-        };
-        let ratio = if b.insts_per_sec > 0.0 {
-            c.insts_per_sec / b.insts_per_sec
-        } else {
-            0.0
-        };
-        diffs.push(ScenarioDiff {
-            name: b.name.clone(),
-            verdict,
-            base_insts_per_sec: b.insts_per_sec,
-            cand_insts_per_sec: c.insts_per_sec,
-            ratio,
-            tolerance,
-        });
-    }
-    for c in &cand.scenarios {
-        if base.scenario(&c.name).is_none() {
-            diffs.push(ScenarioDiff {
-                name: c.name.clone(),
+            },
+            Side::Candidate(c) => ScenarioDiff {
+                name: name.to_string(),
                 verdict: Verdict::Added,
                 base_insts_per_sec: 0.0,
                 cand_insts_per_sec: c.insts_per_sec,
                 ratio: 0.0,
                 tolerance: policy.rel_tol,
-            });
-        }
-    }
+            },
+        })
+        .collect();
     CompareReport { diffs }
 }
 
@@ -316,15 +325,20 @@ mod tests {
             scenario("c", 1000, 10, 0.0),
         ]);
         let report = compare(&base, &cand, &ComparePolicy::default());
-        let verdict_of = |name: &str| {
-            report
-                .diffs
-                .iter()
-                .find(|d| d.name == name)
-                .map(|d| d.verdict)
-        };
-        assert_eq!(verdict_of("b"), Some(Verdict::Missing));
-        assert_eq!(verdict_of("c"), Some(Verdict::Added));
+        let verdicts: Vec<(&str, Verdict)> = report
+            .diffs
+            .iter()
+            .map(|d| (d.name.as_str(), d.verdict))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                ("a", Verdict::Unchanged),
+                ("b", Verdict::Missing),
+                ("c", Verdict::Added)
+            ],
+            "baseline menu order, then the candidate-only additions"
+        );
         assert!(!report.passed(), "a missing pinned scenario gates");
     }
 

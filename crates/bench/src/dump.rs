@@ -139,11 +139,6 @@ impl BenchDump {
         Ok(())
     }
 
-    /// The scenario named `name`, if present.
-    pub fn scenario(&self, name: &str) -> Option<&ScenarioResult> {
-        self.scenarios.iter().find(|s| s.name == name)
-    }
-
     /// The pretty-printed JSON document, newline-terminated.
     pub fn to_json(&self) -> String {
         let mut text = serde_json::to_string_pretty(self).expect("value trees always serialize");

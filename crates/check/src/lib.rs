@@ -57,8 +57,10 @@ pub struct CheckConfig {
     pub enabled: bool,
 }
 
-/// Environment variable that turns checking on process-wide
-/// (`HETSIM_CHECK=1`); see [`CheckConfig::from_env`].
+/// Environment variable (`HETSIM_CHECK=1`) read by
+/// [`CheckConfig::from_env`]: `repro` then validates each run's
+/// outcomes and dump after the run. It does not turn on the
+/// simulators' per-cycle checks.
 pub const CHECK_ENV: &str = "HETSIM_CHECK";
 
 impl CheckConfig {

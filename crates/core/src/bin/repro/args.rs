@@ -31,8 +31,6 @@ enum Kind {
     Int { min: u64, max: u64 },
     /// A finite number `>= 0`.
     Tolerance,
-    /// One of a fixed set of words.
-    Word(&'static [&'static str]),
     /// A word from a fixed set that only ever comes inline
     /// (`--progress[=MODE]`), so the flag never consumes the next
     /// argument; bare, it means the first word.
@@ -109,7 +107,6 @@ pub static COMPARE: Flag = Flag::text("--compare", "BASELINE.json");
 pub static RATCHET: Flag = Flag::switch("--ratchet");
 pub static TREND: Flag = Flag::switch("--trend");
 // explore.
-pub static SPACE: Flag = Flag::new("--space", "fig7", Kind::Word(&["fig7"]));
 pub static BUDGET: Flag = Flag::int("--budget", "N", 1, USIZE);
 pub static SWEEP: Flag = Flag::new("--sweep", "AXIS=V1,V2...", Kind::List);
 // shard-worker (machine-generated by the `--shards` supervisor).
@@ -235,7 +232,6 @@ pub static COMMANDS: &[Command] = &[
     Command {
         name: "explore",
         flags: &[
-            &SPACE,
             &BUDGET,
             &SEED,
             &INSTS,
@@ -370,7 +366,7 @@ fn validate(cmd: &Command, flag: &Flag, v: &str) -> Result<(), String> {
             v.parse::<f64>().is_ok_and(|t| t >= 0.0 && t.is_finite()),
             "a number >= 0".to_string(),
         ),
-        Kind::Word(words) | Kind::Inline(words) => (words.contains(&v), one_of(words)),
+        Kind::Inline(words) => (words.contains(&v), one_of(words)),
         Kind::Format => {
             // A command rendering part of the report formats still names
             // all of them, then says which it supports.

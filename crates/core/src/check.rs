@@ -373,8 +373,7 @@ fn fuzz_gpu_round(seed: u64, c: &mut Checker) {
         );
         let cfg = design.gpu_config();
         let gpu = Gpu::new(cfg.clone());
-        let (base, violations) = gpu.run_checked(&kernel, seed, CheckConfig::ON);
-        c.absorb(violations);
+        let base = gpu.run(&kernel, seed);
         gpu.validate_launch(&kernel, &base, c);
 
         // Clock invariance: the GPU clock prices time, never counters.

@@ -11,17 +11,21 @@
 //!   leaves — integer **counters** (`cpu.designs.AdvHet.core.committed`),
 //!   float **metrics** (`report.Figure 7….lu.AdvHet` cells), and string
 //!   **tags** (`schema.cpu`) — so alignment is total: every leaf of
-//!   either document is classified, none can escape the gate;
+//!   either document is classified, none can escape the gate. A path
+//!   names one leaf: a document that files two leaves under one path
+//!   (`{"l1.hits": 1, "l1": {"hits": 2}}`) is an error naming it;
 //! * [`DiffPolicy`] declares the tolerance per lane: counters and tags
 //!   must match **exactly** (event counts have no legitimate noise),
 //!   metrics may drift within a configurable relative tolerance
 //!   (absorbing float-formatting round-trips), added/removed leaves
 //!   fail unless explicitly allowlisted (schema growth is deliberate),
 //!   and schema-tag changes fail unless explicitly waived;
-//! * [`diff_dumps`] aligns the lanes (counters through
-//!   [`hetsim_stats::diff::diff_counters`], the very helper the counter
-//!   structs' own tests verify) and returns a [`DiffReport`] that
-//!   renders as `table`/`json`/`csv` and drives the process exit code.
+//! * [`diff_dumps`] runs the three lanes through one lane function: it
+//!   pairs the lane's leaves by path with [`hetsim_stats::diff::align`],
+//!   the one name join, applies the ignore prefixes and the allowlist,
+//!   and keeps the compared/ignored/waived counts; each lane supplies
+//!   only its comparison. It returns a [`DiffReport`] that renders as
+//!   `table`/`json`/`csv` and drives the process exit code.
 //!
 //! Runner telemetry (`runner.*`) is excluded **by policy, not by
 //! hand**: [`RunnerStats`] declares its counters nondeterministic
@@ -29,11 +33,10 @@
 //! temperature vary run to run), and [`DiffPolicy::default`] derives
 //! its ignore list from that declaration.
 
-use std::collections::HashSet;
 use std::path::Path;
 
 use hetsim_runner::RunnerStats;
-use hetsim_stats::diff::diff_counters;
+use hetsim_stats::diff::{align, Side};
 use serde::value::Value;
 use serde::Serialize;
 
@@ -48,7 +51,8 @@ pub struct RunSpec {
     pub experiments: Vec<String>,
 }
 
-/// A parsed `--stats-out` document, flattened into diffable lanes.
+/// A parsed `--stats-out` document, flattened into diffable lanes. No
+/// two of its leaves share a path.
 #[derive(Debug, Clone, Default)]
 pub struct DumpDoc {
     /// Integer counters by dotted path (exact-match lane).
@@ -67,7 +71,9 @@ impl DumpDoc {
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON (truncated
-    /// or corrupted files) and for documents that are not stats dumps.
+    /// or corrupted files), for documents that are not stats dumps, and
+    /// naming the path for a document that files two leaves under one
+    /// path.
     pub fn parse(text: &str) -> Result<DumpDoc, String> {
         let value: Value =
             serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
@@ -90,6 +96,7 @@ impl DumpDoc {
             }
         }
         doc.run = parse_run(&value)?;
+        one_leaf_per_path(&doc)?;
         Ok(doc)
     }
 
@@ -199,6 +206,26 @@ fn flatten_reports(v: &Value, doc: &mut DumpDoc) -> Result<(), String> {
     Ok(())
 }
 
+/// Errors naming a path the flattening filed two leaves under, as
+/// `{"l1.hits": 1, "l1": {"hits": 2}}` does: a path names one leaf, so
+/// the diff's join sees each path once per dump.
+fn one_leaf_per_path(doc: &DumpDoc) -> Result<(), String> {
+    let mut paths: Vec<&str> = doc
+        .counters
+        .iter()
+        .map(|(p, _)| p.as_str())
+        .chain(doc.metrics.iter().map(|(p, _)| p.as_str()))
+        .chain(doc.tags.iter().map(|(p, _)| p.as_str()))
+        .collect();
+    paths.sort_unstable();
+    for pair in paths.windows(2) {
+        if pair[0] == pair[1] {
+            return Err(format!("two leaves share the path `{}`", pair[0]));
+        }
+    }
+    Ok(())
+}
+
 fn parse_run(value: &Value) -> Result<Option<RunSpec>, String> {
     let Some(run) = value.get("run") else {
         return Ok(None);
@@ -282,10 +309,18 @@ impl DiffPolicy {
             .any(|p| path.starts_with(p.as_str()))
     }
 
-    fn waives_membership_change(&self, path: &str) -> bool {
-        self.allowed_counter_changes
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
+    /// Whether a `kind` regression at `path` is waived: an added or
+    /// removed leaf under an allowlisted prefix, or a schema-tag change
+    /// under `allow_schema_change`.
+    fn waives(&self, kind: RegressionKind, path: &str) -> bool {
+        match kind {
+            RegressionKind::CounterAdded | RegressionKind::CounterRemoved => self
+                .allowed_counter_changes
+                .iter()
+                .any(|p| path.starts_with(p.as_str())),
+            RegressionKind::SchemaMismatch => self.allow_schema_change,
+            RegressionKind::CounterMismatch | RegressionKind::MetricOutOfTolerance => false,
+        }
     }
 }
 
@@ -459,223 +494,136 @@ impl Serialize for DiffReport {
 /// is either compared, reported as a regression, or waived by the
 /// allowlist — and the counts in the returned [`DiffReport`] account
 /// for all of them.
+///
+/// # Panics
+///
+/// Panics if a lane of either dump repeats a path, which no dump that
+/// [`DumpDoc::parse`] returns does.
 pub fn diff_dumps(baseline: &DumpDoc, candidate: &DumpDoc, policy: &DiffPolicy) -> DiffReport {
     let mut report = DiffReport::default();
-    let mut ignored_paths: HashSet<&str> = HashSet::new();
-
-    // ---- counter lane: exact match, via the stats crate's aligner ----
-    let keep_counters = |doc: &DumpDoc| -> Vec<(String, u64)> {
-        doc.counters
-            .iter()
-            .filter(|(p, _)| !policy.ignores(p))
-            .cloned()
-            .collect()
-    };
-    for (p, _) in baseline.counters.iter().chain(&candidate.counters) {
-        if policy.ignores(p) {
-            ignored_paths.insert(p.as_str());
-        }
-    }
-    let d = diff_counters(keep_counters(baseline), keep_counters(candidate));
-    report.compared += d.unchanged.len();
-    for c in d.changed {
-        report.compared += 1;
-        report.regressions.push(Regression {
-            path: c.name.clone(),
-            kind: RegressionKind::CounterMismatch,
-            baseline: Some(c.baseline.to_string()),
-            candidate: Some(c.candidate.to_string()),
-            delta: Some(format!("{:+}", c.delta())),
-            tolerance: "exact".to_string(),
-        });
-    }
-    for (name, value) in d.only_in_baseline {
-        membership_change(
-            &mut report,
-            policy,
-            name,
-            RegressionKind::CounterRemoved,
-            Some(value.to_string()),
-            None,
-        );
-    }
-    for (name, value) in d.only_in_candidate {
-        membership_change(
-            &mut report,
-            policy,
-            name,
-            RegressionKind::CounterAdded,
-            None,
-            Some(value.to_string()),
-        );
-    }
-
-    // ---- metric lane: relative tolerance ----
-    {
-        let cand: Vec<&(String, f64)> = candidate
-            .metrics
-            .iter()
-            .filter(|(p, _)| !policy.ignores(p))
-            .collect();
-        let mut cand_by_name: std::collections::HashMap<&str, f64> =
-            std::collections::HashMap::with_capacity(cand.len());
-        for (p, x) in &cand {
-            cand_by_name.entry(p.as_str()).or_insert(*x);
-        }
-        let mut seen: HashSet<&str> = HashSet::new();
-        for (p, b) in &baseline.metrics {
-            if policy.ignores(p) {
-                ignored_paths.insert(p.as_str());
-                continue;
-            }
-            seen.insert(p.as_str());
-            match cand_by_name.get(p.as_str()) {
-                Some(&c) => {
-                    report.compared += 1;
-                    let scale = b.abs().max(c.abs());
-                    let drift = (c - b).abs();
-                    // Negated so a NaN drift (e.g. Inf vs Inf of the
-                    // same sign still drifts NaN) counts as a
-                    // violation rather than passing silently.
-                    let within = drift <= policy.rel_tol * scale;
-                    if !within {
-                        let rel = if scale > 0.0 { drift / scale } else { f64::NAN };
-                        report.regressions.push(Regression {
-                            path: p.clone(),
-                            kind: RegressionKind::MetricOutOfTolerance,
-                            baseline: Some(format!("{b}")),
-                            candidate: Some(format!("{c}")),
-                            delta: Some(format!("{:+e}", c - b)),
-                            tolerance: format!("rel {rel:.3e} > tol {:e}", policy.rel_tol),
-                        });
-                    }
+    diff_lane(
+        &mut report,
+        policy,
+        &baseline.counters,
+        &candidate.counters,
+        u64::to_string,
+        |_, b, c| {
+            (b != c).then(|| Mismatch {
+                kind: RegressionKind::CounterMismatch,
+                delta: Some(format!("{:+}", i128::from(*c) - i128::from(*b))),
+                tolerance: "exact".to_string(),
+            })
+        },
+    );
+    diff_lane(
+        &mut report,
+        policy,
+        &baseline.metrics,
+        &candidate.metrics,
+        f64::to_string,
+        |_, b, c| {
+            let scale = b.abs().max(c.abs());
+            let drift = (c - b).abs();
+            // Negated so a NaN drift (e.g. Inf vs Inf of the same sign
+            // still drifts NaN) counts as a violation rather than
+            // passing silently.
+            let within = drift <= policy.rel_tol * scale;
+            (!within).then(|| {
+                let rel = if scale > 0.0 { drift / scale } else { f64::NAN };
+                Mismatch {
+                    kind: RegressionKind::MetricOutOfTolerance,
+                    delta: Some(format!("{:+e}", c - b)),
+                    tolerance: format!("rel {rel:.3e} > tol {:e}", policy.rel_tol),
                 }
-                None => membership_change(
-                    &mut report,
-                    policy,
-                    p.clone(),
-                    RegressionKind::CounterRemoved,
-                    Some(format!("{b}")),
-                    None,
-                ),
-            }
-        }
-        for (p, c) in &candidate.metrics {
-            if policy.ignores(p) {
-                ignored_paths.insert(p.as_str());
-                continue;
-            }
-            if !seen.contains(p.as_str()) {
-                membership_change(
-                    &mut report,
-                    policy,
-                    p.clone(),
-                    RegressionKind::CounterAdded,
-                    None,
-                    Some(format!("{c}")),
-                );
-            }
-        }
-    }
-
-    // ---- tag lane: identity (schema tags get their own kind) ----
-    {
-        let mut cand_by_name: std::collections::HashMap<&str, &str> =
-            std::collections::HashMap::with_capacity(candidate.tags.len());
-        for (p, s) in &candidate.tags {
-            cand_by_name.entry(p.as_str()).or_insert(s.as_str());
-        }
-        let mut seen: HashSet<&str> = HashSet::new();
-        for (p, b) in &baseline.tags {
-            if policy.ignores(p) {
-                ignored_paths.insert(p.as_str());
-                continue;
-            }
-            seen.insert(p.as_str());
-            match cand_by_name.get(p.as_str()) {
-                Some(&c) if c == b => report.compared += 1,
-                Some(&c) => {
-                    report.compared += 1;
-                    let is_schema = p.starts_with("schema.");
-                    if is_schema && policy.allow_schema_change {
-                        report.waived += 1;
-                    } else {
-                        report.regressions.push(Regression {
-                            path: p.clone(),
-                            kind: if is_schema {
-                                RegressionKind::SchemaMismatch
-                            } else {
-                                RegressionKind::CounterMismatch
-                            },
-                            baseline: Some(format!("\"{b}\"")),
-                            candidate: Some(format!("\"{c}\"")),
-                            delta: None,
-                            tolerance: if is_schema {
-                                "identical schema tags (pass --allow-schema-change for an \
-                                 intentional bump)"
-                                    .to_string()
-                            } else {
-                                "exact".to_string()
-                            },
-                        });
-                    }
+            })
+        },
+    );
+    diff_lane(
+        &mut report,
+        policy,
+        &baseline.tags,
+        &candidate.tags,
+        |s| format!("\"{s}\""),
+        |path, b, c| {
+            let schema = path.starts_with("schema.");
+            (b != c).then(|| Mismatch {
+                kind: if schema {
+                    RegressionKind::SchemaMismatch
+                } else {
+                    RegressionKind::CounterMismatch
+                },
+                delta: None,
+                tolerance: if schema {
+                    "identical schema tags (pass --allow-schema-change for an intentional bump)"
+                } else {
+                    "exact"
                 }
-                None => membership_change(
-                    &mut report,
-                    policy,
-                    p.clone(),
-                    RegressionKind::CounterRemoved,
-                    Some(format!("\"{b}\"")),
-                    None,
-                ),
-            }
-        }
-        for (p, c) in &candidate.tags {
-            if policy.ignores(p) {
-                ignored_paths.insert(p.as_str());
-                continue;
-            }
-            if !seen.contains(p.as_str()) {
-                membership_change(
-                    &mut report,
-                    policy,
-                    p.clone(),
-                    RegressionKind::CounterAdded,
-                    None,
-                    Some(format!("\"{c}\"")),
-                );
-            }
-        }
-    }
-
-    report.ignored = ignored_paths.len();
+                .to_string(),
+            })
+        },
+    );
     report
 }
 
-/// Classifies one added/removed leaf: waived when allowlisted,
-/// otherwise a regression with instructions in the tolerance field.
-fn membership_change(
+/// How a lane's comparison found two values of one leaf to differ.
+struct Mismatch {
+    kind: RegressionKind,
+    delta: Option<String>,
+    tolerance: String,
+}
+
+/// Diffs one lane: aligns its leaves by path, skips the ones the policy
+/// ignores, judges each leaf both dumps hold with `compare`, and files
+/// every mismatch and every added or removed leaf as a regression
+/// unless the policy waives it. `render` prints a value for the report.
+fn diff_lane<T>(
     report: &mut DiffReport,
     policy: &DiffPolicy,
-    path: String,
-    kind: RegressionKind,
-    baseline: Option<String>,
-    candidate: Option<String>,
+    baseline: &[(String, T)],
+    candidate: &[(String, T)],
+    render: impl Fn(&T) -> String,
+    compare: impl Fn(&str, &T, &T) -> Option<Mismatch>,
 ) {
-    if policy.waives_membership_change(&path) {
-        report.waived += 1;
-        return;
+    let aligned = align(
+        baseline.iter().map(|(path, value)| (path.as_str(), value)),
+        candidate.iter().map(|(path, value)| (path.as_str(), value)),
+    );
+    for (path, side) in aligned {
+        if policy.ignores(path) {
+            report.ignored += 1;
+            continue;
+        }
+        let membership = |kind| Mismatch {
+            kind,
+            delta: None,
+            tolerance: format!(
+                "same counter set (pass --allow {path} if this schema change is deliberate)"
+            ),
+        };
+        let (m, baseline, candidate) = match side {
+            Side::Both(b, c) => {
+                report.compared += 1;
+                let Some(m) = compare(path, b, c) else {
+                    continue;
+                };
+                (m, Some(b), Some(c))
+            }
+            Side::Baseline(b) => (membership(RegressionKind::CounterRemoved), Some(b), None),
+            Side::Candidate(c) => (membership(RegressionKind::CounterAdded), None, Some(c)),
+        };
+        if policy.waives(m.kind, path) {
+            report.waived += 1;
+            continue;
+        }
+        report.regressions.push(Regression {
+            path: path.to_string(),
+            kind: m.kind,
+            baseline: baseline.map(&render),
+            candidate: candidate.map(&render),
+            delta: m.delta,
+            tolerance: m.tolerance,
+        });
     }
-    let tolerance =
-        format!("same counter set (pass --allow {path} if this schema change is deliberate)");
-    report.regressions.push(Regression {
-        path,
-        kind,
-        baseline,
-        candidate,
-        delta: None,
-        tolerance,
-    });
 }
 
 #[cfg(test)]
@@ -814,6 +762,68 @@ mod tests {
             },
         );
         assert!(waived.is_clean());
+    }
+
+    /// Two counters under one path: read first-wins, a change of the
+    /// second diffed clean. Now the dump is an error naming the path.
+    #[test]
+    fn a_counter_collision_is_an_error_not_a_clean_diff() {
+        let base = BASE.replace(
+            r#""gpu": null"#,
+            r#""mem": {"l1.hits": 1, "l1": {"hits": 2}}"#,
+        );
+        let changed = base.replace(r#""hits": 2"#, r#""hits": 3"#);
+        for text in [base, changed] {
+            let err = DumpDoc::parse(&text).expect_err("two counters under one path");
+            assert_eq!(err, "two leaves share the path `mem.l1.hits`");
+        }
+    }
+
+    /// Two metrics under one path: read first-wins on one side only, the
+    /// dump regressed against itself. Now it is an error naming the path.
+    #[test]
+    fn a_metric_collision_is_an_error_not_a_self_regression() {
+        let text = BASE.replace(
+            r#""gpu": null"#,
+            r#""mem": {"l1.hits": 1.5, "l1": {"hits": 2.5}}"#,
+        );
+        let err = DumpDoc::parse(&text).expect_err("two metrics under one path");
+        assert_eq!(err, "two leaves share the path `mem.l1.hits`");
+    }
+
+    #[test]
+    fn every_lane_lists_changed_and_removed_leaves_in_baseline_order() {
+        let cand = BASE.replace(r#""committed": 12345, "cycles": 999"#, r#""cycles": 998"#);
+        let report = diff_dumps(&doc(BASE), &doc(&cand), &DiffPolicy::default());
+        let kinds: Vec<(&str, RegressionKind)> = report
+            .regressions
+            .iter()
+            .map(|r| (r.path.as_str(), r.kind))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (
+                    "cpu.designs.AdvHet.core.committed",
+                    RegressionKind::CounterRemoved
+                ),
+                (
+                    "cpu.designs.AdvHet.core.cycles",
+                    RegressionKind::CounterMismatch
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_counter_delta_spans_the_whole_u64_range() {
+        let max = BASE.replace("12345", &u64::MAX.to_string());
+        let zero = BASE.replace("12345", "0");
+        let report = diff_dumps(&doc(&max), &doc(&zero), &DiffPolicy::default());
+        assert_eq!(
+            report.regressions[0].delta.as_deref(),
+            Some("-18446744073709551615")
+        );
     }
 
     #[test]

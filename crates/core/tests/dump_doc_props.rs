@@ -4,9 +4,10 @@
 //! `DumpDoc` flattens a document into lanes instead of deserializing
 //! it, so "never a wrong value" means: whatever the damage — a cut at
 //! any byte, flipped bits, edited digits, swapped schema tags, appended
-//! bytes — reading it is an error, or lanes that hold each non-null
-//! leaf of the text's value tree exactly once, under its path. The
-//! inputs are cut from a real baseline.
+//! bytes, a key that spells another leaf's path — reading it is an
+//! error, or lanes that hold each non-null leaf of the text's value
+//! tree exactly once, under its path, and no two leaves under one path.
+//! The inputs are cut from a real baseline.
 
 use hetcore::regression::{diff_dumps, DiffPolicy, DumpDoc};
 use hetcore::CPU_SCHEMA;
@@ -138,7 +139,8 @@ fn sorted(mut entries: Vec<(String, Leaf)>) -> Vec<(String, Leaf)> {
 }
 
 /// The reader's contract on `bytes`: an error, or lanes that hold each
-/// non-null leaf of the text exactly once, under its path.
+/// non-null leaf of the text exactly once, under its path, and each
+/// path once.
 fn read_back(bytes: &[u8]) -> Option<DumpDoc> {
     let text = std::str::from_utf8(bytes).ok()?;
     let doc = DumpDoc::parse(text).ok()?;
@@ -155,12 +157,15 @@ fn read_back(bytes: &[u8]) -> Option<DumpDoc> {
         .tags
         .iter()
         .map(|(p, s)| (p.clone(), Leaf::Tag(s.clone())));
-    let lanes: Vec<_> = counters.chain(metrics).chain(tags).collect();
+    let lanes = sorted(counters.chain(metrics).chain(tags).collect());
     assert_eq!(
-        sorted(lanes),
+        lanes,
         sorted(leaves(&tree)),
         "lanes differ from the leaves of: {text}"
     );
+    for pair in lanes.windows(2) {
+        assert_ne!(pair[0].0, pair[1].0, "two leaves share a path in: {text}");
+    }
     Some(doc)
 }
 
@@ -234,6 +239,23 @@ proptest! {
         prop_assert!(!diff_dumps(&base, &cand, &DiffPolicy::default()).is_clean());
         let flat = text.replacen("\"schema\": {", "\"schema\": \"flat\", \"was\": {", 1);
         prop_assert!(read_back(flat.as_bytes()).is_none(), "accepted a flat schema");
+    }
+
+    /// A path names one leaf: a top-level key that spells the path of a
+    /// leaf the dump already holds (a counter, a tag or a report cell)
+    /// makes it an error naming that path.
+    #[test]
+    fn no_two_leaves_may_share_a_path(keep in picks(), pick in 0usize..1 << 20) {
+        let text = document(&keep);
+        let tree: Value = serde_json::from_str(&text).expect("the baseline parses");
+        let paths = leaves(&tree);
+        let (path, _) = &paths[pick % paths.len()];
+        let key = serde_json::to_string(&Value::Str(path.clone())).expect("a key serializes");
+        let end = text.rfind('}').expect("the dump is an object");
+        let collided = format!("{}, {key}: 1\n}}", text[..end].trim_end());
+        prop_assert!(read_back(text.as_bytes()).is_some(), "the intact dump reads");
+        let err = DumpDoc::parse(&collided).expect_err("two leaves under one path");
+        prop_assert_eq!(err, format!("two leaves share the path `{path}`"));
     }
 
     /// Bytes appended after the dump make it an error.

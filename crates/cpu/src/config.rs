@@ -2,9 +2,9 @@
 
 use hetsim_mem::cache::CacheConfig;
 use hetsim_mem::hierarchy::{DataCacheSpec, HierarchyConfig};
+use hetsim_trace::predictor::PredictorConfig;
 
 use crate::fu::FuPoolConfig;
-use crate::predictor::PredictorConfig;
 
 /// Dual-speed ALU steering policy (paper Section IV-C2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

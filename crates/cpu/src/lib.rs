@@ -8,12 +8,11 @@
 //! technology each unit is built in — the essence of HetCore.
 //!
 //! * [`stats`] — pipeline event counters consumed by the power model.
-//! * [`predictor`] — tournament predictor, 4-way 2K-entry BTB, 32-entry RAS
-//!   (defined in `hetsim_trace`, whose trace store walks it once per
-//!   stream).
 //! * [`fu`] — functional-unit pool with per-class latency/issue interval,
 //!   including per-ALU timing for the dual-speed ALU cluster.
-//! * [`config`] — [`config::CoreConfig`], every Table III knob.
+//! * [`config`] — [`config::CoreConfig`], every Table III knob. The
+//!   predictor's are a `hetsim_trace::predictor::PredictorConfig`: the
+//!   trace store walks the predictor once per stream.
 //! * [`core`] — the cycle loop: dispatch from the trace store's packed
 //!   records, issue/execute/commit with mispredict flushes and dual-speed
 //!   ALU steering (Section IV-C2).
@@ -39,7 +38,6 @@ pub mod config;
 pub mod core;
 pub mod fu;
 pub mod multicore;
-pub mod predictor;
 pub mod profile;
 pub mod stats;
 

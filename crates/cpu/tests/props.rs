@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use hetsim_cpu::config::CoreConfig;
 use hetsim_cpu::core::Core;
 use hetsim_cpu::fu::{FuPool, FuPoolConfig, FuTiming, Issued};
-use hetsim_cpu::predictor::{PredictorConfig, TournamentPredictor};
 use hetsim_cpu::stats::CoreStats;
+use hetsim_trace::predictor::{PredictorConfig, TournamentPredictor};
 use hetsim_trace::stream::TraceGenerator;
 use hetsim_trace::{apps, OpClass};
 

@@ -6,7 +6,7 @@
 //! latencies). Total time is the slowest CU. Doubling the CU count at a
 //! fixed launch size — the AdvHet-2X experiment — halves each CU's share.
 
-use hetsim_check::{CheckConfig, Checker, Violation};
+use hetsim_check::Checker;
 
 use crate::config::GpuConfig;
 use crate::cu::{run_cu, DecodedKernel};
@@ -71,23 +71,6 @@ impl Gpu {
         let insts = kernel.generate(seed);
         let scheduled = crate::schedule::schedule_kernel(&insts, window);
         self.run_insts(kernel, &scheduled.insts, seed)
-    }
-
-    /// Like [`Gpu::run`], but validates the finished launch against the
-    /// wavefront-accounting invariants when `check` is enabled, returning
-    /// any violations alongside the result.
-    pub fn run_checked(
-        &self,
-        kernel: &KernelProfile,
-        seed: u64,
-        check: CheckConfig,
-    ) -> (GpuRunResult, Vec<Violation>) {
-        let result = self.run(kernel, seed);
-        let mut checker = Checker::new();
-        if check.enabled() {
-            self.validate_launch(kernel, &result, &mut checker);
-        }
-        (result, checker.into_violations())
     }
 
     /// Validates a finished launch: the generic [`validate_gpu_stats`]
@@ -240,12 +223,14 @@ mod tests {
         for name in ["matmul", "reduction", "dct"] {
             let k = kernels::profile(name).expect("known");
             let gpu = Gpu::new(GpuConfig::default());
-            let (r, violations) = gpu.run_checked(&k, 9, hetsim_check::CheckConfig::ON);
+            let r = gpu.run(&k, 9);
+            let mut checker = Checker::new();
+            gpu.validate_launch(&k, &r, &mut checker);
             assert!(
-                violations.is_empty(),
-                "{name}: invariants must hold: {violations:?}"
+                checker.is_clean(),
+                "{name}: invariants must hold: {:?}",
+                checker.violations()
             );
-            assert_eq!(r.stats, gpu.run(&k, 9).stats, "checking must not perturb");
         }
     }
 

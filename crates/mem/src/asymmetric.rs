@@ -61,15 +61,6 @@ impl AsymmetricCache {
         )
     }
 
-    /// Builds BaseCMOS-Enh's all-CMOS asymmetric DL1: 1-cycle fast way and
-    /// 3-cycle slow ways (Table IV).
-    pub fn base_cmos_enh_dl1() -> Self {
-        AsymmetricCache::new(
-            CacheConfig::new(4 * 1024, 1, 64, 1),
-            CacheConfig::new(28 * 1024, 7, 64, 2),
-        )
-    }
-
     /// Creates an asymmetric cache from explicit partitions. The slow
     /// partition's `latency` is the *additional* cycles past the fast
     /// probe.

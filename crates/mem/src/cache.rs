@@ -302,7 +302,7 @@ impl Cache {
     }
 
     /// Removes the line containing `addr`, returning it if present — used
-    /// for promotions into a FastCache and for coherence invalidations.
+    /// for promotions into a FastCache.
     pub fn remove(&mut self, addr: u64) -> Option<RemovedLine> {
         let (set, tag) = self.set_and_tag(addr);
         let pos = self.find(set, tag)?;

@@ -13,10 +13,11 @@
 //! through [`MemStats`].
 //!
 //! For multicore runs, each core owns a 2 MB address-partitioned slice of
-//! the shared L3 (NUCA-style). The synthetic workloads partition their data
-//! per thread (as SPLASH-2 does), so cross-slice traffic is negligible; the
-//! ring cost is already part of the L3 round-trip latency, and the MESI
-//! directory of [`crate::coherence`] guards the rare shared line.
+//! the shared L3 (NUCA-style), and the ring cost is already part of the L3
+//! round-trip latency. The synthetic workloads partition their data per
+//! thread (as SPLASH-2 does) and each core's phase runs on its own
+//! hierarchy, so no line is ever shared and no coherence traffic is
+//! modelled.
 
 use crate::asymmetric::{AsymHit, AsymmetricCache};
 use crate::cache::{Cache, CacheConfig};

@@ -1,9 +1,8 @@
-//! Cache hierarchy, DRAM and coherence substrate for the HetCore
-//! reproduction.
+//! Cache hierarchy and DRAM substrate for the HetCore reproduction.
 //!
 //! Models the memory system of the paper's Table III: private 32 KB IL1 and
-//! DL1, private 256 KB L2, a shared 2 MB/core L3 behind a ring with a MESI
-//! directory, and 50 ns round-trip DRAM. Latencies are configuration
+//! DL1, private 256 KB L2, a 2 MB L3 slice per core, and 50 ns round-trip
+//! DRAM. Latencies are configuration
 //! properties (CMOS vs. TFET implementations differ — e.g. the DL1 round
 //! trip is 2 cycles in CMOS and 4 in TFET), so every latency here is a
 //! constructor parameter.
@@ -28,7 +27,6 @@
 pub mod asymmetric;
 pub mod cache;
 pub mod cacti;
-pub mod coherence;
 pub mod dram;
 pub mod hierarchy;
 pub mod stats;

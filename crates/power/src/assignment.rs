@@ -185,16 +185,6 @@ impl DeviceAssignment {
         self
     }
 
-    /// Overrides one GPU unit's implementation.
-    pub fn set_gpu(&mut self, unit: GpuUnit, imp: UnitImpl) -> &mut Self {
-        for (u, i) in self.gpu.iter_mut() {
-            if *u == unit {
-                *i = imp;
-            }
-        }
-        self
-    }
-
     /// The implementation of a CPU unit.
     pub fn cpu_impl(&self, unit: CpuUnit) -> UnitImpl {
         self.cpu

@@ -87,15 +87,6 @@ where
         Runner::new(1)
     }
 
-    /// A runner sized by `std::thread::available_parallelism` (1 if
-    /// that cannot be determined).
-    pub fn parallel() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Runner::new(workers)
-    }
-
     /// Caches outcomes in `dir` (created if missing).
     ///
     /// # Errors

@@ -1,187 +1,164 @@
-//! Aligning and diffing two counter sets by name.
+//! The one name join: aligning two `(name, value)` lists by name.
 //!
-//! Every [`counters!`](crate::counters) struct enumerates itself as
-//! `(name, value)` pairs through its generated `iter()`. That shape is
-//! what run telemetry dumps persist, so cross-run regression checks
-//! reduce to one operation: align two such lists by name and classify
-//! every counter as unchanged, changed, or present on only one side.
-//! [`diff_counters`] performs that alignment *totally* — each input
-//! name lands in exactly one bucket of the returned
-//! [`CounterSetDiff`] — so a gating layer can prove it inspected every
-//! counter both runs produced.
+//! Every comparison of two artifacts reduces to one operation: pair the
+//! entries both lists give under one name, and mark the rest as present
+//! on one side only. The regression gate's counter, metric and tag
+//! lanes (`hetcore::regression`) and `repro bench --compare`
+//! (`hetsim_bench::compare`) all align through [`align`]; each supplies
+//! only its own rule for a name both sides hold.
+//!
+//! The join is *total* — every name of either list comes out exactly
+//! once — so a gate built on it inspects everything both sides hold.
+//! Names are unique on each side: a [`counters!`](crate::counters)
+//! struct's `iter()` yields each name once, and the readers that flatten
+//! documents into names refuse a document that files two values under
+//! one name. So the join needs no first-wins rule, and a repeated name
+//! is a caller's bug that [`align`] panics on.
 
-use std::collections::HashMap;
+use std::fmt::Debug;
 
-/// One counter present in both sets with differing values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterDelta {
-    /// The counter's dotted name (as yielded by `iter()`).
-    pub name: String,
-    /// Its value in the baseline set.
-    pub baseline: u64,
-    /// Its value in the candidate set.
-    pub candidate: u64,
+/// Where [`align`] found a name, with its value on each side that has
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side<V> {
+    /// In both lists: the baseline's value, then the candidate's.
+    Both(V, V),
+    /// In the baseline only (removed by the candidate).
+    Baseline(V),
+    /// In the candidate only (added since the baseline).
+    Candidate(V),
 }
 
-impl CounterDelta {
-    /// Signed difference `candidate - baseline` (never overflows: both
-    /// operands fit in `u64`).
-    pub fn delta(&self) -> i128 {
-        i128::from(self.candidate) - i128::from(self.baseline)
-    }
-
-    /// Relative magnitude `|delta| / max(baseline, 1)` — the scale-free
-    /// view tolerance policies classify against.
-    pub fn rel(&self) -> f64 {
-        self.delta().unsigned_abs() as f64 / self.baseline.max(1) as f64
-    }
-}
-
-/// The total alignment of two counter sets by name.
+/// Aligns two `(name, value)` lists by name.
 ///
-/// Totality invariant: every baseline name appears in exactly one of
-/// `changed`, `unchanged` or `only_in_baseline`; every candidate name
-/// in exactly one of `changed`, `unchanged` or `only_in_candidate`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CounterSetDiff {
-    /// Counters present in both sets with differing values, in
-    /// baseline order.
-    pub changed: Vec<CounterDelta>,
-    /// Names present in both sets with equal values, in baseline order.
-    pub unchanged: Vec<String>,
-    /// Counters only the baseline has (removed by the candidate), in
-    /// baseline order.
-    pub only_in_baseline: Vec<(String, u64)>,
-    /// Counters only the candidate has (added since the baseline), in
-    /// candidate order.
-    pub only_in_candidate: Vec<(String, u64)>,
-}
-
-impl CounterSetDiff {
-    /// `true` when the two sets were identical: same names, same
-    /// values.
-    pub fn is_empty(&self) -> bool {
-        self.changed.is_empty()
-            && self.only_in_baseline.is_empty()
-            && self.only_in_candidate.is_empty()
-    }
-
-    /// Number of names aligned on both sides (changed + unchanged).
-    pub fn aligned(&self) -> usize {
-        self.changed.len() + self.unchanged.len()
-    }
-}
-
-/// Aligns two `(name, value)` counter lists by name.
+/// Yields every name of either list exactly once: the baseline's names
+/// in baseline order, each marked [`Side::Both`] or [`Side::Baseline`],
+/// then the names only the candidate has, in candidate order. Counter
+/// structs align directly: `align(a.iter(), b.iter())`.
 ///
-/// Accepts anything iterable in the shape `iter()` yields, so callers
-/// diff counter structs directly: `diff_counters(a.iter(), b.iter())`.
-/// Names are assumed unique within each set (the `counters!` macro
-/// guarantees this for generated structs); if a name repeats, the
-/// first occurrence wins.
-pub fn diff_counters<A, B>(baseline: A, candidate: B) -> CounterSetDiff
+/// # Panics
+///
+/// Panics naming the name if a name repeats within either list.
+pub fn align<N, V>(
+    baseline: impl IntoIterator<Item = (N, V)>,
+    candidate: impl IntoIterator<Item = (N, V)>,
+) -> Vec<(N, Side<V>)>
 where
-    A: IntoIterator<Item = (String, u64)>,
-    B: IntoIterator<Item = (String, u64)>,
+    N: Ord + Debug,
 {
-    let candidate: Vec<(String, u64)> = candidate.into_iter().collect();
-    let mut by_name: HashMap<&str, u64> = HashMap::with_capacity(candidate.len());
-    for (name, value) in &candidate {
-        by_name.entry(name.as_str()).or_insert(*value);
-    }
+    let mut candidate: Vec<(N, Option<V>)> = candidate
+        .into_iter()
+        .map(|(name, value)| (name, Some(value)))
+        .collect();
+    let by_name = name_order(candidate.iter().map(|(name, _)| name), "candidate");
+    let mut aligned: Vec<(N, Side<V>)> = baseline
+        .into_iter()
+        .map(|(name, b)| {
+            let at = by_name.binary_search_by(|&i| candidate[i].0.cmp(&name));
+            match at.ok().and_then(|at| candidate[by_name[at]].1.take()) {
+                Some(c) => (name, Side::Both(b, c)),
+                None => (name, Side::Baseline(b)),
+            }
+        })
+        .collect();
+    name_order(aligned.iter().map(|(name, _)| name), "baseline");
+    aligned.extend(
+        candidate
+            .into_iter()
+            .filter_map(|(name, c)| Some((name, Side::Candidate(c?)))),
+    );
+    aligned
+}
 
-    let mut diff = CounterSetDiff::default();
-    let mut seen_in_baseline: HashMap<String, ()> = HashMap::new();
-    for (name, value) in baseline {
-        if seen_in_baseline.insert(name.clone(), ()).is_some() {
-            continue; // duplicate baseline name: first occurrence won
-        }
-        match by_name.get(name.as_str()) {
-            Some(&other) if other == value => diff.unchanged.push(name),
-            Some(&other) => diff.changed.push(CounterDelta {
-                name,
-                baseline: value,
-                candidate: other,
-            }),
-            None => diff.only_in_baseline.push((name, value)),
-        }
+/// The indices of `names` in name order.
+///
+/// # Panics
+///
+/// Panics naming the name if a name repeats.
+fn name_order<'a, N: Ord + Debug + 'a>(
+    names: impl IntoIterator<Item = &'a N>,
+    list: &str,
+) -> Vec<usize> {
+    let names: Vec<&N> = names.into_iter().collect();
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_by(|&i, &j| names[i].cmp(names[j]));
+    for pair in order.windows(2) {
+        let name = names[pair[0]];
+        assert!(
+            name != names[pair[1]],
+            "align: the {list} lists {name:?} twice"
+        );
     }
-    let mut seen_in_candidate: HashMap<&str, ()> = HashMap::new();
-    for (name, value) in &candidate {
-        if seen_in_candidate.insert(name.as_str(), ()).is_some() {
-            continue;
-        }
-        if !seen_in_baseline.contains_key(name.as_str()) {
-            diff.only_in_candidate.push((name.clone(), *value));
-        }
-    }
-    diff
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pairs(entries: &[(&str, u64)]) -> Vec<(String, u64)> {
-        entries.iter().map(|(n, v)| (n.to_string(), *v)).collect()
-    }
-
     #[test]
     fn identical_sets_diff_empty() {
-        let a = pairs(&[("cycles", 10), ("loads", 3)]);
-        let d = diff_counters(a.clone(), a);
-        assert!(d.is_empty());
-        assert_eq!(d.unchanged, ["cycles", "loads"]);
-        assert_eq!(d.aligned(), 2);
+        let a = [("cycles", 10), ("loads", 3)];
+        assert_eq!(
+            align(a, a),
+            [("cycles", Side::Both(10, 10)), ("loads", Side::Both(3, 3))]
+        );
     }
 
     #[test]
     fn changed_values_report_signed_delta_in_baseline_order() {
-        let a = pairs(&[("cycles", 10), ("loads", 3), ("stores", 7)]);
-        let b = pairs(&[("stores", 5), ("loads", 3), ("cycles", 12)]);
-        let d = diff_counters(a, b);
-        assert_eq!(d.unchanged, ["loads"]);
-        assert_eq!(d.changed.len(), 2);
-        assert_eq!(d.changed[0].name, "cycles");
-        assert_eq!(d.changed[0].delta(), 2);
-        assert_eq!(d.changed[1].name, "stores");
-        assert_eq!(d.changed[1].delta(), -2);
-        assert!(!d.is_empty());
+        let a = [("cycles", 10), ("loads", 3), ("stores", 7)];
+        let b = [("stores", 5), ("loads", 3), ("cycles", 12)];
+        assert_eq!(
+            align(a, b),
+            [
+                ("cycles", Side::Both(10, 12)),
+                ("loads", Side::Both(3, 3)),
+                ("stores", Side::Both(7, 5)),
+            ]
+        );
     }
 
     #[test]
     fn one_sided_names_are_classified() {
-        let a = pairs(&[("old", 1), ("kept", 2)]);
-        let b = pairs(&[("kept", 2), ("new", 9)]);
-        let d = diff_counters(a, b);
-        assert_eq!(d.only_in_baseline, pairs(&[("old", 1)]));
-        assert_eq!(d.only_in_candidate, pairs(&[("new", 9)]));
-        assert_eq!(d.unchanged, ["kept"]);
+        let a = [("old", 1), ("kept", 2), ("gone", 4)];
+        let b = [("new", 9), ("kept", 2), ("late", 5)];
+        assert_eq!(
+            align(a, b),
+            [
+                ("old", Side::Baseline(1)),
+                ("kept", Side::Both(2, 2)),
+                ("gone", Side::Baseline(4)),
+                ("new", Side::Candidate(9)),
+                ("late", Side::Candidate(5)),
+            ],
+            "baseline order, then the candidate-only names in candidate order"
+        );
     }
 
     #[test]
-    fn rel_is_scale_free_and_total_at_zero_baseline() {
-        let grew = CounterDelta {
-            name: "x".into(),
-            baseline: 100,
-            candidate: 110,
-        };
-        assert!((grew.rel() - 0.1).abs() < 1e-12);
-        let from_zero = CounterDelta {
-            name: "y".into(),
-            baseline: 0,
-            candidate: 3,
-        };
-        assert_eq!(from_zero.rel(), 3.0, "max(baseline, 1) avoids div by zero");
+    #[should_panic(expected = "the baseline lists \"a\" twice")]
+    fn a_name_repeated_in_the_baseline_panics() {
+        align([("a", 1), ("b", 2), ("a", 3)], [("a", 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the candidate lists \"a\" twice")]
+    fn a_name_repeated_in_the_candidate_panics() {
+        align([("b", 2)], [("a", 1), ("a", 1)]);
     }
 
     #[test]
     fn extreme_values_do_not_overflow() {
-        let d = CounterDelta {
-            name: "x".into(),
-            baseline: u64::MAX,
-            candidate: 0,
-        };
-        assert_eq!(d.delta(), -i128::from(u64::MAX));
+        // The join moves values and never computes on them.
+        let a = [("x", u64::MAX), ("y", 0)];
+        let b = [("x", 0), ("y", u64::MAX)];
+        assert_eq!(
+            align(a, b),
+            [
+                ("x", Side::Both(u64::MAX, 0)),
+                ("y", Side::Both(0, u64::MAX))
+            ]
+        );
     }
 }

@@ -1,19 +1,19 @@
-//! Property tests for the counter-set diff helpers.
+//! Property tests for the name join, [`hetsim_stats::diff::align`],
+//! over counter structs.
 //!
-//! The regression-gating layer rests on three algebraic properties of
-//! [`hetsim_stats::diff::diff_counters`]:
+//! The regression gate rests on three algebraic properties of it:
 //!
-//! 1. reflexivity — `diff(a, a)` is empty;
-//! 2. merge-consistency — for `sum`-policy fields,
-//!    `diff(a, merge(a, b))` reports exactly `b`'s non-zero values as
-//!    deltas;
-//! 3. totality — every name either set enumerates lands in exactly one
-//!    diff bucket, so nothing escapes a gate built on the diff.
+//! 1. reflexivity — `align(a, a)` pairs every name with itself, in
+//!    `iter()` order;
+//! 2. merge-consistency — for `sum`-policy fields, aligning `a` with
+//!    `merge(a, b)` shows exactly `b`'s non-zero values as changes;
+//! 3. totality — every name either set enumerates comes out exactly
+//!    once, so nothing escapes a gate built on the join.
 
 use proptest::prelude::*;
 
 use hetsim_stats::counters;
-use hetsim_stats::diff::diff_counters;
+use hetsim_stats::diff::{align, Side};
 
 counters! {
     /// Nested group: default (`sum / sub`) policies throughout.
@@ -66,22 +66,20 @@ fn stats_from(values: &[u64]) -> PipeStats {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `diff(a, a)` is empty for any counter values, and still aligns
-    /// every name.
+    /// `align(a, a)` pairs every name with its own value, in `iter()`
+    /// order, for any counter values.
     #[test]
     fn diff_of_a_set_with_itself_is_empty(values in stats_values()) {
         let a = stats_from(&values);
-        let d = diff_counters(a.iter(), a.iter());
-        prop_assert!(d.is_empty());
-        prop_assert_eq!(d.aligned(), values.len());
-        let unchanged: Vec<String> = d.unchanged;
-        let names: Vec<String> = a.iter().map(|(n, _)| n).collect();
-        prop_assert_eq!(unchanged, names, "alignment preserves iter() order");
+        let aligned = align(a.iter(), a.iter());
+        let pairs: Vec<(String, Side<u64>)> =
+            a.iter().map(|(n, v)| (n, Side::Both(v, v))).collect();
+        prop_assert_eq!(aligned.len(), values.len());
+        prop_assert_eq!(aligned, pairs, "alignment preserves iter() order");
     }
 
-    /// Diffing a set against `merge(a, b)` recovers `b` exactly on the
-    /// sum-policy fields: each such counter with a non-zero `b` value
-    /// appears as a changed entry whose delta is `b`'s value.
+    /// Aligning a set with `merge(a, b)` recovers `b` exactly on the
+    /// sum-policy fields: each such counter grows by exactly `b`'s value.
     #[test]
     fn diff_against_merge_recovers_the_merged_in_values(
         a_values in stats_values(),
@@ -91,32 +89,31 @@ proptest! {
         let b = stats_from(&b_values);
         let mut merged = a;
         merged.merge(&b);
-        let d = diff_counters(a.iter(), merged.iter());
-        prop_assert!(d.only_in_baseline.is_empty(), "same struct, same names");
-        prop_assert!(d.only_in_candidate.is_empty());
-        for field in SUM_FIELDS {
-            let contribution = b.get(field).expect("known field");
-            match d.changed.iter().find(|c| c.name == field) {
-                Some(c) => prop_assert_eq!(
-                    c.delta(),
-                    i128::from(contribution),
+        let aligned = align(a.iter(), merged.iter());
+        prop_assert!(
+            aligned.iter().all(|(_, side)| matches!(side, Side::Both(..))),
+            "same struct, same names"
+        );
+        for (name, side) in aligned {
+            let Side::Both(before, after) = side else { continue };
+            if SUM_FIELDS.contains(&name.as_str()) {
+                prop_assert_eq!(
+                    after - before,
+                    b.get(&name).expect("known field"),
                     "sum-policy field {} must grow by exactly b's value",
-                    field
-                ),
-                None => prop_assert_eq!(
-                    contribution, 0,
-                    "sum-policy field {} unchanged only when b contributed 0",
-                    field
-                ),
+                    name
+                );
+            } else {
+                // `cycles` merges by max: it changes iff b's value
+                // exceeds a's.
+                prop_assert_eq!(name.as_str(), "cycles");
+                prop_assert_eq!(after != before, b.cycles > a.cycles);
             }
         }
-        // `cycles` merges by max: it changes iff b's value exceeds a's.
-        let cycles_changed = d.changed.iter().any(|c| c.name == "cycles");
-        prop_assert_eq!(cycles_changed, b.cycles > a.cycles);
     }
 
     /// Name alignment is total over `iter()`: every name of either set
-    /// lands in exactly one bucket, even for sets of different shapes.
+    /// comes out exactly once, even for sets of different shapes.
     #[test]
     fn alignment_is_total_over_iter(
         values in stats_values(),
@@ -129,20 +126,16 @@ proptest! {
         };
         // Two different shapes: the full struct vs just its L1 group
         // (whose names lack the `l1.` prefix, so they never collide).
-        let d = diff_counters(whole.iter(), group.iter());
-        let baseline_names = whole.iter().count();
-        let candidate_names = group.iter().count();
+        let aligned = align(whole.iter(), group.iter());
+        let expected: Vec<(String, Side<u64>)> = whole
+            .iter()
+            .map(|(n, v)| (n, Side::Baseline(v)))
+            .chain(group.iter().map(|(n, v)| (n, Side::Candidate(v))))
+            .collect();
         prop_assert_eq!(
-            d.aligned() + d.only_in_baseline.len(),
-            baseline_names,
-            "every baseline name is classified exactly once"
+            aligned,
+            expected,
+            "disjoint name spaces align nothing, and every name comes out once"
         );
-        prop_assert_eq!(
-            d.aligned() + d.only_in_candidate.len(),
-            candidate_names,
-            "every candidate name is classified exactly once"
-        );
-        prop_assert!(d.changed.is_empty() && d.unchanged.is_empty(),
-            "disjoint name spaces align nothing");
     }
 }
