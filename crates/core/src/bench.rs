@@ -12,9 +12,6 @@
 //!
 //! * `fig7-cpu-campaign` — the full CPU design x application sweep
 //!   (the figure 7/8/9/13 workload);
-//! * `fig7-sharded` — the same sweep split into two shards by the
-//!   shard protocol's partitioner and merged back by submission index,
-//!   pinning the partition-and-merge overhead;
 //! * `fig10-gpu-campaign` — the full GPU design x kernel sweep
 //!   (figures 10/11/12);
 //! * `fig14-dvfs` — the DVFS / process-variation evaluation: its jobs,
@@ -40,7 +37,7 @@ use hetsim_device::dvfs::DvfsController;
 use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_obs::{Clock, MonotonicClock};
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{narrate, partition, Job, JobKey, Runner};
+use hetsim_runner::{narrate, Runner};
 use hetsim_trace::apps;
 
 use crate::config::{CpuDesign, GpuDesign};
@@ -59,9 +56,8 @@ pub const DEFAULT_REPEATS: u32 = 3;
 /// The pinned scenario names, menu order. Compare joins dumps on these
 /// names, so renaming one orphans its perf trajectory — add, don't
 /// rename.
-pub const SCENARIOS: [&str; 10] = [
+pub const SCENARIOS: [&str; 9] = [
     "fig7-cpu-campaign",
-    "fig7-sharded",
     "fig10-gpu-campaign",
     "fig14-dvfs",
     "explore-frontier",
@@ -131,42 +127,6 @@ fn run_fig7(cfg: &BenchConfig) -> u64 {
         .flatten()
         .map(|o| o.committed)
         .sum()
-}
-
-/// The CPU campaign executed through the shard protocol's partitioner:
-/// the job list splits into two shards by key ([`partition`], the exact
-/// partition `--shards 2` uses), each shard runs on its own runner in a
-/// separate thread, and outcomes merge back into submission order.
-/// Same simulated work as `fig7-cpu-campaign`, so the insts/sec gap
-/// between the two is the partition-and-merge overhead (without the
-/// process-spawn and cache-transport costs of real `--shards`, which
-/// a wall-clock benchmark of subprocesses would smear with exec and
-/// I/O noise). Returns total committed instructions.
-fn run_fig7_sharded(cfg: &BenchConfig) -> u64 {
-    let jobs = cfg.suite().cpu_campaign_jobs();
-    let keys: Vec<JobKey> = jobs.iter().map(|job| job.key).collect();
-    let mut jobs: Vec<Option<Job<CpuOutcome>>> = jobs.into_iter().map(Some).collect();
-    let mut outcomes: Vec<Option<CpuOutcome>> = vec![None; keys.len()];
-    std::thread::scope(|scope| {
-        let shards: Vec<_> = partition(&keys, 2)
-            .into_iter()
-            .map(|indices| {
-                let take = |&i: &usize| jobs[i].take().expect("an exact cover");
-                let batch: Vec<_> = indices.iter().map(take).collect();
-                let runner = Runner::new(cfg.jobs);
-                scope.spawn(move || indices.into_iter().zip(runner.run(batch)))
-            })
-            .collect();
-        for shard in shards {
-            for (index, outcome) in shard.join().expect("shard thread") {
-                outcomes[index] = Some(outcome);
-            }
-        }
-    });
-    let covered = outcomes
-        .into_iter()
-        .map(|o| o.expect("the shards cover the batch"));
-    covered.map(|o| o.committed).sum()
 }
 
 /// The full GPU campaign; returns total wavefront instructions.
@@ -300,7 +260,6 @@ fn run_micro_event_queue(cfg: &BenchConfig) -> u64 {
 fn scenario<'a>(name: &str, cfg: &'a BenchConfig) -> Box<dyn FnMut() -> u64 + 'a> {
     match name {
         "fig7-cpu-campaign" => Box::new(|| run_fig7(cfg)),
-        "fig7-sharded" => Box::new(|| run_fig7_sharded(cfg)),
         "fig10-gpu-campaign" => Box::new(|| run_fig10(cfg)),
         "fig14-dvfs" => Box::new(|| run_fig14(cfg)),
         "explore-frontier" => Box::new(|| run_explore_frontier(cfg)),
@@ -411,19 +370,6 @@ mod tests {
         for (x, y) in a.scenarios.iter().zip(&b.scenarios) {
             assert_eq!(x.insts, y.insts, "{}: insts must be pinned", x.name);
         }
-    }
-
-    #[test]
-    fn sharded_scenario_simulates_exactly_the_campaign_work() {
-        // The sharded variant measures coordination overhead, not
-        // different work: its committed-instruction total must equal
-        // the plain campaign's, or the two trajectories stop being
-        // comparable.
-        let cfg = tiny();
-        assert_eq!(
-            scenario("fig7-sharded", &cfg)(),
-            scenario("fig7-cpu-campaign", &cfg)()
-        );
     }
 
     #[test]

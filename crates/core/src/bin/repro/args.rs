@@ -17,7 +17,7 @@ use hetcore::bench::QUICK_INSTS;
 use hetcore::suite::{Experiment, Extension, Suite};
 
 use crate::{baseline, CliError};
-use crate::{bench, check, ci_gate, diff, explore, profile, run, shard, trace_export};
+use crate::{bench, check, ci_gate, diff, explore, profile, run, trace_export};
 
 /// How a flag's value is read and validated.
 #[derive(Clone, Copy)]
@@ -80,7 +80,6 @@ pub static QUICK: Flag = Flag::switch("--quick");
 pub static INSTS: Flag = Flag::int("--insts", "N", 1, u64::MAX);
 pub static SEED: Flag = Flag::int("--seed", "S", 0, u64::MAX);
 pub static JOBS: Flag = Flag::int("--jobs", "N", 1, USIZE);
-pub static SHARDS: Flag = Flag::int("--shards", "N", 1, USIZE);
 pub static CACHE_DIR: Flag = Flag::text("--cache-dir", "PATH");
 pub static PROGRESS: Flag = Flag::new("--progress", "", Kind::Inline(&["stderr", "dashboard"]));
 // Output.
@@ -109,11 +108,6 @@ pub static TREND: Flag = Flag::switch("--trend");
 // explore.
 pub static BUDGET: Flag = Flag::int("--budget", "N", 1, USIZE);
 pub static SWEEP: Flag = Flag::new("--sweep", "AXIS=V1,V2...", Kind::List);
-// shard-worker (machine-generated by the `--shards` supervisor).
-pub static SHARD: Flag = Flag::int("--shard", "I", 0, USIZE);
-pub static ATTEMPT: Flag = Flag::int("--attempt", "K", 0, u64::MAX);
-pub static OUT_DIR: Flag = Flag::text("--out-dir", "DIR");
-pub static TRACE: Flag = Flag::switch("--trace");
 
 /// The formats most commands render reports in.
 const REPORT_FORMATS: &[&str] = &["table", "json", "csv"];
@@ -133,8 +127,6 @@ pub struct Command {
     /// The flags only a measuring run reads: its read-only modes
     /// reject them (see [`Args::reject_measuring`]).
     measuring: &'static [&'static Flag],
-    /// Left out of the usage text.
-    pub hidden: bool,
     /// Runs the command on its parsed arguments.
     pub run: fn(Args) -> Result<ExitCode, CliError>,
 }
@@ -146,7 +138,6 @@ const DEFAULT: Command = Command {
     positionals: "",
     formats: REPORT_FORMATS,
     measuring: &[],
-    hidden: false,
     run: run::run,
 };
 
@@ -162,7 +153,6 @@ pub static COMMANDS: &[Command] = &[
             &TRACE_OUT,
             &PROFILE_OUT,
             &JOBS,
-            &SHARDS,
             &CACHE_DIR,
             &PROGRESS,
         ],
@@ -214,16 +204,7 @@ pub static COMMANDS: &[Command] = &[
     },
     Command {
         name: "profile",
-        flags: &[
-            &QUICK,
-            &INSTS,
-            &SEED,
-            &JOBS,
-            &SHARDS,
-            &FORMAT,
-            &OUT,
-            &COUNTERS_OUT,
-        ],
+        flags: &[&QUICK, &INSTS, &SEED, &JOBS, &FORMAT, &OUT, &COUNTERS_OUT],
         positionals: "[EXPERIMENT]...",
         formats: &["table", "json", "folded"],
         run: profile::run,
@@ -246,19 +227,8 @@ pub static COMMANDS: &[Command] = &[
     },
     Command {
         name: "trace-export",
-        positionals: "IN.jsonl [IN2.jsonl]... OUT.json",
+        positionals: "IN.jsonl OUT.json",
         run: trace_export::run,
-        ..DEFAULT
-    },
-    Command {
-        name: "shard-worker",
-        flags: &[
-            &SHARD, &SHARDS, &ATTEMPT, &CACHE_DIR, &OUT_DIR, &INSTS, &SEED, &JOBS, &TRACE,
-        ],
-        required: &[&SHARD, &SHARDS, &CACHE_DIR, &OUT_DIR],
-        positionals: "[EXPERIMENT]...",
-        hidden: true,
-        run: shard::worker,
         ..DEFAULT
     },
 ];
@@ -509,7 +479,7 @@ impl Args {
 /// The usage text, rendered from [`COMMANDS`].
 pub fn usage() -> String {
     let mut lines = Vec::new();
-    for cmd in COMMANDS.iter().filter(|c| !c.hidden) {
+    for cmd in COMMANDS {
         let mut line = format!("repro {}", cmd.name).trim_end().to_string();
         for flag in cmd.flags {
             let spelled = match flag.kind {

@@ -14,6 +14,7 @@ use std::process::ExitCode;
 use hetcore::bench::{run_bench, BenchConfig};
 use hetsim_bench::{compare, BenchDump, ComparePolicy};
 use hetsim_runner::narrate;
+use hetsim_stats::diff::{align, Side};
 use serde::value::Value;
 
 use crate::args::{
@@ -190,22 +191,6 @@ fn trend(format: &str) -> Result<ExitCode, CliError> {
              ratios are indicative only",
         );
     }
-    // Scenario rows in order of first appearance across the sequence.
-    let mut scenarios: Vec<String> = Vec::new();
-    for (_, dump) in &dumps {
-        for s in &dump.scenarios {
-            if !scenarios.contains(&s.name) {
-                scenarios.push(s.name.clone());
-            }
-        }
-    }
-    let rate = |dump: &BenchDump, name: &str| {
-        dump.scenarios
-            .iter()
-            .find(|s| s.name == name)
-            .map(|s| s.insts_per_sec)
-    };
-
     if format == "json" {
         let dump_value = |(file, d): &(String, BenchDump)| {
             let rates = d
@@ -230,6 +215,23 @@ fn trend(format: &str) -> Result<ExitCode, CliError> {
         return Ok(ExitCode::SUCCESS);
     }
 
+    // One row per scenario with one cell per dump, joined by folding
+    // `align` over the sequence: rows keep the order in which their
+    // scenarios first appear.
+    let mut rows: Vec<(String, Vec<Option<f64>>)> = Vec::new();
+    for (seen, (_, dump)) in dumps.iter().enumerate() {
+        let column = dump.scenarios.iter();
+        let column = column.map(|s| (s.name.clone(), vec![Some(s.insts_per_sec)]));
+        let joined = align(std::mem::take(&mut rows), column).into_iter();
+        rows = joined
+            .map(|(name, side)| match side {
+                Side::Both(cells, rate) => (name, [cells, rate].concat()),
+                Side::Baseline(cells) => (name, [cells, vec![None]].concat()),
+                Side::Candidate(rate) => (name, [vec![None; seen], rate].concat()),
+            })
+            .collect();
+    }
+
     let mut out = format!(
         "bench trend: {} pinned dump(s) ({} .. {}), insts/sec\n",
         dumps.len(),
@@ -241,22 +243,17 @@ fn trend(format: &str) -> Result<ExitCode, CliError> {
         out += &format!(" {file:>14}");
     }
     out += &format!(" {:>14}\n", "latest/first");
-    for name in &scenarios {
+    for (name, cells) in &rows {
         out += &format!("{name:<22}");
-        let mut first = None;
-        let mut last = None;
-        for (_, dump) in &dumps {
-            match rate(dump, name) {
-                Some(r) => {
-                    first.get_or_insert(r);
-                    last = Some(r);
-                    out += &format!(" {r:>14.0}");
-                }
-                None => out += &format!(" {:>14}", "-"),
-            }
+        for cell in cells {
+            out += &match cell {
+                Some(r) => format!(" {r:>14.0}"),
+                None => format!(" {:>14}", "-"),
+            };
         }
-        out += &match (first, last) {
-            (Some(f), Some(l)) if f > 0.0 => format!(" {:>13.2}x\n", l / f),
+        let rates: Vec<f64> = cells.iter().flatten().copied().collect();
+        out += &match (rates.first(), rates.last()) {
+            (Some(&f), Some(&l)) if f > 0.0 => format!(" {:>13.2}x\n", l / f),
             _ => format!(" {:>14}\n", "-"),
         };
     }

@@ -14,7 +14,7 @@ use hetcore::report::Report;
 use hetcore::suite::{CpuCampaign, Experiment, Extension, GpuCampaign, Suite};
 use hetcore::telemetry::StatsDump;
 use hetsim_check::Checker;
-use hetsim_obs::{parse_jsonl, CycleProfile, MonotonicClock, TraceEvent, TraceRecorder};
+use hetsim_obs::{CycleProfile, MonotonicClock, TraceRecorder};
 use hetsim_runner::{
     narrate, write_atomic, DashboardSink, Job, NullSink, ProgressSink, Runner, SimMetrics,
     StderrSink,
@@ -26,10 +26,7 @@ use crate::args::Progress;
 /// The progress sink for `mode`, honoring the dashboard's TTY degrade.
 /// The dashboard reads `recorder`'s clock when tracing, so its rates
 /// share the trace's timeline.
-pub fn progress_sink(
-    mode: Progress,
-    recorder: Option<&Arc<TraceRecorder>>,
-) -> Arc<dyn ProgressSink> {
+fn progress_sink(mode: Progress, recorder: Option<&Arc<TraceRecorder>>) -> Arc<dyn ProgressSink> {
     match mode {
         Progress::Quiet => Arc::new(NullSink),
         Progress::Dashboard if std::io::stderr().is_terminal() => {
@@ -92,7 +89,7 @@ pub struct Execution {
 
 /// A campaign runner on `jobs` workers, sharing `cache_dir`, reporting
 /// to `sink` and, when tracing, to `recorder`.
-pub fn runner<T>(
+fn runner<T>(
     jobs: usize,
     cache_dir: Option<&Path>,
     sink: &Arc<dyn ProgressSink>,
@@ -116,7 +113,9 @@ where
 /// Runs `requested` + `extensions` on `suite` and collects the output.
 /// This is the one execution path shared by the default command, the
 /// baseline writer and the CI gate, so a replayed baseline is produced
-/// by *exactly* the code a normal run uses.
+/// by *exactly* the code a normal run uses. A target named twice runs
+/// and reports once, where it was first named: a dump holds one report
+/// per path.
 pub fn execute(
     suite: &Suite,
     requested: &[Experiment],
@@ -127,6 +126,8 @@ pub fn execute(
     recorder: Option<&Arc<TraceRecorder>>,
 ) -> Result<Execution, String> {
     let sink = progress_sink(progress, recorder);
+    let requested = &first_occurrences(requested);
+    let extensions = &first_occurrences(extensions);
 
     // One CPU and one GPU batch: every simulation the requested targets
     // declare, deduplicated by key, so shared simulations run once. Both
@@ -206,6 +207,17 @@ pub fn execute(
     Ok(execution)
 }
 
+/// `items` without repeats, each kept where it first occurs.
+fn first_occurrences<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
+    let mut unique = Vec::with_capacity(items.len());
+    for &item in items {
+        if !unique.contains(&item) {
+            unique.push(item);
+        }
+    }
+    unique
+}
+
 /// Runs one of a plan's batches on its runner (an empty batch has none)
 /// inside a `cpu-campaign`/`gpu-campaign` trace span.
 fn run_batch<T>(
@@ -281,9 +293,4 @@ pub fn write(path: &Path, text: &str) -> Result<(), String> {
 /// Reads a whole file, naming the path on failure.
 pub fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
-/// Reads and parses one JSONL trace log.
-pub fn read_trace(path: &Path) -> Result<Vec<TraceEvent>, String> {
-    parse_jsonl(&read(path)?).map_err(|e| format!("{}: {e}", path.display()))
 }

@@ -29,14 +29,15 @@
 //! * `explore` searches the fig7 design space for its Pareto frontier
 //!   (see `hetcore::explore`);
 //! * `profile` reports the campaigns' top-down cycle attribution (see
-//!   `hetsim_obs::profile`), cold, warm or sharded alike;
-//! * `trace-export` converts `--trace-out` logs for Perfetto;
-//! * the hidden `shard-worker` is the worker half of `--shards N`.
+//!   `hetsim_obs::profile`), cold or warm alike;
+//! * `trace-export` converts a `--trace-out` log for Perfetto.
 //!
 //! The campaigns run on the `hetsim-runner` engine: `--jobs N` sets the
 //! worker-thread count (default: all available cores; output is
-//! bit-identical for any `N`), `--cache-dir PATH` persists simulation
-//! outcomes as content-addressed JSON so reruns are near-free, and
+//! bit-identical for any `N`; it is the one way to run a campaign in
+//! parallel), `--cache-dir PATH` persists simulation outcomes as
+//! content-addressed JSON so reruns are near-free (a run killed midway
+//! resumes from what it cached), and
 //! `--progress` narrates per-job completion and cache hits on stderr
 //! (`--progress=dashboard` draws a live in-place dashboard on a TTY).
 //! Tracing (`--trace-out`) and attribution (`--profile-out`) only add
@@ -57,7 +58,6 @@ mod exec;
 mod explore;
 mod profile;
 mod run;
-mod shard;
 mod trace_export;
 
 use std::process::ExitCode;
@@ -87,9 +87,7 @@ fn main() -> ExitCode {
             for e in errors {
                 narrate(&format!("error: {e}"));
             }
-            if !cmd.hidden {
-                narrate(&args::usage());
-            }
+            narrate(&args::usage());
             ExitCode::FAILURE
         }
         Err(CliError::Failed(e)) => {

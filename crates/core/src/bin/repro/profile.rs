@@ -2,8 +2,7 @@
 //! the CPU and GPU campaigns) and render where their simulated cycles
 //! went: the per-design roll-up, the raw `hetsim-profile-v1` document,
 //! or folded stacks (see `hetsim_obs::profile`). The document is the
-//! runners' fold of every job's observations, so with `--shards N` the
-//! workers simulate and the warm replay below folds the same document.
+//! runners' fold of every job's observations, the same at any `--jobs`.
 
 use std::process::ExitCode;
 
@@ -15,7 +14,6 @@ use serde::Serialize as _;
 
 use crate::args::{Args, Progress, COUNTERS_OUT, OUT};
 use crate::exec::{self, execute, experiment, pretty};
-use crate::shard;
 use crate::CliError;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
@@ -26,18 +24,12 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         requested = vec![Experiment::Fig7, Experiment::Fig10];
     }
     let suite = args.suite();
-    let jobs = args.jobs();
-
-    // Sharded: the workers warm an ephemeral cache, and the pass below
-    // replays it.
-    let dirs = shard::warm(&args, &requested, &[])?;
-    let cache_dir = dirs.as_ref().map(|d| d.cache.as_path());
     let execution = execute(
         &suite,
         &requested,
         &[],
-        jobs,
-        cache_dir,
+        args.jobs(),
+        None,
         Progress::Quiet,
         None,
     )?;

@@ -289,7 +289,7 @@ impl Default for DiffPolicy {
         // The cycle-attribution profile is an observation recorded at
         // simulation time and cached beside the outcomes, not an
         // outcome the baselines pin; it is checked by the profile
-        // tests instead (cold, warm and sharded runs agree).
+        // tests instead (cold and warm runs, at any --jobs, agree).
         ignored.push("profile.".to_string());
         DiffPolicy {
             // Deterministic simulators: the tolerance only absorbs

@@ -316,9 +316,8 @@ impl Suite {
     /// every Table IV design on every application as a 4-core chip,
     /// plus the 8-core AdvHet-2X chip, row-major (app, then design).
     ///
-    /// Exposed separately from [`Suite::cpu_campaign_with`] so shard
-    /// workers can enumerate the identical batch in their own process
-    /// and filter it by [`hetsim_runner::JobKey::shard_of`].
+    /// Exposed separately from [`Suite::cpu_campaign_with`] so a run
+    /// plan can merge the batch with other studies' jobs.
     pub fn cpu_campaign_jobs(&self) -> Vec<Job<CpuOutcome>> {
         let points: Vec<_> = CpuDesign::ALL.into_iter().map(nominal).collect();
         let advhet = &points[design_index(CpuDesign::AdvHet)];
@@ -542,7 +541,7 @@ impl Suite {
     }
 
     /// The GPU campaign's job batch in canonical submission order
-    /// (kernel-major) — the shard-worker counterpart of
+    /// (kernel-major) — the GPU counterpart of
     /// [`Suite::cpu_campaign_jobs`].
     pub fn gpu_campaign_jobs(&self) -> Vec<Job<GpuOutcome>> {
         self.gpu_grid(&GpuDesign::ALL.map(|d| (d, GpuRun::Plain)))
@@ -942,8 +941,7 @@ fn add_unique<T>(
 
 /// The simulations a run needs: one CPU and one GPU batch, each the
 /// key-deduplicated union of the jobs the run's targets declare, in
-/// first-declaration order. Shard workers run a slice of each batch;
-/// [`Plan::run`] runs them whole.
+/// first-declaration order. [`Plan::run`] runs them.
 pub struct Plan {
     /// The CPU batch.
     pub cpu: Vec<Job<CpuOutcome>>,

@@ -4,6 +4,8 @@
 
 use std::process::{Command, Output};
 
+use serde::value::Value;
+
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -111,15 +113,18 @@ fn check_fails_cleanly_on_missing_trace_file() {
 
 #[test]
 fn trace_export_rejects_wrong_path_count_and_unknown_flags() {
-    // At least one input and the output are required; more inputs are
-    // fine (per-worker traces of a sharded run stitch before export).
+    // Exactly one input and the output: a run writes one log.
     assert_rejected(
         &["trace-export", "only-in.jsonl"],
-        "trace-export expects IN.jsonl [IN2.jsonl]... and OUT.json, got 1 path(s)",
+        "trace-export expects IN.jsonl and OUT.json, got 1 path(s)",
     );
     assert_rejected(
         &["trace-export"],
-        "trace-export expects IN.jsonl [IN2.jsonl]... and OUT.json, got 0 path(s)",
+        "trace-export expects IN.jsonl and OUT.json, got 0 path(s)",
+    );
+    assert_rejected(
+        &["trace-export", "a.jsonl", "b.jsonl", "out.json"],
+        "trace-export expects IN.jsonl and OUT.json, got 3 path(s)",
     );
     assert_rejected(
         &["trace-export", "--wat", "a.jsonl", "b.json"],
@@ -133,9 +138,6 @@ fn explore_rejects_zero_budget_and_bad_counts() {
         &["explore", "--budget", "0"],
         "--budget expects an integer >= 1, got '0'",
     );
-    // Worker processes are the campaign runs' knob; a search scales
-    // with --jobs.
-    assert_rejected(&["explore", "--shards", "2"], "unknown argument '--shards'");
     assert_rejected(
         &["explore", "--insts", "many"],
         "--insts expects an integer >= 1, got 'many'",
@@ -243,7 +245,7 @@ fn run_rejects_undeclared_flags_as_flags_not_experiments() {
 }
 
 #[test]
-fn usage_lists_every_subcommand_but_the_worker() {
+fn usage_lists_every_subcommand() {
     let stderr = String::from_utf8_lossy(&repro(&["--bogus"]).stderr).into_owned();
     for expected in [
         "repro baseline",
@@ -253,11 +255,27 @@ fn usage_lists_every_subcommand_but_the_worker() {
         "repro bench",
         "repro profile",
         "repro explore",
-        "repro trace-export IN.jsonl [IN2.jsonl]... OUT.json",
+        "repro trace-export IN.jsonl OUT.json",
     ] {
         assert!(stderr.contains(expected), "missing '{expected}': {stderr}");
     }
-    assert!(!stderr.contains("shard-worker"), "{stderr}");
+}
+
+#[test]
+fn worker_processes_are_not_a_run_option() {
+    // `--jobs N` is the one way to run a campaign in parallel: there is
+    // no `--shards` flag and no worker subcommand.
+    for (args, expected) in [
+        (&["--shards", "2", "fig7"][..], "unknown flag '--shards'"),
+        (&["profile", "--shards", "2"], "unknown flag '--shards'"),
+        (&["explore", "--shards", "2"], "unknown argument '--shards'"),
+        (&["shard-worker"], "unknown experiment 'shard-worker'"),
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -344,4 +362,31 @@ fn a_usage_error_with_stderr_on_dev_full_still_exits_1() {
         .output()
         .expect("repro runs");
     assert_eq!(out.status.code(), Some(1), "an error, not a panic");
+}
+
+#[test]
+fn a_repeated_target_runs_and_reports_once() {
+    let dump = std::env::temp_dir().join(format!("hetsim-cli-repeat-{}.json", std::process::id()));
+    let path = dump.to_str().expect("utf8 path");
+    let twice = repro(&["--insts", "800", "--stats-out", path, "fig14", "fig14"]);
+    let stderr = String::from_utf8_lossy(&twice.stderr);
+    assert!(twice.status.success(), "{stderr}");
+    let once = repro(&["--insts", "800", "fig14"]);
+    assert_eq!(twice.stdout, once.stdout, "Figure 14 prints once");
+
+    // The dump records the word once, so it diffs clean against itself.
+    let text = std::fs::read_to_string(&dump).expect("dump written");
+    let doc: Value = serde_json::from_str(&text).expect("dump parses");
+    let words = doc.get("run").and_then(|run| run.get("experiments"));
+    assert_eq!(words, Some(&Value::Array(vec![Value::Str("fig14".into())])));
+    let diff = repro(&["diff", path, path]);
+    let stderr = String::from_utf8_lossy(&diff.stderr);
+    assert_eq!(diff.status.code(), Some(0), "{stderr}");
+    std::fs::remove_file(&dump).expect("cleanup");
+
+    // An extension named alone and again through `ext` reports once.
+    let repeated = repro(&["--insts", "800", "--format", "json", "ext-migration", "ext"]);
+    assert!(repeated.status.success());
+    let ext = repro(&["--insts", "800", "--format", "json", "ext"]);
+    assert_eq!(repeated.stdout, ext.stdout);
 }

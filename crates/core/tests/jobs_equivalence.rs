@@ -1,13 +1,13 @@
-//! Sharded execution must be invisible in the results.
+//! The worker count must be invisible in the results.
 //!
-//! The shard protocol's headline guarantee is that `--shards N` is a
-//! pure throughput knob: the partitioner splits the campaign across N
-//! worker processes, the supervisor replays the warm cache they share,
-//! and the final report — both the headline stdout and the `--stats-out`
-//! dump — is what a single-process run would have produced. These
+//! `--jobs N` is the one way to run a campaign in parallel, and a pure
+//! throughput knob: the runner merges outcomes by submission index, so
+//! the final report — both the headline stdout and the `--stats-out`
+//! dump — is what a run on any other worker count produces. These
 //! tests run the real `repro` binary on the fig7 + fig14 workload and
-//! hold that line byte-for-byte across shard counts, including a
-//! shard count (7) that does not divide the job count evenly.
+//! hold that line byte-for-byte across worker counts, including a
+//! count (7) that divides neither the CPU nor the GPU job total, each
+//! on a cold cache directory of its own.
 //!
 //! One carve-out: the `runner` section of the stats dump is declared
 //! nondeterministic by the schema (`RunnerStats::DETERMINISTIC` is
@@ -24,9 +24,9 @@ use serde::value::Value;
 /// large enough that every design retires real work.
 const INSTS: &str = "2000";
 
-/// Shard counts under test: the degenerate single shard, even splits,
+/// Worker counts under test: the serial reference order, even splits,
 /// and a count that neither divides the CPU nor the GPU job total.
-const SHARD_COUNTS: [&str; 4] = ["1", "2", "4", "7"];
+const JOB_COUNTS: [&str; 4] = ["1", "2", "4", "7"];
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -36,7 +36,7 @@ fn repro(args: &[&str]) -> Output {
 }
 
 fn scratch() -> PathBuf {
-    std::env::temp_dir().join(format!("hetcore-shard-eq-{}", std::process::id()))
+    std::env::temp_dir().join(format!("hetcore-jobs-eq-{}", std::process::id()))
 }
 
 /// Parses a stats dump and drops the schema-declared-nondeterministic
@@ -53,12 +53,12 @@ fn deterministic_dump(path: &Path) -> Value {
 }
 
 #[test]
-fn sharded_runs_match_single_process_byte_for_byte() {
+fn cold_runs_match_at_every_job_count_byte_for_byte() {
     let base = scratch();
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("scratch dir");
 
-    // ---- reference: plain single-process run ----
+    // ---- reference: a plain run on the default worker count ----
     let ref_stats = base.join("reference.stats.json");
     let reference = repro(&[
         "--insts",
@@ -77,12 +77,12 @@ fn sharded_runs_match_single_process_byte_for_byte() {
     );
     let ref_dump = deterministic_dump(&ref_stats);
 
-    // ---- every shard count reproduces it exactly ----
-    for shards in SHARD_COUNTS {
-        // A fresh cache directory per shard count: each sharded run is
-        // a genuinely cold campaign, not a warm read of the last one.
-        let cache = base.join(format!("cache-{shards}"));
-        let stats = base.join(format!("shards-{shards}.stats.json"));
+    // ---- every worker count reproduces it exactly ----
+    for jobs in JOB_COUNTS {
+        // A fresh cache directory per worker count: each run is a
+        // genuinely cold campaign, not a warm read of the last one.
+        let cache = base.join(format!("cache-{jobs}"));
+        let stats = base.join(format!("jobs-{jobs}.stats.json"));
         let out = repro(&[
             "--insts",
             INSTS,
@@ -92,22 +92,22 @@ fn sharded_runs_match_single_process_byte_for_byte() {
             &cache.to_string_lossy(),
             "--stats-out",
             &stats.to_string_lossy(),
-            "--shards",
-            shards,
+            "--jobs",
+            jobs,
             "fig7",
             "fig14",
         ]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "--shards {shards} fails: {stderr}");
+        assert!(out.status.success(), "--jobs {jobs} fails: {stderr}");
         assert_eq!(
             reference.stdout, out.stdout,
-            "stdout must be byte-identical at --shards {shards}"
+            "stdout must be byte-identical at --jobs {jobs}"
         );
         assert_eq!(
             ref_dump,
             deterministic_dump(&stats),
             "stats dump (minus the nondeterministic `runner` section) \
-             must match at --shards {shards}"
+             must match at --jobs {jobs}"
         );
     }
 
@@ -121,7 +121,7 @@ fn sharded_runs_match_single_process_byte_for_byte() {
 /// reads another's results).
 #[test]
 fn explore_frontier_dumps_match_across_job_counts() {
-    let base = scratch().with_file_name(format!("hetcore-shard-eq-explore-{}", std::process::id()));
+    let base = scratch().with_file_name(format!("hetcore-jobs-eq-explore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("scratch dir");
 

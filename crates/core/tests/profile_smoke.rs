@@ -3,10 +3,10 @@
 //! Runs the real `repro` binary and checks the whole chain: `repro
 //! profile` emits a `hetsim-profile-v1` document whose classes sum to
 //! the attributed cycles for every unit, the folded-stack and Perfetto
-//! counter-track exports are well-formed, sharded, healed and
-//! warm-cache runs report the same document a cold single process
-//! does, and — the headline guarantee — stdout stays byte-identical
-//! whether or not a profile is written.
+//! counter-track exports are well-formed, runs on any worker count and
+//! warm-cache runs report the same document a cold serial run does,
+//! and — the headline guarantee — stdout stays byte-identical whether
+//! or not a profile is written.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -172,44 +172,36 @@ fn folded_stacks_parse_and_use_known_class_names() {
 }
 
 #[test]
-fn sharded_profile_merges_to_the_single_process_document() {
-    let single_path = tmp("single.json");
-    let sharded_path = tmp("sharded.json");
-    for (shards, path) in [(None, &single_path), (Some("3"), &sharded_path)] {
+fn profiles_match_across_worker_counts() {
+    let serial_path = tmp("serial.json");
+    let parallel_path = tmp("parallel.json");
+    for (jobs, path) in [("1", &serial_path), ("3", &parallel_path)] {
         let path_arg = path.to_string_lossy().into_owned();
-        let mut args = vec![
-            "profile", "--insts", INSTS, "--format", "json", "--out", &path_arg, "fig7",
-        ];
-        if let Some(n) = shards {
-            args.extend(["--shards", n]);
-        }
-        let out = repro(&args);
+        let out = repro(&[
+            "profile", "--insts", INSTS, "--jobs", jobs, "--format", "json", "--out", &path_arg,
+            "fig7",
+        ]);
         assert!(
             out.status.success(),
             "profile run fails: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let single = load_profile(&single_path);
-    let sharded = load_profile(&sharded_path);
-    assert_conservation(&sharded);
+    let serial = load_profile(&serial_path);
+    let parallel = load_profile(&parallel_path);
+    assert_conservation(&parallel);
     assert_eq!(
-        single, sharded,
-        "the sharded run's warm replay must fold exactly the single-process document"
+        serial, parallel,
+        "three workers must fold exactly the serial document"
     );
-    for path in [&single_path, &sharded_path] {
+    for path in [&serial_path, &parallel_path] {
         let _ = std::fs::remove_file(path);
     }
 }
 
-/// Runs `repro` with `args` (and `env`), asserting success; returns
-/// stdout.
-fn stdout_of(args: &[&str], env: &[(&str, &str)]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .envs(env.iter().copied())
-        .output()
-        .expect("repro runs");
+/// Runs `repro` with `args`, asserting success; returns stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = repro(args);
     assert!(
         out.status.success(),
         "repro {args:?} fails: {}",
@@ -219,26 +211,23 @@ fn stdout_of(args: &[&str], env: &[(&str, &str)]) -> String {
 }
 
 #[test]
-fn warm_and_healed_runs_report_the_cold_document() {
+fn warm_runs_report_the_cold_document() {
     let cache = tmp("warm-cache");
     let _ = std::fs::remove_dir_all(&cache);
     let (cold, warm) = (tmp("cold.json"), tmp("warm.json"));
     let cache_arg = cache.to_string_lossy().into_owned();
     for path in [&cold, &warm] {
         let path_arg = path.to_string_lossy().into_owned();
-        stdout_of(
-            &[
-                "--insts",
-                INSTS,
-                "--cache-dir",
-                &cache_arg,
-                "--profile-out",
-                &path_arg,
-                "fig7",
-                "fig10",
-            ],
-            &[],
-        );
+        stdout_of(&[
+            "--insts",
+            INSTS,
+            "--cache-dir",
+            &cache_arg,
+            "--profile-out",
+            &path_arg,
+            "fig7",
+            "fig10",
+        ]);
     }
     let read = |p: &PathBuf| std::fs::read_to_string(p).expect("profile written");
     assert_eq!(
@@ -246,27 +235,10 @@ fn warm_and_healed_runs_report_the_cold_document() {
         read(&warm),
         "a warm replay folds the cached rows"
     );
-    let plain = stdout_of(
-        &[
-            "profile", "--insts", INSTS, "--format", "json", "fig7", "fig10",
-        ],
-        &[],
-    );
+    let plain = stdout_of(&[
+        "profile", "--insts", INSTS, "--format", "json", "fig7", "fig10",
+    ]);
     assert_eq!(plain, read(&cold), "--profile-out writes the same document");
-
-    // A worker that crashes once and is retried: the replay still folds
-    // every job's observations from the cache.
-    let healed = stdout_of(
-        &[
-            "profile", "--insts", INSTS, "--format", "json", "--shards", "2", "fig7",
-        ],
-        &[("HETSIM_SHARD_FAIL", "0")],
-    );
-    let fig7 = stdout_of(
-        &["profile", "--insts", INSTS, "--format", "json", "fig7"],
-        &[],
-    );
-    assert_eq!(healed, fig7, "a healed sharded run reports every cycle");
 
     let _ = std::fs::remove_dir_all(&cache);
     for path in [&cold, &warm] {

@@ -31,12 +31,10 @@ mod chrome;
 mod clock;
 pub mod profile;
 mod recorder;
-mod stitch;
 mod validate;
 
 pub use chrome::chrome_trace;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use profile::{CycleProfile, Observations, ProfileRow, PROFILE_SCHEMA};
 pub use recorder::{ArgValue, EventKind, SpanGuard, TraceEvent, TraceRecorder};
-pub use stitch::stitch_traces;
 pub use validate::{parse_jsonl, validate_events};

@@ -308,9 +308,9 @@ impl Deserialize for CycleProfile {
 /// What one simulation observed beside its outcome: its units' cycle
 /// attribution and how far its event-driven step jumped. A job returns
 /// this with its outcome; the runner caches the two as one record and
-/// folds every answered job's observations per campaign, so a warm or
-/// sharded run reports what a cold one does. Never part of a job key
-/// or of the regression-checked dump sections.
+/// folds every answered job's observations per campaign, so a warm run
+/// reports what a cold one does. Never part of a job key or of the
+/// regression-checked dump sections.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Observations {
     /// One row per simulated unit (`core{t}` / `cu{i}`).

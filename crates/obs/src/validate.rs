@@ -17,8 +17,7 @@
 //!    `cache-lookup` or `cache-write` span is recorded; and every
 //!    executed job (`provenance: ran`) has a `simulate` span. A batch
 //!    spans the events from its `batch-started` instant to the next
-//!    one: a runner records its batches one after another, and a
-//!    stitched log keeps each process's events together.
+//!    one: a run records its batches one after another.
 
 use serde::value::Value;
 use serde::Deserialize;

@@ -7,6 +7,11 @@
 //! [`crate::Runner`] without a cache directory has no cache at all and
 //! runs every job it is given.
 //!
+//! Processes share a directory without coordinating: each appends to
+//! segments of its own. A process killed mid-campaign leaves every
+//! record it finished readable, so a rerun over the directory executes
+//! only the jobs that are missing.
+//!
 //! # Segment layout
 //!
 //! A segment is named `<pid>-<n>.seg` (`n` from a process-wide counter,
@@ -47,8 +52,8 @@
 //!   segments in name order, records in file order. They hold equal
 //!   values, since a key fixes its outcome.
 //!
-//! Files without the `.seg` extension — subdirectories, shard
-//! manifests, legacy per-key `<hex>.json` entries — are never read.
+//! Files without the `.seg` extension — subdirectories, legacy
+//! per-key `<hex>.json` entries — are never read.
 
 use std::collections::HashMap;
 use std::ffi::OsStr;
@@ -546,11 +551,11 @@ fn read_at(path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
 /// directory, then rename, so concurrent readers never observe a torn
 /// file. Missing parent directories are created first.
 ///
-/// Telemetry dumps, shard manifests and baseline files go through it,
-/// so a crashed or concurrent run can never leave a half-written JSON
-/// document behind. Every call writes its own temp file (named by
-/// process id and a process-wide call counter), so concurrent writers
-/// of one path, in one process or several, never share one.
+/// Telemetry dumps and baseline files go through it, so a crashed or
+/// concurrent run can never leave a half-written JSON document behind.
+/// Every call writes its own temp file (named by process id and a
+/// process-wide call counter), so concurrent writers of one path, in
+/// one process or several, never share one.
 ///
 /// # Errors
 ///
@@ -648,9 +653,9 @@ mod tests {
 
     #[test]
     fn a_second_handle_reads_a_record_as_soon_as_put_returns() {
-        // The shard protocol writes a worker's manifest after its last
-        // `put`: by then every record must be readable by another
-        // handle, with the writer still open and nothing flushed.
+        // Once `put` returns, its record must be readable by another
+        // handle (another process, say), with the writer still open
+        // and nothing flushed.
         let dir = tmp_dir("visible");
         let (first, second) = (JobKey::from_bytes(b"first"), JobKey::from_bytes(b"second"));
         let writer: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");

@@ -42,30 +42,18 @@ impl JobKey {
     }
 
     /// The key as a fixed-width lowercase hex string (32 chars) — how
-    /// cache segment records and shard manifests spell it.
+    /// cache segment records spell it.
     pub fn hex(&self) -> String {
         format!("{:032x}", self.0)
     }
 
-    /// Parses a key back from its [`JobKey::hex`] rendering (shard
-    /// manifests persist keys this way).
+    /// Parses a key back from its [`JobKey::hex`] rendering (the
+    /// segment reader reads each record's key this way).
     pub fn from_hex(s: &str) -> Option<JobKey> {
         if s.len() != 32 {
             return None;
         }
         u128::from_str_radix(s, 16).ok().map(JobKey)
-    }
-
-    /// The shard (in `0..shards`) this key belongs to.
-    ///
-    /// The assignment is a pure function of the key — not of the job's
-    /// position in a batch — so adding or removing *other* jobs never
-    /// moves a job between shards, and every process computing the
-    /// partition independently (supervisor and each worker) agrees on
-    /// it. `shards` is clamped to at least 1; with one shard every key
-    /// maps to shard 0.
-    pub fn shard_of(self, shards: usize) -> usize {
-        (self.0 % shards.max(1) as u128) as usize
     }
 }
 

@@ -8,8 +8,8 @@
 //!
 //! * sweeps use every core (`--jobs` / `available_parallelism`),
 //! * re-running a figure is near-free with a cache directory (an
-//!   on-disk cache of append-only segments shared across processes;
-//!   without one, every job runs), and
+//!   on-disk cache of append-only segments that concurrent processes
+//!   can share; without one, every job runs), and
 //! * callers observe structured progress ([`ProgressSink`]),
 //!   throughput/cache metrics ([`RunnerStats`]) and, with a
 //!   [`hetsim_obs::TraceRecorder`] attached, a trace of every batch.
@@ -35,9 +35,8 @@
 //! type, and the sim-seconds metric comes from the [`SimMetrics`] trait
 //! the outcome types implement. Each job also returns its
 //! [`hetsim_obs::Observations`]; the cache stores them in the outcome's
-//! record and the runner folds them, so a warm or sharded campaign
-//! reports the same observations as a cold one. This is the layer future scaling work
-//! (sharding, serving, larger sweeps) plugs into.
+//! record and the runner folds them, so a warm campaign reports the
+//! same observations as a cold one.
 
 #![warn(missing_docs)]
 
@@ -47,7 +46,6 @@ mod job;
 mod pool;
 mod progress;
 mod runner;
-mod shard;
 mod timing;
 
 pub use cache::{write_atomic, CacheStats, ResultCache};
@@ -59,10 +57,6 @@ pub use progress::{
     RunnerStats, StderrSink,
 };
 pub use runner::Runner;
-pub use shard::{
-    manifest_path, partition, supervise, trace_path, ShardEventSink, ShardManifest, ShardPolicy,
-    ShardRun, ShardTally, WorkerEvent, SHARD_SCHEMA,
-};
 pub use timing::RunnerTiming;
 
 /// Outcome types that can report how much simulated time they cover.

@@ -33,16 +33,6 @@ impl Provenance {
             Provenance::DiskCache => "disk",
         }
     }
-
-    /// Parses a [`Provenance::tag`] rendering back (the shard wire
-    /// protocol ships provenance as its tag).
-    pub fn from_tag(tag: &str) -> Option<Provenance> {
-        match tag {
-            "ran" => Some(Provenance::Executed),
-            "disk" => Some(Provenance::DiskCache),
-            _ => None,
-        }
-    }
 }
 
 /// The design name encoded in a job label.
@@ -283,10 +273,9 @@ impl ProgressSink for StderrSink {
 
 /// Writes `line` and a newline to stderr in one `write_all`, ignoring
 /// failure: narration is best-effort, as [`StderrSink`]'s is, and one
-/// write per line keeps lines whole where several threads or processes
-/// share the stream (`eprintln!` writes each formatted piece
-/// separately, so a shard worker's line could be split by the
-/// supervisor's progress lines).
+/// write per line keeps lines whole where several threads share the
+/// stream (`eprintln!` writes each formatted piece separately, so a
+/// narrated line could be split by a worker thread's progress line).
 pub fn narrate(line: &str) {
     let _ = std::io::stderr().write_all(format!("{line}\n").as_bytes());
 }

@@ -40,9 +40,10 @@ use crate::SimMetrics;
 /// also sum the skip counts of the jobs it executed) and the folded
 /// observations ([`Runner::total_observations`]).
 ///
-/// All timestamps come from an injected [`Clock`] — a
-/// [`hetsim_obs::ManualClock`] under test makes timing and tracing
-/// assertions exact. When a [`TraceRecorder`] is attached via
+/// All timestamps come from one [`Clock`]: a [`MonotonicClock`], or
+/// the clock of an attached recorder — a [`hetsim_obs::ManualClock`]
+/// under test makes timing and tracing assertions exact. When a
+/// [`TraceRecorder`] is attached via
 /// [`Runner::with_recorder`], each job's phases (`cache-lookup`,
 /// `simulate`, `cache-write`) are recorded as spans on the thread that
 /// ran them, and the batch's progress as instants: `batch-started` and
@@ -104,13 +105,6 @@ where
         self
     }
 
-    /// Replaces the clock used for wall-time and span timestamps
-    /// (tests inject a [`hetsim_obs::ManualClock`]).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Attaches a trace recorder: each job's phases are recorded as
     /// spans (`cache-lookup` for every probe; `simulate` for misses and
     /// `cache-write` for their stores; one `batch` span per
@@ -119,8 +113,7 @@ where
     /// `batch-finished` instants.
     ///
     /// The runner adopts the recorder's clock, so span timestamps and
-    /// wall-time histograms share one timeline (a later
-    /// [`Runner::with_clock`] call would split them — don't).
+    /// wall-time histograms share one timeline.
     pub fn with_recorder(mut self, recorder: Arc<TraceRecorder>) -> Self {
         self.clock = recorder.clock();
         self.recorder = Some(recorder);
@@ -578,7 +571,7 @@ mod tests {
         let runner = Runner::new(2).with_cache_dir(&dir).expect("cache dir");
         // The first batch scans the empty directory and runs 3 jobs.
         runner.run(batch(&RUNS, 3));
-        // Another handle on the directory (a shard worker, say) stores
+        // Another handle on the directory (another process, say) stores
         // jobs 3..6 after this runner's index was built.
         let other: ResultCache<(Out, Observations)> =
             ResultCache::on_disk(&dir).expect("cache dir");

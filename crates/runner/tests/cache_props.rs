@@ -8,7 +8,8 @@
 //! with garbage, or spliced together with a second writer's segment.
 //! Whatever the damage, every lookup returns the exact stored value or
 //! a counted miss — never a panic, never another key's value — and
-//! every record the damage did not touch still hits.
+//! every record the damage did not touch still hits. A last property
+//! holds the key spelling the reader parses: `from_hex` inverts `hex`.
 
 use std::path::{Path, PathBuf};
 
@@ -294,5 +295,19 @@ proptest! {
         }
         std::fs::write(&segments[0], &spliced).expect("splice");
         read_back(&dir, &entries);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Keys survive the hex spelling a record's header gives them:
+    /// `from_hex` inverts `hex`, so the segment reader reads back the
+    /// key each record was written under.
+    #[test]
+    fn keys_round_trip_through_hex(seeds in vec(vec(any::<u8>(), 0..24), 0..40)) {
+        for key in seeds.iter().map(|s| JobKey::from_bytes(s)) {
+            prop_assert_eq!(JobKey::from_hex(&key.hex()), Some(key));
+        }
     }
 }
