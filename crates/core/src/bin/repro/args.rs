@@ -31,10 +31,6 @@ enum Kind {
     Int { min: u64, max: u64 },
     /// A finite number `>= 0`.
     Tolerance,
-    /// A word from a fixed set that only ever comes inline
-    /// (`--progress[=MODE]`), so the flag never consumes the next
-    /// argument; bare, it means the first word.
-    Inline(&'static [&'static str]),
     /// One of the command's report formats (see [`Command::formats`]).
     Format,
     /// Free text (a path, a prefix, a sweep spec), checked by the
@@ -81,7 +77,7 @@ pub static INSTS: Flag = Flag::int("--insts", "N", 1, u64::MAX);
 pub static SEED: Flag = Flag::int("--seed", "S", 0, u64::MAX);
 pub static JOBS: Flag = Flag::int("--jobs", "N", 1, USIZE);
 pub static CACHE_DIR: Flag = Flag::text("--cache-dir", "PATH");
-pub static PROGRESS: Flag = Flag::new("--progress", "", Kind::Inline(&["stderr", "dashboard"]));
+pub static PROGRESS: Flag = Flag::switch("--progress");
 // Output.
 pub static FORMAT: Flag = Flag::new("--format", "", Kind::Format);
 pub static JSON: Flag = Flag::new("--json", "", Kind::Alias(&FORMAT, "json"));
@@ -242,19 +238,6 @@ pub fn command(args: &[String]) -> (&'static Command, &[String]) {
     }
 }
 
-/// How a run narrates progress on stderr.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Progress {
-    /// No narration (the default).
-    Quiet,
-    /// One line per job (`--progress` / `--progress=stderr`).
-    Stderr,
-    /// The in-place live dashboard (`--progress=dashboard`); degrades
-    /// to the line sink when stderr is not a terminal, so piped logs
-    /// never contain ANSI control sequences.
-    Dashboard,
-}
-
 /// One command's parsed arguments, plus every problem found so far.
 pub struct Args {
     cmd: &'static Command,
@@ -299,7 +282,6 @@ pub fn parse(cmd: &'static Command, args: &[String]) -> Args {
                 out.error(format!("{name} takes no value, got '{v}'"));
                 continue;
             }
-            (Kind::Inline(words), v) => (flag.name, v.unwrap_or(words[0]).to_string()),
             (_, Some(v)) => (flag.name, v.to_string()),
             (_, None) => match rest.next() {
                 Some(v) => (flag.name, v.clone()),
@@ -336,7 +318,6 @@ fn validate(cmd: &Command, flag: &Flag, v: &str) -> Result<(), String> {
             v.parse::<f64>().is_ok_and(|t| t >= 0.0 && t.is_finite()),
             "a number >= 0".to_string(),
         ),
-        Kind::Inline(words) => (words.contains(&v), one_of(words)),
         Kind::Format => {
             // A command rendering part of the report formats still names
             // all of them, then says which it supports.
@@ -359,6 +340,16 @@ fn validate(cmd: &Command, flag: &Flag, v: &str) -> Result<(), String> {
         true => Ok(()),
         false => Err(format!("{} expects {expects}, got '{v}'", flag.name)),
     }
+}
+
+/// `n`, a setting read from a file rather than the command line, if
+/// integer `flag` accepts it: a replay runs only what the command line
+/// would. The error names `field`, where the file keeps the setting.
+pub fn bounded(flag: &Flag, field: &str, n: u64) -> Result<u64, String> {
+    // An integer flag's check reads nothing of the command.
+    validate(&DEFAULT, flag, &n.to_string())
+        .map(|()| n)
+        .map_err(|e| format!("`{field}` is out of range: {e}"))
 }
 
 /// `a`, `a or b`, `a, b or c`.
@@ -427,15 +418,6 @@ impl Args {
         self.text(&FORMAT).unwrap_or("table")
     }
 
-    /// `--progress[=MODE]`, defaulting to quiet.
-    pub fn progress(&self) -> Progress {
-        match self.text(&PROGRESS) {
-            None => Progress::Quiet,
-            Some("dashboard") => Progress::Dashboard,
-            Some(_) => Progress::Stderr,
-        }
-    }
-
     /// Records an argument error.
     pub fn error(&mut self, e: impl Into<String>) {
         self.errors.push(e.into());
@@ -484,7 +466,6 @@ pub fn usage() -> String {
         for flag in cmd.flags {
             let spelled = match flag.kind {
                 Kind::Switch | Kind::Alias(..) => flag.name.to_string(),
-                Kind::Inline(values) => format!("{}[={}]", flag.name, values.join("|")),
                 Kind::Format => format!("{} {}", flag.name, cmd.formats.join("|")),
                 _ => format!("{} {}", flag.name, flag.meta),
             };

@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use hetcore::suite::Suite;
 use hetsim_runner::narrate;
 
-use crate::args::{Args, CACHE_DIR, INSTS};
+use crate::args::{Args, CACHE_DIR, INSTS, PROGRESS};
 use crate::exec::{self, execute, resolve_target};
 use crate::CliError;
 
@@ -17,8 +17,8 @@ use crate::CliError;
 /// Figure 14, and the extension studies.
 const DEFAULT_BASELINE_TARGETS: [&str; 4] = ["fig7", "fig8", "fig14", "ext"];
 
-/// Instruction budget baselines are recorded at: small enough for CI,
-/// matching the golden-test snapshots.
+/// Instruction budget baselines are recorded at: small enough for CI.
+/// The golden test replays each baseline at its recorded budget.
 pub const DEFAULT_BASELINE_INSTS: u64 = 3_000;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
@@ -47,7 +47,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             &extensions,
             args.jobs(),
             cache_dir.as_deref(),
-            args.progress(),
+            args.has(&PROGRESS),
             None,
         )?;
         // The gate exempts `runner.*`, and host timing would make every

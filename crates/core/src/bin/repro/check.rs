@@ -19,7 +19,7 @@ use hetsim_runner::narrate;
 use serde::value::Value;
 use serde::Serialize as _;
 
-use crate::args::{Args, CACHE_DIR, FUZZ, INSTS, SEED, TRACE_IN};
+use crate::args::{Args, CACHE_DIR, FUZZ, INSTS, PROGRESS, SEED, TRACE_IN};
 use crate::baseline::DEFAULT_BASELINE_INSTS;
 use crate::exec::{self, execute, pretty, validate_execution, verdict};
 use crate::CliError;
@@ -62,7 +62,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         &[],
         args.jobs(),
         args.path(&CACHE_DIR).as_deref(),
-        args.progress(),
+        args.has(&PROGRESS),
         None,
     )?;
     let mut checker = Checker::new();

@@ -10,7 +10,7 @@ use hetcore::regression::{diff_dumps, DiffPolicy, DiffReport, DumpDoc};
 use hetcore::suite::Suite;
 use hetsim_runner::narrate;
 
-use crate::args::{Args, Progress, BASELINE, CACHE_DIR};
+use crate::args::{bounded, Args, Flag, BASELINE, BUDGET, CACHE_DIR, INSTS, PROGRESS, SEED};
 use crate::bench::load_bench_dump;
 use crate::exec::{self, execute, resolve_target, verdict};
 use crate::CliError;
@@ -71,7 +71,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
                 &base_doc,
                 jobs,
                 &cache_dir,
-                args.progress(),
+                args.has(&PROGRESS),
                 &policy,
             )
         };
@@ -97,7 +97,7 @@ fn replay_campaign(
     base_doc: &DumpDoc,
     jobs: usize,
     cache_dir: &Option<PathBuf>,
-    progress: Progress,
+    progress: bool,
     policy: &DiffPolicy,
 ) -> Result<DiffReport, String> {
     let Some(run) = &base_doc.run else {
@@ -114,7 +114,8 @@ fn replay_campaign(
         extensions.extend(x);
     }
     let suite = Suite {
-        insts_per_app: run.insts,
+        insts_per_app: bounded(&INSTS, "run.insts", run.insts)
+            .map_err(|e| format!("{}: {e}", file.display()))?,
         seed: run.seed,
     };
     narrate(&format!(
@@ -137,11 +138,12 @@ fn replay_campaign(
 }
 
 /// Replays the exploration a frontier baseline records (its `explore`
-/// section names the space, budget, seed and insts) and diffs the fresh
-/// dump against it under `policy`. The replay always runs the built-in
-/// space — a baseline recorded under `--sweep` overrides diffs against
-/// different `explore.axes.*` tags, which is exactly the "regenerate
-/// the baseline" signal the gate exists to raise.
+/// section names the space, budget, seed and insts, each held to its
+/// flag's bounds) and diffs the fresh dump against it under `policy`.
+/// The replay always runs the built-in space — a baseline recorded
+/// under `--sweep` overrides diffs against different `explore.axes.*`
+/// tags, which is exactly the "regenerate the baseline" signal the gate
+/// exists to raise.
 fn replay_frontier(
     name: &str,
     base_doc: &DumpDoc,
@@ -158,17 +160,18 @@ fn replay_frontier(
         Some((_, space)) => return Err(format!("unknown design space '{space}'")),
         None => return Err("frontier dump has no `explore.space`; regenerate it".into()),
     }
-    let field = |name: &str| {
+    let field = |name: &str, flag: &Flag| {
         let path = format!("explore.{name}");
         let found = base_doc.counters.iter().find(|(p, _)| *p == path);
-        found
+        let n = found
             .map(|(_, n)| *n)
-            .ok_or_else(|| format!("`explore` section has no integer `{name}`"))
+            .ok_or_else(|| format!("`explore` section has no integer `{name}`"))?;
+        bounded(flag, &path, n)
     };
     let cfg = ExploreConfig {
-        budget: field("budget")? as usize,
-        seed: field("seed")?,
-        insts: field("insts")?,
+        budget: field("budget", &BUDGET)? as usize,
+        seed: field("seed", &SEED)?,
+        insts: field("insts", &INSTS)?,
         jobs,
         cache_dir: cache_dir.clone(),
     };

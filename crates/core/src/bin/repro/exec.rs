@@ -1,7 +1,7 @@
 //! The one execution path shared by the run, baseline, ci-gate, check
 //! and profile commands, plus the output helpers they share.
 
-use std::io::{IsTerminal, Write};
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -15,30 +15,8 @@ use hetcore::suite::{CpuCampaign, Experiment, Extension, GpuCampaign, Suite};
 use hetcore::telemetry::StatsDump;
 use hetsim_check::Checker;
 use hetsim_obs::{CycleProfile, MonotonicClock, TraceRecorder};
-use hetsim_runner::{
-    narrate, write_atomic, DashboardSink, Job, NullSink, ProgressSink, Runner, SimMetrics,
-    StderrSink,
-};
+use hetsim_runner::{narrate, write_atomic, Job, Runner, SimMetrics};
 use serde::Serialize as _;
-
-use crate::args::Progress;
-
-/// The progress sink for `mode`, honoring the dashboard's TTY degrade.
-/// The dashboard reads `recorder`'s clock when tracing, so its rates
-/// share the trace's timeline.
-fn progress_sink(mode: Progress, recorder: Option<&Arc<TraceRecorder>>) -> Arc<dyn ProgressSink> {
-    match mode {
-        Progress::Quiet => Arc::new(NullSink),
-        Progress::Dashboard if std::io::stderr().is_terminal() => {
-            let clock = match recorder {
-                Some(r) => r.clock(),
-                None => Arc::new(MonotonicClock::new()),
-            };
-            Arc::new(DashboardSink::new(clock))
-        }
-        Progress::Stderr | Progress::Dashboard => Arc::new(StderrSink::new()),
-    }
-}
 
 /// Writes a report or document to stdout. Stdout carries a command's
 /// result, so a failed write fails the command; stderr narration, by
@@ -87,12 +65,13 @@ pub struct Execution {
     pub gpu: Option<GpuCampaign>,
 }
 
-/// A campaign runner on `jobs` workers, sharing `cache_dir`, reporting
-/// to `sink` and, when tracing, to `recorder`.
+/// A campaign runner on `jobs` workers, sharing `cache_dir`, narrating
+/// on stderr when `progress` is set and, when tracing, recording to
+/// `recorder`.
 fn runner<T>(
     jobs: usize,
     cache_dir: Option<&Path>,
-    sink: &Arc<dyn ProgressSink>,
+    progress: bool,
     recorder: Option<&Arc<TraceRecorder>>,
 ) -> Result<Runner<T>, String>
 where
@@ -104,10 +83,13 @@ where
             .with_cache_dir(dir)
             .map_err(|e| format!("cannot open cache directory: {e}"))?;
     }
+    if progress {
+        runner = runner.narrating();
+    }
     if let Some(rec) = recorder {
         runner = runner.with_recorder(rec.clone());
     }
-    Ok(runner.with_sink(sink.clone()))
+    Ok(runner)
 }
 
 /// Runs `requested` + `extensions` on `suite` and collects the output.
@@ -122,10 +104,9 @@ pub fn execute(
     extensions: &[Extension],
     jobs: usize,
     cache_dir: Option<&Path>,
-    progress: Progress,
+    progress: bool,
     recorder: Option<&Arc<TraceRecorder>>,
 ) -> Result<Execution, String> {
-    let sink = progress_sink(progress, recorder);
     let requested = &first_occurrences(requested);
     let extensions = &first_occurrences(extensions);
 
@@ -137,10 +118,10 @@ pub fn execute(
     // reports are rendered.
     let plan = suite.plan(requested, extensions);
     let cpu_runner = (!plan.cpu.is_empty())
-        .then(|| runner(jobs, cache_dir, &sink, recorder))
+        .then(|| runner(jobs, cache_dir, progress, recorder))
         .transpose()?;
     let gpu_runner = (!plan.gpu.is_empty())
-        .then(|| runner(jobs, cache_dir, &sink, recorder))
+        .then(|| runner(jobs, cache_dir, progress, recorder))
         .transpose()?;
     let recorder = recorder.map(Arc::as_ref);
     let outcomes = plan.run(

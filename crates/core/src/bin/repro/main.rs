@@ -38,8 +38,8 @@
 //! parallel), `--cache-dir PATH` persists simulation outcomes as
 //! content-addressed JSON so reruns are near-free (a run killed midway
 //! resumes from what it cached), and
-//! `--progress` narrates per-job completion and cache hits on stderr
-//! (`--progress=dashboard` draws a live in-place dashboard on a TTY).
+//! `--progress` narrates per-job completion and cache hits on stderr,
+//! one `[runner]` line per event.
 //! Tracing (`--trace-out`) and attribution (`--profile-out`) only add
 //! output: reports on stdout are byte-identical with and without them.
 //!

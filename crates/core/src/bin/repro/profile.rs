@@ -12,7 +12,7 @@ use hetsim_runner::narrate;
 use hetsim_stats::attribution::{ClassCounts, CycleClass};
 use serde::Serialize as _;
 
-use crate::args::{Args, Progress, COUNTERS_OUT, OUT};
+use crate::args::{Args, COUNTERS_OUT, OUT};
 use crate::exec::{self, execute, experiment, pretty};
 use crate::CliError;
 
@@ -24,15 +24,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         requested = vec![Experiment::Fig7, Experiment::Fig10];
     }
     let suite = args.suite();
-    let execution = execute(
-        &suite,
-        &requested,
-        &[],
-        args.jobs(),
-        None,
-        Progress::Quiet,
-        None,
-    )?;
+    let execution = execute(&suite, &requested, &[], args.jobs(), None, false, None)?;
     let profile = execution.profile;
 
     if let Some(path) = args.path(&COUNTERS_OUT) {

@@ -7,7 +7,7 @@ use hetcore::suite::Experiment;
 use hetsim_runner::narrate;
 use serde::Serialize as _;
 
-use crate::args::{Args, CACHE_DIR, PROFILE_OUT, STATS_OUT, TRACE_OUT};
+use crate::args::{Args, CACHE_DIR, PROFILE_OUT, PROGRESS, STATS_OUT, TRACE_OUT};
 use crate::exec::{self, execute, pretty, resolve_target};
 use crate::CliError;
 
@@ -35,7 +35,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         &extensions,
         jobs,
         args.path(&CACHE_DIR).as_deref(),
-        args.progress(),
+        args.has(&PROGRESS),
         recorder.as_ref(),
     )?;
     let profile = &execution.profile;

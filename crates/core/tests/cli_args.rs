@@ -85,10 +85,14 @@ fn check_collects_every_error_not_just_the_first() {
 
 #[test]
 fn run_rejects_bad_progress_and_missing_trace_out_value() {
-    assert_rejected(
-        &["--progress=bogus", "fig7"],
-        "--progress expects stderr or dashboard, got 'bogus'",
-    );
+    // `--progress` is a plain switch: it names no sink.
+    for mode in ["dashboard", "stderr", "bogus"] {
+        let flag = format!("--progress={mode}");
+        assert_rejected(
+            &[&flag, "fig7"],
+            &format!("--progress takes no value, got '{mode}'"),
+        );
+    }
     assert_rejected(&["fig7", "--trace-out"], "--trace-out requires a value");
 }
 

@@ -1,17 +1,18 @@
 //! Golden tests for the machine-readable `repro` output.
 //!
 //! Runs the real `repro` binary (`--format json`) on small campaigns
-//! and compares the parsed reports against checked-in snapshots with
-//! numeric tolerance; the fig7 invocation's `--stats-out` dump is
-//! additionally checked for full counter-name coverage. Covered
-//! targets: fig7 and fig8 (CPU campaign figures), fig14 (device-level
-//! table, no campaign) and the extension studies.
+//! and compares the parsed reports against the `reports` array of the
+//! checked-in baseline for the same target (`baselines/<target>.json`,
+//! run at its recorded `run.insts`) with numeric tolerance; the fig7
+//! invocation's `--stats-out` dump is additionally checked for full
+//! counter-name coverage. Covered targets: fig7 and fig8 (CPU campaign
+//! figures), fig14 (device-level table, no campaign) and the extension
+//! studies.
 //!
-//! Regenerate the snapshots after an intentional simulator change with:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test -p hetcore --test golden_repro
-//! ```
+//! The baselines are the one pinned copy of each report: after an
+//! intentional simulator change, re-bless them with `repro baseline
+//! baselines` (see `schema_guard.rs` for the schema tags that must move
+//! with them).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -24,17 +25,13 @@ use serde::value::Value;
 /// deterministic, so this only needs to absorb float-formatting noise.
 const REL_TOL: f64 = 1e-9;
 
-/// Instruction budget the snapshots are pinned at (matches the
-/// checked-in `baselines/` and the CI gate).
-const INSTS: &str = "3000";
-
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+fn baseline_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines")
 }
 
-fn run_repro(args: &[&str]) -> String {
+fn run_repro(insts: u64, args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--insts", INSTS, "--format", "json"])
+        .args(["--insts", &insts.to_string(), "--format", "json"])
         .args(args)
         .output()
         .expect("repro runs");
@@ -46,22 +43,24 @@ fn run_repro(args: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("utf-8 stdout")
 }
 
-/// Runs `repro --insts 3000 --format json <target>` and compares the
-/// JSON report array against `tests/golden/<snapshot>`, regenerating
-/// it when `UPDATE_GOLDEN` is set.
-fn check_against_snapshot(target: &str, snapshot: &str, extra_args: &[&str]) -> String {
+/// Runs `repro --insts <run.insts> --format json <target>` and compares
+/// the JSON report array against the `reports` of
+/// `baselines/<target>.json`.
+fn check_against_baseline(target: &str, extra_args: &[&str]) -> String {
+    let path = baseline_dir().join(format!("{target}.json"));
+    let text = std::fs::read_to_string(&path).expect("baseline exists");
+    let baseline: Value = serde_json::from_str(&text).expect("baseline is valid JSON");
+    let insts = baseline
+        .get("run")
+        .and_then(|run| run.get("insts"))
+        .and_then(Value::as_u64)
+        .expect("baseline records run.insts");
+    let golden = baseline.get("reports").expect("baseline has reports");
     let mut args = vec![target];
     args.extend_from_slice(extra_args);
-    let stdout = run_repro(&args);
-    let path = golden_dir().join(snapshot);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &stdout).expect("write snapshot");
-    }
-    let golden_text =
-        std::fs::read_to_string(&path).expect("snapshot exists (regenerate with UPDATE_GOLDEN=1)");
+    let stdout = run_repro(insts, &args);
     let actual: Value = serde_json::from_str(&stdout).expect("repro emits valid JSON");
-    let golden: Value = serde_json::from_str(&golden_text).expect("snapshot is valid JSON");
-    assert_matches(&actual, &golden, "$");
+    assert_matches(&actual, golden, "$");
     stdout
 }
 
@@ -101,7 +100,7 @@ fn fig7_json_matches_the_checked_in_snapshot() {
     let stats_path =
         std::env::temp_dir().join(format!("hetcore-golden-stats-{}.json", std::process::id()));
     let stats_arg = stats_path.to_string_lossy().into_owned();
-    check_against_snapshot("fig7", "fig7_insts3000.json", &["--stats-out", &stats_arg]);
+    check_against_baseline("fig7", &["--stats-out", &stats_arg]);
 
     // The same run's --stats-out dump: valid JSON carrying every
     // counter name the structs enumerate, for every design.
@@ -154,8 +153,8 @@ fn fig7_json_matches_the_checked_in_snapshot() {
 #[test]
 fn fig8_json_matches_the_checked_in_snapshot() {
     // fig8 also emits its stacked-bar breakdown report; both land in
-    // the same JSON array and the same snapshot.
-    let stdout = check_against_snapshot("fig8", "fig8_insts3000.json", &[]);
+    // the same JSON array and the same baseline.
+    let stdout = check_against_baseline("fig8", &[]);
     let reports: Value = serde_json::from_str(&stdout).expect("valid JSON");
     let reports = reports.as_array().expect("array of reports");
     assert_eq!(reports.len(), 2, "fig8 emits the figure plus its breakdown");
@@ -163,13 +162,13 @@ fn fig8_json_matches_the_checked_in_snapshot() {
 
 #[test]
 fn fig14_json_matches_the_checked_in_snapshot() {
-    check_against_snapshot("fig14", "fig14_insts3000.json", &[]);
+    check_against_baseline("fig14", &[]);
 }
 
 #[test]
 fn ext_json_matches_the_checked_in_snapshot() {
     // `ext` expands to all three extension studies.
-    let stdout = check_against_snapshot("ext", "ext_insts3000.json", &[]);
+    let stdout = check_against_baseline("ext", &[]);
     let reports: Value = serde_json::from_str(&stdout).expect("valid JSON");
     let reports = reports.as_array().expect("array of reports");
     assert_eq!(

@@ -16,7 +16,7 @@ use hetsim_stats::attribution::CycleClass;
 use serde::value::Value;
 use serde::Deserialize as _;
 
-/// Instruction budget (matches the golden snapshots; small enough for
+/// Instruction budget (matches the baselines; small enough for
 /// a quick run, large enough that every design executes real work).
 const INSTS: &str = "3000";
 

@@ -291,3 +291,62 @@ fn baseline_writer_and_ci_gate_round_trip() {
     assert!(stdout.contains("[ext]"), "gate still checks the rest");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// Runs `ci-gate` on a copy of the checked-in baseline `name` whose one
+/// `from` is replaced by `to`, and returns its stderr once the gate has
+/// failed cleanly: exit 1, not a panic.
+fn gate_on_edited_baseline(tag: &str, name: &str, from: &str, to: &str) -> String {
+    let dir = temp_dir(tag);
+    let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+    let text = std::fs::read_to_string(pinned.join(name)).expect("baseline readable");
+    assert_eq!(text.matches(from).count(), 1, "{name} holds `{from}` once");
+    std::fs::write(dir.join(name), text.replace(from, to)).expect("write edited baseline");
+    let out = repro(&["ci-gate", "--baseline", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    stderr
+}
+
+#[test]
+fn a_frontier_baseline_with_a_zero_budget_fails_naming_the_field() {
+    let stderr = gate_on_edited_baseline(
+        "zero-budget",
+        "frontier-fig7.json",
+        "\"budget\": 12",
+        "\"budget\": 0",
+    );
+    assert!(
+        stderr.contains("`explore.budget` is out of range: --budget expects an integer >= 1"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_frontier_baseline_with_zero_insts_fails_naming_the_field() {
+    let stderr = gate_on_edited_baseline(
+        "zero-explore-insts",
+        "frontier-fig7.json",
+        "\"insts\": 2000",
+        "\"insts\": 0",
+    );
+    assert!(
+        stderr.contains("`explore.insts` is out of range: --insts expects an integer >= 1"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn a_campaign_baseline_with_zero_insts_fails_naming_the_field() {
+    let stderr = gate_on_edited_baseline(
+        "zero-run-insts",
+        "fig14.json",
+        "\"insts\": 3000",
+        "\"insts\": 0",
+    );
+    assert!(
+        stderr.contains("`run.insts` is out of range: --insts expects an integer >= 1"),
+        "{stderr}"
+    );
+}

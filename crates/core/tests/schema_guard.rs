@@ -86,9 +86,8 @@ const BUMP_HELP: &str = "\n\
        on-disk caches retire themselves,\n\
     2. update PINNED_*_SCHEMA and PINNED_*_SHAPE in this test to the\n\
        values printed above,\n\
-    3. regenerate the goldens (UPDATE_GOLDEN=1 cargo test -p hetcore\n\
-       --test golden_repro) and the baselines\n\
-       (cargo run --bin repro -- baseline baselines).";
+    3. re-bless the baselines, which hold the one pinned copy of each\n\
+       report (cargo run --bin repro -- baseline baselines).";
 
 #[test]
 fn cpu_outcome_layout_matches_the_pinned_schema_tag() {

@@ -5,7 +5,9 @@
 //! validates clean, `trace-export` emits loadable Chrome trace-event
 //! JSON, `check --trace-in` accepts the recorded trace and rejects a
 //! perturbed one — and, the headline guarantee, stdout stays
-//! byte-identical whether or not tracing and the dashboard are on.
+//! byte-identical whether or not tracing and progress lines are on.
+//! With both on, stderr holds one whole `[runner]` line per progress
+//! instant in the trace.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -13,7 +15,7 @@ use std::process::{Command, Output};
 use hetsim_obs::{parse_jsonl, validate_events, EventKind, TraceEvent};
 use serde::value::Value;
 
-/// Instruction budget (matches the golden snapshots; small enough for
+/// Instruction budget (matches the baselines; small enough for
 /// a quick run, large enough that every design executes real work).
 const INSTS: &str = "3000";
 
@@ -196,9 +198,8 @@ fn stdout_is_byte_identical_with_and_without_tracing() {
     let plain = repro(&["--insts", INSTS, "--format", "json", "fig7"]);
     assert!(plain.status.success());
 
-    // Tracing *and* the dashboard on; stdout is piped (not a TTY), so
-    // the dashboard must degrade to plain stderr lines, and the report
-    // bytes must not move at all.
+    // Tracing *and* progress lines on: the report bytes must not move
+    // at all.
     let traced = repro(&[
         "--insts",
         INSTS,
@@ -206,7 +207,7 @@ fn stdout_is_byte_identical_with_and_without_tracing() {
         "json",
         "--trace-out",
         &trace_arg,
-        "--progress=dashboard",
+        "--progress",
         "fig7",
     ]);
     let stderr = String::from_utf8_lossy(&traced.stderr);
@@ -217,8 +218,102 @@ fn stdout_is_byte_identical_with_and_without_tracing() {
     );
     assert!(
         stderr.contains("[runner] done:"),
-        "dashboard degrades to line progress when stderr is piped: {stderr}"
+        "progress lines go to stderr: {stderr}"
     );
 
     let _ = std::fs::remove_file(&trace_path);
+}
+
+/// The `key` arg of `event`, rendered.
+fn arg(event: &TraceEvent, key: &str) -> String {
+    let found = event.args.iter().find(|(k, _)| k == key);
+    found.map_or_else(|| panic!("`{key}` arg"), |(_, v)| v.render())
+}
+
+#[test]
+fn progress_lines_match_the_traced_instants_one_for_one() {
+    let cache_dir = tmp("progress-cache");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cache_arg = cache_dir.to_string_lossy().into_owned();
+    // Cold, every job runs; warm, every job is a disk hit.
+    for (round, provenance) in [("cold", "ran"), ("warm", "disk")] {
+        let trace_path = tmp(&format!("progress-{round}.jsonl"));
+        let trace_arg = trace_path.to_string_lossy().into_owned();
+        let out = repro(&[
+            "--insts",
+            INSTS,
+            "--format",
+            "json",
+            "--jobs",
+            "4",
+            "--cache-dir",
+            &cache_arg,
+            "--trace-out",
+            &trace_arg,
+            "--progress",
+            "fig7",
+        ]);
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(out.status.success(), "{round} run fails: {stderr}");
+        assert!(
+            !stderr.contains('\x1b'),
+            "{round}: an escape byte: {stderr}"
+        );
+        let text = std::fs::read_to_string(&trace_path).expect("trace written");
+        let events = parse_jsonl(&text).expect("trace parses");
+        let instants = |name: &str| -> Vec<&TraceEvent> {
+            let named = events.iter().filter(|e| e.name == name);
+            named
+                .filter(|e| matches!(e.kind, EventKind::Instant { .. }))
+                .collect()
+        };
+
+        // Every `[runner]` line is whole: it starts the line and
+        // appears in it once.
+        let lines: Vec<&str> = stderr.lines().filter(|l| l.contains("[runner]")).collect();
+        for line in &lines {
+            assert!(line.starts_with("[runner] "), "torn line: {line:?}");
+            assert_eq!(line.matches("[runner]").count(), 1, "torn line: {line:?}");
+        }
+        let started: Vec<String> = instants("batch-started")
+            .iter()
+            .map(|e| format!("[runner] {} jobs on 4 worker(s)", arg(e, "total")))
+            .collect();
+        let done: Vec<String> = instants("batch-finished")
+            .iter()
+            .map(|e| {
+                let (jobs, executed) = (arg(e, "jobs"), arg(e, "executed"));
+                let cached = arg(e, "cache_hits");
+                format!("[runner] done: {jobs} jobs, {executed} executed, {cached} cached (")
+            })
+            .collect();
+        assert_eq!((started.len(), done.len()), (1, 1), "{round}: one batch");
+        let mut expected: Vec<String> = instants("job-finished")
+            .iter()
+            .map(|e| {
+                let (k, n) = (arg(e, "done"), arg(e, "total"));
+                let (job, tag) = (arg(e, "job"), arg(e, "provenance"));
+                assert_eq!(tag, provenance, "{round}: {job}");
+                format!("[runner] {k}/{n} {job} ({tag})")
+            })
+            .collect();
+        assert_eq!(expected.len(), 154, "{round}: one instant per fig7 job");
+
+        let is_done = |l: &&&str| l.starts_with(done[0].as_str());
+        assert_eq!(lines.iter().filter(is_done).count(), 1, "{round}: {stderr}");
+        assert_eq!(lines.iter().filter(|l| **l == started[0]).count(), 1);
+        let mut printed: Vec<String> = lines
+            .iter()
+            .filter(|l| !is_done(l) && **l != started[0])
+            .map(|l| l.to_string())
+            .collect();
+        printed.sort();
+        expected.sort();
+        assert_eq!(
+            printed, expected,
+            "{round}: one line per job-finished instant"
+        );
+        let _ = std::fs::remove_file(&trace_path);
+    }
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }

@@ -10,9 +10,10 @@
 //! * re-running a figure is near-free with a cache directory (an
 //!   on-disk cache of append-only segments that concurrent processes
 //!   can share; without one, every job runs), and
-//! * callers observe structured progress ([`ProgressSink`]),
-//!   throughput/cache metrics ([`RunnerStats`]) and, with a
-//!   [`hetsim_obs::TraceRecorder`] attached, a trace of every batch.
+//! * callers read throughput/cache metrics ([`RunnerStats`]), follow
+//!   a batch as `[runner]` lines on stderr ([`Runner::narrating`]) and,
+//!   with a [`hetsim_obs::TraceRecorder`] attached, as a trace of
+//!   every batch.
 //!
 //! ## Determinism contract
 //!
@@ -41,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod dashboard;
 mod job;
 mod pool;
 mod progress;
@@ -49,13 +49,9 @@ mod runner;
 mod timing;
 
 pub use cache::{write_atomic, CacheStats, ResultCache};
-pub use dashboard::DashboardSink;
 pub use job::{config_object, Job, JobKey};
 pub use pool::{run_batch, Task};
-pub use progress::{
-    design_columns, design_of, narrate, NullSink, ProgressEvent, ProgressSink, Provenance,
-    RunnerStats, StderrSink,
-};
+pub use progress::{narrate, Provenance, RunnerStats};
 pub use runner::Runner;
 pub use timing::RunnerTiming;
 

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// A unit of pool work. The lifetime lets tasks borrow from the caller
-/// (the runner's cache and sink) — the pool uses scoped threads.
+/// (the runner's cache and recorder) — the pool uses scoped threads.
 pub type Task<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// A worker's deque of `(submission index, task)` pairs.

@@ -1,13 +1,9 @@
-//! Structured progress and throughput events.
-//!
-//! The runner narrates a campaign through a [`ProgressSink`]: batch
-//! start, per-job completion (with cache provenance), and a final
-//! [`RunnerStats`] summary carrying the cache hit rate and the
-//! simulated-seconds-per-wall-second throughput metric. Sinks must be
-//! `Send + Sync` — completion events arrive from worker threads.
+//! What a batch reports: each job's [`Provenance`], the batch's
+//! [`RunnerStats`] (cache hit rate and the
+//! simulated-seconds-per-wall-second throughput metric), and
+//! [`narrate`], the one way a line reaches stderr.
 
 use std::io::Write;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use serde::value::Value;
@@ -33,78 +29,6 @@ impl Provenance {
             Provenance::DiskCache => "disk",
         }
     }
-}
-
-/// The design name encoded in a job label.
-///
-/// Campaign labels are `cpu/{app}/{design}x{cores}` or
-/// `gpu/{kernel}/{design}`; anything unrecognized groups under its
-/// last path segment.
-pub fn design_of(label: &str) -> &str {
-    let last = label.rsplit('/').next().unwrap_or(label);
-    match last.rsplit_once('x') {
-        Some((design, cores))
-            if !design.is_empty()
-                && !cores.is_empty()
-                && cores.bytes().all(|b| b.is_ascii_digit()) =>
-        {
-            design
-        }
-        _ => last,
-    }
-}
-
-/// A batch's per-design job counts: `(design, jobs)` parsed from the
-/// job labels with [`design_of`], in first-submission order, so the
-/// first entry is the campaign's baseline column.
-pub fn design_columns<'a>(labels: impl IntoIterator<Item = &'a str>) -> Vec<(String, usize)> {
-    let mut columns: Vec<(String, usize)> = Vec::new();
-    for label in labels {
-        let design = design_of(label);
-        match columns.iter_mut().find(|(d, _)| d == design) {
-            Some((_, count)) => *count += 1,
-            None => columns.push((design.to_string(), 1)),
-        }
-    }
-    columns
-}
-
-/// One progress event.
-#[derive(Debug, Clone)]
-pub enum ProgressEvent {
-    /// A batch was submitted: `total` jobs, `workers` threads.
-    BatchStarted {
-        /// Jobs in the batch.
-        total: usize,
-        /// Worker threads executing it.
-        workers: usize,
-        /// Per-design job counts ([`design_columns`]). Sinks that
-        /// render per-design completion (the dashboard's figure rows)
-        /// read the expected column sizes from here.
-        columns: Vec<(String, usize)>,
-    },
-    /// A job finished (by execution or cache hit).
-    JobFinished {
-        /// Index of the job in the batch.
-        index: usize,
-        /// The job's label.
-        label: String,
-        /// How the outcome was obtained.
-        provenance: Provenance,
-        /// Jobs finished so far, including this one.
-        done: usize,
-        /// Jobs in the batch.
-        total: usize,
-        /// Simulated seconds covered by the outcome
-        /// ([`crate::SimMetrics::sim_seconds`]), identical whether the
-        /// job ran or was answered from cache.
-        sim_seconds: f64,
-    },
-    /// The batch completed.
-    BatchFinished {
-        /// Summary counters for the batch.
-        stats: RunnerStats,
-    },
 }
 
 /// Summary counters for one batch (or a whole campaign).
@@ -178,104 +102,11 @@ impl Serialize for RunnerStats {
     }
 }
 
-/// A consumer of progress events.
-pub trait ProgressSink: Send + Sync {
-    /// Receives one event. Called from worker threads; implementations
-    /// should be quick and must not panic.
-    fn event(&self, event: &ProgressEvent);
-
-    /// Forces any buffered or rate-limited output out *now*. The
-    /// campaign driver calls this once on completion so sinks that
-    /// throttle redraws (the dashboard) never leave a stale mid-run
-    /// frame on screen. The default is a no-op — line-oriented sinks
-    /// already emit eagerly.
-    fn flush(&self) {}
-}
-
-/// Discards every event (the default sink).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ProgressSink for NullSink {
-    fn event(&self, _event: &ProgressEvent) {}
-}
-
-/// Renders events as single-line updates on stderr (the `repro
-/// --progress` sink).
-///
-/// Each event is formatted into one complete line *before* the writer
-/// lock is taken, and emitted with a single `write_all` under that
-/// lock — so completion lines arriving concurrently from worker
-/// threads can interleave whole lines, but never tear mid-line (the
-/// per-handle locking `eprintln!` relies on only covers one `write`
-/// call, not a formatted sequence of them).
-pub struct StderrSink {
-    out: Mutex<Box<dyn Write + Send>>,
-}
-
-impl Default for StderrSink {
-    fn default() -> Self {
-        StderrSink::new()
-    }
-}
-
-impl StderrSink {
-    /// A sink writing to the process's stderr.
-    pub fn new() -> Self {
-        StderrSink::with_writer(Box::new(std::io::stderr()))
-    }
-
-    /// A sink writing to an arbitrary writer (tests inject a shared
-    /// buffer to assert on the emitted lines).
-    pub fn with_writer(out: Box<dyn Write + Send>) -> Self {
-        StderrSink {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// The one-line rendering of `event`, newline-terminated.
-    fn format(event: &ProgressEvent) -> String {
-        match event {
-            ProgressEvent::BatchStarted { total, workers, .. } => {
-                format!("[runner] {total} jobs on {workers} worker(s)\n")
-            }
-            ProgressEvent::JobFinished {
-                label,
-                provenance,
-                done,
-                total,
-                ..
-            } => format!("[runner] {done}/{total} {label} ({})\n", provenance.tag()),
-            ProgressEvent::BatchFinished { stats } => format!(
-                "[runner] done: {} jobs, {} executed, {} cached ({:.0}% hit rate), \
-                 {:.2} sim-ms in {:.2} s wall ({:.1} sim-ms/s)\n",
-                stats.jobs,
-                stats.executed,
-                stats.cache_hits,
-                stats.hit_rate() * 100.0,
-                stats.sim_seconds * 1e3,
-                stats.wall.as_secs_f64(),
-                stats.sim_seconds_per_wall_second() * 1e3,
-            ),
-        }
-    }
-}
-
-impl ProgressSink for StderrSink {
-    fn event(&self, event: &ProgressEvent) {
-        let line = StderrSink::format(event);
-        let mut out = self.out.lock().expect("stderr sink lock");
-        // Progress is best-effort: a closed stderr must not kill a job.
-        let _ = out.write_all(line.as_bytes());
-        let _ = out.flush();
-    }
-}
-
 /// Writes `line` and a newline to stderr in one `write_all`, ignoring
-/// failure: narration is best-effort, as [`StderrSink`]'s is, and one
-/// write per line keeps lines whole where several threads share the
-/// stream (`eprintln!` writes each formatted piece separately, so a
-/// narrated line could be split by a worker thread's progress line).
+/// failure: narration is best-effort, so a closed stderr never fails a
+/// job, and one write per line keeps lines whole where worker threads
+/// share the stream (`eprintln!` writes each formatted piece
+/// separately, so a narrated line could be split by another thread's).
 pub fn narrate(line: &str) {
     let _ = std::io::stderr().write_all(format!("{line}\n").as_bytes());
 }
@@ -357,99 +188,5 @@ mod tests {
         );
         let wall = fields.iter().find(|(n, _)| n == "wall_seconds").unwrap();
         assert_eq!(wall.1, 1.5f64.to_value());
-    }
-
-    #[test]
-    fn design_names_parse_from_both_label_shapes() {
-        assert_eq!(design_of("cpu/lu/AdvHetx4"), "AdvHet");
-        assert_eq!(design_of("cpu/lu/AdvHetx16"), "AdvHet");
-        assert_eq!(design_of("gpu/matmul/HetGPU"), "HetGPU");
-        assert_eq!(design_of("HetGPU"), "HetGPU");
-        // An `x` not followed by a pure core count is part of the name.
-        assert_eq!(design_of("cpu/lu/Extreme"), "Extreme");
-    }
-
-    #[test]
-    fn design_columns_count_jobs_in_first_submission_order() {
-        let labels = ["cpu/lu/BaseCMOSx4", "cpu/lu/AdvHetx4", "cpu/fft/BaseCMOSx4"];
-        assert_eq!(
-            design_columns(labels),
-            [("BaseCMOS".to_string(), 2), ("AdvHet".to_string(), 1)]
-        );
-    }
-
-    #[test]
-    fn stderr_sink_formats_without_panicking() {
-        let sink = StderrSink::default();
-        sink.event(&ProgressEvent::BatchStarted {
-            total: 2,
-            workers: 2,
-            columns: vec![("AdvHet".into(), 2)],
-        });
-        sink.event(&ProgressEvent::JobFinished {
-            index: 0,
-            label: "lu/AdvHet".into(),
-            provenance: Provenance::DiskCache,
-            done: 1,
-            total: 2,
-            sim_seconds: 0.25,
-        });
-        sink.event(&ProgressEvent::BatchFinished {
-            stats: RunnerStats::default(),
-        });
-    }
-
-    /// A writer that shares its buffer, so the test can hammer one
-    /// sink from many threads and then inspect what came out.
-    #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("buf lock").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn concurrent_job_finished_lines_never_tear() {
-        let buf = SharedBuf::default();
-        let sink = std::sync::Arc::new(StderrSink::with_writer(Box::new(buf.clone())));
-        const THREADS: usize = 8;
-        const EVENTS: usize = 50;
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let sink = sink.clone();
-                scope.spawn(move || {
-                    for i in 0..EVENTS {
-                        sink.event(&ProgressEvent::JobFinished {
-                            index: t * EVENTS + i,
-                            label: format!("cpu/lu/AdvHetx{t}"),
-                            provenance: Provenance::Executed,
-                            done: i + 1,
-                            total: THREADS * EVENTS,
-                            sim_seconds: 0.0,
-                        });
-                    }
-                });
-            }
-        });
-        let bytes = buf.0.lock().expect("buf lock").clone();
-        let text = String::from_utf8(bytes).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), THREADS * EVENTS);
-        for line in lines {
-            // A torn write would splice one line into another; every
-            // line must independently be a complete progress line.
-            assert!(
-                line.starts_with("[runner] ") && line.ends_with("(ran)"),
-                "torn line: {line:?}"
-            );
-            assert_eq!(line.matches("[runner]").count(), 1, "torn line: {line:?}");
-        }
     }
 }

@@ -10,22 +10,20 @@ use serde::{Deserialize, Serialize};
 use crate::cache::ResultCache;
 use crate::job::Job;
 use crate::pool::{run_batch, Task};
-use crate::progress::{
-    design_columns, NullSink, ProgressEvent, ProgressSink, Provenance, RunnerStats,
-};
+use crate::progress::{narrate, Provenance, RunnerStats};
 use crate::timing::RunnerTiming;
 use crate::SimMetrics;
 
 /// The campaign-execution engine: a worker count, an optional on-disk
-/// result cache and a progress sink.
+/// result cache, and the two ways a batch reports its progress.
 ///
 /// A batch of [`Job`]s submitted through [`Runner::run`] is answered in
 /// three steps:
 ///
 /// 1. **lookup** — with a cache directory, every key is probed on
-///    disk; hits fill their result slot immediately and emit a
-///    `JobFinished` event with cache provenance. Without one, every
-///    job is a miss;
+///    disk; hits fill their result slot immediately and are reported
+///    finished with cache provenance. Without one, every job is a
+///    miss;
 /// 2. **execute** — the misses run on the work-stealing pool
 ///    ([`run_batch`]), each storing its outcome and [`Observations`]
 ///    back into the cache (if any) as one record;
@@ -50,11 +48,13 @@ use crate::SimMetrics;
 /// `batch-finished` on the submitting thread, and one `job-finished`
 /// per job on the thread that answered it. A runner without a cache
 /// directory has no cache phases: it neither times nor records them,
-/// and its `batch-started` instants say `cache: none`.
+/// and its `batch-started` instants say `cache: none`. A runner built
+/// with [`Runner::narrating`] also writes each of those three progress
+/// events to stderr as one `[runner]` line, from the same values.
 pub struct Runner<T> {
     workers: usize,
     cache: Option<ResultCache<(T, Observations)>>,
-    sink: Arc<dyn ProgressSink>,
+    narrate: bool,
     clock: Arc<dyn Clock>,
     recorder: Option<Arc<TraceRecorder>>,
     total: Mutex<RunnerStats>,
@@ -73,7 +73,7 @@ where
         Runner {
             workers: workers.max(1),
             cache: None,
-            sink: Arc::new(NullSink),
+            narrate: false,
             clock: Arc::new(MonotonicClock::new()),
             recorder: None,
             total: Mutex::default(),
@@ -99,9 +99,12 @@ where
         Ok(self)
     }
 
-    /// Replaces the progress sink.
-    pub fn with_sink(mut self, sink: Arc<dyn ProgressSink>) -> Self {
-        self.sink = sink;
+    /// Narrates every batch on stderr through [`narrate`]: a
+    /// `[runner] N jobs on W worker(s)` line when it starts, a
+    /// `[runner] k/N <label> (ran|disk)` line per job answered, and a
+    /// `[runner] done: …` summary of its [`RunnerStats`].
+    pub fn narrating(mut self) -> Self {
+        self.narrate = true;
         self
     }
 
@@ -133,11 +136,9 @@ where
             cache.reset_stats();
             cache.refresh();
         }
-        self.sink.event(&ProgressEvent::BatchStarted {
-            total: n,
-            workers: self.workers,
-            columns: design_columns(jobs.iter().map(|job| job.label.as_str())),
-        });
+        if self.narrate {
+            narrate(&format!("[runner] {n} jobs on {} worker(s)", self.workers));
+        }
         if let Some(recorder) = &self.recorder {
             let cache = if self.cache.is_some() { "disk" } else { "none" };
             recorder.instant(
@@ -183,15 +184,7 @@ where
             });
             match hit {
                 Some(record) => {
-                    let sim_seconds = record.0.sim_seconds();
-                    self.finished(
-                        index,
-                        job.label,
-                        Provenance::DiskCache,
-                        &done,
-                        n,
-                        sim_seconds,
-                    );
+                    self.finished(index, job.label, Provenance::DiskCache, &done, n);
                     slots.push(Some(record));
                 }
                 None => {
@@ -261,8 +254,7 @@ where
                             );
                         }
                     }
-                    let sim_seconds = record.0.sim_seconds();
-                    self.finished(index, label, Provenance::Executed, done, n, sim_seconds);
+                    self.finished(index, label, Provenance::Executed, done, n);
                     (index, record)
                 }) as Task<'_, (usize, (T, Observations))>
             })
@@ -317,7 +309,19 @@ where
             sim_seconds: results.iter().map(SimMetrics::sim_seconds).sum(),
             wall: Duration::from_micros(end_us.saturating_sub(started_us)),
         };
-        self.sink.event(&ProgressEvent::BatchFinished { stats });
+        if self.narrate {
+            narrate(&format!(
+                "[runner] done: {} jobs, {} executed, {} cached ({:.0}% hit rate), \
+                 {:.2} sim-ms in {:.2} s wall ({:.1} sim-ms/s)",
+                stats.jobs,
+                stats.executed,
+                stats.cache_hits,
+                stats.hit_rate() * 100.0,
+                stats.sim_seconds * 1e3,
+                stats.wall.as_secs_f64(),
+                stats.sim_seconds_per_wall_second() * 1e3,
+            ));
+        }
         if let Some(recorder) = &self.recorder {
             recorder.instant(
                 "batch-finished",
@@ -329,17 +333,14 @@ where
                 ],
             );
         }
-        // Settle rate-limited sinks (the dashboard) so the final frame
-        // always reflects the completed batch.
-        self.sink.flush();
         *self.last.lock().expect("stats lock") = stats;
         self.total.lock().expect("stats lock").merge(&stats);
         results
     }
 
-    /// Reports job `index` answered (`done` counts it): a `JobFinished`
-    /// event to the sink and, when tracing, a `job-finished` instant on
-    /// the calling thread.
+    /// Reports job `index` answered (`done` counts it): a `[runner]`
+    /// line when narrating and, when tracing, a `job-finished` instant
+    /// on the calling thread.
     fn finished(
         &self,
         index: usize,
@@ -347,20 +348,15 @@ where
         provenance: Provenance,
         done: &AtomicUsize,
         total: usize,
-        sim_seconds: f64,
     ) {
         let done = done.fetch_add(1, Ordering::SeqCst) + 1;
-        let event = ProgressEvent::JobFinished {
-            index,
-            label,
-            provenance,
-            done,
-            total,
-            sim_seconds,
-        };
-        self.sink.event(&event);
-        if let (Some(recorder), ProgressEvent::JobFinished { label, .. }) = (&self.recorder, event)
-        {
+        if self.narrate {
+            narrate(&format!(
+                "[runner] {done}/{total} {label} ({})",
+                provenance.tag()
+            ));
+        }
+        if let Some(recorder) = &self.recorder {
             let args = vec![
                 ("index".into(), index.into()),
                 ("job".into(), label.into()),
@@ -632,65 +628,16 @@ mod tests {
 
     #[test]
     fn progress_events_cover_every_job() {
-        struct Counting(AtomicU64, AtomicU64);
-        impl ProgressSink for Counting {
-            fn event(&self, event: &ProgressEvent) {
-                match event {
-                    ProgressEvent::JobFinished { .. } => {
-                        self.0.fetch_add(1, Ordering::SeqCst);
-                    }
-                    ProgressEvent::BatchFinished { .. } => {
-                        self.1.fetch_add(1, Ordering::SeqCst);
-                    }
-                    _ => {}
-                }
-            }
-        }
         static RUNS: AtomicU64 = AtomicU64::new(0);
-        let sink = Arc::new(Counting(AtomicU64::new(0), AtomicU64::new(0)));
-        let runner = Runner::new(4).with_sink(sink.clone());
+        let recorder = Arc::new(hetsim_obs::TraceRecorder::new(Arc::new(
+            hetsim_obs::MonotonicClock::new(),
+        )));
+        let runner = Runner::new(4).with_recorder(recorder.clone());
         runner.run(batch(&RUNS, 12));
-        assert_eq!(sink.0.load(Ordering::SeqCst), 12);
-        assert_eq!(sink.1.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn job_finished_events_carry_sim_seconds_cold_and_warm() {
-        struct Collecting(Mutex<Vec<(usize, Provenance, f64)>>);
-        impl ProgressSink for Collecting {
-            fn event(&self, event: &ProgressEvent) {
-                if let ProgressEvent::JobFinished {
-                    index,
-                    provenance,
-                    sim_seconds,
-                    ..
-                } = event
-                {
-                    let mut seen = self.0.lock().expect("sink lock");
-                    seen.push((*index, *provenance, *sim_seconds));
-                }
-            }
-        }
-        static RUNS: AtomicU64 = AtomicU64::new(0);
-        let dir = tmp_dir("sim-seconds");
-        let sink = Arc::new(Collecting(Mutex::new(Vec::new())));
-        let runner = Runner::new(4)
-            .with_cache_dir(&dir)
-            .expect("cache dir")
-            .with_sink(sink.clone());
-        let taken = |expected: Provenance| {
-            runner.run(batch(&RUNS, 3));
-            let mut seen = std::mem::take(&mut *sink.0.lock().expect("sink lock"));
-            // Sorted by index so worker completion order is moot.
-            seen.sort_by_key(|&(index, ..)| index);
-            assert!(seen.iter().all(|&(_, p, _)| p == expected), "{seen:?}");
-            seen.into_iter().map(|(.., s)| s).collect::<Vec<f64>>()
-        };
-        let cold = taken(Provenance::Executed);
-        assert_eq!(cold, [0.0, 1.0, 2.0]);
-        // A warm batch (pure disk hits) reports the same values.
-        assert_eq!(taken(Provenance::DiskCache), cold);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
+        let events = recorder.events();
+        let named = |name: &str| events.iter().filter(|e| e.name == name).count();
+        assert_eq!(named("job-finished"), 12);
+        assert_eq!(named("batch-finished"), 1);
     }
 
     #[test]
