@@ -17,7 +17,9 @@
 //!   scoping;
 //! * [`CheckConfig`] — the on/off switch guarding the in-loop checks
 //!   inside the simulators, so the hot path stays branch-cheap (one
-//!   predictable test) when checking is disabled.
+//!   predictable test) when checking is disabled: `ON` in `repro
+//!   check`'s fuzz rounds, `OFF` in campaigns, whose finished outcomes
+//!   `hetcore::check` validates after every run instead.
 //!
 //! The layer deliberately has **no dependencies**: every simulation
 //! crate can use it without cycles, and `hetcore` renders violations
@@ -57,26 +59,11 @@ pub struct CheckConfig {
     pub enabled: bool,
 }
 
-/// Environment variable (`HETSIM_CHECK=1`) read by
-/// [`CheckConfig::from_env`]: `repro` then validates each run's
-/// outcomes and dump after the run. It does not turn on the
-/// simulators' per-cycle checks.
-pub const CHECK_ENV: &str = "HETSIM_CHECK";
-
 impl CheckConfig {
     /// Checking disabled (the default).
     pub const OFF: CheckConfig = CheckConfig { enabled: false };
     /// Checking enabled.
     pub const ON: CheckConfig = CheckConfig { enabled: true };
-
-    /// Reads [`CHECK_ENV`]: any non-empty value other than `"0"`
-    /// enables checking.
-    pub fn from_env() -> CheckConfig {
-        match std::env::var(CHECK_ENV) {
-            Ok(v) if !v.is_empty() && v != "0" => CheckConfig::ON,
-            _ => CheckConfig::OFF,
-        }
-    }
 
     /// Whether checks should run.
     pub fn enabled(self) -> bool {

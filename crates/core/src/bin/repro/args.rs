@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hetcore::bench::QUICK_INSTS;
-use hetcore::suite::{Experiment, Extension, Suite};
+use hetcore::suite::{Experiment, Extension, Suite, TWOX_CORES};
 
 use crate::{baseline, CliError};
 use crate::{bench, check, ci_gate, diff, explore, profile, run, trace_export};
@@ -73,7 +73,9 @@ const USIZE: u64 = usize::MAX as u64;
 
 // Run shape.
 pub static QUICK: Flag = Flag::switch("--quick");
-pub static INSTS: Flag = Flag::int("--insts", "N", 1, u64::MAX);
+// A chip shares its parallel budget evenly among its cores, so a budget
+// below the largest chip's core count can leave a chip with no work.
+pub static INSTS: Flag = Flag::int("--insts", "N", TWOX_CORES as u64, u64::MAX);
 pub static SEED: Flag = Flag::int("--seed", "S", 0, u64::MAX);
 pub static JOBS: Flag = Flag::int("--jobs", "N", 1, USIZE);
 pub static CACHE_DIR: Flag = Flag::text("--cache-dir", "PATH");
@@ -178,11 +180,9 @@ pub static COMMANDS: &[Command] = &[
     },
     Command {
         name: "check",
-        flags: &[
-            &FUZZ, &SEED, &INSTS, &FORMAT, &JOBS, &CACHE_DIR, &PROGRESS, &TRACE_IN,
-        ],
+        flags: &[&FUZZ, &SEED, &FORMAT, &TRACE_IN],
         formats: &["table", "json"],
-        measuring: &[&FUZZ, &SEED, &INSTS, &JOBS, &CACHE_DIR, &PROGRESS],
+        measuring: &[&FUZZ, &SEED],
         run: check::run,
         ..DEFAULT
     },

@@ -19,7 +19,7 @@ const DEFAULT_BASELINE_TARGETS: [&str; 4] = ["fig7", "fig8", "fig14", "ext"];
 
 /// Instruction budget baselines are recorded at: small enough for CI.
 /// The golden test replays each baseline at its recorded budget.
-pub const DEFAULT_BASELINE_INSTS: u64 = 3_000;
+const DEFAULT_BASELINE_INSTS: u64 = 3_000;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let mut positionals = std::mem::take(&mut args.positionals).into_iter();

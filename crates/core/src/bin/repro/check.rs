@@ -1,32 +1,26 @@
-//! `repro check [--fuzz N] [--seed S]` — the runtime-invariant and
-//! metamorphic-fuzz harness (see `hetcore::check`): rerun the fig7 +
-//! fig10 campaigns validating every outcome and the serialized
-//! telemetry against the accounting invariants, then run N seeded fuzz
-//! rounds of random workloads asserting oracle-free metamorphic
-//! relations; exit non-zero on any violation. With `--trace-in PATH` it
-//! instead validates a trace file recorded by `repro --trace-out` (span
-//! structure and job-finished/span matching; see
+//! `repro check [--fuzz N] [--seed S]` — the metamorphic-fuzz harness
+//! (see `hetcore::check`): run N seeded fuzz rounds of random workloads
+//! with the simulators' in-loop checks on, asserting the accounting
+//! invariants and oracle-free metamorphic relations; exit non-zero on
+//! any violation. Real runs need no separate sweep: every executing
+//! command validates its own outcomes and dump. With `--trace-in PATH`
+//! it instead validates a trace file recorded by `repro --trace-out`
+//! (span structure and job-finished/span matching; see
 //! `hetsim_obs::validate_events`).
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use hetcore::check::fuzz_round;
-use hetcore::suite::{Experiment, Suite};
 use hetsim_check::Checker;
 use hetsim_obs::{parse_jsonl, validate_events};
 use hetsim_runner::narrate;
 use serde::value::Value;
 use serde::Serialize as _;
 
-use crate::args::{Args, CACHE_DIR, FUZZ, INSTS, PROGRESS, SEED, TRACE_IN};
-use crate::baseline::DEFAULT_BASELINE_INSTS;
-use crate::exec::{self, execute, pretty, validate_execution, verdict};
+use crate::args::{Args, FUZZ, SEED, TRACE_IN};
+use crate::exec::{self, pretty, verdict};
 use crate::CliError;
-
-/// The experiments the invariant phase sweeps: the two targets that
-/// exercise both campaign engines (CPU and GPU).
-const CHECK_TARGETS: [Experiment; 2] = [Experiment::Fig7, Experiment::Fig10];
 
 /// Instruction budget of each metamorphic fuzz round (each round runs
 /// the sampled workload several times, so this stays small).
@@ -35,7 +29,7 @@ const FUZZ_ROUND_INSTS: u64 = 3_000;
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     if args.has(&TRACE_IN) {
         // Trace validation is a pure file check: the flags that shape
-        // the campaign/fuzz phases have nothing to act on.
+        // the fuzz rounds have nothing to act on.
         args.reject_measuring("--trace-in validates an existing trace", &[]);
     }
     args.valid()?;
@@ -44,32 +38,9 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     }
     let fuzz: u64 = args.num(&FUZZ).unwrap_or(8);
     let seed: u64 = args.num(&SEED).unwrap_or(42);
-    let insts = args.num(&INSTS).unwrap_or(DEFAULT_BASELINE_INSTS);
-    let suite = Suite {
-        insts_per_app: insts,
-        ..Suite::default()
-    };
 
-    // Phase 1: run the real campaigns once and validate every outcome
-    // plus the serialized telemetry (where HETSIM_CHECK_PERTURB can
-    // inject a fault to prove the layer fires).
-    narrate(&format!(
-        "[check] invariant sweep: fig7 + fig10 at --insts {insts}"
-    ));
-    let execution = execute(
-        &suite,
-        &CHECK_TARGETS,
-        &[],
-        args.jobs(),
-        args.path(&CACHE_DIR).as_deref(),
-        args.has(&PROGRESS),
-        None,
-    )?;
-    let mut checker = Checker::new();
-    validate_execution(&execution, &mut checker);
-
-    // Phase 2: metamorphic fuzz rounds over random-but-legal workloads.
     narrate(&format!("[check] fuzzing {fuzz} round(s) from seed {seed}"));
+    let mut checker = Checker::new();
     for round in 0..fuzz {
         fuzz_round(seed.wrapping_add(round), FUZZ_ROUND_INSTS, &mut checker);
     }

@@ -1,5 +1,5 @@
-//! The one execution path shared by the run, baseline, ci-gate, check
-//! and profile commands, plus the output helpers they share.
+//! The one execution path shared by the run, baseline, ci-gate and
+//! profile commands, plus the output helpers they share.
 
 use std::io::Write;
 use std::path::Path;
@@ -7,11 +7,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use hetcore::campaign::traced_campaign;
-use hetcore::check::{
-    perturbation_from_env, validate_cpu_outcome, validate_dump, validate_gpu_outcome,
-};
+use hetcore::check::{perturbation_from_env, validate_outputs};
 use hetcore::report::Report;
-use hetcore::suite::{CpuCampaign, Experiment, Extension, GpuCampaign, Suite};
+use hetcore::suite::{Experiment, Extension, Suite};
 use hetcore::telemetry::StatsDump;
 use hetsim_check::Checker;
 use hetsim_obs::{CycleProfile, MonotonicClock, TraceRecorder};
@@ -59,10 +57,6 @@ pub struct Execution {
     pub reports: Vec<Report>,
     pub dump: StatsDump,
     pub profile: CycleProfile,
-    /// The raw campaigns behind the reports, kept so `repro check` can
-    /// validate every individual outcome (unused by the other commands).
-    pub cpu: Option<CpuCampaign>,
-    pub gpu: Option<GpuCampaign>,
 }
 
 /// A campaign runner on `jobs` workers, sharing `cache_dir`, narrating
@@ -94,10 +88,15 @@ where
 
 /// Runs `requested` + `extensions` on `suite` and collects the output.
 /// This is the one execution path shared by the default command, the
-/// baseline writer and the CI gate, so a replayed baseline is produced
-/// by *exactly* the code a normal run uses. A target named twice runs
-/// and reports once, where it was first named: a dump holds one report
-/// per path.
+/// baseline writer, the CI gate and the profiler, so a replayed baseline
+/// is produced by *exactly* the code a normal run uses. A target named
+/// twice runs and reports once, where it was first named: a dump holds
+/// one report per path.
+///
+/// Every run validates what it simulated against the accounting
+/// invariants (see `hetcore::check`): each outcome of both batches,
+/// then the dump. Any violation fails the run, listed on stderr, even
+/// where no baseline exists to diff it against.
 pub fn execute(
     suite: &Suite,
     requested: &[Experiment],
@@ -125,8 +124,8 @@ pub fn execute(
         .transpose()?;
     let recorder = recorder.map(Arc::as_ref);
     let outcomes = plan.run(
-        |batch| run_batch(cpu_runner.as_ref(), "CPU", batch, recorder),
-        |batch| run_batch(gpu_runner.as_ref(), "GPU", batch, recorder),
+        |batch| run_batch(cpu_runner.as_ref(), "cpu-campaign", batch, recorder),
+        |batch| run_batch(gpu_runner.as_ref(), "gpu-campaign", batch, recorder),
     );
     let reports = suite.reports(&outcomes);
     let (cpu, gpu) = (outcomes.cpu_campaign(), outcomes.gpu_campaign());
@@ -160,32 +159,21 @@ pub fn execute(
         profile.merge(&r.total_observations().profile);
     }
     dump = dump.with_reports(&reports);
-    let execution = Execution {
+    let mut checker = Checker::new();
+    let spec = perturbation_from_env();
+    validate_outputs(&outcomes, &dump.to_value(), spec.as_deref(), &mut checker);
+    if !checker.is_clean() {
+        for v in checker.violations() {
+            narrate(&v.to_string());
+        }
+        let n = checker.violations().len();
+        return Err(format!("{n} invariant violation(s)"));
+    }
+    Ok(Execution {
         reports,
         dump,
         profile,
-        cpu,
-        gpu,
-    };
-    // With HETSIM_CHECK set, every command that executes experiments
-    // (run, baseline, ci-gate) also validates the outcomes and the
-    // serialized telemetry against the accounting invariants — a run
-    // that is internally inconsistent fails even if no baseline exists
-    // to diff it against. Pure counter arithmetic: no simulation cost.
-    if hetsim_check::CheckConfig::from_env().enabled() {
-        let mut checker = Checker::new();
-        validate_execution(&execution, &mut checker);
-        if !checker.is_clean() {
-            for v in checker.violations() {
-                narrate(&v.to_string());
-            }
-            return Err(format!(
-                "{} invariant violation(s) (HETSIM_CHECK)",
-                checker.violations().len()
-            ));
-        }
-    }
-    Ok(execution)
+    })
 }
 
 /// `items` without repeats, each kept where it first occurs.
@@ -200,10 +188,10 @@ fn first_occurrences<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
 }
 
 /// Runs one of a plan's batches on its runner (an empty batch has none)
-/// inside a `cpu-campaign`/`gpu-campaign` trace span.
+/// inside the trace span `span`.
 fn run_batch<T>(
     runner: Option<&Runner<T>>,
-    kind: &str,
+    span: &str,
     batch: Vec<Job<T>>,
     recorder: Option<&TraceRecorder>,
 ) -> Vec<T>
@@ -213,44 +201,7 @@ where
     let Some(runner) = runner else {
         return Vec::new();
     };
-    let workers = runner.workers();
-    narrate(&format!(
-        "running {} {kind} job(s) on {workers} worker(s)...",
-        batch.len()
-    ));
-    let span = format!("{}-campaign", kind.to_lowercase());
-    traced_campaign(recorder, &span, || runner.run(batch))
-}
-
-/// Validates every campaign outcome and the serialized telemetry of one
-/// execution (shared by the HETSIM_CHECK hook above and `repro check`,
-/// which also counts the checks and injects perturbations).
-pub fn validate_execution(execution: &Execution, checker: &mut Checker) {
-    let mut max_cores = 1;
-    let mut apps = 1;
-    if let Some(campaign) = &execution.cpu {
-        apps = campaign.outcomes.len() as u64;
-        checker.scoped("campaign", |c| {
-            for outcome in campaign.outcomes.iter().flatten() {
-                max_cores = max_cores.max(outcome.cores);
-                validate_cpu_outcome(outcome, c);
-            }
-        });
-    }
-    if let Some(campaign) = &execution.gpu {
-        checker.scoped("campaign", |c| {
-            for outcome in campaign.outcomes.iter().flatten() {
-                validate_gpu_outcome(outcome, c);
-            }
-        });
-    }
-    validate_dump(
-        &execution.dump.to_value(),
-        apps,
-        max_cores,
-        perturbation_from_env().as_deref(),
-        checker,
-    );
+    traced_campaign(recorder, span, || runner.run(batch))
 }
 
 /// Exit 0 when clean, 1 otherwise.

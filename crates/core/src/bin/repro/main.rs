@@ -24,8 +24,8 @@
 //!   directory of them — the CI job;
 //! * `bench` is the pinned perf-measurement subsystem (see
 //!   `hetcore::bench` and `hetsim_bench`);
-//! * `check` is the runtime-invariant and metamorphic-fuzz harness (see
-//!   `hetcore::check`);
+//! * `check` runs the metamorphic fuzz rounds (see `hetcore::check`) or
+//!   validates a `--trace-out` log;
 //! * `explore` searches the fig7 design space for its Pareto frontier
 //!   (see `hetcore::explore`);
 //! * `profile` reports the campaigns' top-down cycle attribution (see
@@ -42,6 +42,10 @@
 //! one `[runner]` line per event.
 //! Tracing (`--trace-out`) and attribution (`--profile-out`) only add
 //! output: reports on stdout are byte-identical with and without them.
+//! Every command that runs experiments (the default, `baseline`,
+//! `ci-gate` and `profile`) validates each outcome it simulated and its
+//! counter dump against the accounting invariants, and fails with the
+//! violations on stderr if any breaks.
 //!
 //! Arguments are validated up front: every unknown argument, flag
 //! missing its value or bad value fails the run before any experiment

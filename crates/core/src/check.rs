@@ -12,9 +12,15 @@
 //!    the *serialized* numbers, so a bug anywhere between the simulator
 //!    and the JSON (merge, telemetry keys, campaign aggregation) is
 //!    caught at the artifact boundary.
-//!    The [`PERTURB_ENV`] hook injects an off-by-one into one named
-//!    counter here, proving end-to-end that a corrupted artifact yields a
-//!    named violation and a non-zero exit.
+//!
+//!    [`validate_outputs`] runs both on what one run produced: every
+//!    outcome of its plan's CPU and GPU batches (the campaigns, Figure 14
+//!    and the extensions alike), then its dump. `repro` calls it after
+//!    every run, so no command reports a result that breaks them. The
+//!    [`PERTURB_ENV`] hook injects an off-by-one into one named counter
+//!    of a copy of every outcome and of every dump column, proving
+//!    end-to-end that a corrupted result yields a named violation and a
+//!    non-zero exit.
 //! 3. [`fuzz_round`] — sample a random-but-legal workload/kernel from a
 //!    seed ([`hetsim_trace::fuzz`]) and assert *metamorphic* relations
 //!    that need no oracle: more requested instructions never commit
@@ -39,13 +45,15 @@ use serde::value::Value;
 use crate::campaign::{cpu_job, Fingerprinted};
 use crate::config::{CpuDesign, GpuDesign, OperatingPoint};
 use crate::experiment::{CpuOutcome, CpuRun, GpuOutcome};
+use crate::suite::Outcomes;
 
 /// Environment variable holding a counter-perturbation spec for
-/// [`validate_dump`]: a dotted counter name rooted at `core.`, `mem.` or
-/// `gpu.` (e.g. `core.issues`, `mem.l2.hits`, `gpu.valu_insts`). When
-/// set, the named counter is bumped by one in every reconstructed design
-/// column before validation — a test-only fault injector proving the
-/// check layer actually fires on corrupted telemetry.
+/// [`validate_outputs`]: a dotted counter name rooted at `core.`, `mem.`
+/// or `gpu.` (e.g. `core.issues`, `mem.l2.hits`, `gpu.valu_insts`). When
+/// set, the named counter is bumped by one in a copy of every outcome
+/// and in every reconstructed design column before validation — a
+/// test-only fault injector proving the check layer actually fires on
+/// corrupted results. Reports and dumps are never perturbed.
 pub const PERTURB_ENV: &str = "HETSIM_CHECK_PERTURB";
 
 /// Reads the perturbation spec from the environment (tests and the CI
@@ -177,14 +185,15 @@ fn apply_perturbation(
 /// `apps` is the number of per-app outcomes merged into each column (used
 /// to scale the in-flight-slack bounds); `cores` the largest core count
 /// in the campaign. `perturb` optionally injects an off-by-one first
-/// (see [`PERTURB_ENV`]).
+/// (see [`PERTURB_ENV`]); the result says whether it named a counter of
+/// some column.
 pub fn validate_dump(
     dump: &Value,
     apps: u64,
     cores: u32,
     perturb: Option<&str>,
     checker: &mut Checker,
-) {
+) -> bool {
     let mut perturb_applied = false;
     checker.scoped("dump", |c| {
         if let Some(designs) = dump
@@ -247,15 +256,56 @@ pub fn validate_dump(
                 });
             }
         }
-        if let Some(spec) = perturb {
+    });
+    perturb_applied
+}
+
+/// Validates what one run produced: every outcome of its plan's CPU and
+/// GPU batches, once each, under `outcomes/cpu[i]` or `outcomes/gpu[i]`
+/// (`i` is the job's index in its batch), then its telemetry `dump`.
+///
+/// `perturb` (see [`PERTURB_ENV`]) bumps its counter in a copy of each
+/// outcome and in each dump column; a spec that names no counter of any
+/// of them is itself a violation, so a mistyped spec cannot pass blind.
+pub fn validate_outputs(
+    outcomes: &Outcomes,
+    dump: &Value,
+    perturb: Option<&str>,
+    checker: &mut Checker,
+) {
+    let mut applied = false;
+    checker.scoped("outcomes", |c| {
+        for (i, outcome) in outcomes.cpu.iter().enumerate() {
+            let mut outcome = outcome.clone();
+            if let Some(spec) = perturb {
+                let (core, mem) = (Some(&mut outcome.stats), Some(&mut outcome.mem));
+                applied |= apply_perturbation(spec, core, mem, None);
+            }
+            c.scoped(format!("cpu[{i}]"), |c| validate_cpu_outcome(&outcome, c));
+        }
+        for (i, outcome) in outcomes.gpu.iter().enumerate() {
+            let mut outcome = outcome.clone();
+            if let Some(spec) = perturb {
+                applied |= apply_perturbation(spec, None, None, Some(&mut outcome.stats));
+            }
+            c.scoped(format!("gpu[{i}]"), |c| validate_gpu_outcome(&outcome, c));
+        }
+    });
+    // Dump columns exist for the campaigns only, each merging one outcome
+    // per application; the batch's largest chip bounds their slack.
+    let apps = hetsim_trace::apps::all().len() as u64;
+    let cores = outcomes.cpu.iter().map(|o| o.cores).max().unwrap_or(1);
+    applied |= validate_dump(dump, apps, cores, perturb, checker);
+    if let Some(spec) = perturb {
+        checker.scoped(PERTURB_ENV, |c| {
             c.check(
                 "check.perturbation_applied",
                 format!("perturbation spec {spec} names a real counter"),
-                perturb_applied,
-                "matched nothing in the dump",
+                applied,
+                "matched no counter of any outcome or dump column",
             );
-        }
-    });
+        });
+    }
 }
 
 /// One metamorphic fuzz round: a seeded random CPU workload and GPU
@@ -448,6 +498,32 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.invariant == "chip.outcome_committed_consistent"));
+    }
+
+    #[test]
+    fn a_corrupted_fig14_outcome_is_found_among_a_plans_outcomes() {
+        let suite = crate::suite::Suite {
+            insts_per_app: 4_000,
+            seed: 7,
+        };
+        let plan = suite.plan(&[crate::suite::Experiment::Fig14], &[]);
+        let mut outcomes = plan.run(|b| Runner::serial().run(b), |b| Runner::serial().run(b));
+        let dump = Value::Object(Vec::new());
+        let mut clean = Checker::new();
+        validate_outputs(&outcomes, &dump, None, &mut clean);
+        assert!(clean.is_clean(), "{:?}", clean.violations());
+        assert!(
+            clean.checks_run() > 36 * 10,
+            "every Figure 14 outcome is checked"
+        );
+
+        outcomes.cpu[17].stats.issues += 1;
+        let mut checker = Checker::new();
+        validate_outputs(&outcomes, &dump, None, &mut checker);
+        let found = checker.violations().iter().any(|v| {
+            v.invariant == "cpu.issue_class_conservation" && v.path.starts_with("outcomes/cpu[17]/")
+        });
+        assert!(found, "{:?}", checker.violations());
     }
 
     #[test]

@@ -501,36 +501,6 @@ impl Suite {
         r
     }
 
-    /// The Section VII-A1 premise check: chip power of the 8-core
-    /// AdvHet-2X vs. the 4-core BaseCMOS (the "fixed power budget").
-    pub fn power_budget(&self, campaign: &CpuCampaign) -> Report {
-        let mut r = Report::new(
-            "Power budget (Section VII-A1): chip power, normalized to 4-core BaseCMOS",
-            vec![
-                "BaseCMOS x4".into(),
-                "AdvHet x4".into(),
-                "AdvHet-2X x8".into(),
-            ],
-        );
-        let advhet_idx = CpuDesign::ALL
-            .iter()
-            .position(|d| *d == CpuDesign::AdvHet)
-            .expect("AdvHet in ALL");
-        for (app, row) in campaign.app_names.iter().zip(&campaign.outcomes) {
-            let base = row[0].power_w();
-            r.push_row(
-                *app,
-                vec![
-                    1.0,
-                    row[advhet_idx].power_w() / base,
-                    row[CpuDesign::ALL.len()].power_w() / base,
-                ],
-            );
-        }
-        r.push_mean();
-        r
-    }
-
     // ---------------------------------------------------------------
     // GPU evaluation (Figures 10-12).
     // ---------------------------------------------------------------
@@ -973,8 +943,10 @@ impl Plan {
 
 /// A plan's outcomes, which [`Suite::reports`] renders from.
 pub struct Outcomes {
-    cpu: Vec<CpuOutcome>,
-    gpu: Vec<GpuOutcome>,
+    /// The CPU batch's outcomes, one per job, in submission order.
+    pub(crate) cpu: Vec<CpuOutcome>,
+    /// The GPU batch's outcomes, one per job, in submission order.
+    pub(crate) gpu: Vec<GpuOutcome>,
     slots: Vec<(Study, Vec<usize>)>,
     targets: (Vec<Experiment>, Vec<Extension>),
 }

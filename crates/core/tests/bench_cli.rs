@@ -216,7 +216,7 @@ fn bench_rejects_bad_arguments_up_front() {
         ),
         (
             &["bench", "--insts", "lots"],
-            "--insts expects an integer >= 1, got 'lots'",
+            "--insts expects an integer >= 8, got 'lots'",
         ),
         (&["bench", "--wat"], "unknown flag '--wat'"),
         (

@@ -67,6 +67,11 @@ fn check_rejects_unknown_arguments_and_missing_values() {
     assert_rejected(&["check", "--verbose"], "unknown argument '--verbose'");
     assert_rejected(&["check", "fig7"], "unknown argument 'fig7'");
     assert_rejected(&["check", "--seed"], "--seed requires a value");
+    // `check` runs no campaign, so it takes none of a run's flags.
+    for flag in ["--insts", "--jobs", "--cache-dir"] {
+        assert_rejected(&["check", flag, "8"], &format!("unknown argument '{flag}'"));
+    }
+    assert_rejected(&["check", "--progress"], "unknown argument '--progress'");
 }
 
 #[test]
@@ -144,8 +149,49 @@ fn explore_rejects_zero_budget_and_bad_counts() {
     );
     assert_rejected(
         &["explore", "--insts", "many"],
-        "--insts expects an integer >= 1, got 'many'",
+        "--insts expects an integer >= 8, got 'many'",
     );
+}
+
+#[test]
+fn a_budget_below_the_largest_chip_is_rejected() {
+    // The AdvHet-2X chip shares its budget among 8 cores: fewer
+    // instructions can leave some chip with no work and a report cell of 0
+    // or NaN.
+    for args in [
+        &["--insts", "7", "fig7"][..],
+        &["profile", "--insts", "7"],
+        &["explore", "--insts", "7"],
+    ] {
+        assert_rejected(args, "--insts expects an integer >= 8, got '7'");
+    }
+}
+
+#[test]
+fn the_smallest_budget_renders_every_cell() {
+    let out = repro(&["--insts", "8", "--format", "json", "all", "ext"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 reports");
+    let reports: Value = serde_json::from_str(&stdout).expect("a JSON report array");
+    let reports = reports.as_array().expect("an array");
+    let mut fig7_cells = 0;
+    for report in reports {
+        let title = report.get("title").and_then(Value::as_str).expect("title");
+        let rows = report.get("rows").and_then(Value::as_array).expect("rows");
+        for row in rows {
+            let cells = row.as_array().and_then(|r| r[1].as_array()).expect("cells");
+            for cell in cells {
+                let v = cell.as_f64();
+                assert!(v.is_some(), "{title}: a null cell in {row:?}");
+                if title.starts_with("Figure 7:") {
+                    assert!(v > Some(0.0), "{title}: a zero cell in {row:?}");
+                    fig7_cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(fig7_cells, 15 * 6, "14 apps + mean, 6 designs");
 }
 
 #[test]
@@ -289,14 +335,13 @@ fn check_rejects_trace_in_combined_with_any_measuring_flag() {
             "check",
             "--trace-in",
             "t.jsonl",
-            "--jobs",
+            "--fuzz",
+            "2",
+            "--seed",
             "3",
-            "--cache-dir",
-            "X",
-            "--progress",
         ],
         "--trace-in validates an existing trace; it cannot be combined with \
-         --jobs, --cache-dir or --progress",
+         --fuzz or --seed",
     );
 }
 
@@ -343,13 +388,21 @@ fn a_report_that_cannot_reach_stdout_fails_the_command() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+#[test]
+fn a_plain_run_writes_nothing_to_stderr() {
+    let out = repro(&["--quick", "fig10"]);
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "narration without --progress: {stderr}");
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn narration_that_cannot_reach_stderr_does_not_fail_the_command() {
     let reference = repro(&["--quick", "fig10"]);
     assert!(reference.status.success());
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--quick", "fig10"])
+        .args(["--quick", "--progress", "fig10"])
         .stderr(dev_full())
         .output()
         .expect("repro runs");

@@ -332,7 +332,7 @@ fn a_frontier_baseline_with_zero_insts_fails_naming_the_field() {
         "\"insts\": 0",
     );
     assert!(
-        stderr.contains("`explore.insts` is out of range: --insts expects an integer >= 1"),
+        stderr.contains("`explore.insts` is out of range: --insts expects an integer >= 8"),
         "{stderr}"
     );
 }
@@ -346,7 +346,7 @@ fn a_campaign_baseline_with_zero_insts_fails_naming_the_field() {
         "\"insts\": 0",
     );
     assert!(
-        stderr.contains("`run.insts` is out of range: --insts expects an integer >= 1"),
+        stderr.contains("`run.insts` is out of range: --insts expects an integer >= 8"),
         "{stderr}"
     );
 }

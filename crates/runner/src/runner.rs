@@ -123,11 +123,6 @@ where
         self
     }
 
-    /// The worker-thread count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs a batch, returning outcomes in submission order.
     pub fn run(&self, jobs: Vec<Job<T>>) -> Vec<T> {
         let started_us = self.clock.now_us();
