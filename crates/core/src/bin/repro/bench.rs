@@ -78,9 +78,16 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         jobs: args.jobs(),
         ..base
     };
+    // A dump that cannot be written fails the run before it measures.
+    let out = args.path(&OUT);
+    if let Some(path) = &out {
+        let probe = path.with_file_name(format!(".repro-bench-{}.probe", std::process::id()));
+        let probed = std::fs::write(&probe, "").and_then(|()| std::fs::remove_file(&probe));
+        probed.map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
     let dump = run_bench(&cfg);
 
-    if let Some(path) = args.path(&OUT) {
+    if let Some(path) = out {
         exec::write(&path, &dump.to_json())?;
         narrate(&format!("wrote bench dump to {}", path.display()));
     }

@@ -105,7 +105,8 @@ pub fn cpu_job_key(
 }
 
 /// A runnable, cacheable CPU simulation ([`CpuRun::simulate`]),
-/// labelled `cpu/{app}/{design}` plus its run shape.
+/// labelled `cpu/{app}/{design}` plus its run shape. It holds the pins of
+/// its run ([`CpuRun::pins`]) until it has run or hit the cache.
 pub fn cpu_job(
     point: &Fingerprinted<CpuPoint>,
     run: CpuRun,
@@ -120,8 +121,12 @@ pub fn cpu_job(
         CpuRun::ColdCore => format!("@{}GHz", point.config.clock_hz / 1e9),
     };
     let label = format!("cpu/{}/{}{shape}", app.name, point.design.name());
+    let pins = run.pins(app, seed);
     let (point, app) = (point.clone(), app.clone());
-    Job::new(key, label, move || run.simulate(&point, &app, seed, insts))
+    Job::new(key, label, move || {
+        let _pins = pins;
+        run.simulate(&point, &app, seed, insts)
+    })
 }
 
 /// The key of a GPU simulation: `run` of `kernel` on `point`, seeded

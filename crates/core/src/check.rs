@@ -31,7 +31,7 @@
 
 use hetsim_check::{CheckConfig, Checker};
 use hetsim_cpu::core::{validate_run, RunResult};
-use hetsim_cpu::multicore::{run_multicore, run_multicore_checked};
+use hetsim_cpu::multicore::{pins, run_multicore, run_multicore_checked};
 use hetsim_cpu::stats::CoreStats;
 use hetsim_gpu::gpu::Gpu;
 use hetsim_gpu::stats::{validate_gpu_stats, GpuStats};
@@ -325,6 +325,8 @@ fn fuzz_cpu_round(seed: u64, insts: u64, c: &mut Checker) {
     let app = fuzz::workload(seed);
     let point = Fingerprinted::new(design.resolve(OperatingPoint::nominal(), None));
     let cfg = &point.config;
+    // Every run of the round reads the app's streams: generate them once.
+    let _pins = pins(&app, seed);
     c.scoped(format!("cpu/{}", design.name()), |c| {
         // Invariant-checked run: every accounting relation must hold on
         // a workload far outside the calibrated application set.

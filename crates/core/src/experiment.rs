@@ -15,7 +15,7 @@
 //! outcome.
 
 use hetsim_check::CheckConfig;
-use hetsim_cpu::multicore::{run_multicore, run_thread, MulticoreResult};
+use hetsim_cpu::multicore::{self, run_multicore, run_thread, MulticoreResult};
 use hetsim_cpu::stats::CoreStats;
 use hetsim_cpu::CoreProfile;
 use hetsim_gpu::gpu::Gpu;
@@ -25,6 +25,7 @@ use hetsim_mem::stats::MemStats;
 use hetsim_obs::{Observations, ProfileRow};
 use hetsim_power::account::{EnergyBreakdown, GpuActivity, GpuEnergy, GpuEnergyModel};
 use hetsim_runner::SimMetrics;
+use hetsim_trace::cache::{self, Pin};
 use hetsim_trace::WorkloadProfile;
 use serde::{Deserialize, Serialize};
 
@@ -127,6 +128,15 @@ impl CpuRun {
             mem: result.mem,
         };
         (outcome, observations)
+    }
+
+    /// Pins on the streams [`CpuRun::simulate`] of `app` seeded `seed`
+    /// reads in this shape.
+    pub fn pins(self, app: &WorkloadProfile, seed: u64) -> Vec<Pin> {
+        match self {
+            CpuRun::Chip { .. } => multicore::pins(app, seed).into(),
+            CpuRun::Core | CpuRun::ColdCore => vec![cache::pin(app, seed)],
+        }
     }
 }
 

@@ -34,6 +34,7 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
+use hetsim_cpu::multicore;
 use hetsim_device::dvfs::DvfsController;
 use hetsim_runner::{Job, Runner};
 use hetsim_stats::pareto;
@@ -433,6 +434,11 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
         .apps
         .iter()
         .map(|a| Fingerprinted::new(apps::profile(a).expect("space validated")))
+        .collect();
+    // Every wave replays these apps' streams: generate them once.
+    let _pins: Vec<_> = apps
+        .iter()
+        .flat_map(|app| multicore::pins(app, cfg.seed))
         .collect();
 
     // One runner for the whole search: its stats and observations

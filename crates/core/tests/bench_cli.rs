@@ -249,6 +249,31 @@ fn bench_rejects_bad_arguments_up_front() {
 }
 
 #[test]
+fn an_out_path_that_cannot_be_written_fails_before_measuring() {
+    let missing = scratch().join("missing").join("x.json");
+    for path in [missing.to_str().expect("utf8"), "/proc/nope/x.json"] {
+        let args = [
+            "bench",
+            "--insts",
+            "3000",
+            "--warmup",
+            "0",
+            "--repeats",
+            "1",
+        ];
+        let out = repro(&[&args[..], &["--out", path]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path}: {stderr}");
+        assert!(stderr.contains(&format!("cannot write {path}")), "{stderr}");
+        assert!(
+            !stderr.contains("[bench]"),
+            "{path}: measured first: {stderr}"
+        );
+    }
+    assert!(!missing.exists());
+}
+
+#[test]
 fn read_only_modes_reject_every_measuring_flag() {
     let cases: &[(&[&str], &str)] = &[
         (

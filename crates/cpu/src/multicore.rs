@@ -14,6 +14,7 @@
 
 use hetsim_check::{CheckConfig, Checker, Violation};
 use hetsim_mem::stats::MemStats;
+use hetsim_trace::cache::{self, Pin};
 use hetsim_trace::stream::THREAD_ADDRESS_STRIDE;
 use hetsim_trace::WorkloadProfile;
 
@@ -110,7 +111,7 @@ pub fn run_thread(
     // fewer than `warmup + n + steering window + 1` records of the stream
     // (the steering peek reads `window` records past the last dispatch).
     let pull_bound = warmup + n + cfg.steering.lookahead_window() + 1;
-    let trace = hetsim_trace::cache::replay(profile, seed, thread, pull_bound);
+    let trace = cache::replay(profile, seed, thread, pull_bound);
     let result = core.run_warmed(trace, warmup, n);
     (result, core.take_violations())
 }
@@ -190,6 +191,15 @@ pub fn run_multicore_checked(
         validate_multicore(core_cfg, total_insts, &result, &mut checker);
     }
     (result, checker.into_violations())
+}
+
+/// Pins on the streams a [`run_multicore_checked`] of `profile` seeded
+/// `seed` reads: `seed` for the serial phase, `seed + 1` for the parallel.
+pub fn pins(profile: &WorkloadProfile, seed: u64) -> [Pin; 2] {
+    [
+        cache::pin(profile, seed),
+        cache::pin(profile, seed.wrapping_add(1)),
+    ]
 }
 
 /// Validates a finished [`MulticoreResult`] against the work-conservation

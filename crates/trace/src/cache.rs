@@ -1,4 +1,4 @@
-//! The process-wide trace store behind design-space sweeps.
+//! The trace store behind design-space sweeps.
 //!
 //! A [`crate::stream::TraceGenerator`] stream is a pure function of
 //! `(profile, seed, thread)` — it does not depend on the core design being
@@ -6,12 +6,12 @@
 //! designs) therefore regenerate the *identical* instruction stream once
 //! per design, and generation is a large fraction of simulator wall time
 //! (the stream's RNG-driven control flow defeats the host branch
-//! predictor). [`replay`] generates each stream once per process, keeps
-//! it packed at 8 bytes an instruction, and hands out [`CachedTrace`]s
-//! that read the packed records in place, so a sweep pays for generation
-//! once. A record keeps the low half of its load/store address, and its
-//! chunk keeps the high half, which in a generated stream is the thread's
-//! index (see [`crate::stream::THREAD_ADDRESS_STRIDE`]).
+//! predictor). [`replay`] generates each stream once while something will
+//! read it, keeps it packed at 8 bytes an instruction, and hands out
+//! [`CachedTrace`]s that read the packed records in place, so a sweep pays
+//! for generation once. A record keeps the low half of its load/store
+//! address, and its chunk keeps the high half, which in a generated stream
+//! is the thread's index (see [`crate::stream::THREAD_ADDRESS_STRIDE`]).
 //!
 //! # Equivalence
 //!
@@ -33,40 +33,36 @@
 //! the first dispatch to reach a chunk walks the predictor over it and
 //! records one mispredict bit per record, and every later replay reads the
 //! bits. All the designs of a campaign row share one walk, and the bits
-//! are evicted with their stream.
+//! are freed with their stream.
 //!
-//! # One store per process
+//! # A stream lives while something will read it
 //!
-//! Every worker thread, batch and runner in the process shares one store,
-//! so a stream that several workers replay is generated once, not once
-//! per worker. Each stream has its own lock: a thread that asks for a
-//! stream another thread is generating waits for it instead of generating
-//! it again, and the index lock, which spans streams, is never held while
+//! The store's index holds weak handles. The streams of a `(profile,
+//! seed)`, one per thread, stay stored while a [`Pin`] on the pair or a
+//! [`CachedTrace`] of one of them lives. A campaign job pins the streams
+//! its run reads when it is built and drops the pins once it has run or hit
+//! the result cache, so a campaign submitted row by row holds the streams
+//! of the rows its workers are in and leaves none behind. A pin builds no
+//! generator: the first replay to reach a stream generates it. Each stream
+//! has its own lock, so a thread that asks for a stream another is
+//! generating waits for it, and the index lock is never held while
 //! generating. A stream grows by whole chunks of `CHUNK` (4096) records
-//! that never change once published, so extending a stream neither copies
-//! nor disturbs the prefix other threads are replaying. Beyond
-//! `MAX_TOTAL_INSTS` (64M) resident records, least-recently-used streams
-//! are evicted whole.
+//! that never change once published, so extending it neither copies nor
+//! disturbs a prefix others replay.
 //!
-//! The store is process-wide state, but it carries no observations: it
-//! holds only pure functions of its keys (the outcome bits, of the key and
-//! the predictor config), and replaying a stored stream is
-//! indistinguishable from generating it afresh. Two campaigns sharing the
-//! process can therefore never see each other's numbers through it.
+//! The store carries no observations: it holds only pure functions of its
+//! keys (the outcome bits, of the key and the predictor config), and
+//! replaying a stored stream is indistinguishable from generating it
+//! afresh. Two campaigns sharing the process can therefore never see each
+//! other's numbers through it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, Weak};
 
 use crate::isa::{BranchInfo, Inst, OpClass};
 use crate::predictor::{PredictorConfig, TournamentPredictor};
 use crate::profile::WorkloadProfile;
 use crate::stream::TraceGenerator;
-
-/// Total records kept resident across all streams, 8 bytes each, so at
-/// most 512 MiB. A full campaign (14 apps x serial + parallel seeds at
-/// figure scale) sums to a few tens of millions, so a whole sweep —
-/// including its repeat runs — replays from memory; beyond the budget,
-/// least-recently-used streams are evicted whole.
-const MAX_TOTAL_INSTS: u64 = 64_000_000;
 
 /// Longest per-thread trace worth materializing (beyond this, streaming
 /// regeneration beats holding the trace resident).
@@ -78,7 +74,7 @@ const MAX_CACHED_INSTS: u64 = 8_000_000;
 const CHUNK: usize = 4096;
 
 /// The store every thread of the process shares.
-static STORE: Store = Store::new(MAX_TOTAL_INSTS);
+static STORE: Store = Store::new();
 
 /// One [`Inst`] in 8 bytes, as a chunk keeps it. `meta` holds both
 /// producer distances (bits 0–11 and 12–23; 0 for none), the op class
@@ -375,8 +371,12 @@ pub struct CachedTrace {
 
 #[derive(Debug, Clone)]
 enum Source {
-    /// A stored prefix; the stream keeps the walks every replay shares.
-    Stored(Arc<Mutex<Stream>>),
+    /// A stored prefix; the stream keeps the walks every replay shares,
+    /// and its family stays stored while the trace lives.
+    Stored {
+        _family: Arc<Family>,
+        stream: Arc<Mutex<Stream>>,
+    },
     /// A stream that is not stored: the generator of its next chunk
     /// (`None` for a list of instructions, packed whole) and its own
     /// walks.
@@ -455,7 +455,7 @@ impl CachedTrace {
         }
         let chunk = Arc::clone(self.chunk(c));
         let outcomes = match &mut self.source {
-            Source::Stored(stream) => stream
+            Source::Stored { stream, .. } => stream
                 .lock()
                 .expect("no thread panicked while walking")
                 .outcomes(predictor, c),
@@ -538,7 +538,8 @@ impl From<Vec<Inst>> for CachedTrace {
 
 /// The instruction stream of `thread` for `(profile, seed)`, guaranteed to
 /// hold at least `min_len` records (the stored prefix is extended on
-/// demand and shared by every thread of the process).
+/// demand, shared by every thread of the process, and kept while the
+/// trace or a [`Pin`] on `(profile, seed)` lives).
 ///
 /// `min_len` must upper-bound the positions the caller will read; the
 /// stream may end just past it (an unstored stream, served above the store
@@ -551,33 +552,55 @@ pub fn replay(profile: &WorkloadProfile, seed: u64, thread: u32, min_len: u64) -
     STORE.replay(profile, seed, thread, min_len)
 }
 
-/// A budgeted set of streams keyed by `(profile, seed, thread)`.
+/// Pins the streams of `(profile, seed)`, every thread's: while the pin
+/// lives, each one a replay generates stays stored for the replays after
+/// it. Taking a pin builds no generator.
+pub fn pin(profile: &WorkloadProfile, seed: u64) -> Pin {
+    STORE.pin(profile, seed)
+}
+
+/// A hold on the streams of one `(profile, seed)` (see [`pin`]).
+#[derive(Debug)]
+pub struct Pin(Arc<Family>);
+
+impl Drop for Pin {
+    fn drop(&mut self) {
+        self.0.pins.fetch_sub(1, Relaxed);
+    }
+}
+
+/// What the process's store holds and has done. Tests read it to check
+/// that campaign jobs pin every stream they replay and leave none stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreStats {
+    /// `(profile, seed)` pairs whose streams a pin or a trace holds.
+    pub families: usize,
+    /// Records generated since the process started.
+    pub generated: u64,
+    /// Replays that found no pin on their `(profile, seed)`.
+    pub unpinned_replays: u64,
+}
+
+/// The process's [`StoreStats`].
+pub fn stats() -> StoreStats {
+    STORE.stats()
+}
+
+/// Streams by `(profile, seed)`, and what the store has done.
 struct Store {
-    /// Most records the entries may hold together.
-    budget: u64,
-    index: Mutex<Index>,
-    /// Records generated over the store's life.
-    #[cfg(test)]
-    generated: std::sync::atomic::AtomicU64,
+    /// A weak handle on each family; lookups drop the dead ones.
+    index: Mutex<Vec<Weak<Family>>>,
+    generated: AtomicU64,
+    unpinned: AtomicU64,
 }
 
-struct Index {
-    /// LRU clock (monotonic use counter).
-    clock: u64,
-    /// Sum of the entries' `len`.
-    resident: u64,
-    entries: Vec<Entry>,
-}
-
-struct Entry {
+/// The streams of one `(profile, seed)`, by thread, and its pin count.
+#[derive(Debug)]
+struct Family {
     profile: WorkloadProfile,
     seed: u64,
-    thread: u32,
-    /// Records the stream has been asked to hold (whole chunks).
-    len: u64,
-    /// LRU stamp.
-    stamp: u64,
-    stream: Arc<Mutex<Stream>>,
+    pins: AtomicUsize,
+    streams: Mutex<Vec<(u32, Arc<Mutex<Stream>>)>>,
 }
 
 #[derive(Debug)]
@@ -606,17 +629,18 @@ impl Stream {
 }
 
 impl Store {
-    const fn new(budget: u64) -> Store {
+    const fn new() -> Store {
         Store {
-            budget,
-            index: Mutex::new(Index {
-                clock: 0,
-                resident: 0,
-                entries: Vec::new(),
-            }),
-            #[cfg(test)]
-            generated: std::sync::atomic::AtomicU64::new(0),
+            index: Mutex::new(Vec::new()),
+            generated: AtomicU64::new(0),
+            unpinned: AtomicU64::new(0),
         }
+    }
+
+    fn pin(&self, profile: &WorkloadProfile, seed: u64) -> Pin {
+        let family = self.family(profile, seed);
+        family.pins.fetch_add(1, Relaxed);
+        Pin(family)
     }
 
     fn replay(
@@ -632,8 +656,25 @@ impl Store {
         // Validate before taking any lock, so that a bad profile panics
         // here and cannot poison the store.
         profile.validate().expect("valid workload profile");
+        let family = self.family(profile, seed);
+        if family.pins.load(Relaxed) == 0 {
+            self.unpinned.fetch_add(1, Relaxed);
+        }
+        let mut streams = family.streams.lock().expect("family lock");
+        let stream = match streams.iter().find(|(t, _)| *t == thread) {
+            Some((_, stream)) => Arc::clone(stream),
+            None => {
+                let stream = Arc::new(Mutex::new(Stream {
+                    generator: TraceGenerator::for_thread(profile, seed, thread),
+                    chunks: Vec::new(),
+                    walks: Vec::new(),
+                }));
+                streams.push((thread, Arc::clone(&stream)));
+                stream
+            }
+        };
+        drop(streams);
         let chunks = min_len.div_ceil(CHUNK as u64) as usize;
-        let stream = self.reserve(profile, seed, thread, (chunks * CHUNK) as u64);
         let mut guard = stream.lock().expect("no thread panicked while generating");
         let Stream {
             generator,
@@ -642,85 +683,50 @@ impl Store {
         } = &mut *guard;
         while stored.len() < chunks {
             stored.push(Chunk::pack(generator.take(CHUNK)));
-            #[cfg(test)]
-            self.generated
-                .fetch_add(CHUNK as u64, std::sync::atomic::Ordering::Relaxed);
+            self.generated.fetch_add(CHUNK as u64, Relaxed);
         }
         let prefix = stored[..chunks].to_vec();
         drop(guard);
         let len = (chunks * CHUNK) as u64;
-        CachedTrace::new(prefix, len, Source::Stored(stream))
+        let source = Source::Stored {
+            _family: family,
+            stream,
+        };
+        CachedTrace::new(prefix, len, source)
     }
 
-    /// The stream of `(profile, seed, thread)`, with its entry grown to
-    /// `len` records. Evicts least-recently-used streams (never this
-    /// one) until the growth fits the budget. Streams an eviction drops
-    /// stay alive for the threads still replaying them.
-    fn reserve(
-        &self,
-        profile: &WorkloadProfile,
-        seed: u64,
-        thread: u32,
-        len: u64,
-    ) -> Arc<Mutex<Stream>> {
-        let mut index = self
-            .index
-            .lock()
-            .expect("the store index is never held across a panic");
-        let Index {
-            clock,
-            resident,
-            entries,
-        } = &mut *index;
-        *clock += 1;
-        let mut idx = match entries
-            .iter()
-            .position(|e| e.seed == seed && e.thread == thread && e.profile == *profile)
-        {
-            Some(i) => i,
-            None => {
-                entries.push(Entry {
-                    profile: profile.clone(),
-                    seed,
-                    thread,
-                    len: 0,
-                    stamp: 0,
-                    stream: Arc::new(Mutex::new(Stream {
-                        generator: TraceGenerator::for_thread(profile, seed, thread),
-                        chunks: Vec::new(),
-                        walks: Vec::new(),
-                    })),
-                });
-                entries.len() - 1
-            }
-        };
-        let grow = len.saturating_sub(entries[idx].len);
-        while *resident + grow > self.budget && entries.len() > 1 {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != idx)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("more than one entry");
-            *resident -= entries[lru].len;
-            // `swap_remove` relocates only the old last element (to `lru`).
-            entries.swap_remove(lru);
-            if idx == entries.len() {
-                idx = lru;
-            }
+    /// The family of `(profile, seed)`, started empty if no pin or trace
+    /// holds one. The newest families are searched first: the jobs of a
+    /// campaign row pin the families its first job started.
+    fn family(&self, profile: &WorkloadProfile, seed: u64) -> Arc<Family> {
+        let mut index = self.index.lock().expect("index lock");
+        index.retain(|family| family.strong_count() > 0);
+        let mut live = index.iter().rev().filter_map(Weak::upgrade);
+        let found = live.find(|f| f.seed == seed && f.profile == *profile);
+        found.unwrap_or_else(|| {
+            let family = Arc::new(Family {
+                profile: profile.clone(),
+                seed,
+                pins: AtomicUsize::new(0),
+                streams: Mutex::default(),
+            });
+            index.push(Arc::downgrade(&family));
+            family
+        })
+    }
+
+    fn stats(&self) -> StoreStats {
+        let index = self.index.lock().expect("index lock");
+        StoreStats {
+            families: index.iter().filter(|f| f.strong_count() > 0).count(),
+            generated: self.generated.load(Relaxed),
+            unpinned_replays: self.unpinned.load(Relaxed),
         }
-        let entry = &mut entries[idx];
-        entry.stamp = *clock;
-        entry.len += grow;
-        *resident += grow;
-        Arc::clone(&entry.stream)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::Ordering;
     use std::sync::Barrier;
 
     use super::*;
@@ -739,7 +745,7 @@ mod tests {
     #[test]
     fn prefix_extends_in_place_and_stays_consistent() {
         let profile = apps::profile("lu").expect("lu exists");
-        let store = Store::new(MAX_TOTAL_INSTS);
+        let store = Store::new();
         let short_trace = store.replay(&profile, 5, 0, 100);
         let long_trace = store.replay(&profile, 5, 0, 3 * CHUNK as u64 + 5);
         // Extension appends chunks; the prefix is the same allocation.
@@ -765,40 +771,45 @@ mod tests {
     }
 
     #[test]
-    fn eviction_keeps_the_cache_bounded_and_correct() {
+    fn a_stream_lives_while_a_pin_or_a_trace_holds_it() {
         let profile = apps::profile("fft").expect("fft exists");
-        let budget = 3 * CHUNK as u64;
-        let store = Store::new(budget);
+        let store = Store::new();
         let expect: Vec<Inst> = TraceGenerator::for_thread(&profile, 100, 0)
             .take(200)
             .collect();
-        let first: Vec<Inst> = store.replay(&profile, 100, 0, 200).take(200).collect();
-        // Cycle enough streams through a small budget to force whole-stream
-        // evictions, then re-request the original: it must regenerate the
-        // same stream from scratch.
-        for seed in 200..220 {
-            let _ = store.replay(&profile, seed, 0, CHUNK as u64 + 1);
-            let index = store.index.lock().expect("index");
-            assert!(index.resident <= budget, "{} > {budget}", index.resident);
-            assert_eq!(
-                index.resident,
-                index.entries.iter().map(|e| e.len).sum::<u64>()
-            );
-        }
-        let before = store.generated.load(Ordering::Relaxed);
-        let again: Vec<Inst> = store.replay(&profile, 100, 0, 200).take(200).collect();
-        assert_eq!(
-            store.generated.load(Ordering::Relaxed),
-            before + CHUNK as u64
-        );
-        assert_eq!(first, expect);
-        assert_eq!(again, expect);
+        let replayed = || -> Vec<Inst> { store.replay(&profile, 100, 0, 200).take(200).collect() };
+        let stats = |families, chunks, unpinned_replays| StoreStats {
+            families,
+            generated: chunks * CHUNK as u64,
+            unpinned_replays,
+        };
+        let pin = store.pin(&profile, 100);
+        assert_eq!(store.stats(), stats(1, 0, 0), "a pin generates nothing");
+        // However many threads replay a pinned stream, it is generated
+        // once, and it outlives their traces.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| assert_eq!(replayed(), expect));
+            }
+        });
+        assert_eq!(store.stats(), stats(1, 1, 0));
+        // Without the pin, a live trace still holds the stream.
+        let trace = store.replay(&profile, 100, 0, 200);
+        drop(pin);
+        assert_eq!(replayed(), expect);
+        assert_eq!(store.stats(), stats(1, 1, 1));
+        // Once the last trace drops, the store holds no records, and the
+        // next replay generates the same ones again.
+        drop(trace);
+        assert_eq!(store.stats(), stats(0, 1, 1));
+        assert_eq!(replayed(), expect);
+        assert_eq!(store.stats(), stats(0, 2, 2));
     }
 
     #[test]
     fn oversized_requests_stream_instead_of_materializing() {
         let profile = apps::profile("fft").expect("fft exists");
-        let store = Store::new(MAX_TOTAL_INSTS);
+        let store = Store::new();
         let n = 2 * CHUNK + 5;
         let streamed: Vec<Inst> = store
             .replay(&profile, 3, 0, MAX_CACHED_INSTS + 1)
@@ -806,15 +817,16 @@ mod tests {
             .collect();
         let fresh: Vec<Inst> = TraceGenerator::for_thread(&profile, 3, 0).take(n).collect();
         assert_eq!(fresh, streamed);
-        assert_eq!(store.generated.load(Ordering::Relaxed), 0);
-        assert!(store.index.lock().expect("index").entries.is_empty());
+        assert_eq!(store.stats().generated, 0);
+        assert!(store.index.lock().expect("index").is_empty());
     }
 
     #[test]
     fn concurrent_requests_generate_each_stream_once() {
         let profile = apps::profile("radix").expect("radix exists");
         let (seed, thread) = (9, 3);
-        let store = Store::new(MAX_TOTAL_INSTS);
+        let store = Store::new();
+        let _pin = store.pin(&profile, seed);
         let c = CHUNK as u64;
         // Mixed lengths, including extensions that cross chunk boundaries.
         let requests = [1, c - 1, c, c + 1, 2 * c + 17, 3 * c, 5 * c - 3, 4 * c + 1];
@@ -854,7 +866,7 @@ mod tests {
             }
         });
         assert_eq!(
-            store.generated.load(Ordering::Relaxed),
+            store.stats().generated,
             longest.div_ceil(c) * c,
             "every record generated exactly once"
         );
@@ -863,7 +875,7 @@ mod tests {
     #[test]
     fn replays_of_a_stream_share_one_walk_per_config() {
         let profile = apps::profile("raytrace").expect("raytrace exists");
-        let store = Store::new(MAX_TOTAL_INSTS);
+        let store = Store::new();
         let n = 2 * CHUNK as u64 + 7;
         let default = PredictorConfig::default();
         let small = PredictorConfig {
@@ -889,7 +901,7 @@ mod tests {
             "one walk per config"
         );
         assert!(!Arc::ptr_eq(&outcomes(&a), &outcomes(&c)));
-        let Source::Stored(stream) = &a.source else {
+        let Source::Stored { stream, .. } = &a.source else {
             panic!("a stored prefix")
         };
         let stream = stream.lock().expect("stream");

@@ -28,9 +28,9 @@
 //! * [`stream`] — the deterministic trace generator.
 //! * [`predictor`] — the Table III tournament predictor the core trains
 //!   at dispatch.
-//! * [`cache`] — the process-wide trace store: packed records read in
-//!   place, with each stream's branch outcomes walked once per predictor
-//!   config.
+//! * [`cache`] — the trace store: packed records read in place, with
+//!   each stream's branch outcomes walked once per predictor config, kept
+//!   while a pin or a trace holds the stream.
 //!
 //! # Example
 //!

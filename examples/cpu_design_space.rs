@@ -8,6 +8,7 @@
 
 use hetcore::config::CpuDesign;
 use hetcore::experiment::run_cpu_multicore;
+use hetsim_cpu::multicore;
 use hetsim_trace::apps;
 
 fn main() {
@@ -16,6 +17,9 @@ fn main() {
 
     for app_name in apps {
         let app = apps::profile(app_name).expect("known app");
+        // Every design replays this app's streams: pinned, they are
+        // generated once for the whole sweep.
+        let _pins = multicore::pins(&app, 7);
         println!(
             "== {} (4-core chips, {} total instructions) ==",
             app.name, insts

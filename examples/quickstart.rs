@@ -9,11 +9,13 @@
 
 use hetcore::config::CpuDesign;
 use hetcore::experiment::run_cpu;
-use hetsim_trace::apps;
+use hetsim_trace::{apps, cache};
 
 fn main() {
     let app = apps::profile("lu").expect("lu is part of the suite");
     let insts = 120_000;
+    // Every design replays one stream: pinned, it is generated once.
+    let _pin = cache::pin(&app, 42);
 
     println!(
         "HetCore quickstart: {} ({} instructions)\n",
