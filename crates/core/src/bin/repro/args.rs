@@ -24,9 +24,6 @@ use crate::{bench, check, ci_gate, diff, explore, profile, run, trace_export};
 enum Kind {
     /// Presence only; takes no value.
     Switch,
-    /// Shorthand for another flag with a fixed value (`--json` is
-    /// `--format json`).
-    Alias(&'static Flag, &'static str),
     /// An integer `>= min`, no larger than `max`.
     Int { min: u64, max: u64 },
     /// A finite number `>= 0`.
@@ -82,12 +79,10 @@ pub static CACHE_DIR: Flag = Flag::text("--cache-dir", "PATH");
 pub static PROGRESS: Flag = Flag::switch("--progress");
 // Output.
 pub static FORMAT: Flag = Flag::new("--format", "", Kind::Format);
-pub static JSON: Flag = Flag::new("--json", "", Kind::Alias(&FORMAT, "json"));
 pub static STATS_OUT: Flag = Flag::text("--stats-out", "PATH");
 pub static TRACE_OUT: Flag = Flag::text("--trace-out", "PATH");
 pub static PROFILE_OUT: Flag = Flag::text("--profile-out", "PATH");
 pub static OUT: Flag = Flag::text("--out", "PATH");
-pub static COUNTERS_OUT: Flag = Flag::text("--counters-out", "PATH");
 pub static FRONTIER_OUT: Flag = Flag::text("--frontier-out", "PATH");
 // Regression diffs.
 pub static BASELINE: Flag = Flag::text("--baseline", "DIR");
@@ -146,7 +141,6 @@ pub static COMMANDS: &[Command] = &[
             &QUICK,
             &INSTS,
             &FORMAT,
-            &JSON,
             &STATS_OUT,
             &TRACE_OUT,
             &PROFILE_OUT,
@@ -200,9 +194,9 @@ pub static COMMANDS: &[Command] = &[
     },
     Command {
         name: "profile",
-        flags: &[&QUICK, &INSTS, &SEED, &JOBS, &FORMAT, &OUT, &COUNTERS_OUT],
-        positionals: "[EXPERIMENT]...",
-        formats: &["table", "json", "folded"],
+        flags: &[&FORMAT],
+        positionals: "PROFILE.json",
+        formats: &["table", "folded", "perfetto"],
         run: profile::run,
         ..DEFAULT
     },
@@ -275,16 +269,15 @@ pub fn parse(cmd: &'static Command, args: &[String]) -> Args {
             }
             continue;
         };
-        let (recorded, value) = match (flag.kind, inline) {
-            (Kind::Switch, None) => (flag.name, String::new()),
-            (Kind::Alias(target, word), None) => (target.name, word.to_string()),
-            (Kind::Switch | Kind::Alias(..), Some(v)) => {
+        let value = match (flag.kind, inline) {
+            (Kind::Switch, None) => String::new(),
+            (Kind::Switch, Some(v)) => {
                 out.error(format!("{name} takes no value, got '{v}'"));
                 continue;
             }
-            (_, Some(v)) => (flag.name, v.to_string()),
+            (_, Some(v)) => v.to_string(),
             (_, None) => match rest.next() {
-                Some(v) => (flag.name, v.clone()),
+                Some(v) => v.clone(),
                 None => {
                     out.error(format!("{name} requires a value"));
                     continue;
@@ -292,7 +285,7 @@ pub fn parse(cmd: &'static Command, args: &[String]) -> Args {
             },
         };
         match validate(cmd, flag, &value) {
-            Ok(()) => out.values.push((recorded, value)),
+            Ok(()) => out.values.push((flag.name, value)),
             Err(e) => out.error(e),
         }
     }
@@ -334,7 +327,7 @@ fn validate(cmd: &Command, flag: &Flag, v: &str) -> Result<(), String> {
             }
             (family.contains(&v), one_of(family))
         }
-        Kind::Switch | Kind::Alias(..) | Kind::Text | Kind::List => (true, String::new()),
+        Kind::Switch | Kind::Text | Kind::List => (true, String::new()),
     };
     match ok {
         true => Ok(()),
@@ -361,7 +354,7 @@ fn one_of(words: &[&str]) -> String {
 }
 
 impl Args {
-    /// Whether `flag` was given (for `--format`: either spelling).
+    /// Whether `flag` was given.
     pub fn has(&self, flag: &Flag) -> bool {
         self.text(flag).is_some()
     }
@@ -413,7 +406,7 @@ impl Args {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// `--format` (or `--json`), defaulting to `table`.
+    /// `--format`, defaulting to `table`.
     pub fn format(&self) -> &str {
         self.text(&FORMAT).unwrap_or("table")
     }
@@ -465,7 +458,7 @@ pub fn usage() -> String {
         let mut line = format!("repro {}", cmd.name).trim_end().to_string();
         for flag in cmd.flags {
             let spelled = match flag.kind {
-                Kind::Switch | Kind::Alias(..) => flag.name.to_string(),
+                Kind::Switch => flag.name.to_string(),
                 Kind::Format => format!("{} {}", flag.name, cmd.formats.join("|")),
                 _ => format!("{} {}", flag.name, flag.meta),
             };

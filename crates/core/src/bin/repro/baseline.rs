@@ -39,6 +39,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         ..Suite::default()
     };
     let cache_dir = args.path(&CACHE_DIR);
+    let path = |target: &str| dir.join(format!("{target}.json"));
+    for target in &targets {
+        exec::writable(&path(target))?;
+    }
     for target in &targets {
         let (requested, extensions) = resolve_target(target).expect("validated above");
         let execution = execute(
@@ -53,7 +57,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         // The gate exempts `runner.*`, and host timing would make every
         // re-blessed baseline differ where the simulation did not.
         let dump = execution.dump.without_runner_timing();
-        let path = dir.join(format!("{target}.json"));
+        let path = path(target);
         exec::write(&path, &dump.to_json())?;
         narrate(&format!("wrote baseline {}", path.display()));
     }

@@ -81,9 +81,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     // A dump that cannot be written fails the run before it measures.
     let out = args.path(&OUT);
     if let Some(path) = &out {
-        let probe = path.with_file_name(format!(".repro-bench-{}.probe", std::process::id()));
-        let probed = std::fs::write(&probe, "").and_then(|()| std::fs::remove_file(&probe));
-        probed.map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        exec::writable(path)?;
     }
     let dump = run_bench(&cfg);
 

@@ -1,5 +1,5 @@
-//! The one execution path shared by the run, baseline, ci-gate and
-//! profile commands, plus the output helpers they share.
+//! The one execution path shared by the run, baseline and ci-gate
+//! commands, plus the output helpers every command shares.
 
 use std::io::Write;
 use std::path::Path;
@@ -44,11 +44,6 @@ pub fn resolve_target(word: &str) -> Result<(Vec<Experiment>, Vec<Extension>), S
     }
 }
 
-/// One figure-or-table word (no extensions).
-pub fn experiment(word: &str) -> Result<Experiment, String> {
-    Experiment::from_cli_name(word).ok_or_else(|| format!("unknown experiment '{word}'"))
-}
-
 /// Everything one run produces: the rendered reports, the complete
 /// telemetry dump (campaign counters, runner stats, reports, run
 /// config), ready to print, persist or diff, and the cycle profile both
@@ -88,10 +83,10 @@ where
 
 /// Runs `requested` + `extensions` on `suite` and collects the output.
 /// This is the one execution path shared by the default command, the
-/// baseline writer, the CI gate and the profiler, so a replayed baseline
-/// is produced by *exactly* the code a normal run uses. A target named
-/// twice runs and reports once, where it was first named: a dump holds
-/// one report per path.
+/// baseline writer and the CI gate, so a replayed baseline is produced
+/// by *exactly* the code a normal run uses. A target named twice runs
+/// and reports once, where it was first named: a dump holds one report
+/// per path.
 ///
 /// Every run validates what it simulated against the accounting
 /// invariants (see `hetcore::check`): each outcome of both batches,
@@ -220,6 +215,16 @@ pub fn pretty<T: serde::Serialize + ?Sized>(value: &T) -> String {
 /// Writes `text` to `path` atomically, naming the path on failure.
 pub fn write(path: &Path, text: &str) -> Result<(), String> {
     write_atomic(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// Fails unless [`write()`] can later write `path`: creates its directory
+/// the same way, then writes and removes a probe file beside it. Every
+/// output path is probed before any work starts, so a bad path costs
+/// no simulation.
+pub fn writable(path: &Path) -> Result<(), String> {
+    let probe = path.with_file_name(format!(".repro-{}.probe", std::process::id()));
+    let probed = write_atomic(&probe, "").and_then(|()| std::fs::remove_file(&probe));
+    probed.map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Reads a whole file, naming the path on failure.

@@ -34,6 +34,10 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         args.error(e);
     }
     args.valid()?;
+    let frontier_out = args.path(&FRONTIER_OUT);
+    if let Some(path) = &frontier_out {
+        exec::writable(path)?;
+    }
 
     let cfg = ExploreConfig {
         budget: args.num(&BUDGET).unwrap_or(DEFAULT_BUDGET),
@@ -43,7 +47,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         cache_dir: args.path(&CACHE_DIR),
     };
     let result = explore(&space, &cfg)?;
-    if let Some(path) = args.path(&FRONTIER_OUT) {
+    if let Some(path) = frontier_out {
         exec::write(&path, &result.to_json())?;
         narrate(&format!("wrote frontier dump to {}", path.display()));
     }

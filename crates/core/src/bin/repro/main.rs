@@ -11,11 +11,12 @@
 //! `--format` picks the report rendering: `table` (default) prints the
 //! paper-shaped text tables, `json` emits one JSON array of report
 //! objects, `csv` emits one CSV block per report (full precision).
-//! `--json` is a shorthand for `--format json`. Independently,
-//! `--stats-out PATH` writes the run's complete counter telemetry —
-//! every per-design pipeline/memory/GPU counter plus the runner's
-//! execution stats — as JSON to `PATH` (see `hetcore::telemetry`),
-//! atomically and creating missing parent directories.
+//! Independently, `--stats-out PATH` writes the run's complete counter
+//! telemetry — every per-design pipeline/memory/GPU counter plus the
+//! runner's execution stats — as JSON to `PATH` (see
+//! `hetcore::telemetry`), atomically. Every output path written after a
+//! simulation has its directory created and is probed before the
+//! simulation starts, so a path that cannot be written costs no work.
 //!
 //! The subcommands, one module each:
 //!
@@ -28,8 +29,9 @@
 //!   validates a `--trace-out` log;
 //! * `explore` searches the fig7 design space for its Pareto frontier
 //!   (see `hetcore::explore`);
-//! * `profile` reports the campaigns' top-down cycle attribution (see
-//!   `hetsim_obs::profile`), cold or warm alike;
+//! * `profile` renders the top-down cycle attribution a run recorded
+//!   with `--profile-out` (see `hetsim_obs::profile`) as a table,
+//!   folded stacks or Perfetto counter tracks, simulating nothing;
 //! * `trace-export` converts a `--trace-out` log for Perfetto.
 //!
 //! The campaigns run on the `hetsim-runner` engine: `--jobs N` sets the
@@ -42,10 +44,10 @@
 //! one `[runner]` line per event.
 //! Tracing (`--trace-out`) and attribution (`--profile-out`) only add
 //! output: reports on stdout are byte-identical with and without them.
-//! Every command that runs experiments (the default, `baseline`,
-//! `ci-gate` and `profile`) validates each outcome it simulated and its
-//! counter dump against the accounting invariants, and fails with the
-//! violations on stderr if any breaks.
+//! Every command that runs experiments (the default, `baseline` and
+//! `ci-gate`) validates each outcome it simulated and its counter dump
+//! against the accounting invariants, and fails with the violations on
+//! stderr if any breaks.
 //!
 //! Arguments are validated up front: every unknown argument, flag
 //! missing its value or bad value fails the run before any experiment

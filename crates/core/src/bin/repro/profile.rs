@@ -1,55 +1,35 @@
-//! `repro profile` — run campaign experiments (default: fig7 + fig10,
-//! the CPU and GPU campaigns) and render where their simulated cycles
-//! went: the per-design roll-up, the raw `hetsim-profile-v1` document,
-//! or folded stacks (see `hetsim_obs::profile`). The document is the
-//! runners' fold of every job's observations, the same at any `--jobs`.
+//! `repro profile PROFILE.json` — render where a run's simulated cycles
+//! went from the `hetsim-profile-v1` document that `repro --profile-out`
+//! wrote (see `hetsim_obs::profile`): the per-design roll-up, folded
+//! stacks or Perfetto counter tracks. It simulates nothing, so a cold,
+//! warm, any-`--jobs` or extension run renders the same way.
 
+use std::path::Path;
 use std::process::ExitCode;
 
-use hetcore::suite::{Experiment, Suite};
 use hetsim_obs::CycleProfile;
-use hetsim_runner::narrate;
 use hetsim_stats::attribution::{ClassCounts, CycleClass};
-use serde::Serialize as _;
 
-use crate::args::{Args, COUNTERS_OUT, OUT};
-use crate::exec::{self, execute, experiment, pretty};
+use crate::args::Args;
+use crate::exec::{self, pretty};
 use crate::CliError;
 
 pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
-    let words = std::mem::take(&mut args.positionals);
-    let mut requested = args.parse_each(&words, experiment);
-    args.valid()?;
-    if requested.is_empty() {
-        requested = vec![Experiment::Fig7, Experiment::Fig10];
-    }
-    let suite = args.suite();
-    let execution = execute(&suite, &requested, &[], args.jobs(), None, false, None)?;
-    let profile = execution.profile;
-
-    if let Some(path) = args.path(&COUNTERS_OUT) {
-        exec::write(&path, &pretty(&profile.counter_track_doc()))?;
-        narrate(&format!(
-            "wrote Perfetto counter tracks to {} — load in Perfetto or chrome://tracing",
-            path.display()
+    if args.positionals.len() != 1 {
+        args.error(format!(
+            "profile expects one PROFILE.json, got {} path(s)",
+            args.positionals.len()
         ));
     }
-    let rendered = match args.format() {
-        "json" => pretty(&profile.to_value()) + "\n",
+    args.valid()?;
+    let path = Path::new(&args.positionals[0]);
+    let profile: CycleProfile =
+        serde_json::from_str(&exec::read(path)?).map_err(|e| format!("{}: {e}", path.display()))?;
+    exec::print(&match args.format() {
         "folded" => profile.folded(),
-        _ => render_table(&profile, &suite),
-    };
-    match args.path(&OUT) {
-        Some(path) => {
-            exec::write(&path, &rendered)?;
-            narrate(&format!(
-                "wrote cycle profile ({} unit(s)) to {}",
-                profile.rows().len(),
-                path.display()
-            ));
-        }
-        None => exec::print(&rendered)?,
-    }
+        "perfetto" => pretty(&profile.counter_track_doc()) + "\n",
+        _ => render_table(&profile),
+    })?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -57,7 +37,7 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
 /// `core` and `cu` stay separate rows because CPU chips and GPU
 /// designs share names — with total attributed cycles and each
 /// top-down class as a percentage of them.
-fn render_table(profile: &CycleProfile, suite: &Suite) -> String {
+fn render_table(profile: &CycleProfile) -> String {
     use std::fmt::Write as _;
     let mut groups: Vec<(String, String, u64, u64, ClassCounts)> = Vec::new();
     for row in profile.rows() {
@@ -78,11 +58,9 @@ fn render_table(profile: &CycleProfile, suite: &Suite) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "profile: {} unit(s) across {} design row(s), --insts {}, seed {}",
+        "profile: {} unit(s) across {} design row(s)",
         profile.rows().len(),
         groups.len(),
-        suite.insts_per_app,
-        suite.seed
     );
     let _ = write!(
         out,

@@ -22,8 +22,12 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     }
     let suite = args.suite();
     let jobs = args.jobs();
-    let profile_out = args.path(&PROFILE_OUT);
+    let stats_out = args.path(&STATS_OUT);
     let trace_out = args.path(&TRACE_OUT);
+    let profile_out = args.path(&PROFILE_OUT);
+    for path in [&stats_out, &trace_out, &profile_out].into_iter().flatten() {
+        exec::writable(path)?;
+    }
 
     // The recorder exists only when a trace was requested; without it
     // the run takes exactly the untraced code path, so headline output
@@ -38,11 +42,6 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         args.has(&PROGRESS),
         recorder.as_ref(),
     )?;
-    let profile = &execution.profile;
-    let mut dump = execution.dump;
-    if profile_out.is_some() {
-        dump = dump.with_profile(profile.to_value());
-    }
     let reports = &execution.reports;
     let rendered: String = match args.format() {
         "json" => pretty(&reports.to_vec()) + "\n",
@@ -50,8 +49,8 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         _ => reports.iter().map(|r| format!("{r}\n")).collect(),
     };
     exec::print(&rendered)?;
-    if let Some(path) = args.path(&STATS_OUT) {
-        exec::write(&path, &dump.to_json())?;
+    if let Some(path) = &stats_out {
+        exec::write(path, &execution.dump.to_json())?;
         narrate(&format!("wrote counter telemetry to {}", path.display()));
     }
     if let (Some(path), Some(recorder)) = (&trace_out, &recorder) {
@@ -66,7 +65,8 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     if let Some(path) = &profile_out {
         // Cold or warm: the runners folded every job's cached
         // observations, so the document is the same, and it is what
-        // `repro profile --format json` prints.
+        // `repro profile` renders.
+        let profile = &execution.profile;
         exec::write(path, &(pretty(&profile.to_value()) + "\n"))?;
         let units = profile.rows().len();
         narrate(&format!(

@@ -286,11 +286,6 @@ impl Default for DiffPolicy {
         if !RunnerStats::DETERMINISTIC {
             ignored.push("runner.".to_string());
         }
-        // The cycle-attribution profile is an observation recorded at
-        // simulation time and cached beside the outcomes, not an
-        // outcome the baselines pin; it is checked by the profile
-        // tests instead (cold and warm runs, at any --jobs, agree).
-        ignored.push("profile.".to_string());
         DiffPolicy {
             // Deterministic simulators: the tolerance only absorbs
             // float shortest-round-trip formatting noise.

@@ -49,7 +49,6 @@ pub struct StatsDump {
     gpu: Option<Value>,
     runner: Vec<(String, RunnerStats)>,
     timing: Vec<(String, RunnerTiming)>,
-    profile: Option<Value>,
     reports: Vec<Report>,
 }
 
@@ -180,16 +179,6 @@ impl StatsDump {
         self
     }
 
-    /// Adds the cycle-attribution profile document (the
-    /// `hetsim-profile-v1` value from `hetsim_obs::profile`). Like the
-    /// `runner` section, `profile.*` counters are exempt from the
-    /// regression diff: they are observations recorded at simulation
-    /// time, not outcomes the baselines pin.
-    pub fn with_profile(mut self, profile: Value) -> Self {
-        self.profile = Some(profile);
-        self
-    }
-
     /// Pretty-printed JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(&self.to_value()).expect("value trees always serialize")
@@ -234,9 +223,6 @@ impl Serialize for StatsDump {
             ));
         }
         fields.push(("runner".into(), Value::Object(runner)));
-        if let Some(profile) = &self.profile {
-            fields.push(("profile".into(), profile.clone()));
-        }
         if !self.reports.is_empty() {
             fields.push(("reports".into(), self.reports.to_value()));
         }

@@ -158,11 +158,7 @@ fn a_budget_below_the_largest_chip_is_rejected() {
     // The AdvHet-2X chip shares its budget among 8 cores: fewer
     // instructions can leave some chip with no work and a report cell of 0
     // or NaN.
-    for args in [
-        &["--insts", "7", "fig7"][..],
-        &["profile", "--insts", "7"],
-        &["explore", "--insts", "7"],
-    ] {
+    for args in [&["--insts", "7", "fig7"][..], &["explore", "--insts", "7"]] {
         assert_rejected(args, "--insts expects an integer >= 8, got '7'");
     }
 }
@@ -288,10 +284,99 @@ fn run_rejects_undeclared_flags_as_flags_not_experiments() {
     assert_rejected(&["--bogus"], "unknown flag '--bogus'");
     assert_rejected(&["--help"], "unknown flag '--help'");
     assert_rejected(&["fig7", "--bogus=3"], "unknown flag '--bogus'");
+    // JSON reports have one spelling, `--format json`.
+    assert_rejected(&["--json", "fig1"], "unknown flag '--json'");
     // Words that are not flags are still experiment names.
     assert_rejected(&["fig99"], "unknown experiment 'fig99'");
     // Switches take no inline value.
     assert_rejected(&["--quick=yes"], "--quick takes no value, got 'yes'");
+}
+
+#[test]
+fn profile_renders_a_recorded_document_and_runs_nothing() {
+    // A run records the document (`--profile-out`); `profile` takes one
+    // path and a format, and none of a run's flags.
+    for flag in ["--quick", "--insts", "--jobs", "--counters-out"] {
+        let expected = format!("unknown flag '{flag}'");
+        assert_rejected(&["profile", "p.json", flag, "8"], &expected);
+    }
+    assert_rejected(
+        &["profile", "p.json", "--format", "json"],
+        "--format expects table, folded or perfetto, got 'json'",
+    );
+    assert_rejected(
+        &["profile"],
+        "profile expects one PROFILE.json, got 0 path(s)",
+    );
+    assert_rejected(
+        &["profile", "fig7", "fig10"],
+        "profile expects one PROFILE.json, got 2 path(s)",
+    );
+}
+
+#[test]
+fn an_output_path_that_cannot_be_written_fails_before_running() {
+    for args in [
+        &["--insts", "8", "--stats-out", "/proc/nope/s.json", "fig10"][..],
+        &["--insts", "8", "--trace-out", "/proc/nope/t.jsonl", "fig10"],
+        &[
+            "--insts",
+            "8",
+            "--profile-out",
+            "/proc/nope/p.json",
+            "fig10",
+        ],
+        &["baseline", "--progress", "/proc/nope", "fig1"],
+        &[
+            "explore",
+            "--budget",
+            "1",
+            "--insts",
+            "8",
+            "--frontier-out",
+            "/proc/nope/f.json",
+        ],
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: cannot write /proc/nope/"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} reported before failing");
+        assert!(!stderr.contains("[runner]"), "{args:?} ran jobs: {stderr}");
+    }
+}
+
+#[test]
+fn an_output_path_gets_its_directory() {
+    let dir = std::env::temp_dir().join(format!("hetsim-cli-newdir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dump = dir.join("new").join("s.json");
+    let out = repro(&[
+        "--insts",
+        "8",
+        "--stats-out",
+        dump.to_str().expect("utf8"),
+        "fig1",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dump.is_file(), "the dump's directory is created");
+    let left: Vec<_> = std::fs::read_dir(dump.parent().expect("parent"))
+        .expect("dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(
+        left,
+        vec![std::ffi::OsString::from("s.json")],
+        "no probe left"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! End-to-end smoke tests for the cycle-attribution profiler.
 //!
-//! Runs the real `repro` binary and checks the whole chain: `repro
-//! profile` emits a `hetsim-profile-v1` document whose classes sum to
-//! the attributed cycles for every unit, the folded-stack and Perfetto
-//! counter-track exports are well-formed, runs on any worker count and
-//! warm-cache runs report the same document a cold serial run does,
+//! Runs the real `repro` binary and checks the whole chain: the
+//! `hetsim-profile-v1` document a run writes with `--profile-out`
+//! conserves cycles for every unit, `repro profile` renders that
+//! document as well-formed folded stacks and Perfetto counter tracks,
+//! runs on any worker count and warm-cache runs write the document a
+//! cold serial run does, a corrupt or foreign document fails cleanly,
 //! and — the headline guarantee — stdout stays byte-identical whether
 //! or not a profile is written.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 use hetsim_obs::{CycleProfile, PROFILE_SCHEMA};
 use hetsim_stats::attribution::CycleClass;
@@ -27,6 +29,17 @@ fn repro(args: &[&str]) -> Output {
         .expect("repro runs")
 }
 
+/// Runs `repro` with `args`, asserting success; returns stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = repro(args);
+    assert!(
+        out.status.success(),
+        "repro {args:?} fails: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "hetcore-profile-smoke-{}-{name}",
@@ -34,7 +47,29 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-fn load_profile(path: &PathBuf) -> CycleProfile {
+fn arg(path: &Path) -> &str {
+    path.to_str().expect("utf-8 path")
+}
+
+/// Runs `repro --insts 3000 --profile-out PATH` plus `args`, so that
+/// `PATH` holds the run's document.
+fn record(path: &Path, args: &[&str]) {
+    let flags = ["--insts", INSTS, "--profile-out", arg(path)];
+    stdout_of(&[&flags[..], args].concat());
+}
+
+/// The document of one recorded `fig7 fig10` run (both device
+/// campaigns), shared by every test that only reads it.
+fn recorded() -> &'static Path {
+    static DOC: OnceLock<PathBuf> = OnceLock::new();
+    DOC.get_or_init(|| {
+        let path = tmp("recorded.json");
+        record(&path, &["fig7", "fig10"]);
+        path
+    })
+}
+
+fn load_profile(path: &Path) -> CycleProfile {
     let text = std::fs::read_to_string(path).expect("profile written");
     let value: Value = serde_json::from_str(&text).expect("profile is valid JSON");
     assert_eq!(
@@ -75,31 +110,12 @@ fn assert_conservation(profile: &CycleProfile) {
 
 #[test]
 fn profile_document_conserves_cycles_and_exports() {
-    let doc_path = tmp("profile.json");
-    let counters_path = tmp("counters.json");
-
-    let out = repro(&[
-        "profile",
-        "--insts",
-        INSTS,
-        "--format",
-        "json",
-        "--out",
-        &doc_path.to_string_lossy(),
-        "--counters-out",
-        &counters_path.to_string_lossy(),
-    ]);
-    assert!(
-        out.status.success(),
-        "profile run fails: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let profile = load_profile(&doc_path);
+    let profile = load_profile(recorded());
     assert_conservation(&profile);
     // Both device campaigns contribute: CPU cores and GPU CUs.
     assert!(profile.rows().iter().any(|r| r.unit.starts_with("core")));
     assert!(profile.rows().iter().any(|r| r.unit.starts_with("cu")));
-    // CPU rows carry the occupancy histograms the tentpole promises.
+    // CPU rows carry the occupancy histograms.
     let core = profile
         .rows()
         .iter()
@@ -119,9 +135,9 @@ fn profile_document_conserves_cycles_and_exports() {
         .expect("a cu row");
     assert!(cu.histograms.iter().any(|(n, _)| n == "residency"));
 
-    // The counter-track doc is Chrome-trace shaped: "C" events on one
-    // lane per design, args keyed by class names.
-    let text = std::fs::read_to_string(&counters_path).expect("counters written");
+    // The Perfetto export is Chrome-trace shaped: "C" events on one
+    // lane per design, one per unit, args keyed by class names.
+    let text = stdout_of(&["profile", arg(recorded()), "--format", "perfetto"]);
     let doc: Value = serde_json::from_str(&text).expect("counters are valid JSON");
     let events = doc
         .get("traceEvents")
@@ -142,23 +158,13 @@ fn profile_document_conserves_cycles_and_exports() {
             );
         }
     }
-
-    for path in [&doc_path, &counters_path] {
-        let _ = std::fs::remove_file(path);
-    }
 }
 
 #[test]
 fn folded_stacks_parse_and_use_known_class_names() {
-    let out = repro(&["profile", "--insts", INSTS, "--format", "folded", "fig7"]);
-    assert!(
-        out.status.success(),
-        "folded profile fails: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!stdout.trim().is_empty(), "folded output has lines");
-    for line in stdout.lines() {
+    let folded = stdout_of(&["profile", arg(recorded()), "--format", "folded"]);
+    assert!(!folded.trim().is_empty(), "folded output has lines");
+    for line in folded.lines() {
         let (stack, count) = line.rsplit_once(' ').expect("`stack count` shape");
         count.parse::<u64>().expect("count is a number");
         let frames: Vec<&str> = stack.split(';').collect();
@@ -173,41 +179,19 @@ fn folded_stacks_parse_and_use_known_class_names() {
 
 #[test]
 fn profiles_match_across_worker_counts() {
-    let serial_path = tmp("serial.json");
-    let parallel_path = tmp("parallel.json");
-    for (jobs, path) in [("1", &serial_path), ("3", &parallel_path)] {
-        let path_arg = path.to_string_lossy().into_owned();
-        let out = repro(&[
-            "profile", "--insts", INSTS, "--jobs", jobs, "--format", "json", "--out", &path_arg,
-            "fig7",
-        ]);
-        assert!(
-            out.status.success(),
-            "profile run fails: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    let serial = load_profile(&serial_path);
-    let parallel = load_profile(&parallel_path);
-    assert_conservation(&parallel);
+    let (serial, parallel) = (tmp("serial.json"), tmp("parallel.json"));
+    record(&serial, &["--jobs", "1", "fig7"]);
+    record(&parallel, &["--jobs", "3", "fig7"]);
+    let parallel_doc = load_profile(&parallel);
+    assert_conservation(&parallel_doc);
     assert_eq!(
-        serial, parallel,
+        load_profile(&serial),
+        parallel_doc,
         "three workers must fold exactly the serial document"
     );
-    for path in [&serial_path, &parallel_path] {
+    for path in [&serial, &parallel] {
         let _ = std::fs::remove_file(path);
     }
-}
-
-/// Runs `repro` with `args`, asserting success; returns stdout.
-fn stdout_of(args: &[&str]) -> String {
-    let out = repro(args);
-    assert!(
-        out.status.success(),
-        "repro {args:?} fails: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
 #[test]
@@ -215,19 +199,8 @@ fn warm_runs_report_the_cold_document() {
     let cache = tmp("warm-cache");
     let _ = std::fs::remove_dir_all(&cache);
     let (cold, warm) = (tmp("cold.json"), tmp("warm.json"));
-    let cache_arg = cache.to_string_lossy().into_owned();
     for path in [&cold, &warm] {
-        let path_arg = path.to_string_lossy().into_owned();
-        stdout_of(&[
-            "--insts",
-            INSTS,
-            "--cache-dir",
-            &cache_arg,
-            "--profile-out",
-            &path_arg,
-            "fig7",
-            "fig10",
-        ]);
+        record(path, &["--cache-dir", arg(&cache), "fig7", "fig10"]);
     }
     let read = |p: &PathBuf| std::fs::read_to_string(p).expect("profile written");
     assert_eq!(
@@ -235,11 +208,6 @@ fn warm_runs_report_the_cold_document() {
         read(&warm),
         "a warm replay folds the cached rows"
     );
-    let plain = stdout_of(&[
-        "profile", "--insts", INSTS, "--format", "json", "fig7", "fig10",
-    ]);
-    assert_eq!(plain, read(&cold), "--profile-out writes the same document");
-
     let _ = std::fs::remove_dir_all(&cache);
     for path in [&cold, &warm] {
         let _ = std::fs::remove_file(path);
@@ -251,29 +219,18 @@ fn stdout_is_byte_identical_with_and_without_profiling() {
     let profile_path = tmp("identity.json");
     let stats_plain = tmp("stats-plain.json");
     let stats_profiled = tmp("stats-profiled.json");
+    let run = ["--insts", INSTS, "--format", "json", "--stats-out"];
 
-    let plain = repro(&[
-        "--insts",
-        INSTS,
-        "--format",
-        "json",
-        "--stats-out",
-        &stats_plain.to_string_lossy(),
-        "fig7",
-    ]);
+    let plain = repro(&[&run[..], &[arg(&stats_plain), "fig7"]].concat());
     assert!(plain.status.success());
-
-    let profiled = repro(&[
-        "--insts",
-        INSTS,
-        "--format",
-        "json",
-        "--stats-out",
-        &stats_profiled.to_string_lossy(),
-        "--profile-out",
-        &profile_path.to_string_lossy(),
-        "fig7",
-    ]);
+    let profiled = repro(
+        &[
+            &run[..],
+            &[arg(&stats_profiled), "--profile-out", arg(&profile_path)],
+            &["fig7"],
+        ]
+        .concat(),
+    );
     let stderr = String::from_utf8_lossy(&profiled.stderr);
     assert!(profiled.status.success(), "profiled run fails: {stderr}");
     assert_eq!(
@@ -286,30 +243,22 @@ fn stdout_is_byte_identical_with_and_without_profiling() {
     );
     assert_conservation(&load_profile(&profile_path));
 
-    // The attribution lands in the telemetry dump under the
-    // diff-exempt `profile` section — and nowhere else: stripping it
-    // must make the two dumps identical.
+    // The profile has one copy, the `--profile-out` document: neither
+    // dump carries it, and profiling perturbs no section of the dump.
     let read = |p: &PathBuf| -> Value {
         serde_json::from_str(&std::fs::read_to_string(p).expect("dump written"))
             .expect("dump parses")
     };
-    let plain_dump = read(&stats_plain);
-    let profiled_dump = read(&stats_profiled);
+    let (plain_dump, profiled_dump) = (read(&stats_plain), read(&stats_profiled));
     assert!(plain_dump.get("profile").is_none());
-    assert_eq!(
-        profiled_dump
-            .get("profile")
-            .and_then(|p| p.get("schema"))
-            .and_then(Value::as_str),
-        Some(PROFILE_SCHEMA)
-    );
+    assert!(profiled_dump.get("profile").is_none());
     // `runner` carries wall-clock timing and varies run to run (that
     // is why the diff policy exempts it); everything else must match.
     let strip = |v: &Value| match v {
         Value::Object(fields) => Value::Object(
             fields
                 .iter()
-                .filter(|(k, _)| k != "profile" && k != "runner")
+                .filter(|(k, _)| k != "runner")
                 .cloned()
                 .collect(),
         ),
@@ -324,4 +273,57 @@ fn stdout_is_byte_identical_with_and_without_profiling() {
     for path in [&profile_path, &stats_plain, &stats_profiled] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn a_corrupt_or_foreign_document_fails_cleanly() {
+    let text = std::fs::read(recorded()).expect("profile written");
+    let truncated = tmp("truncated.json");
+    std::fs::write(&truncated, &text[..text.len() / 2]).expect("write truncated");
+    // Flip the low bit of the first row's first `cycles` digit: the row
+    // then disagrees with its class total.
+    let flipped = tmp("flipped.json");
+    let mut bytes = text.clone();
+    let key = b"\"cycles\": ";
+    let at = bytes
+        .windows(key.len())
+        .position(|w| w == key)
+        .expect("a row")
+        + key.len();
+    bytes[at] ^= 1;
+    std::fs::write(&flipped, &bytes).expect("write flipped");
+    let dump = tmp("dump.json");
+    stdout_of(&["--insts", "8", "--stats-out", arg(&dump), "fig1"]);
+
+    for path in [&truncated, &flipped, &dump] {
+        let text = std::fs::read_to_string(path).expect("document written");
+        let reader_error = serde_json::from_str::<CycleProfile>(&text).expect_err("rejected");
+        let out = repro(&["profile", arg(path)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path:?}: {stderr}");
+        let expected = format!("error: {}: {reader_error}", arg(path));
+        assert!(stderr.contains(&expected), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{path:?} rendered something");
+    }
+    for path in [&truncated, &flipped, &dump] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn an_extension_run_renders_its_designs() {
+    let path = tmp("ext.json");
+    stdout_of(&["--quick", "--profile-out", arg(&path), "ext"]);
+    let table = stdout_of(&["profile", arg(&path)]);
+    let profile = load_profile(&path);
+    assert_conservation(&profile);
+    // ext-partrf's design exists only in the extensions.
+    assert!(
+        table.lines().any(|l| l.starts_with("AdvHet-PartRF cu ")),
+        "{table}"
+    );
+    let header = format!("profile: {} unit(s) across ", profile.rows().len());
+    assert!(table.starts_with(&header), "{table}");
+    let _ = std::fs::remove_file(&path);
 }
