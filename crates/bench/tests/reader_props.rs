@@ -55,11 +55,21 @@ fn picks() -> impl Strategy<Value = Vec<bool>> {
     vec(any::<bool>(), 10)
 }
 
+/// Asserts that `err` names what the reader found, never a Rust
+/// `Option` (`None`, `Some(..)`).
+fn assert_plain_error(err: &str) {
+    assert!(
+        !err.contains("None") && !err.contains("Some("),
+        "the error prints an Option: {err}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A dump cut at any byte is an error, unless the cut removes only
-    /// the trailing newline; the whole one reads back as written.
+    /// A dump cut at any byte is an error that names what the reader
+    /// found, unless the cut removes only the trailing newline; the
+    /// whole one reads back as written.
     #[test]
     fn truncation_at_every_offset_is_an_error(keep in picks()) {
         let text = document(&keep);
@@ -67,6 +77,9 @@ proptest! {
         for cut in 0..bytes.len() {
             let blank_tail = bytes[cut..].iter().all(u8::is_ascii_whitespace);
             prop_assert!(read_back(&bytes[..cut]).is_none() || blank_tail, "cut at {} was accepted", cut);
+            if let Err(err) = BenchDump::from_json(&text[..cut]) {
+                assert_plain_error(&err);
+            }
         }
         let whole = read_back(bytes).expect("the intact dump reads");
         prop_assert_eq!(whole.to_json(), text);

@@ -1,6 +1,6 @@
 //! `repro baseline DIR [TARGET]...` — rerun the pinned targets and write
 //! one self-describing stats dump per target into `DIR` (see
-//! `hetcore::regression`), without the host-timing histograms.
+//! `hetcore::regression`): the dump a run writes with `--stats-out`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -54,11 +54,8 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
             args.has(&PROGRESS),
             None,
         )?;
-        // The gate exempts `runner.*`, and host timing would make every
-        // re-blessed baseline differ where the simulation did not.
-        let dump = execution.dump.without_runner_timing();
         let path = path(target);
-        exec::write(&path, &dump.to_json())?;
+        exec::write(&path, &execution.dump.to_json())?;
         narrate(&format!("wrote baseline {}", path.display()));
     }
     Ok(ExitCode::SUCCESS)

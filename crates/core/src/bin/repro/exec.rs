@@ -142,16 +142,14 @@ pub fn execute(
     }
     let mut profile = CycleProfile::new();
     if let Some(r) = &cpu_runner {
-        dump = dump
-            .with_runner("cpu", r.total_stats())
-            .with_runner_timing("cpu", r.total_timing());
-        profile.merge(&r.total_observations().profile);
+        let observed = r.total_observations();
+        dump = dump.with_runner("cpu", r.total_stats(), &observed);
+        profile.merge(&observed.profile);
     }
     if let Some(r) = &gpu_runner {
-        dump = dump
-            .with_runner("gpu", r.total_stats())
-            .with_runner_timing("gpu", r.total_timing());
-        profile.merge(&r.total_observations().profile);
+        let observed = r.total_observations();
+        dump = dump.with_runner("gpu", r.total_stats(), &observed);
+        profile.merge(&observed.profile);
     }
     dump = dump.with_reports(&reports);
     let mut checker = Checker::new();

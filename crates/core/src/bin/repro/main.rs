@@ -16,7 +16,8 @@
 //! runner's execution stats — as JSON to `PATH` (see
 //! `hetcore::telemetry`), atomically. Every output path written after a
 //! simulation has its directory created and is probed before the
-//! simulation starts, so a path that cannot be written costs no work.
+//! simulation starts, so a path that cannot be written costs no work,
+//! and a run whose output flags name one file between them is refused.
 //!
 //! The subcommands, one module each:
 //!

@@ -36,7 +36,8 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
 /// The per-design roll-up: units merged per `(design, unit kind)` —
 /// `core` and `cu` stay separate rows because CPU chips and GPU
 /// designs share names — with total attributed cycles and each
-/// top-down class as a percentage of them.
+/// top-down class as a percentage of them. The design column is as
+/// wide as the document's longest name, and never below 12.
 fn render_table(profile: &CycleProfile) -> String {
     use std::fmt::Write as _;
     let mut groups: Vec<(String, String, u64, u64, ClassCounts)> = Vec::new();
@@ -55,6 +56,10 @@ fn render_table(profile: &CycleProfile) -> String {
             None => groups.push((row.design.clone(), kind, 1, row.cycles, row.classes)),
         }
     }
+    let width = groups
+        .iter()
+        .map(|(design, ..)| design.chars().count())
+        .fold(12, usize::max);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -64,7 +69,7 @@ fn render_table(profile: &CycleProfile) -> String {
     );
     let _ = write!(
         out,
-        "{:<12} {:<5} {:>5} {:>14}",
+        "{:<width$} {:<5} {:>5} {:>14}",
         "design", "unit", "n", "cycles"
     );
     for class in CycleClass::ALL {
@@ -72,7 +77,7 @@ fn render_table(profile: &CycleProfile) -> String {
     }
     out.push('\n');
     for (design, kind, units, cycles, classes) in &groups {
-        let _ = write!(out, "{design:<12} {kind:<5} {units:>5} {cycles:>14}");
+        let _ = write!(out, "{design:<width$} {kind:<5} {units:>5} {cycles:>14}");
         for class in CycleClass::ALL {
             let pct = if *cycles > 0 {
                 100.0 * classes.get(class) as f64 / *cycles as f64

@@ -1,6 +1,7 @@
 //! The default command: run experiments, print reports, optionally
 //! persist telemetry, a trace log and a cycle profile.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hetcore::suite::Experiment;
@@ -25,8 +26,22 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
     let stats_out = args.path(&STATS_OUT);
     let trace_out = args.path(&TRACE_OUT);
     let profile_out = args.path(&PROFILE_OUT);
-    for path in [&stats_out, &trace_out, &profile_out].into_iter().flatten() {
+    // Each output is its own file: a path two flags share would be
+    // written twice, the last write silently replacing the first.
+    let mut claimed: Vec<(&str, PathBuf)> = Vec::new();
+    for (flag, path) in [
+        (&STATS_OUT, &stats_out),
+        (&TRACE_OUT, &trace_out),
+        (&PROFILE_OUT, &profile_out),
+    ] {
+        let Some(path) = path else { continue };
         exec::writable(path)?;
+        let file = resolved(path);
+        if let Some((first, _)) = claimed.iter().find(|(_, other)| *other == file) {
+            let path = path.display();
+            return Err(format!("{first} and {} both name {path}", flag.name).into());
+        }
+        claimed.push((flag.name, file));
     }
 
     // The recorder exists only when a trace was requested; without it
@@ -75,4 +90,15 @@ pub fn run(mut args: Args) -> Result<ExitCode, CliError> {
         ));
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The file `path` names once its directory exists: the directory
+/// resolved, so `d/x.json` and `d/./x.json` are one file.
+fn resolved(path: &Path) -> PathBuf {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let dir = std::fs::canonicalize(dir.unwrap_or(Path::new(".")));
+    match (dir, path.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => path.to_path_buf(),
+    }
 }

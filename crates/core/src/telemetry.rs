@@ -10,7 +10,7 @@
 //!   "run": { "insts": 3000, "seed": 42, "experiments": ["fig7"] },
 //!   "cpu": { "designs": { "BaseCMOS": { "core": {...}, "mem": {...} }, ... } },
 //!   "gpu": { "designs": { "BaseCMOS": { "gpu": {...} }, ... } },
-//!   "runner": { "cpu": { "jobs": ..., "wall_seconds": ... }, ... },
+//!   "runner": { "cpu": { "jobs": ..., "skipped_cycles": ... }, ... },
 //!   "reports": [ { "title": ..., "columns": [...], "rows": [...] }, ... ]
 //! }
 //! ```
@@ -27,11 +27,17 @@
 //! to match what the simulators actually count. Per-design entries
 //! merge all applications/kernels of the campaign with the structs'
 //! own `merge` policies (`cycles` maxes, events sum).
+//!
+//! The dump holds what was simulated, plus each runner's job counts and
+//! the skip counts of every job it answered, hit or executed (so a warm
+//! dump reports what the cold one did). Where a job's host time went is
+//! the `--trace-out` span log's to say, not the dump's.
 
 use hetsim_cpu::stats::CoreStats;
 use hetsim_gpu::stats::GpuStats;
 use hetsim_mem::stats::MemStats;
-use hetsim_runner::{RunnerStats, RunnerTiming};
+use hetsim_obs::Observations;
+use hetsim_runner::RunnerStats;
 use serde::value::Value;
 use serde::Serialize;
 
@@ -47,8 +53,7 @@ pub struct StatsDump {
     run: Option<(u64, u64, Vec<String>)>,
     cpu: Option<Value>,
     gpu: Option<Value>,
-    runner: Vec<(String, RunnerStats)>,
-    timing: Vec<(String, RunnerTiming)>,
+    runner: Vec<(String, Value)>,
     reports: Vec<Report>,
 }
 
@@ -141,26 +146,17 @@ impl StatsDump {
     }
 
     /// Adds one runner's cumulative execution counters under `label`
-    /// (e.g. `"cpu"` / `"gpu"`).
-    pub fn with_runner(mut self, label: &str, stats: RunnerStats) -> Self {
-        self.runner.push((label.to_string(), stats));
-        self
-    }
-
-    /// Adds one runner's per-phase wall-time histograms, surfaced as
-    /// `runner.timing.<label>.*`. Like the rest of the `runner` section
-    /// this telemetry is wall-clock-derived and non-deterministic, so
-    /// the regression gate's `runner.` exemption (see
-    /// [`RunnerStats::DETERMINISTIC`]) covers it automatically.
-    pub fn with_runner_timing(mut self, label: &str, timing: RunnerTiming) -> Self {
-        self.timing.push((label.to_string(), timing));
-        self
-    }
-
-    /// Drops the `runner.timing` histograms: host timing that a
-    /// checked-in baseline should not carry.
-    pub fn without_runner_timing(mut self) -> Self {
-        self.timing.clear();
+    /// (e.g. `"cpu"` / `"gpu"`), with the skip counts of the
+    /// observations it folded: `runner.<label>.skipped_cycles` and
+    /// `wakeup_jumps`.
+    pub fn with_runner(mut self, label: &str, stats: RunnerStats, observed: &Observations) -> Self {
+        let Value::Object(mut counters) = stats.to_value() else {
+            unreachable!("RunnerStats serializes to an object")
+        };
+        counters.push(("skipped_cycles".into(), observed.skipped_cycles.to_value()));
+        counters.push(("wakeup_jumps".into(), observed.wakeup_jumps.to_value()));
+        self.runner
+            .push((label.to_string(), Value::Object(counters)));
         self
     }
 
@@ -206,23 +202,7 @@ impl Serialize for StatsDump {
         }
         fields.push(("cpu".into(), self.cpu.clone().unwrap_or(Value::Null)));
         fields.push(("gpu".into(), self.gpu.clone().unwrap_or(Value::Null)));
-        let mut runner: Vec<(String, Value)> = self
-            .runner
-            .iter()
-            .map(|(label, stats)| (label.clone(), stats.to_value()))
-            .collect();
-        if !self.timing.is_empty() {
-            runner.push((
-                "timing".into(),
-                Value::Object(
-                    self.timing
-                        .iter()
-                        .map(|(label, timing)| (label.clone(), timing.to_value()))
-                        .collect(),
-                ),
-            ));
-        }
-        fields.push(("runner".into(), Value::Object(runner)));
+        fields.push(("runner".into(), Value::Object(self.runner.clone())));
         if !self.reports.is_empty() {
             fields.push(("reports".into(), self.reports.to_value()));
         }
@@ -322,40 +302,21 @@ mod tests {
     #[test]
     fn dump_json_round_trips_through_the_parser() {
         let campaign = tiny().cpu_campaign();
+        let observed = Observations {
+            skipped_cycles: 45,
+            wakeup_jumps: 10,
+            ..Observations::default()
+        };
         let json = StatsDump::new()
             .with_cpu_campaign(&campaign)
-            .with_runner("cpu", RunnerStats::default())
+            .with_runner("cpu", RunnerStats::default(), &observed)
             .to_json();
         let v: Value = serde_json::from_str(&json).expect("valid JSON");
-        assert!(v.get("runner").and_then(|r| r.get("cpu")).is_some());
-    }
-
-    #[test]
-    fn runner_timing_lands_under_runner_timing_label() {
-        let without = StatsDump::new()
-            .with_runner("cpu", RunnerStats::default())
-            .to_value();
-        assert!(
-            without
-                .get("runner")
-                .and_then(|r| r.get("timing"))
-                .is_none(),
-            "no timing section unless timing was recorded"
-        );
-
-        let mut timing = RunnerTiming::default();
-        timing.simulate_us.record(250);
-        let v = StatsDump::new()
-            .with_runner("cpu", RunnerStats::default())
-            .with_runner_timing("cpu", timing)
-            .to_value();
-        let sim = v
+        let cpu = v
             .get("runner")
-            .and_then(|r| r.get("timing"))
-            .and_then(|t| t.get("cpu"))
-            .and_then(|c| c.get("simulate_us"))
-            .expect("runner.timing.cpu.simulate_us");
-        assert_eq!(sim.get("count").and_then(Value::as_u64), Some(1));
-        assert_eq!(sim.get("sum").and_then(Value::as_u64), Some(250));
+            .and_then(|r| r.get("cpu"))
+            .expect("runner.cpu");
+        assert_eq!(cpu.get("skipped_cycles").and_then(Value::as_u64), Some(45));
+        assert_eq!(cpu.get("wakeup_jumps").and_then(Value::as_u64), Some(10));
     }
 }

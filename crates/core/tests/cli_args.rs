@@ -380,6 +380,36 @@ fn an_output_path_gets_its_directory() {
 }
 
 #[test]
+fn two_output_flags_that_name_one_file_are_refused_before_running() {
+    let dir = std::env::temp_dir().join(format!("hetsim-cli-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = |p: &str| dir.join(p).to_str().expect("utf8").to_string();
+    let (plain, dotted) = (path("d/x.json"), path("d/./x.json"));
+    for (first, second) in [
+        ("--stats-out", "--profile-out"),
+        ("--stats-out", "--trace-out"),
+        ("--trace-out", "--profile-out"),
+    ] {
+        let out = repro(&["--insts", "8", first, &plain, second, &dotted, "fig10"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{first} {second}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {first} and {second} both name {dotted}")),
+            "{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{first} {second} reported before failing"
+        );
+        assert!(
+            !dir.join("d/x.json").exists(),
+            "{first} {second} wrote a file"
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
 fn usage_lists_every_subcommand() {
     let stderr = String::from_utf8_lossy(&repro(&["--bogus"]).stderr).into_owned();
     for expected in [

@@ -173,12 +173,22 @@ fn picks() -> impl Strategy<Value = Vec<bool>> {
     vec(any::<bool>(), 1..24)
 }
 
+/// Asserts that `err` names what the reader found, never a Rust
+/// `Option` (`None`, `Some(..)`).
+fn assert_plain_error(err: &str) {
+    assert!(
+        !err.contains("None") && !err.contains("Some("),
+        "the error prints an Option: {err}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A dump cut at any byte is an error, unless the cut leaves only
-    /// whitespace behind; the whole one reads every leaf. (One design
-    /// keeps the quadratic walk short.)
+    /// A dump cut at any byte is an error that names what the reader
+    /// found, unless the cut leaves only whitespace behind; the whole
+    /// one reads every leaf. (One design keeps the quadratic walk
+    /// short.)
     #[test]
     fn truncation_at_every_offset_is_an_error(design in 0usize..11) {
         let keep: Vec<bool> = (0..11).map(|i| i == design).collect();
@@ -187,6 +197,9 @@ proptest! {
         for cut in 0..bytes.len() {
             let blank_tail = bytes[cut..].iter().all(u8::is_ascii_whitespace);
             prop_assert!(read_back(&bytes[..cut]).is_none() || blank_tail, "cut at {} was accepted", cut);
+            if let Err(err) = DumpDoc::parse(&text[..cut]) {
+                assert_plain_error(&err);
+            }
         }
         prop_assert!(read_back(bytes).is_some(), "the intact dump reads");
     }

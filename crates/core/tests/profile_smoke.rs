@@ -178,6 +178,28 @@ fn folded_stacks_parse_and_use_known_class_names() {
 }
 
 #[test]
+fn the_table_aligns_design_names_longer_than_twelve_columns() {
+    let table = stdout_of(&["profile", arg(recorded())]);
+    let mut lines = table.lines().skip(1);
+    let header = lines.next().expect("a header line");
+    let unit_at = header.find(" unit ").expect("a unit column") + 1;
+    let mut longest = 0;
+    for line in lines {
+        let mut fields = line.split_whitespace();
+        let (design, unit) = (fields.next().expect("design"), fields.next().expect("unit"));
+        longest = longest.max(design.len());
+        assert!(
+            line[unit_at..].starts_with(&format!("{unit} ")),
+            "`{unit}` of {design} is not under the header's `unit`:\n{table}"
+        );
+    }
+    assert!(
+        longest > 12,
+        "Fig 7 names a design past 12 columns:\n{table}"
+    );
+}
+
+#[test]
 fn profiles_match_across_worker_counts() {
     let (serial, parallel) = (tmp("serial.json"), tmp("parallel.json"));
     record(&serial, &["--jobs", "1", "fig7"]);

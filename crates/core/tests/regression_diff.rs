@@ -226,7 +226,7 @@ fn baseline_writer_and_ci_gate_round_trip() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(basedir.join("fig14.json").exists());
-    // Baselines carry the runner's counters but not its host timing.
+    // Baselines carry the runner's counters and no `runner.timing`.
     let ext = std::fs::read_to_string(basedir.join("ext.json")).expect("ext baseline");
     let ext: serde_json::Value = serde_json::from_str(&ext).expect("ext baseline is JSON");
     let runner = ext.get("runner").expect("runner section");

@@ -6,8 +6,8 @@
 //! characterisation runs (28); the GPU campaign (100) and the partitioned-RF
 //! (20) and scheduling (40) launches the campaign lacks. A warm rerun
 //! over the same cache directory executes none, prints the same report,
-//! and charges no event-driven skip telemetry to runners that ran
-//! nothing.
+//! and reports the event-driven skip counts the cold run did: they are
+//! folded from every answered job's observations, hit or executed.
 //!
 //! A cache directory is also what a process shares and what survives
 //! one: two runs racing on one directory leave it clean, and a run
@@ -113,12 +113,21 @@ fn a_warm_all_ext_run_simulates_nothing() {
             "{runner}"
         );
         for skip in ["skipped_cycles", "wakeup_jumps"] {
+            let path = ["runner", runner, skip];
+            assert!(counter(&cold, &path) > 0, "a cold {runner} runner skips");
             assert_eq!(
-                counter(&warm, &["runner", "timing", runner, skip]),
-                0,
-                "a warm {runner} runner simulated nothing, so it skipped nothing"
+                counter(&warm, &path),
+                counter(&cold, &path),
+                "a warm {runner} runner folds the {skip} its cached jobs observed"
             );
         }
+    }
+    for dump in [&cold, &warm] {
+        let runner = dump.get("runner").expect("runner section");
+        assert!(
+            runner.get("timing").is_none(),
+            "no runner.timing: {runner:?}"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&base);

@@ -1,7 +1,7 @@
 //! Injected monotonic time.
 //!
-//! Every timing consumer (the runner's phase histograms, the trace
-//! recorder) reads time through a [`Clock`] rather
+//! Every timing consumer (the runner's batch wall time and spans, the
+//! trace recorder) reads time through a [`Clock`] rather
 //! than calling `Instant::now()` directly, so tests can drive time by
 //! hand and timing logic stays deterministic under test.
 

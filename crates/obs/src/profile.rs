@@ -273,13 +273,15 @@ impl Serialize for CycleProfile {
 
 impl Deserialize for CycleProfile {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v.get("schema").and_then(Value::as_str) {
-            Some(PROFILE_SCHEMA) => {}
-            other => {
-                return Err(Error::custom(format!(
-                    "expected schema {PROFILE_SCHEMA:?}, found {other:?}"
-                )))
-            }
+        let found = match v.get("schema").and_then(Value::as_str) {
+            Some(PROFILE_SCHEMA) => None,
+            Some(other) => Some(format!("{other:?}")),
+            None => Some("no schema string".to_string()),
+        };
+        if let Some(found) = found {
+            return Err(Error::custom(format!(
+                "expected schema {PROFILE_SCHEMA:?}, found {found}"
+            )));
         }
         let rows = v
             .get("rows")
@@ -468,11 +470,20 @@ mod tests {
         );
         let back = CycleProfile::from_value(&v).expect("round trip");
         assert_eq!(back, p);
-        assert!(CycleProfile::from_value(&Value::Object(vec![(
+        let err = CycleProfile::from_value(&Value::Object(vec![(
             "schema".into(),
-            Value::Str("bogus".into())
+            Value::Str("bogus".into()),
         )]))
-        .is_err());
+        .expect_err("another schema");
+        assert_eq!(
+            err.to_string(),
+            format!("expected schema {PROFILE_SCHEMA:?}, found \"bogus\"")
+        );
+        let err = CycleProfile::from_value(&Value::Object(Vec::new())).expect_err("no schema");
+        assert_eq!(
+            err.to_string(),
+            format!("expected schema {PROFILE_SCHEMA:?}, found no schema string")
+        );
     }
 
     /// `row`'s serialized form with `name` set to `value`.

@@ -97,12 +97,21 @@ fn read_back(bytes: &[u8]) -> Option<Vec<TraceEvent>> {
     Some(events)
 }
 
+/// Asserts that `err` names what the reader found, never a Rust
+/// `Option` (`None`, `Some(..)`).
+fn assert_plain_error(err: &str) {
+    assert!(
+        !err.contains("None") && !err.contains("Some("),
+        "the error prints an Option: {err}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A log cut at any byte reads as an error or as the events of the
-    /// lines it still holds whole; the intact log reads back as
-    /// recorded.
+    /// A log cut at any byte reads as an error that names what the
+    /// reader found or as the events of the lines it still holds whole;
+    /// the intact log reads back as recorded.
     #[test]
     fn truncation_at_every_offset_is_an_error_or_a_prefix(raw in raw_events()) {
         let (text, recorded) = recorded_log(&raw);
@@ -111,6 +120,8 @@ proptest! {
             if let Some(events) = read_back(&bytes[..cut]) {
                 prop_assert!(events.len() <= recorded.len());
                 prop_assert_eq!(&events[..], &recorded[..events.len()]);
+            } else if let Err(err) = parse_jsonl(&text[..cut]) {
+                assert_plain_error(&err);
             }
         }
         prop_assert_eq!(read_back(bytes).expect("the intact log reads"), recorded);

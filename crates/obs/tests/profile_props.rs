@@ -71,17 +71,29 @@ fn read_back(bytes: &[u8]) -> Option<CycleProfile> {
     Some(profile)
 }
 
+/// Asserts that `err` names what the reader found, never a Rust
+/// `Option` (`None`, `Some(..)`).
+fn assert_plain_error(err: &str) {
+    assert!(
+        !err.contains("None") && !err.contains("Some("),
+        "the error prints an Option: {err}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A document cut at any byte is an error, except the whole text,
-    /// which reads back as the profile written.
+    /// A document cut at any byte is an error that names what the
+    /// reader found, except the whole text, which reads back as the
+    /// profile written.
     #[test]
     fn truncation_at_every_offset_is_an_error(raw in rows()) {
         let text = document(&raw);
         let bytes = text.as_bytes();
         for cut in 0..bytes.len() {
             prop_assert!(read_back(&bytes[..cut]).is_none(), "cut at {} was accepted", cut);
+            let err = serde_json::from_str::<CycleProfile>(&text[..cut]).expect_err("rejected");
+            assert_plain_error(&err.to_string());
         }
         let whole = read_back(bytes).expect("the intact document reads");
         prop_assert_eq!(serde_json::to_string_pretty(&whole).expect("serializes"), text);

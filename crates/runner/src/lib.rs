@@ -46,14 +46,12 @@ mod job;
 mod pool;
 mod progress;
 mod runner;
-mod timing;
 
 pub use cache::{write_atomic, CacheStats, ResultCache};
 pub use job::{config_object, Job, JobKey};
 pub use pool::{run_batch, Task};
 pub use progress::{narrate, Provenance, RunnerStats};
 pub use runner::Runner;
-pub use timing::RunnerTiming;
 
 /// Outcome types that can report how much simulated time they cover.
 ///

@@ -11,7 +11,6 @@ use crate::cache::ResultCache;
 use crate::job::Job;
 use crate::pool::{run_batch, Task};
 use crate::progress::{narrate, Provenance, RunnerStats};
-use crate::timing::RunnerTiming;
 use crate::SimMetrics;
 
 /// The campaign-execution engine: a worker count, an optional on-disk
@@ -34,21 +33,22 @@ use crate::SimMetrics;
 ///
 /// The runner keeps cumulative [`RunnerStats`] across batches (a
 /// campaign is usually several figures' worth of batches on one
-/// runner), per-phase wall-time histograms ([`RunnerTiming`], which
-/// also sum the skip counts of the jobs it executed) and the folded
-/// observations ([`Runner::total_observations`]).
+/// runner) and the folded observations
+/// ([`Runner::total_observations`]), whose skip counts cover every
+/// answered job, so a warm runner reports what a cold one did.
 ///
 /// All timestamps come from one [`Clock`]: a [`MonotonicClock`], or
 /// the clock of an attached recorder — a [`hetsim_obs::ManualClock`]
-/// under test makes timing and tracing assertions exact. When a
+/// under test makes timing and tracing assertions exact. The span log
+/// is the one record of where a job's host time went: when a
 /// [`TraceRecorder`] is attached via
 /// [`Runner::with_recorder`], each job's phases (`cache-lookup`,
-/// `simulate`, `cache-write`) are recorded as spans on the thread that
-/// ran them, and the batch's progress as instants: `batch-started` and
-/// `batch-finished` on the submitting thread, and one `job-finished`
-/// per job on the thread that answered it. A runner without a cache
-/// directory has no cache phases: it neither times nor records them,
-/// and its `batch-started` instants say `cache: none`. A runner built
+/// `simulate` with its queue wait, `cache-write`) are recorded as spans
+/// on the thread that ran them, and the batch's progress as instants:
+/// `batch-started` and `batch-finished` on the submitting thread, and
+/// one `job-finished` per job on the thread that answered it. A runner
+/// without a cache directory has no cache phases to record, and its
+/// `batch-started` instants say `cache: none`. A runner built
 /// with [`Runner::narrating`] also writes each of those three progress
 /// events to stderr as one `[runner]` line, from the same values.
 pub struct Runner<T> {
@@ -59,7 +59,6 @@ pub struct Runner<T> {
     recorder: Option<Arc<TraceRecorder>>,
     total: Mutex<RunnerStats>,
     last: Mutex<RunnerStats>,
-    timing: Mutex<RunnerTiming>,
     observations: Mutex<Observations>,
 }
 
@@ -78,7 +77,6 @@ where
             recorder: None,
             total: Mutex::default(),
             last: Mutex::default(),
-            timing: Mutex::default(),
             observations: Mutex::default(),
         }
     }
@@ -116,7 +114,7 @@ where
     /// `batch-finished` instants.
     ///
     /// The runner adopts the recorder's clock, so span timestamps and
-    /// wall-time histograms share one timeline.
+    /// the batch wall time in [`RunnerStats`] share one timeline.
     pub fn with_recorder(mut self, recorder: Arc<TraceRecorder>) -> Self {
         self.clock = recorder.clock();
         self.recorder = Some(recorder);
@@ -146,7 +144,6 @@ where
                 ],
             );
         }
-        let mut batch_timing = RunnerTiming::default();
 
         // Step 1: probe the cache, if there is one, for every job, in
         // submission order.
@@ -157,11 +154,8 @@ where
             let hit = self.cache.as_ref().and_then(|cache| {
                 let lookup_start_us = self.clock.now_us();
                 let hit = cache.get(job.key);
-                let lookup_end_us = self.clock.now_us();
-                batch_timing
-                    .cache_lookup_us
-                    .record(lookup_end_us.saturating_sub(lookup_start_us));
                 if let Some(recorder) = &self.recorder {
+                    let lookup_end_us = self.clock.now_us();
                     let found = hit.as_ref().map_or("miss", |_| Provenance::DiskCache.tag());
                     recorder.record_span(
                         "cache-lookup",
@@ -190,9 +184,8 @@ where
         }
 
         // Step 2: execute the misses on the pool. Each task simulates,
-        // stores outcome and observations, and reports. Phase times and
-        // skip counts land in `timing` (shared, per-sample lock) and —
-        // when tracing — as spans on the worker's own track.
+        // stores outcome and observations, and reports; when tracing,
+        // its phase times land as spans on the worker's own track.
         let executed = misses.len() as u64;
         let done = &done;
         let tasks: Vec<Task<'_, (usize, (T, Observations))>> = misses
@@ -213,20 +206,6 @@ where
                         cache.put(key, &record);
                         self.clock.now_us()
                     });
-                    {
-                        let mut timing = self.timing.lock().expect("timing lock");
-                        timing.skipped_cycles += record.1.skipped_cycles;
-                        timing.wakeup_jumps += record.1.wakeup_jumps;
-                        timing.queue_wait_us.record(queue_us);
-                        timing
-                            .simulate_us
-                            .record(sim_end_us.saturating_sub(sim_start_us));
-                        if let Some(write_end_us) = write_end_us {
-                            timing
-                                .cache_write_us
-                                .record(write_end_us.saturating_sub(sim_end_us));
-                        }
-                    }
                     if let Some(recorder) = &self.recorder {
                         recorder.record_span(
                             "simulate",
@@ -274,12 +253,6 @@ where
         drop(observations);
 
         let end_us = self.clock.now_us();
-        // Step-1 lookup times merge here rather than sampling the
-        // shared histogram once per probe on the hot submission path.
-        self.timing
-            .lock()
-            .expect("timing lock")
-            .merge(&batch_timing);
         if let Some(recorder) = &self.recorder {
             recorder.record_span(
                 "batch",
@@ -373,15 +346,9 @@ where
         *self.total.lock().expect("stats lock")
     }
 
-    /// Cumulative per-phase wall-time histograms across every batch
-    /// (always collected, with or without a recorder attached), with
-    /// the skip counts of every job this runner executed.
-    pub fn total_timing(&self) -> RunnerTiming {
-        *self.timing.lock().expect("timing lock")
-    }
-
     /// The observations of every job every batch answered, executed or
-    /// hit, folded in submission order.
+    /// hit, folded in submission order: a warm runner's skip counts are
+    /// those of the cold run that cached its records.
     pub fn total_observations(&self) -> Observations {
         self.observations.lock().expect("observations lock").clone()
     }
@@ -586,17 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn skip_totals_sum_the_executed_jobs_and_a_warm_batch_adds_none() {
+    fn skip_totals_fold_every_answered_job_hit_or_executed() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let dir = tmp_dir("skip-totals");
         let runner = Runner::new(3).with_cache_dir(&dir).expect("cache dir");
         runner.run(batch(&RUNS, 10));
-        let cold = runner.total_timing();
+        let cold = runner.total_observations();
         assert_eq!((cold.skipped_cycles, cold.wakeup_jumps), (45, 10));
         runner.run(batch(&RUNS, 10)); // all disk hits
         assert_eq!(runner.last_stats().executed, 0);
-        let warm = runner.total_timing();
-        assert_eq!((warm.skipped_cycles, warm.wakeup_jumps), (45, 10));
+        let warm = runner.total_observations();
+        assert_eq!((warm.skipped_cycles, warm.wakeup_jumps), (90, 20));
         // The fold covers every answered job, hit or executed.
         let mut twice = folded(10);
         twice.merge(&folded(10));
@@ -617,7 +584,6 @@ mod tests {
         assert_eq!(RUNS.load(Ordering::SeqCst), 7, "the warm batch ran nothing");
         assert_eq!(cold.total_observations(), folded(7));
         assert_eq!(warm.total_observations(), folded(7));
-        assert_eq!(warm.total_timing().skipped_cycles, 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -644,21 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_histograms_count_every_phase() {
-        static RUNS: AtomicU64 = AtomicU64::new(0);
-        let dir = tmp_dir("timing");
-        let runner = Runner::new(4).with_cache_dir(&dir).expect("cache dir");
-        runner.run(batch(&RUNS, 10)); // cold: 10 misses
-        runner.run(batch(&RUNS, 10)); // warm: 10 disk hits
-        let timing = runner.total_timing();
-        assert_eq!(timing.cache_lookup_us.count(), 20, "every probe sampled");
-        assert_eq!(timing.simulate_us.count(), 10, "misses only");
-        assert_eq!(timing.cache_write_us.count(), 10);
-        assert_eq!(timing.queue_wait_us.count(), 10);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
     fn a_runner_without_a_cache_dir_records_no_cache_phases() {
         static RUNS: AtomicU64 = AtomicU64::new(0);
         let recorder = Arc::new(hetsim_obs::TraceRecorder::new(Arc::new(
@@ -666,10 +617,6 @@ mod tests {
         )));
         let runner = Runner::new(3).with_recorder(recorder.clone());
         runner.run(batch(&RUNS, 6));
-        let timing = runner.total_timing();
-        assert_eq!(timing.simulate_us.count(), 6);
-        assert_eq!(timing.cache_lookup_us.count(), 0, "no probe to time");
-        assert_eq!(timing.cache_write_us.count(), 0, "no write to time");
         let events = recorder.events();
         let named = |name: &str| events.iter().filter(|e| e.name == name).count();
         assert_eq!((named("simulate"), named("job-finished")), (6, 6));
@@ -712,6 +659,13 @@ mod tests {
         assert_eq!(spans_named("simulate"), 8, "cold misses only");
         assert_eq!(spans_named("cache-write"), 8);
         assert_eq!(spans_named("batch"), 2);
+        // The queue wait is no span of its own: it rides on `simulate`.
+        for simulate in events.iter().filter(|e| e.name == "simulate") {
+            assert!(
+                simulate.args.iter().any(|(k, _)| k == "queue_us"),
+                "a simulate span without `queue_us`: {simulate:?}"
+            );
+        }
         assert_eq!(
             hetsim_obs::validate_events(&events),
             Vec::<String>::new(),

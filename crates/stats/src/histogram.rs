@@ -1,19 +1,20 @@
-//! A bounded-bucket histogram for wall-time telemetry.
+//! A bounded-bucket histogram of per-cycle samples.
 //!
-//! The runner's timing counters (`runner.timing.*` in the stats dump)
-//! need a distribution, not just a sum: one straggler job looks the
-//! same as uniformly slow jobs in a mean, but very different in a
-//! histogram. [`Histogram`] keeps **power-of-two buckets** with a fixed
-//! bucket count, so:
+//! The cycle profile's occupancy rows (`rob`, `iq`, `lsq`, `residency`
+//! in a `hetsim-profile-v1` document) need a distribution, not just a
+//! sum: a queue that is sometimes full looks the same as one that is
+//! always half full in a mean, but very different in a histogram.
+//! [`Histogram`] keeps **power-of-two buckets** with a fixed bucket
+//! count, so:
 //!
 //! * memory is constant (no per-sample storage, no unbounded growth);
 //! * any `u64` sample has a bucket — the last bucket absorbs
 //!   everything at or beyond `2^(BUCKETS-2)`, so recording can never
 //!   fail or resize;
 //! * `merge` is element-wise saturating addition, which is
-//!   **associative and commutative** — campaign-level aggregation over
-//!   batches gives the same histogram in any order (the property the
-//!   proptests in `tests/histogram_props.rs` pin).
+//!   **associative and commutative** — folding a campaign's rows gives
+//!   the same histogram in any order (the property the proptests in
+//!   `tests/histogram_props.rs` pin).
 //!
 //! Totals (`count`, `sum`) saturate instead of wrapping for the same
 //! reason the counter structs' `minus` saturates: silent wraparound in
@@ -24,8 +25,8 @@ use crate::serde::{Deserialize, Error, Serialize};
 
 /// Number of buckets: bucket 0 holds zero-valued samples, bucket `i`
 /// (1 ≤ i < 31) holds samples in `[2^(i-1), 2^i)`, and the last bucket
-/// holds everything at or beyond `2^30` (~18 minutes in microseconds —
-/// far beyond any single simulation job).
+/// holds everything at or beyond `2^30` — far beyond any occupancy a
+/// simulated structure reaches.
 pub const BUCKETS: usize = 32;
 
 /// A fixed-size power-of-two-bucket histogram of `u64` samples.

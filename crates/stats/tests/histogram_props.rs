@@ -1,12 +1,12 @@
 //! Property tests for the bounded-bucket [`Histogram`].
 //!
-//! The runner aggregates per-batch timing histograms into campaign
-//! totals, and the dump layer serializes them — so three algebraic
-//! properties must hold for the `runner.timing.*` telemetry to be
+//! The runner folds every job's profile rows, occupancy histograms
+//! included, into campaign totals, and `--profile-out` serializes them —
+//! so three algebraic properties must hold for those histograms to be
 //! trustworthy:
 //!
-//! 1. **merge associativity/commutativity** — aggregation order (batch
-//!    by batch vs. all at once) cannot change the result;
+//! 1. **merge associativity/commutativity** — fold order (job by job
+//!    vs. all at once) cannot change the result;
 //! 2. **bucket-count conservation** — the bucket counts always sum to
 //!    `count()`, under any interleaving of `record` and `merge` (no
 //!    sample is ever dropped or double-counted), and merge conserves
@@ -14,8 +14,8 @@
 //! 3. **serde round-trip** — a dump written and re-read is the same
 //!    histogram.
 //!
-//! Saturation (samples near `u64::MAX`, e.g. from a clock bug) must
-//! degrade gracefully: clamp, never wrap or panic.
+//! Saturation (samples near `u64::MAX`) must degrade gracefully:
+//! clamp, never wrap or panic.
 
 use proptest::prelude::*;
 

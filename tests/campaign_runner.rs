@@ -144,7 +144,7 @@ fn outcome_serialization_round_trips_exactly() {
 
 /// Runs seed `seed`'s CPU and GPU campaigns on two fresh runners and
 /// returns what each observed: its folded observations (in `Debug`
-/// form) and the skip totals of the jobs it executed.
+/// form) and their skip totals.
 fn campaign_observations(seed: u64) -> [(String, u64, u64); 2] {
     let s = Suite {
         insts_per_app: 4_000,
@@ -153,19 +153,8 @@ fn campaign_observations(seed: u64) -> [(String, u64, u64); 2] {
     let (cpu, gpu) = (Runner::new(2), Runner::new(2));
     s.cpu_campaign_with(&cpu);
     s.gpu_campaign_with(&gpu);
-    let (c, g) = (cpu.total_timing(), gpu.total_timing());
-    [
-        (
-            format!("{:?}", cpu.total_observations()),
-            c.skipped_cycles,
-            c.wakeup_jumps,
-        ),
-        (
-            format!("{:?}", gpu.total_observations()),
-            g.skipped_cycles,
-            g.wakeup_jumps,
-        ),
-    ]
+    [cpu.total_observations(), gpu.total_observations()]
+        .map(|o| (format!("{o:?}"), o.skipped_cycles, o.wakeup_jumps))
 }
 
 #[test]
