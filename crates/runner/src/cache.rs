@@ -67,7 +67,7 @@ use std::sync::Mutex;
 use hetsim_stats::counters;
 use serde::{Deserialize, Serialize};
 
-use crate::job::JobKey;
+use crate::job::{hex_digits, JobKey};
 
 counters! {
     /// Counters describing how a cache behaved over some window.
@@ -478,7 +478,7 @@ pub(crate) fn encode(key: JobKey, payload: &str) -> io::Result<Vec<u8>> {
 fn decode(bytes: &[u8]) -> Frame<'_> {
     let key = bytes
         .get(..32)
-        .and_then(hex_digits)
+        .and_then(|d| std::str::from_utf8(d).ok())
         .and_then(JobKey::from_hex);
     let Some(head) = bytes.get(..HEAD) else {
         return Frame::Torn(key);
@@ -505,17 +505,6 @@ fn decode(bytes: &[u8]) -> Frame<'_> {
             }
         }
         _ => Frame::Bad(key),
-    }
-}
-
-/// `field` as a string if it is all lowercase hex digits — the only
-/// spelling the writer produces.
-fn hex_digits(field: &[u8]) -> Option<&str> {
-    let hex = field.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-    if hex {
-        std::str::from_utf8(field).ok()
-    } else {
-        None
     }
 }
 

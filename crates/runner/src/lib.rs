@@ -26,7 +26,7 @@
 //! 3. a cache hit returns the exact value a fresh simulation would
 //!    produce, because the [`JobKey`] hashes the *full* canonical
 //!    config (design, app profile content, instruction budget, seed,
-//!    core count — see [`JobKey::of`]).
+//!    core count — see [`KeyWriter`]).
 //!
 //! Under that contract, `Runner::serial()` and a 64-worker runner
 //! produce the same `Vec<T>` for the same batch, byte for byte.
@@ -48,7 +48,7 @@ mod progress;
 mod runner;
 
 pub use cache::{write_atomic, CacheStats, ResultCache};
-pub use job::{config_object, Job, JobKey};
+pub use job::{Job, JobKey, KeyWriter};
 pub use pool::{run_batch, Task};
 pub use progress::{narrate, Provenance, RunnerStats};
 pub use runner::Runner;

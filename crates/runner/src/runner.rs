@@ -404,10 +404,14 @@ mod tests {
     fn batch(counter: &'static AtomicU64, n: u64) -> Vec<Job<Out>> {
         (0..n)
             .map(|i| {
-                Job::keyed(&("test-v1", i), format!("job{i}"), move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    (Out(i as f64), observed(i))
-                })
+                Job::new(
+                    crate::JobKey::of(&("test-v1", i)),
+                    format!("job{i}"),
+                    move || {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        (Out(i as f64), observed(i))
+                    },
+                )
             })
             .collect()
     }
