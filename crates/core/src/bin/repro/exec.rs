@@ -70,7 +70,7 @@ where
     if let Some(dir) = cache_dir {
         runner = runner
             .with_cache_dir(dir)
-            .map_err(|e| format!("cannot open cache directory: {e}"))?;
+            .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
     }
     if progress {
         runner = runner.narrating();

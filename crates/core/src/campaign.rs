@@ -33,8 +33,9 @@
 
 use std::fmt::Debug;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use hetsim_gpu::kernel::GpuInst;
 use hetsim_gpu::KernelProfile;
 use hetsim_obs::TraceRecorder;
 use hetsim_runner::{Job, JobKey, KeyWriter};
@@ -141,19 +142,62 @@ pub fn gpu_job_key(
     job_key(GPU_SCHEMA, point.print(), &run, kernel.print(), seed, None)
 }
 
-/// A runnable, cacheable GPU simulation ([`GpuRun::simulate`]),
-/// labelled `gpu/{kernel}/{design}` (plus `-sched` when scheduled).
+/// One kernel launched with one seed, shared by the GPU jobs that
+/// launch it on different points: the first of them to run generates
+/// its instructions, and each drops its handle when it has run or hit
+/// the cache, so the instructions live only while such a job is
+/// pending.
+pub struct GpuLaunch {
+    kernel: Fingerprinted<KernelProfile>,
+    seed: u64,
+    insts: OnceLock<Vec<GpuInst>>,
+    /// How many times this launch generated its kernel.
+    #[cfg(test)]
+    generated: std::sync::atomic::AtomicUsize,
+}
+
+impl GpuLaunch {
+    /// `kernel` launched with `seed`; nothing is generated yet.
+    pub fn new(kernel: Fingerprinted<KernelProfile>, seed: u64) -> Arc<Self> {
+        let launch = Arc::new(GpuLaunch {
+            kernel,
+            seed,
+            insts: OnceLock::new(),
+            #[cfg(test)]
+            generated: Default::default(),
+        });
+        #[cfg(test)]
+        tests::launched(&launch);
+        launch
+    }
+
+    /// The kernel's instructions, generated by the first call.
+    fn insts(&self) -> &[GpuInst] {
+        self.insts.get_or_init(|| {
+            #[cfg(test)]
+            self.generated
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.kernel.generate(self.seed)
+        })
+    }
+}
+
+/// A runnable, cacheable GPU simulation ([`GpuRun::simulate`]) of
+/// `launch` on `point`, labelled `gpu/{kernel}/{design}` (plus `-sched`
+/// when scheduled). It holds the launch until it has run or hit the
+/// cache.
 pub fn gpu_job(
     point: &Fingerprinted<GpuPoint>,
     run: GpuRun,
-    kernel: &Fingerprinted<KernelProfile>,
-    seed: u64,
+    launch: &Arc<GpuLaunch>,
 ) -> Job<GpuOutcome> {
-    let key = gpu_job_key(point, run, kernel, seed);
+    let key = gpu_job_key(point, run, &launch.kernel, launch.seed);
     let sched = if run == GpuRun::Plain { "" } else { "-sched" };
-    let label = format!("gpu/{}/{}{sched}", kernel.name, point.design.name());
-    let (point, kernel) = (point.clone(), kernel.clone());
-    Job::new(key, label, move || run.simulate(&point, &kernel, seed))
+    let label = format!("gpu/{}/{}{sched}", launch.kernel.name, point.design.name());
+    let (point, launch) = (point.clone(), Arc::clone(launch));
+    Job::new(key, label, move || {
+        run.simulate(&point, &launch.kernel, launch.insts(), launch.seed)
+    })
 }
 
 /// The key of a job's fields, streamed in the order the module doc gives.
@@ -208,11 +252,14 @@ mod tests {
     use crate::explore::{explore, DesignSpace, ExploreConfig};
     use crate::suite::{Experiment, Extension, Suite};
     use hetsim_power::assignment::VoltageFactors;
+    use hetsim_runner::Runner;
     use hetsim_trace::apps;
     use serde::value::Value;
     use serde::Serialize;
     use std::cell::RefCell;
     use std::collections::HashSet;
+    use std::sync::atomic::Ordering;
+    use std::sync::Weak;
 
     thread_local! {
         /// Each key this thread derived, beside the `Value`-tree key of
@@ -247,6 +294,50 @@ mod tests {
     /// Takes the keys this thread derived since the last call.
     fn take_derived() -> Vec<(JobKey, JobKey)> {
         DERIVED.with(|d| std::mem::take(&mut *d.borrow_mut()))
+    }
+
+    thread_local! {
+        /// Each launch this thread created.
+        static LAUNCHED: RefCell<Vec<Weak<GpuLaunch>>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Records a new launch.
+    pub(super) fn launched(launch: &Arc<GpuLaunch>) {
+        LAUNCHED.with(|l| l.borrow_mut().push(Arc::downgrade(launch)));
+    }
+
+    #[test]
+    fn a_kernel_row_generates_its_kernel_once_and_only_while_pending() {
+        LAUNCHED.with(|l| l.borrow_mut().clear());
+        let mut jobs = Suite::default().gpu_campaign_jobs();
+        let launches = LAUNCHED.with(|l| std::mem::take(&mut *l.borrow_mut()));
+        let row = GpuDesign::ALL.len();
+        assert_eq!((jobs.len(), launches.len()), (20 * row, 20));
+        for launch in &launches {
+            let launch = launch.upgrade().expect("pending jobs hold their launch");
+            assert!(
+                launch.insts.get().is_none(),
+                "building jobs generates no kernel"
+            );
+            assert_eq!(
+                Arc::strong_count(&launch),
+                1 + row,
+                "a row's jobs share one launch"
+            );
+        }
+        let first = launches[0]
+            .upgrade()
+            .expect("pending jobs hold their launch");
+        jobs.truncate(row);
+        assert!(
+            launches[1].upgrade().is_none(),
+            "dropped jobs release their launch"
+        );
+        Runner::new(2).run(jobs);
+        assert_eq!(first.generated.load(Ordering::Relaxed), 1, "generated once");
+        assert_eq!(Arc::strong_count(&first), 1, "the row's jobs released it");
+        drop(first);
+        assert!(launches[0].upgrade().is_none(), "the launch is gone");
     }
 
     #[test]

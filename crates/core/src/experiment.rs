@@ -19,6 +19,8 @@ use hetsim_cpu::multicore::{self, run_multicore, run_thread, MulticoreResult};
 use hetsim_cpu::stats::CoreStats;
 use hetsim_cpu::CoreProfile;
 use hetsim_gpu::gpu::Gpu;
+use hetsim_gpu::kernel::GpuInst;
+use hetsim_gpu::schedule::schedule_kernel;
 use hetsim_gpu::stats::GpuStats;
 use hetsim_gpu::KernelProfile;
 use hetsim_mem::stats::MemStats;
@@ -257,17 +259,22 @@ pub enum GpuRun {
 
 impl GpuRun {
     /// Launches `kernel` on `point` in this shape, priced by the point's
-    /// device assignment.
+    /// device assignment. `insts` is what `kernel.generate(seed)`
+    /// returns.
     pub fn simulate(
         self,
         point: &GpuPoint,
         kernel: &KernelProfile,
+        insts: &[GpuInst],
         seed: u64,
     ) -> (GpuOutcome, Observations) {
         let gpu = Gpu::new(point.config.clone());
         let result = match self {
-            GpuRun::Plain => gpu.run(kernel, seed),
-            GpuRun::Scheduled { window } => gpu.run_scheduled(kernel, seed, window),
+            GpuRun::Plain => gpu.run_insts(kernel, insts, seed),
+            GpuRun::Scheduled { window } => {
+                let scheduled = schedule_kernel(insts, window);
+                gpu.run_insts(kernel, &scheduled.insts, seed)
+            }
         };
         let mut observations = Observations::default();
         for (cu, p) in result.profiles.iter().enumerate() {
@@ -285,7 +292,10 @@ impl GpuRun {
 
 /// Runs a GPU design on one kernel.
 pub fn run_gpu(design: GpuDesign, kernel: &KernelProfile, seed: u64) -> GpuOutcome {
-    GpuRun::Plain.simulate(&design.resolve(), kernel, seed).0
+    let insts = kernel.generate(seed);
+    GpuRun::Plain
+        .simulate(&design.resolve(), kernel, &insts, seed)
+        .0
 }
 
 /// Runs a GPU design on one kernel *after* the latency-hiding compiler
@@ -296,8 +306,9 @@ pub fn run_gpu_scheduled(
     seed: u64,
     window: usize,
 ) -> GpuOutcome {
+    let insts = kernel.generate(seed);
     GpuRun::Scheduled { window }
-        .simulate(&design.resolve(), kernel, seed)
+        .simulate(&design.resolve(), kernel, &insts, seed)
         .0
 }
 

@@ -448,7 +448,7 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
     if let Some(dir) = &cfg.cache_dir {
         runner = runner
             .with_cache_dir(dir)
-            .map_err(|e| format!("cannot use cache dir {}: {e}", dir.display()))?;
+            .map_err(|e| format!("cannot open cache directory {}: {e}", dir.display()))?;
     }
 
     let grid = space.grid_size();

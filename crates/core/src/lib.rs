@@ -67,7 +67,7 @@ pub mod suite;
 pub mod telemetry;
 
 pub use campaign::{
-    cpu_job, cpu_job_key, gpu_job, gpu_job_key, Fingerprinted, CPU_SCHEMA, GPU_SCHEMA,
+    cpu_job, cpu_job_key, gpu_job, gpu_job_key, Fingerprinted, GpuLaunch, CPU_SCHEMA, GPU_SCHEMA,
 };
 pub use config::{CpuDesign, CpuPoint, GpuDesign, GpuPoint, OperatingPoint};
 pub use experiment::{

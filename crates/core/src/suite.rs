@@ -23,7 +23,7 @@ use hetsim_power::assignment::VoltageFactors;
 use hetsim_runner::{Job, JobKey, Runner};
 use hetsim_trace::{apps, WorkloadProfile};
 
-use crate::campaign::{cpu_job, gpu_job, Fingerprinted};
+use crate::campaign::{cpu_job, gpu_job, Fingerprinted, GpuLaunch};
 use crate::config::{CpuDesign, CpuPoint, GpuDesign, OperatingPoint};
 use crate::experiment::{CpuOutcome, CpuRun, GpuOutcome, GpuRun};
 use crate::migration::{migration_cmp, MigrationConfig};
@@ -518,6 +518,8 @@ impl Suite {
     }
 
     /// Every kernel launched in each `(design, run)` cell, kernel-major.
+    /// A kernel's row of jobs shares one [`GpuLaunch`], so each kernel
+    /// is generated once, by the first of its jobs to run.
     fn gpu_grid(&self, cells: &[(GpuDesign, GpuRun)]) -> Vec<Job<GpuOutcome>> {
         let points: Vec<_> = cells
             .iter()
@@ -528,8 +530,9 @@ impl Suite {
             .into_iter()
             .map(Fingerprinted::new)
         {
+            let launch = GpuLaunch::new(kernel, self.seed);
             for (point, run) in &points {
-                jobs.push(gpu_job(point, *run, &kernel, self.seed));
+                jobs.push(gpu_job(point, *run, &launch));
             }
         }
         jobs

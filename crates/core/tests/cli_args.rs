@@ -562,3 +562,28 @@ fn a_repeated_target_runs_and_reports_once() {
     let ext = repro(&["--insts", "800", "--format", "json", "ext"]);
     assert_eq!(repeated.stdout, ext.stdout);
 }
+
+#[test]
+fn a_cache_directory_that_cannot_be_opened_is_named() {
+    for args in [
+        &["--insts", "8", "--cache-dir", "/proc/nope", "fig10"][..],
+        &[
+            "explore",
+            "--budget",
+            "1",
+            "--insts",
+            "8",
+            "--cache-dir",
+            "/proc/nope",
+        ],
+    ] {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: cannot open cache directory /proc/nope: "),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} reported before failing");
+    }
+}

@@ -221,7 +221,12 @@ fn decode(cfg: &GpuConfig, kernel: &[GpuInst]) -> (Vec<DecodedInst>, GpuStats) {
 /// keeps, per resident wavefront, its next step-table entry (its miss
 /// draw resolved when it reached that pc), the cycle it may issue next
 /// and whether that wait is on memory, all rewritten only when that
-/// wavefront issues.
+/// wavefront issues. Its loop accumulates only what it cannot derive:
+/// DRAM accesses, wake-up jumps and the cycles jumped while waiting on
+/// memory. Every cycle is an issue, a jumped cycle or a drained one,
+/// so the cycles jumped in all are the final cycle less the launch's
+/// issues and the drained cycles, and the skipped ones are those less
+/// one per jump.
 pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, CuProfile) {
     let mut attrib = CuProfile::default();
     if wave_count == 0 || kernel.steps.is_empty() {
@@ -245,11 +250,9 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
     let mut mem_blocked = Vec::with_capacity(resident as usize);
     let mut cycle: u64 = 0;
     let mut dram_accesses: u64 = 0;
-    let mut skipped_cycles: u64 = 0;
     let mut wakeup_jumps: u64 = 0;
-    // Cycles jumped while nobody could issue, and the part of them the
-    // waking wavefront spent waiting on a memory instruction.
-    let mut stalled: u64 = 0;
+    // Cycles jumped while the waking wavefront waited on a memory
+    // instruction.
     let mut mem_stalled: u64 = 0;
 
     for batch in 0..batches {
@@ -291,9 +294,7 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
             // dependence chain.
             debug_assert!(wake != u64::MAX, "remaining > 0 implies an unfinished wave");
             let gap = wake - cycle;
-            skipped_cycles += gap.saturating_sub(1);
             wakeup_jumps += u64::from(gap > 0);
-            stalled += gap;
             mem_stalled += gap * u64::from(mem_blocked[w]);
             cycle = wake;
             // ---- Issue wavefront `w`'s instruction ----
@@ -328,17 +329,17 @@ pub fn run_cu(kernel: &DecodedKernel, wave_count: u32, seed: u64) -> (GpuStats, 
         }
         attrib.residency.record_n(0, cycle - level_since);
     }
+    let stats = cu_stats(&kernel.per_wave, wave_count, cycle, dram_accesses);
+    let issues = stats.wavefront_insts;
+    let stalled = cycle - issues - attrib.classes.get(CycleClass::IdleSkipped);
     attrib.classes.charge(CycleClass::MemLatency, mem_stalled);
     attrib
         .classes
         .charge(CycleClass::IssueBound, stalled - mem_stalled);
-    attrib.skipped_cycles = skipped_cycles;
+    attrib.skipped_cycles = stalled - wakeup_jumps;
     attrib.wakeup_jumps = wakeup_jumps;
-    let stats = cu_stats(&kernel.per_wave, wave_count, cycle, dram_accesses);
     // Every issue cycle retires one wavefront instruction.
-    attrib
-        .classes
-        .charge(CycleClass::Retire, stats.wavefront_insts);
+    attrib.classes.charge(CycleClass::Retire, issues);
     attrib.cycles = cycle;
     debug_assert_eq!(
         attrib.classes.total(),

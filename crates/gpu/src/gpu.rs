@@ -64,15 +64,6 @@ impl Gpu {
         self.run_insts(kernel, &insts, seed)
     }
 
-    /// Like [`Gpu::run`], but first applies the latency-hiding compiler
-    /// pass of [`crate::schedule`] with the given lookahead window (the
-    /// paper's future-work optimization).
-    pub fn run_scheduled(&self, kernel: &KernelProfile, seed: u64, window: usize) -> GpuRunResult {
-        let insts = kernel.generate(seed);
-        let scheduled = crate::schedule::schedule_kernel(&insts, window);
-        self.run_insts(kernel, &scheduled.insts, seed)
-    }
-
     /// Validates a finished launch: the generic [`validate_gpu_stats`]
     /// identities, total launch work (`insts_per_wavefront x wavefronts`),
     /// the per-CU issue-throughput cycle bound, and that structures absent
@@ -144,7 +135,10 @@ impl Gpu {
         });
     }
 
-    fn run_insts(
+    /// Runs `insts`, the instructions `kernel.generate(seed)` returned
+    /// or a [`crate::schedule`] of them, as [`Gpu::run`] does. Callers
+    /// that launch one kernel on several GPUs generate it once.
+    pub fn run_insts(
         &self,
         kernel: &KernelProfile,
         insts: &[crate::kernel::GpuInst],

@@ -36,21 +36,28 @@
 //! The first disk lookup scans every segment in the directory into an
 //! index from key to record location; [`ResultCache::refresh`] (called
 //! by the runner at the start of each batch) makes the next lookup
-//! read only what was appended since. A lookup re-reads its record and
-//! checks key and checksum again before parsing the payload. The rules:
+//! read only what was appended since. The scan reads each record's
+//! frame alone: its key digits, length and checksum fields, their
+//! separators, and the newline that closes the payload the length
+//! declares. It hashes no payload byte. The lookup that reads a record
+//! re-checks its frame and key and checks its checksum before parsing
+//! the payload. The rules:
 //!
 //! * a record cut short (a torn tail, or an append still in flight)
 //!   ends the scan of its segment until the next refresh;
-//! * a record whose fields or checksum do not hold ends the scan of
-//!   its segment for good, as does a header that is not
-//!   [`SEGMENT_HEADER`];
-//! * a torn or bad record whose key digits are readable marks that key
-//!   damaged, and a payload that fails to parse does the same: looking
-//!   the key up is a counted corrupt miss. An intact record of the key
-//!   (the re-simulation's) supersedes the mark;
-//! * of several intact records of one key, the last scanned answers —
-//!   segments in name order, records in file order. They hold equal
-//!   values, since a key fixes its outcome.
+//! * a record whose frame does not hold ends the scan of its segment
+//!   for good, as does a header that is not [`SEGMENT_HEADER`];
+//! * a torn or badly framed record whose key digits are readable marks
+//!   that key damaged. A framed record whose checksum does not hold,
+//!   or whose payload fails to parse, does the same when a lookup reads
+//!   it: looking the key up is a counted corrupt miss, and the records
+//!   after it stay readable. A framed record of the key (the
+//!   re-simulation's) supersedes the mark;
+//! * a framed record of a key that already has an indexed record
+//!   supersedes it only if its checksum holds, so of several records
+//!   of one key the last intact one answers (segments in name order,
+//!   records in file order), and a damaged duplicate hides no intact
+//!   record. They hold equal values, since a key fixes its outcome.
 //!
 //! Files without the `.seg` extension — subdirectories, legacy
 //! per-key `<hex>.json` entries — are never read.
@@ -236,15 +243,16 @@ struct Index {
 /// One segment file and how far it has been read.
 struct Segment {
     path: PathBuf,
-    /// Bytes consumed: the header and every whole record before the
-    /// first one that is not intact. The next scan resumes here.
+    /// Bytes consumed: the header and every framed record before the
+    /// first one that is not. The next scan resumes here.
     scanned: u64,
-    /// Set by an unknown header or a bad record: never read again.
+    /// Set by an unknown header or a badly framed record: never read
+    /// again.
     closed: bool,
 }
 
 /// Where a key's record is, or that the key's last record is damaged.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum Record {
     At {
         segment: usize,
@@ -265,7 +273,8 @@ impl Disk {
         self.index.lock().expect("index lock")
     }
 
-    /// Reads `key`'s record and parses its payload with `parse`.
+    /// Reads `key`'s record, checks its checksum and parses its payload
+    /// with `parse`.
     fn load<R>(&self, key: JobKey, parse: impl FnOnce(&str) -> Option<R>) -> LoadResult<R> {
         let mut index = self.index();
         index.scan_if_stale(&self.dir);
@@ -281,12 +290,12 @@ impl Disk {
             } => read_at(&index.segments[segment].path, offset, len)
                 .ok()
                 .and_then(|bytes| match decode(&bytes) {
-                    Frame::Intact {
-                        key: found,
-                        payload,
-                        len: whole,
-                    } if found == key && whole == bytes.len() => {
-                        std::str::from_utf8(payload).ok().and_then(parse)
+                    Frame::Whole { key: found, len }
+                        if found == key && len == bytes.len() && intact(&bytes) =>
+                    {
+                        std::str::from_utf8(&bytes[HEAD..len - 1])
+                            .ok()
+                            .and_then(parse)
                     }
                     _ => None,
                 }),
@@ -417,14 +426,19 @@ impl Index {
         }
         let closed = loop {
             match decode(&bytes[at..]) {
-                Frame::Intact { key, len, .. } => {
-                    let offset = base + at as u64;
-                    let record = Record::At {
+                Frame::Whole { key, len } => {
+                    let here = Record::At {
                         segment,
-                        offset,
+                        offset: base + at as u64,
                         len,
                     };
-                    self.records.insert(key, record);
+                    // Another record of the key is indexed: only an
+                    // intact duplicate may take its place.
+                    let other = matches!(self.records.get(&key),
+                        Some(&indexed @ Record::At { .. }) if indexed != here);
+                    if !other || intact(&bytes[at..at + len]) {
+                        self.records.insert(key, here);
+                    }
                     at += len;
                 }
                 Frame::Torn(key) => {
@@ -450,19 +464,17 @@ impl Index {
     }
 }
 
-/// One record decoded from the front of a byte slice.
-enum Frame<'a> {
-    /// A whole record whose fields and checksum hold; `len` counts the
-    /// head line, the payload and the closing newline.
-    Intact {
-        key: JobKey,
-        payload: &'a [u8],
-        len: usize,
-    },
+/// One record decoded from the front of a byte slice by its frame
+/// alone; [`intact`] checks a framed record's checksum.
+enum Frame {
+    /// A whole record whose head line parses and whose payload is
+    /// followed by the closing newline; `len` counts the head line, the
+    /// payload and the newline.
+    Whole { key: JobKey, len: usize },
     /// Fewer bytes than the head declares: a torn tail or an append in
     /// flight. Carries the key when its digits are readable.
     Torn(Option<JobKey>),
-    /// A whole record whose fields, framing or checksum do not hold.
+    /// A whole record whose fields or framing do not hold.
     Bad(Option<JobKey>),
 }
 
@@ -475,7 +487,7 @@ pub(crate) fn encode(key: JobKey, payload: &str) -> io::Result<Vec<u8>> {
     Ok(format!("{digits} {len:08x} {sum:016x}\n{payload}\n").into_bytes())
 }
 
-fn decode(bytes: &[u8]) -> Frame<'_> {
+fn decode(bytes: &[u8]) -> Frame {
     let key = bytes
         .get(..32)
         .and_then(|d| std::str::from_utf8(d).ok())
@@ -484,9 +496,9 @@ fn decode(bytes: &[u8]) -> Frame<'_> {
         return Frame::Torn(key);
     };
     let len = hex_digits(&head[33..41]).and_then(|d| u32::from_str_radix(d, 16).ok());
-    let sum = hex_digits(&head[42..58]).and_then(|d| u64::from_str_radix(d, 16).ok());
+    let sum = hex_digits(&head[42..58]);
     let framed = head[32] == b' ' && head[41] == b' ' && head[58] == b'\n';
-    let (Some(len), Some(sum), true) = (len, sum, framed) else {
+    let (Some(len), Some(_), true) = (len, sum, framed) else {
         return Frame::Bad(key);
     };
     let Some(end) = (len as usize).checked_add(HEAD + 1) else {
@@ -495,17 +507,17 @@ fn decode(bytes: &[u8]) -> Frame<'_> {
     let Some(record) = bytes.get(..end) else {
         return Frame::Torn(key);
     };
-    let payload = &record[HEAD..end - 1];
     match key {
-        Some(key) if record[end - 1] == b'\n' && checksum(&head[..32], payload) == sum => {
-            Frame::Intact {
-                key,
-                payload,
-                len: end,
-            }
-        }
+        Some(key) if record[end - 1] == b'\n' => Frame::Whole { key, len: end },
         _ => Frame::Bad(key),
     }
+}
+
+/// Whether `record`, the bytes of a record [`decode`] framed, carries a
+/// checksum that holds over its key digits and payload.
+fn intact(record: &[u8]) -> bool {
+    let sum = hex_digits(&record[42..58]).and_then(|d| u64::from_str_radix(d, 16).ok());
+    sum == Some(checksum(&record[..32], &record[HEAD..record.len() - 1]))
 }
 
 /// 64-bit FNV-1a over `key_digits` followed by `payload`.
@@ -756,6 +768,68 @@ mod tests {
         std::fs::write(&segment, bytes).expect("damage");
         assert_eq!(cache.get(key), None);
         assert_eq!(cache.stats().corrupt_files, 1);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_damaged_payload_hides_only_its_own_record() {
+        let dir = tmp_dir("damaged-payload");
+        let keys: Vec<JobKey> = (0..3u64).map(|i| JobKey::of(&("payload", i))).collect();
+        let writer: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        for (key, value) in keys.iter().zip(25..) {
+            writer.put(*key, &value);
+        }
+        drop(writer);
+        // 26 -> 36 in the middle record: its frame holds and its payload
+        // still parses, but its checksum does not.
+        let segment = only_segment(&dir);
+        let mut bytes = std::fs::read(&segment).expect("segment");
+        let digits = keys[1].hex();
+        let start = bytes
+            .windows(digits.len())
+            .position(|w| w == digits.as_bytes())
+            .expect("the middle record");
+        assert_eq!(&bytes[start + HEAD..start + HEAD + 3], b"26\n");
+        bytes[start + HEAD] = b'3';
+        std::fs::write(&segment, bytes).expect("damage");
+        let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(cache.get(keys[0]), Some(25));
+        assert_eq!(cache.get(keys[1]), None);
+        assert_eq!(cache.get(keys[2]), Some(27), "the record after it hits");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.misses, stats.corrupt_files),
+            (2, 1, 1)
+        );
+        // The re-simulation's record heals the key, for this handle and
+        // for a fresh one, whichever way the two segments sort.
+        cache.put(keys[1], &26);
+        assert_eq!(cache.get(keys[1]), Some(26));
+        let healed: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        for (key, value) in keys.iter().zip(25..) {
+            assert_eq!(healed.get(*key), Some(value));
+        }
+        assert_eq!(healed.stats().corrupt_files, 0);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_damaged_duplicate_does_not_hide_an_intact_record() {
+        // Two segments hold the key; the one that sorts last has a
+        // payload that fails its checksum.
+        let dir = tmp_dir("damaged-duplicate");
+        let key = JobKey::from_bytes(b"duplicate");
+        let record = encode(key, "7").expect("frame");
+        let mut damaged = record.clone();
+        damaged[HEAD] = b'8';
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        for (name, record) in [("0-0", &record), ("1-0", &damaged)] {
+            let path = dir.join(format!("{name}.{SEGMENT_EXT}"));
+            std::fs::write(path, [SEGMENT_HEADER, record].concat()).expect("segment");
+        }
+        let cache: ResultCache<u64> = ResultCache::on_disk(&dir).expect("mkdir");
+        assert_eq!(cache.get(key), Some(7));
+        assert_eq!(cache.stats().corrupt_files, 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -24,6 +24,7 @@ use hetcore_repro::hetcore::config::{CpuDesign, GpuDesign};
 use hetcore_repro::hetsim_cpu::core::RunResult;
 use hetcore_repro::hetsim_cpu::multicore::{run_multicore, MulticoreResult};
 use hetcore_repro::hetsim_gpu::kernel::KernelProfile;
+use hetcore_repro::hetsim_gpu::schedule::schedule_kernel;
 use hetcore_repro::hetsim_gpu::{Gpu, GpuRunResult};
 use hetcore_repro::hetsim_trace::fuzz;
 
@@ -114,7 +115,8 @@ fn render_current() -> String {
         let partitioned = GpuDesign::AdvHetPartitionedRf;
         let result = Gpu::new(partitioned.gpu_config()).run(&kernel, seed);
         launches.push((seed, partitioned, "run", result));
-        let result = Gpu::new(design.gpu_config()).run_scheduled(&kernel, seed, 4);
+        let scheduled = schedule_kernel(&kernel.generate(seed), 4);
+        let result = Gpu::new(design.gpu_config()).run_insts(&kernel, &scheduled.insts, seed);
         launches.push((seed, design, "scheduled4", result));
     }
     for (seed, design, launch, result) in &launches {
